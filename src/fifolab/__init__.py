@@ -15,14 +15,12 @@ from .analysis import (
     CheckStatus,
     InstanceAnalysis,
     LedgerError,
-    OracleMismatchError,
     RatioReport,
     RoptTrace,
     analyze,
     build_chain,
     build_ledger,
     policy_ratio,
-    ratio_report,
     run_ropt,
     verify_ledger,
     verify_ropt,

@@ -30,12 +30,11 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .model import Instance, Packet, Rat, ONE, require_valid, total_value, value_of
-from .offline import OptResult, brute_force_opt, dp_opt, opt_containing
+from .offline import OptResult, brute_force_opt, dp_opt, feasible, opt_containing
 from .simulate import (
     EventKind,
     Policy,
     RunTrace,
-    fates,
     replay_buffer_states,
     run,
     sends_by_step,
@@ -72,10 +71,6 @@ class LedgerError(RuntimeError):
         self.packet = packet
 
 
-class OracleMismatchError(RuntimeError):
-    """The scalable optimum disagreed with the exhaustive one."""
-
-
 # ---------------------------------------------------------------------------
 # Relaxed reference schedule
 
@@ -103,8 +98,6 @@ def run_ropt(inst: Instance, chosen: Iterable[Packet], on: RunTrace) -> RoptTrac
     drains, which may outlast the policy's own trace.
     """
     o_set = frozenset(chosen)
-    from .offline import feasible  # local import keeps module deps one-way
-
     ok, _ = feasible(inst, o_set)
     if not ok:
         raise ValueError("chosen packet set is not deliverable offline")
@@ -163,24 +156,38 @@ class Chain:
         return self.steps[0]
 
 
-def _chain_steps(
-    on_sends: Mapping[int, Packet],
-    send_time: Mapping[Packet, int],
-    o_set: frozenset[Packet],
-    packet: Packet,
-) -> tuple[int, ...]:
-    """Walk backward from the reference's send of `packet` to a head step."""
-    steps = [send_time[packet]]
-    hop = on_sends.get(steps[0])
-    while hop is not None and hop in o_set:
-        prev = send_time.get(hop)
-        if prev is None:
-            raise LedgerError("policy sent an O-packet the reference never sent", packet=hop)
-        if prev >= steps[0]:
-            raise LedgerError("chain walk failed to descend", step=prev, packet=hop)
-        steps.insert(0, prev)
-        hop = on_sends.get(prev)
-    return tuple(steps)
+class _ChainTable(dict):
+    """Chain steps per owner packet, walked on first lookup and memoised.
+
+    Owners keep first-lookup order, which fixes the order of a ledger's chains.
+    """
+
+    def __init__(
+        self,
+        on_sends: Mapping[int, Packet],
+        send_time: Mapping[Packet, int],
+        o_set: frozenset[Packet],
+    ):
+        super().__init__()
+        self.on_sends = on_sends
+        self.send_time = send_time
+        self.o_set = o_set
+
+    def __missing__(self, packet: Packet) -> tuple[int, ...]:
+        """Walk backward from the reference's send of `packet` to a head step."""
+        steps = [self.send_time[packet]]
+        hop = self.on_sends.get(steps[0])
+        while hop is not None and hop in self.o_set:
+            prev = self.send_time.get(hop)
+            if prev is None:
+                raise LedgerError("policy sent an O-packet the reference never sent", packet=hop)
+            if prev >= steps[-1]:
+                raise LedgerError("chain walk failed to descend", step=prev, packet=hop)
+            steps.append(prev)
+            hop = self.on_sends.get(prev)
+        steps.reverse()
+        chain = self[packet] = tuple(steps)
+        return chain
 
 
 def build_chain(
@@ -198,7 +205,7 @@ def build_chain(
     sent_at = ropt.send_time.get(packet)
     if sent_at is None or sent_at >= t:
         raise ValueError(f"packet {packet.id!r} was not sent by the reference before step {t}")
-    return Chain(packet, _chain_steps(sends_by_step(on), ropt.send_time, o_set, packet), "open")
+    return Chain(packet, _ChainTable(sends_by_step(on), ropt.send_time, o_set)[packet], "open")
 
 
 # ---------------------------------------------------------------------------
@@ -255,20 +262,12 @@ def build_ledger(
         if p in o_set:
             charges.append(ChargeRecord(p, SENT_BY_BOTH, value_of(p, alpha), step=t))
 
-    chain_memo: dict[Packet, tuple[int, ...]] = {}
+    chain_steps = _ChainTable(on_sends, send_time, o_set)
     closed_heads: dict[int, Packet] = {}
     closing_charge: dict[Packet, Packet] = {}
 
-    def chain_of(owner: Packet) -> tuple[int, ...]:
-        steps = chain_memo.get(owner)
-        if steps is None:
-            steps = _chain_steps(on_sends, send_time, o_set, owner)
-            chain_memo[owner] = steps
-        return steps
-
     def close_chain(owner: Packet, charged: Packet, kind: str, drop_step: int) -> None:
-        steps = chain_of(owner)
-        head = steps[0]
+        head = chain_steps[owner][0]
         if owner in closing_charge:
             raise LedgerError("chain closed twice", step=head, packet=owner)
         if head in closed_heads:
@@ -284,7 +283,7 @@ def build_ledger(
         out = []
         for z in buffered:
             if z.is_alpha and send_time.get(z, now) < now:
-                if chain_of(z)[0] not in closed_heads:
+                if chain_steps[z][0] not in closed_heads:
                     out.append(z)
         return out
 
@@ -374,7 +373,7 @@ def build_ledger(
             "closed" if owner in closing_charge else "open",
             closing_charge.get(owner),
         )
-        for owner, steps in chain_memo.items()
+        for owner, steps in chain_steps.items()
     )
     return ChargeLedger(dict(on_charges), tuple(charges), chains, diagnostics)
 
@@ -471,11 +470,14 @@ def verify_ropt(
         _result("send-precedence", not late, f"reference later than policy at {late}" if late else "")
     )
 
-    # Live-chain disjointness: at every delivery point, every O-packet the
-    # reference has already sent but the policy still buffers owns a chain;
-    # simultaneously live chains must not share steps.
-    chain_memo: dict[Packet, tuple[int, ...]] = {}
+    # One pass over the delivery points. The O-packets the reference has
+    # already sent but the policy still buffers each own a chain, and
+    # simultaneously live chains must not share steps; their count is also
+    # the backlog. Chain walks stop at the first overlap, the maxima do not.
+    chain_steps = _ChainTable(on_sends, ropt.send_time, o_set)
     overlap = ""
+    max_alpha = 0
+    max_any = 0
     for event, buffer_after in replay_buffer_states(on):
         if event.kind not in (EventKind.SENT, EventKind.IDLE):
             continue
@@ -483,34 +485,21 @@ def verify_ropt(
         live = [
             z for z in buffer_after if z in o_set and ropt.send_time.get(z, t + 1) <= t
         ]
+        max_any = max(max_any, len(live))
+        max_alpha = max(max_alpha, sum(1 for z in live if z.is_alpha))
+        if overlap:
+            continue
         seen: dict[int, Packet] = {}
         for z in live:
-            steps = chain_memo.get(z)
-            if steps is None:
-                steps = _chain_steps(on_sends, ropt.send_time, o_set, z)
-                chain_memo[z] = steps
-            for s in steps:
+            for s in chain_steps[z]:
                 if s in seen and seen[s] is not z and not overlap:
                     overlap = f"step {s} shared by chains of {seen[s].id} and {z.id} at t={t}"
                 seen.setdefault(s, z)
-        if overlap:
-            break
     checks.append(_result("chains-disjoint", not overlap, overlap))
 
     if on.policy.kind == "on":
         beta = on.policy.beta
         bound = Fraction(inst.capacity) * beta / (inst.alpha + beta)
-        max_alpha = 0
-        max_any = 0
-        for event, buffer_after in replay_buffer_states(on):
-            if event.kind not in (EventKind.SENT, EventKind.IDLE):
-                continue
-            t = event.step
-            resent = [
-                z for z in buffer_after if z in o_set and ropt.send_time.get(z, t + 1) <= t
-            ]
-            max_any = max(max_any, len(resent))
-            max_alpha = max(max_alpha, sum(1 for z in resent if z.is_alpha))
         strict_ok = Fraction(max_alpha) < bound
         detail = f"max alpha backlog {max_alpha}, max any {max_any}, bound {bound}"
         checks.append(
@@ -649,25 +638,6 @@ def _make_ratio(
     return RatioReport(policy, policy_value, opt_value, ratio, bound, within)
 
 
-def ratio_report(inst: Instance, beta: Rat) -> RatioReport:
-    """Exact optimum-to-policy ratio and the theoretical bound at (alpha, beta).
-
-    The optimum comes from the dynamic program, cross-checked against the
-    exhaustive oracle on small instances; disagreement raises.
-    """
-    require_valid(inst)
-    policy = Policy.on(beta)
-    trace = run(policy, inst)
-    opt_value = dp_opt(inst)
-    if len(inst.arrivals) <= 14:
-        exhaustive = brute_force_opt(inst).value
-        if exhaustive != opt_value:
-            raise OracleMismatchError(
-                f"dp optimum {opt_value} != exhaustive optimum {exhaustive}"
-            )
-    return _make_ratio(policy, trace.totals, opt_value, inst.alpha, beta)
-
-
 def policy_ratio(policy: Policy, inst: Instance, reference_beta: Rat) -> RatioReport:
     """Ratio of the exhaustive optimum to an arbitrary policy's value."""
     require_valid(inst)
@@ -703,6 +673,7 @@ def analyze(inst: Instance, beta: Rat) -> InstanceAnalysis:
     optimum = opt_containing(inst, alpha_sends)
     if optimum is None:
         raise RuntimeError("delivered alpha packets must form a deliverable set")
+    dp_value = dp_opt(inst)
     checks = [
         _result(
             "optimum-contains-alpha-sends",
@@ -711,8 +682,8 @@ def analyze(inst: Instance, beta: Rat) -> InstanceAnalysis:
         ),
         _result(
             "oracle-agreement",
-            dp_opt(inst) == exhaustive.value,
-            f"dp {dp_opt(inst)} vs exhaustive {exhaustive.value}",
+            dp_value == exhaustive.value,
+            f"dp {dp_value} vs exhaustive {exhaustive.value}",
         ),
     ]
     ropt = run_ropt(inst, optimum.subset, on)

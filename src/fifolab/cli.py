@@ -23,8 +23,6 @@ from .analysis import (
     analyze,
     format_ledger,
     format_report,
-    policy_ratio,
-    ratio_report,
 )
 from .generators import GenConfig, adversarial_search, demo_instance, greedy_blocking, random_instance
 from .model import (
@@ -86,7 +84,11 @@ def _rat_list(text: str) -> tuple[Rat, ...]:
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("FBL_SEED", "0"))
+    text = os.environ.get("FBL_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"FBL_SEED must be an integer, got {text!r}") from None
 
 
 def _load_instance(path: str) -> Instance:
@@ -361,17 +363,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "seed") and args.seed is None:
-        args.seed = _default_seed()
     try:
+        if hasattr(args, "seed") and args.seed is None:
+            args.seed = _default_seed()
         return args.func(args)
     except InstanceParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return EXIT_USAGE
-    except (InvalidInstanceError, InstanceTooLargeError, UsageError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (InvalidInstanceError, InstanceTooLargeError, UsageError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -3,11 +3,11 @@
 A kept subset is delivered in arrival order, one packet per step, and an
 arrival instant may never see more than B kept-but-unsent packets. Since
 delaying a send never lowers future occupancy, sending the head as early
-as possible is a complete feasibility test; :func:`feasible` implements
-it as a literal step simulation. The exhaustive optimizer enumerates
-candidate subsets in decreasing value order with a condensed form of the
-same occupancy recurrence and re-checks its winner against the step
-simulation, while :func:`dp_opt` reaches the same value through a
+as possible is a complete feasibility test. One occupancy recurrence over
+the kept packets' release steps decides it, both in :func:`feasible` and
+inside the exhaustive optimizer, which enumerates candidate subsets in
+decreasing value order; the literal step-by-step simulation survives only
+as a test oracle. :func:`dp_opt` reaches the same value through an
 (arrival index, queue length) dynamic program so the two routes stay
 independently comparable.
 """
@@ -38,31 +38,21 @@ class OptResult:
 def feasible(inst: Instance, packets: Iterable[Packet]) -> tuple[bool, dict[Packet, int] | None]:
     """Can this subset be fully delivered? Returns a witnessing schedule.
 
-    Simulates steps directly: admit the subset's arrivals of each step in
-    key order (infeasible the instant occupancy would exceed capacity),
-    then send the earliest buffered packet.
+    The verdict is the occupancy recurrence of :func:`_feasible_steps`; the
+    schedule sends each kept packet, in key order, at its release step or
+    one step after the previous send, whichever is later.
     """
     chosen = set(packets)
     if not chosen <= set(inst.arrivals):
         raise ValueError("subset contains packets foreign to the instance")
-    by_step: dict[int, list[Packet]] = {}
-    for p in inst.arrivals:
-        if p in chosen:
-            by_step.setdefault(p.key.step, []).append(p)
-    if not by_step:
-        return True, {}
-    last = max(by_step)
-    buf: list[Packet] = []
+    kept = [p for p in inst.arrivals if p in chosen]
+    if not _feasible_steps(tuple(p.key.step for p in kept), inst.capacity):
+        return False, None
     schedule: dict[Packet, int] = {}
-    t = 1
-    while t <= last or buf:
-        for p in by_step.get(t, ()):
-            buf.append(p)
-            if len(buf) > inst.capacity:
-                return False, None
-        if buf:
-            schedule[buf.pop(0)] = t
-        t += 1
+    send = 0
+    for p in kept:
+        send = max(p.key.step, send + 1)
+        schedule[p] = send
     return True, schedule
 
 
@@ -70,8 +60,8 @@ def _feasible_steps(steps: tuple[int, ...], capacity: int) -> bool:
     """Occupancy recurrence over the kept packets' release steps (ascending).
 
     Between consecutive kept arrivals, one send happens per elapsed step,
-    so the queue decays by the step gap; equivalence with the full step
-    simulation in :func:`feasible` is property-tested.
+    so the queue decays by the step gap; agreement with a literal step
+    simulation is property-tested.
     """
     q = 0
     prev = steps[0] if steps else 0

@@ -4,6 +4,7 @@ import pytest
 
 from fifolab import (
     CheckStatus,
+    GenConfig,
     Policy,
     analyze,
     build_chain,
@@ -12,7 +13,7 @@ from fifolab import (
     demo_instance,
     feasible,
     greedy_blocking,
-    ratio_report,
+    random_instance,
     run,
     run_ropt,
     total_value,
@@ -252,24 +253,6 @@ class TestLedgerChainCharges:
         assert ledger.chains == ()
 
 
-class TestRatioReport:
-    def test_demo(self):
-        report = ratio_report(demo_instance(Fraction(2)), Fraction(2))
-        assert report.ratio == Fraction(13, 11)
-        assert report.bound.bound == Fraction(3, 2)
-        assert report.within_bound
-
-    def test_blocking_family_ratio_one(self):
-        report = ratio_report(greedy_blocking(Fraction(10)), BETA_REF)
-        assert report.ratio == 1
-        assert report.within_bound
-
-    def test_empty_instance_ratio_one(self):
-        report = ratio_report(build_instance(2, Fraction(2), []), BETA_REF)
-        assert report.ratio == 1
-        assert report.within_bound
-
-
 class TestAnalyze:
     def test_demo_everything_passes(self):
         result = analyze(demo_instance(Fraction(2)), Fraction(2))
@@ -293,6 +276,22 @@ class TestAnalyze:
             "ratio-bound",
         } <= names
 
+    @pytest.mark.parametrize(
+        "make_instance, beta, ratio, bound",
+        [
+            (lambda: demo_instance(Fraction(2)), Fraction(2), Fraction(13, 11), Fraction(3, 2)),
+            (lambda: greedy_blocking(Fraction(10)), BETA_REF, 1, Fraction(1071, 821)),
+            (lambda: build_instance(2, Fraction(2), []), BETA_REF, 1, Fraction(1071, 821)),
+        ],
+        ids=["demo", "blocking-family", "empty-instance"],
+    )
+    def test_ratio_within_bound(self, make_instance, beta, ratio, bound):
+        result = analyze(make_instance(), beta)
+        assert result.report.ok
+        assert result.ratio.ratio == ratio
+        assert result.ratio.bound.bound == bound
+        assert result.ratio.within_bound
+
     def test_blocking_family_passes(self):
         for alpha in (Fraction(3, 2), Fraction(2), Fraction(10)):
             assert analyze(greedy_blocking(alpha), BETA_REF).report.ok
@@ -308,3 +307,120 @@ class TestAnalyze:
         assert "ropt evicted-alpha-interval 1.2 2/1 interval 2 6" in text
         again = analyze(demo_instance(Fraction(2)), Fraction(2))
         assert format_ledger(again.ledger) == text
+
+
+DEMO_REPORT = """\
+optimum-contains-alpha-sends  PASS  constrained 13 vs unconstrained 13
+oracle-agreement              PASS  dp 13 vs exhaustive 13
+ropt-capacity                 PASS
+ropt-sends-all                PASS
+send-precedence               PASS
+chains-disjoint               PASS
+backlog-bound                 PASS  max alpha backlog 1, max any 1, bound 3/2
+charging-complete             PASS
+charge-conservation           PASS
+interval-exclusive            PASS
+alpha-send-intervals          PASS
+chain-heads                   PASS
+single-closure                PASS
+ratio-bound                   PASS  ratio 13/11 vs bound 3/2
+"""
+
+DEMO_LEDGER = """\
+on 1 1/1
+on 2 2/1
+on 3 2/1
+on 4 2/1
+on 5 2/1
+on 6 2/1
+ropt evicted-alpha-interval 1.2 2/1 interval 2 6
+ropt sent-by-both 2 2/1 step 2
+ropt sent-by-both 2.1 2/1 step 3
+ropt sent-by-both 2.2 2/1 step 4
+ropt preempted-interval 5 1/1 interval 5 6
+ropt sent-by-both 5.1 2/1 step 5
+ropt sent-by-both 5.2 2/1 step 6
+"""
+
+BLOCKING_REPORT = """\
+optimum-contains-alpha-sends  PASS  constrained 30 vs unconstrained 30
+oracle-agreement              PASS  dp 30 vs exhaustive 30
+ropt-capacity                 PASS
+ropt-sends-all                PASS
+send-precedence               PASS
+chains-disjoint               PASS
+backlog-bound                 PASS  max alpha backlog 0, max any 0, bound 1642/3321
+charging-complete             PASS
+charge-conservation           PASS
+interval-exclusive            PASS
+alpha-send-intervals          PASS
+chain-heads                   PASS
+single-closure                PASS
+ratio-bound                   PASS  ratio 1 vs bound 1071/821
+"""
+
+BLOCKING_LEDGER = """\
+on 1 10/1
+on 2 10/1
+on 3 10/1
+ropt sent-by-both 1.1 10/1 step 1
+ropt sent-by-both 2 10/1 step 2
+ropt sent-by-both 2.1 10/1 step 3
+"""
+
+# corpus-style seed whose ledger closes five chains
+CHAINS_REPORT = """\
+optimum-contains-alpha-sends  PASS  constrained 16 vs unconstrained 16
+oracle-agreement              PASS  dp 16 vs exhaustive 16
+ropt-capacity                 PASS
+ropt-sends-all                PASS
+send-precedence               PASS
+chains-disjoint               PASS
+backlog-bound                 PASS  max alpha backlog 0, max any 0, bound 821/2071
+charging-complete             PASS
+charge-conservation           PASS
+interval-exclusive            PASS
+alpha-send-intervals          PASS
+chain-heads                   PASS
+single-closure                PASS
+ratio-bound                   PASS  ratio 1 vs bound 1071/821
+"""
+
+CHAINS_LEDGER = """\
+on 1 1/1
+on 2 1/1
+on 3 1/1
+on 4 1/1
+on 6 1/1
+on 7 5/1
+on 8 1/1
+on 10 5/1
+ropt evicted-one-chain 1 1/1 step 1
+ropt evicted-one-chain 2 1/1 step 2
+ropt evicted-one-chain 3 1/1 step 3
+ropt evicted-one-chain 4 1/1 step 4
+ropt sent-by-both 6 1/1 step 6
+ropt sent-by-both 7 5/1 step 7
+ropt evicted-one-chain 8 1/1 step 8
+ropt sent-by-both 10.1 5/1 step 10
+chain 1 closed 1 1
+chain 2 closed 2 2
+chain 3 closed 3 3
+chain 4 closed 4 4
+chain 8 closed 8 8
+"""
+
+
+@pytest.mark.parametrize(
+    "make_instance, beta, report_text, ledger_text",
+    [
+        (lambda: demo_instance(Fraction(2)), Fraction(2), DEMO_REPORT, DEMO_LEDGER),
+        (lambda: greedy_blocking(Fraction(10)), BETA_REF, BLOCKING_REPORT, BLOCKING_LEDGER),
+        (lambda: random_instance(GenConfig(seed=1372)), BETA_REF, CHAINS_REPORT, CHAINS_LEDGER),
+    ],
+    ids=["demo", "blocking", "corpus-chains"],
+)
+def test_report_and_ledger_golden(make_instance, beta, report_text, ledger_text):
+    result = analyze(make_instance(), beta)
+    assert format_report(result.report) == report_text
+    assert format_ledger(result.ledger) == ledger_text

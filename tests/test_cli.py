@@ -161,3 +161,29 @@ class TestSearchAndGen:
         first = capsys.readouterr().out
         assert main(["gen", "random", "--seed", "9"]) == 0
         assert capsys.readouterr().out == first
+
+
+def _path_under_a_file(tmp_path):
+    parent = tmp_path / "plain.txt"
+    parent.write_text("buffer 1\nalpha 2/1\n")
+    return str(parent / "instance.txt")  # NotADirectoryError on read
+
+
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (lambda tmp: ["fuzz", "--count", "1"], {"FBL_SEED": "seven"}),
+        (lambda tmp: ["simulate", str(tmp)], {}),
+        (lambda tmp: ["verify", str(tmp)], {}),
+        (lambda tmp: ["opt", _path_under_a_file(tmp)], {}),
+    ],
+    ids=["non-integer-seed", "simulate-directory", "verify-directory", "other-os-error"],
+)
+def test_bad_environment_or_path_is_usage_error(argv, env, tmp_path, capsys, monkeypatch):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert main(argv(tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ")

@@ -45,6 +45,16 @@ class TestFeasible:
         with pytest.raises(ValueError):
             feasible(demo_instance(Fraction(2)), {make_packet(9, 9, "one")})
 
+    def test_long_idle_gap(self):
+        # a backlog of two at step 1, then nothing for 10^4 steps
+        gap = 10**4
+        inst = build_instance(
+            2, Fraction(2), [(1, 0, "one"), (1, 1, "alpha"), (1 + gap, 0, "one"), (1 + gap, 1, "one")]
+        )
+        ok, schedule = feasible(inst, inst.arrivals)
+        assert ok
+        assert [schedule[p] for p in inst.arrivals] == [1, 2, 1 + gap, 2 + gap]
+
 
 class TestBruteForce:
     def test_demo_value_and_subset(self):

@@ -19,7 +19,6 @@ from fifolab import (
     total_value,
 )
 from fifolab.model import build_instance
-from fifolab.offline import _feasible_steps
 from fifolab.simulate import fates, replay_buffer_states, sends_by_step
 
 ALPHAS = [Fraction(3, 2), Fraction(2), Fraction(5), Fraction(10), Fraction(10, 3)]
@@ -106,13 +105,46 @@ def test_threshold_policy_preemption_rules(inst, beta):
                 assert sends[t].is_alpha
 
 
+def _simulate_feasible(inst, packets):
+    """Literal feasibility oracle: simulate every step of the subset's run.
+
+    Admits the subset's arrivals of each step in key order (infeasible the
+    instant occupancy would exceed capacity), then sends the earliest
+    buffered packet.
+    """
+    chosen = set(packets)
+    by_step = {}
+    for p in inst.arrivals:
+        if p in chosen:
+            by_step.setdefault(p.key.step, []).append(p)
+    if not by_step:
+        return True, {}
+    last = max(by_step)
+    buf = []
+    schedule = {}
+    t = 1
+    while t <= last or buf:
+        for p in by_step.get(t, ()):
+            buf.append(p)
+            if len(buf) > inst.capacity:
+                return False, None
+        if buf:
+            schedule[buf.pop(0)] = t
+        t += 1
+    return True, schedule
+
+
 @given(instances(max_packets=9), st.data())
-def test_condensed_feasibility_matches_simulation(inst, data):
+def test_feasible_matches_step_simulation(inst, data):
     n = len(inst.arrivals)
     mask = data.draw(st.integers(0, 2**n - 1)) if n else 0
     chosen = [p for i, p in enumerate(inst.arrivals) if mask >> i & 1]
-    condensed = _feasible_steps(tuple(p.key.step for p in chosen), inst.capacity)
-    assert condensed == feasible(inst, chosen)[0]
+    ok, schedule = feasible(inst, chosen)
+    expected_ok, expected_schedule = _simulate_feasible(inst, chosen)
+    assert ok == expected_ok
+    assert schedule == expected_schedule
+    if ok:
+        assert list(schedule) == list(expected_schedule)  # send order too
 
 
 @given(instances(max_packets=9))
