@@ -639,7 +639,7 @@ def _make_ratio(
 
 
 def policy_ratio(policy: Policy, inst: Instance, reference_beta: Rat) -> RatioReport:
-    """Ratio of the exhaustive optimum to an arbitrary policy's value."""
+    """Ratio of the offline optimum to an arbitrary policy's value."""
     require_valid(inst)
     trace = run(policy, inst)
     opt_value = brute_force_opt(inst).value

@@ -92,7 +92,10 @@ def _default_seed() -> int:
 
 
 def _load_instance(path: str) -> Instance:
-    return parse_instance(Path(path).read_text())
+    try:
+        return parse_instance(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def _policy_from_args(args: argparse.Namespace) -> Policy:
@@ -180,15 +183,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def fuzz_config(args: argparse.Namespace) -> GenConfig:
-    return GenConfig(
-        capacity_min=args.b_min,
-        capacity_max=args.b_max,
-        horizon=args.horizon,
-        max_burst=args.max_burst,
-        alpha_choices=args.alphas,
-        alpha_weight=args.alpha_weight,
-        max_packets=args.max_packets,
-    )
+    try:
+        return GenConfig(
+            capacity_min=args.b_min,
+            capacity_max=args.b_max,
+            horizon=args.horizon,
+            max_burst=args.max_burst,
+            alpha_choices=args.alphas,
+            alpha_weight=args.alpha_weight,
+            max_packets=args.max_packets,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def experiment_row(seed: int, inst: Instance, result: InstanceAnalysis) -> list[str]:
@@ -234,8 +240,6 @@ def fuzz_rows(cfg: GenConfig, count: int, base_seed: int, beta: Rat) -> tuple[st
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
-    if args.count < 1:
-        raise UsageError("count must be positive")
     csv_text, failures, worst = fuzz_rows(fuzz_config(args), args.count, args.seed, args.beta)
     _write_out(csv_text, args.out)
     sys.stderr.write(f"max ratio {format_rat(worst)} ({decimal_str(worst)})\n")
@@ -286,6 +290,18 @@ class UsageError(ValueError):
     pass
 
 
+# Flag ranges the library checks only once work has started (GenConfig checks its own).
+_FLAG_RULES = (
+    ("alpha", lambda v: v > 1, "alpha must exceed 1"),
+    ("beta", lambda v: v > 0, "beta must be positive"),
+    ("alphas", lambda v: v and all(a > 1 for a in v), "alphas must list values above 1"),
+    ("betas", lambda v: v and all(b > 0 for b in v), "betas must list positive values"),
+    ("tol", lambda v: v > 0, "tol must be positive"),
+    ("count", lambda v: v > 0, "count must be positive"),
+    ("budget", lambda v: v > 0, "budget must be positive"),
+)
+
+
 def _add_gen_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--b-min", type=int, default=1)
     parser.add_argument("--b-max", type=int, default=5)
@@ -307,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("opt", help="exhaustive offline optimum of an instance file")
+    p = sub.add_parser("opt", help="offline optimum of an instance file (matroid greedy)")
     p.add_argument("instance")
     p.set_defaults(func=cmd_opt)
 
@@ -364,6 +380,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name, ok, message in _FLAG_RULES:
+            if hasattr(args, name) and not ok(getattr(args, name)):
+                raise UsageError(message)
         if hasattr(args, "seed") and args.seed is None:
             args.seed = _default_seed()
         return args.func(args)

@@ -68,16 +68,18 @@ class GenConfig:
     seed: int = 0
     max_packets: int | None = 14
 
+    def __post_init__(self) -> None:
+        if self.capacity_min < 1 or self.capacity_min > self.capacity_max:
+            raise ValueError("empty capacity range")
+        if self.horizon < 1 or self.max_burst < 0 or (self.max_packets or 0) < 0:
+            raise ValueError("empty horizon, burst or packet range")
+        if not self.alpha_choices:
+            raise ValueError("no alpha choices")
+        if not 0 <= self.alpha_weight <= 1:
+            raise ValueError("alpha weight must be a probability")
+
 
 def random_instance(cfg: GenConfig) -> Instance:
-    if cfg.capacity_min < 1 or cfg.capacity_min > cfg.capacity_max:
-        raise ValueError("empty capacity range")
-    if cfg.horizon < 1 or cfg.max_burst < 0:
-        raise ValueError("empty horizon or burst range")
-    if not cfg.alpha_choices:
-        raise ValueError("no alpha choices")
-    if not 0 <= cfg.alpha_weight <= 1:
-        raise ValueError("alpha weight must be a probability")
     rng = random.Random(cfg.seed)
     capacity = rng.randint(cfg.capacity_min, cfg.capacity_max)
     alpha = rng.choice(cfg.alpha_choices)
@@ -141,7 +143,7 @@ def adversarial_search(
     known ratios are floors on the result) and continue with seeded
     random instances; each climb applies local mutations and keeps
     strict improvements, restarting after a stagnation streak. Every
-    candidate stays within the exhaustive oracle's comfort zone.
+    candidate has at most `max_packets` packets.
     """
     if budget < 1:
         raise ValueError("budget must be positive")

@@ -1,22 +1,22 @@
-"""Exact offline optimum for a FIFO buffer: feasibility, brute force, DP.
+"""Exact offline optimum for a FIFO buffer: feasibility, greedy optimum, DP.
 
 A kept subset is delivered in arrival order, one packet per step, and an
 arrival instant may never see more than B kept-but-unsent packets. Since
 delaying a send never lowers future occupancy, sending the head as early
 as possible is a complete feasibility test. One occupancy recurrence over
-the kept packets' release steps decides it, both in :func:`feasible` and
-inside the exhaustive optimizer, which enumerates candidate subsets in
-decreasing value order; the literal step-by-step simulation survives only
-as a test oracle. :func:`dp_opt` reaches the same value through an
-(arrival index, queue length) dynamic program so the two routes stay
-independently comparable.
+the kept packets' release steps decides it. A subset is feasible iff its
+packets can be matched to distinct send slots in [step, step + B - 1], so
+the feasible subsets form a transversal matroid (Glover 1967) and the
+optimum is a greedy pick. The step simulation and the exhaustive enumeration
+survive only as test oracles. :func:`dp_opt` reaches the same value
+through an (arrival index, queue length) dynamic program.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Mapping
 
 from .model import Instance, Packet, Rat, ZERO, require_valid, value_of
@@ -79,10 +79,10 @@ def _feasible_steps(steps: tuple[int, ...], capacity: int) -> bool:
 def _best_subset(inst: Instance, required: Iterable[Packet]) -> tuple[Rat, tuple[int, ...]] | None:
     """Maximum-value feasible subset containing `required`, as arrival indices.
 
-    Enumerates value levels in decreasing order and stops at the first
-    level with a feasible candidate. Ties within a level are broken
-    toward the lexicographically greatest indicator vector over arrivals
-    in key order (earliest packets preferred), so results are stable.
+    Seeded with `required`, the greedy offers the free alpha packets, then
+    the free 1-value packets, each in key order, and keeps each that leaves
+    the set feasible. Key order makes the result, among the optima, the one
+    with the greatest indicator vector over arrivals (earliest preferred).
     """
     arr = inst.arrivals
     n = len(arr)
@@ -91,55 +91,29 @@ def _best_subset(inst: Instance, required: Iterable[Packet]) -> tuple[Rat, tuple
             f"exhaustive search limited to {BRUTE_FORCE_LIMIT} packets, got {n}"
         )
     index_of = {p: i for i, p in enumerate(arr)}
-    req_idx: list[int] = []
-    for p in set(required):
+    req_idx: set[int] = set()
+    for p in required:
         if p not in index_of:
             raise ValueError(f"required packet {p.id!r} does not belong to this instance")
-        req_idx.append(index_of[p])
-    req_idx.sort()
+        req_idx.add(index_of[p])
     steps = tuple(p.key.step for p in arr)
-    capacity = inst.capacity
 
-    def feas(idxs: tuple[int, ...]) -> bool:
-        return _feasible_steps(tuple(steps[i] for i in idxs), capacity)
+    def feas(idxs: Iterable[int]) -> bool:
+        return _feasible_steps(tuple(steps[i] for i in idxs), inst.capacity)
 
-    if not feas(tuple(req_idx)):
+    kept = sorted(req_idx)
+    if not feas(kept):
         return None
-
+    if feas(range(n)):
+        kept = list(range(n))
+    else:
+        for i in sorted(range(n), key=lambda i: not arr[i].is_alpha):  # alphas first (stable sort)
+            if i not in req_idx:
+                insort(kept, i)
+                if not feas(kept):
+                    kept.remove(i)
     a, b = inst.alpha.numerator, inst.alpha.denominator
-    weight = [a if p.is_alpha else b for p in arr]
-    rank = [1 << (n - 1 - i) for i in range(n)]
-
-    everything = tuple(range(n))
-    if feas(everything):
-        return Fraction(sum(weight), b), everything
-
-    req_set = set(req_idx)
-    free_alpha = [i for i in range(n) if arr[i].is_alpha and i not in req_set]
-    free_one = [i for i in range(n) if not arr[i].is_alpha and i not in req_set]
-    base = sum(weight[i] for i in req_idx)
-
-    levels: dict[int, list[tuple[int, int]]] = {}
-    for ka in range(len(free_alpha) + 1):
-        for k1 in range(len(free_one) + 1):
-            levels.setdefault(base + a * ka + b * k1, []).append((ka, k1))
-
-    req_tuple = tuple(req_idx)
-    for level in sorted(levels, reverse=True):
-        best_rank = -1
-        best_idxs: tuple[int, ...] | None = None
-        for ka, k1 in levels[level]:
-            for ca in combinations(free_alpha, ka):
-                for c1 in combinations(free_one, k1):
-                    idxs = tuple(sorted(req_tuple + ca + c1))
-                    if feas(idxs):
-                        r = sum(rank[i] for i in idxs)
-                        if r > best_rank:
-                            best_rank = r
-                            best_idxs = idxs
-        if best_idxs is not None:
-            return Fraction(level, b), best_idxs
-    return None  # unreachable: the required set itself is feasible
+    return Fraction(sum(a if arr[i].is_alpha else b for i in kept), b), tuple(kept)
 
 
 def _as_result(inst: Instance, value: Rat, idxs: tuple[int, ...]) -> OptResult:
@@ -151,7 +125,11 @@ def _as_result(inst: Instance, value: Rat, idxs: tuple[int, ...]) -> OptResult:
 
 
 def brute_force_opt(inst: Instance) -> OptResult:
-    """Exhaustive maximum over all feasible subsets (guarded instance size)."""
+    """Maximum over all feasible subsets, by the greedy (guarded instance size).
+
+    It keeps the name of the exhaustive search it replaced (same subset)
+    because the CLI, the analysis and the benchmark tracer call it.
+    """
     value, idxs = _best_subset(inst, ())
     return _as_result(inst, value, idxs)
 
@@ -167,8 +145,8 @@ def opt_containing(inst: Instance, required: Iterable[Packet]) -> OptResult | No
 def dp_opt(inst: Instance) -> Rat:
     """Optimum value by dynamic programming over (arrival, queue length).
 
-    Scales past the exhaustive-search limit; contracted to agree with
-    :func:`brute_force_opt` wherever both run.
+    Scales past the greedy's instance-size guard; contracted to agree
+    with :func:`brute_force_opt` wherever both run.
     """
     require_valid(inst)
     states: dict[int, Rat] = {0: ZERO}

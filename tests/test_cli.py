@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import fifolab
 from fifolab import demo_instance, format_instance, greedy_blocking
 from fifolab.cli import decimal_str, main
 
@@ -186,4 +191,59 @@ def test_bad_environment_or_path_is_usage_error(argv, env, tmp_path, capsys, mon
     captured = capsys.readouterr()
     assert captured.out == ""
     [line] = captured.err.splitlines()
+    assert line.startswith("error: ")
+
+
+def _not_utf8(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"buffer 2\nalpha 2/1\npacket 1 0 one\xff\n")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda tmp: ["search", "--budget", "0"],
+        lambda tmp: ["search", "--budget", "5", "--max-packets", "-1"],
+        lambda tmp: ["fuzz", "--count", "1", "--horizon", "0"],
+        lambda tmp: ["fuzz", "--count", "1", "--b-min", "0"],
+        lambda tmp: ["gen", "random", "--max-burst", "-1"],
+        lambda tmp: ["bound", "--alpha", "1", "--beta", "2"],
+        lambda tmp: ["optimal-beta", "--tol", "0"],
+        lambda tmp: ["sweep", "--alphas", "2", "--betas", ""],
+        lambda tmp: ["gen", "blocking", "--alpha", "1"],
+        lambda tmp: ["fuzz", "--count", "1", "--beta", "0"],
+        lambda tmp: ["simulate", _not_utf8(tmp)],
+        lambda tmp: ["verify", _not_utf8(tmp)],
+        lambda tmp: ["opt", _not_utf8(tmp)],
+    ],
+    ids=[
+        "search-zero-budget",
+        "search-negative-max-packets",
+        "fuzz-zero-horizon",
+        "fuzz-zero-b-min",
+        "gen-negative-max-burst",
+        "bound-alpha-one",
+        "optimal-beta-zero-tol",
+        "sweep-empty-betas",
+        "gen-blocking-alpha-one",
+        "fuzz-zero-beta",
+        "simulate-not-utf8",
+        "verify-not-utf8",
+        "opt-not-utf8",
+    ],
+)
+def test_bad_argument_is_one_line_usage_error(argv, tmp_path):
+    # a fresh process, so that a hang fails the test instead of the run
+    env = dict(os.environ, PYTHONPATH=str(Path(fifolab.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "fifolab.cli", *argv(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=10,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    [line] = done.stderr.splitlines()
     assert line.startswith("error: ")

@@ -83,6 +83,8 @@ class TestRandomInstances:
             random_instance(GenConfig(capacity_min=3, capacity_max=2))
         with pytest.raises(ValueError):
             random_instance(GenConfig(alpha_choices=()))
+        with pytest.raises(ValueError):
+            GenConfig(max_packets=-1)
 
 
 class TestSearch:

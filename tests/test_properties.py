@@ -6,7 +6,9 @@ from itertools import combinations
 from hypothesis import given, settings, strategies as st
 
 from fifolab import (
+    DEFAULT_BETA,
     EventKind,
+    GenConfig,
     Policy,
     analyze,
     brute_force_opt,
@@ -15,10 +17,12 @@ from fifolab import (
     opt_containing,
     parse_instance,
     format_instance,
+    random_instance,
     run,
     total_value,
 )
 from fifolab.model import build_instance
+from fifolab.offline import _feasible_steps
 from fifolab.simulate import fates, replay_buffer_states, sends_by_step
 
 ALPHAS = [Fraction(3, 2), Fraction(2), Fraction(5), Fraction(10), Fraction(10, 3)]
@@ -150,6 +154,82 @@ def test_feasible_matches_step_simulation(inst, data):
 @given(instances(max_packets=9))
 def test_dp_matches_brute_force(inst):
     assert dp_opt(inst) == brute_force_opt(inst).value
+
+
+def _exhaustive_best_subset(inst, required):
+    """Exhaustive optimum oracle: enumerate subsets in decreasing value order.
+
+    Returns (value, arrival indices) of the maximum-value feasible subset
+    containing `required`, or None if `required` itself is infeasible. Ties
+    within a value level go to the lexicographically greatest indicator
+    vector over arrivals in key order (earliest packets preferred).
+    """
+    arr = inst.arrivals
+    n = len(arr)
+    index_of = {p: i for i, p in enumerate(arr)}
+    req = tuple(sorted({index_of[p] for p in required}))
+    steps = tuple(p.key.step for p in arr)
+
+    def feas(idxs):
+        return _feasible_steps(tuple(steps[i] for i in idxs), inst.capacity)
+
+    if not feas(req):
+        return None
+    a, b = inst.alpha.numerator, inst.alpha.denominator
+    weight = [a if p.is_alpha else b for p in arr]
+    rank = [1 << (n - 1 - i) for i in range(n)]
+    free_alpha = [i for i in range(n) if arr[i].is_alpha and i not in req]
+    free_one = [i for i in range(n) if not arr[i].is_alpha and i not in req]
+    base = sum(weight[i] for i in req)
+    levels = {}
+    for ka in range(len(free_alpha) + 1):
+        for k1 in range(len(free_one) + 1):
+            levels.setdefault(base + a * ka + b * k1, []).append((ka, k1))
+    for level in sorted(levels, reverse=True):
+        best_rank, best_idxs = -1, None
+        for ka, k1 in levels[level]:
+            for ca in combinations(free_alpha, ka):
+                for c1 in combinations(free_one, k1):
+                    idxs = tuple(sorted(req + ca + c1))
+                    if feas(idxs):
+                        r = sum(rank[i] for i in idxs)
+                        if r > best_rank:
+                            best_rank, best_idxs = r, idxs
+        if best_idxs is not None:
+            return Fraction(level, b), best_idxs
+    raise AssertionError("unreachable: the required set itself is feasible")
+
+
+def _value_and_indices(inst, result):
+    if result is None:
+        return None
+    return result.value, tuple(i for i, p in enumerate(inst.arrivals) if p in result.subset)
+
+
+def _assert_greedy_matches_oracle(inst, required):
+    expected = _exhaustive_best_subset(inst, required)
+    assert _value_and_indices(inst, opt_containing(inst, required)) == expected
+    if not required:
+        assert _value_and_indices(inst, brute_force_opt(inst)) == expected
+
+
+@given(instances(max_packets=9), st.data())
+def test_greedy_optimum_matches_exhaustive_oracle(inst, data):
+    n = len(inst.arrivals)
+    mask = data.draw(st.integers(0, 2**n - 1)) if n else 0
+    required = {p for i, p in enumerate(inst.arrivals) if mask >> i & 1}
+    _assert_greedy_matches_oracle(inst, set())
+    _assert_greedy_matches_oracle(inst, required)  # None on both sides if infeasible
+
+
+def test_greedy_optimum_matches_exhaustive_oracle_on_corpus():
+    # the canonical optimum analyze uses: unconstrained, and containing
+    # every alpha packet the threshold policy delivered
+    for seed in range(2000):
+        inst = random_instance(GenConfig(seed=seed))
+        delivered_alphas = {p for p in run(Policy.on(DEFAULT_BETA), inst).sent if p.is_alpha}
+        _assert_greedy_matches_oracle(inst, set())
+        _assert_greedy_matches_oracle(inst, delivered_alphas)
 
 
 def _schedule_exists(inst, chosen):
