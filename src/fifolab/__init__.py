@@ -18,7 +18,6 @@ from .analysis import (
     RatioReport,
     RoptTrace,
     analyze,
-    build_chain,
     build_ledger,
     policy_ratio,
     run_ropt,
@@ -44,7 +43,6 @@ from .model import (
     format_instance,
     format_rat,
     make_packet,
-    packet_value,
     parse_instance,
     parse_rat,
     total_value,
@@ -59,15 +57,10 @@ from .offline import (
     opt_containing,
 )
 from .simulate import (
-    Buffer,
     EventKind,
     Policy,
     RunTrace,
     StepEvent,
-    admit,
-    deliver_greedy,
-    deliver_on,
-    ejectable_set,
     format_trace,
     run,
 )

@@ -190,24 +190,6 @@ class _ChainTable(dict):
         return chain
 
 
-def build_chain(
-    on: RunTrace, ropt: RoptTrace, chosen: Iterable[Packet], packet: Packet, t: int
-) -> Chain:
-    """Construct the chain of an O-packet the reference sent before step t.
-
-    The caller asserts `packet` is still buffered by the policy at t;
-    what is checkable here is membership in O and a strictly earlier
-    reference send.
-    """
-    o_set = frozenset(chosen)
-    if packet not in o_set:
-        raise ValueError(f"packet {packet.id!r} is not part of the chosen optimum")
-    sent_at = ropt.send_time.get(packet)
-    if sent_at is None or sent_at >= t:
-        raise ValueError(f"packet {packet.id!r} was not sent by the reference before step {t}")
-    return Chain(packet, _ChainTable(sends_by_step(on), ropt.send_time, o_set)[packet], "open")
-
-
 # ---------------------------------------------------------------------------
 # Charge ledger
 

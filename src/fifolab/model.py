@@ -155,16 +155,6 @@ def value_of(p: Packet, alpha: Rat) -> Rat:
     return alpha if p.is_alpha else ONE
 
 
-def packet_value(inst: Instance, p: Packet) -> Rat:
-    """Exact value of a packet belonging to the instance.
-
-    A packet outside the instance signals a caller bug and raises.
-    """
-    if p not in inst.arrivals:
-        raise ValueError(f"packet {p.id!r} does not belong to this instance")
-    return value_of(p, inst.alpha)
-
-
 def total_value(inst: Instance, packets: Iterable[Packet]) -> Rat:
     """Exact sum of packet values; additive and enumeration-order invariant."""
     known = set(inst.arrivals)

@@ -38,9 +38,8 @@ class OptResult:
 def feasible(inst: Instance, packets: Iterable[Packet]) -> tuple[bool, dict[Packet, int] | None]:
     """Can this subset be fully delivered? Returns a witnessing schedule.
 
-    The verdict is the occupancy recurrence of :func:`_feasible_steps`; the
-    schedule sends each kept packet, in key order, at its release step or
-    one step after the previous send, whichever is later.
+    The verdict is the occupancy recurrence of :func:`_feasible_steps`, the
+    schedule that of :func:`_earliest_sends`.
     """
     chosen = set(packets)
     if not chosen <= set(inst.arrivals):
@@ -48,12 +47,17 @@ def feasible(inst: Instance, packets: Iterable[Packet]) -> tuple[bool, dict[Pack
     kept = [p for p in inst.arrivals if p in chosen]
     if not _feasible_steps(tuple(p.key.step for p in kept), inst.capacity):
         return False, None
+    return True, _earliest_sends(kept)
+
+
+def _earliest_sends(kept: list[Packet]) -> dict[Packet, int]:
+    """Send each kept packet (key order) at its release or one step after the previous send."""
     schedule: dict[Packet, int] = {}
     send = 0
     for p in kept:
         send = max(p.key.step, send + 1)
         schedule[p] = send
-    return True, schedule
+    return schedule
 
 
 def _feasible_steps(steps: tuple[int, ...], capacity: int) -> bool:
@@ -88,7 +92,7 @@ def _best_subset(inst: Instance, required: Iterable[Packet]) -> tuple[Rat, tuple
     n = len(arr)
     if n > BRUTE_FORCE_LIMIT:
         raise InstanceTooLargeError(
-            f"exhaustive search limited to {BRUTE_FORCE_LIMIT} packets, got {n}"
+            f"the offline optimum is limited to {BRUTE_FORCE_LIMIT} packets, got {n}"
         )
     index_of = {p: i for i, p in enumerate(arr)}
     req_idx: set[int] = set()
@@ -117,11 +121,10 @@ def _best_subset(inst: Instance, required: Iterable[Packet]) -> tuple[Rat, tuple
 
 
 def _as_result(inst: Instance, value: Rat, idxs: tuple[int, ...]) -> OptResult:
-    packets = frozenset(inst.arrivals[i] for i in idxs)
-    ok, schedule = feasible(inst, packets)
-    if not ok:
+    kept = [inst.arrivals[i] for i in idxs]  # ascending indices, so key order
+    if not _feasible_steps(tuple(p.key.step for p in kept), inst.capacity):
         raise RuntimeError("internal error: optimizer returned an infeasible subset")
-    return OptResult(value, packets, schedule)
+    return OptResult(value, frozenset(kept), _earliest_sends(kept))
 
 
 def brute_force_opt(inst: Instance) -> OptResult:

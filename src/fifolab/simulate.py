@@ -1,12 +1,14 @@
-"""Step-driven simulation of online FIFO buffering policies.
+"""Step-driven simulation of online FIFO buffering policies, in one loop.
 
-Each time step has two phases: all arrivals of the step are admitted in
-release order (evicting the minimum-value packet on overflow, ties
-broken toward the earliest released), then the policy delivers at most
-one packet. The threshold policy ("on") may first preempt every
-buffered 1-value packet that precedes some buffered alpha packet, but
-only when the buffered alpha mass is at least ``beta`` times the count
-of those packets; the greedy policy always sends its head.
+The buffer is a list of packets in arrival order. Each time step has two
+phases: all arrivals of the step are admitted in release order, then the
+policy delivers at most one packet. On overflow the earliest buffered
+1-value packet is evicted; with none buffered, a 1-value arrival is
+rejected and an alpha arrival evicts the head. When the head is a 1-value
+packet, the threshold policy ("on") may first preempt the set D of
+buffered 1-value packets ahead of the last buffered alpha packet, but only
+when the buffered alpha mass is at least ``beta * |D|`` (equality
+preempts); the greedy policy always sends its head.
 
 Traces record every admission, eviction, rejection, preemption, send,
 and idle step, so downstream analysis can replay buffer states without
@@ -39,11 +41,6 @@ class EventKind(Enum):
     IDLE = "idle"
 
 
-TERMINAL_KINDS = frozenset(
-    {EventKind.SENT, EventKind.EVICTED, EventKind.REJECTED, EventKind.PREEMPTED}
-)
-
-
 @dataclass(frozen=True)
 class StepEvent:
     step: int
@@ -73,95 +70,6 @@ class Policy:
 
 
 @dataclass(frozen=True)
-class Buffer:
-    """FIFO buffer contents: slots ascending by arrival key."""
-
-    slots: tuple[Packet, ...]
-    capacity: int
-
-    @property
-    def head(self) -> Packet | None:
-        return self.slots[0] if self.slots else None
-
-    def alpha_count(self) -> int:
-        return sum(1 for p in self.slots if p.is_alpha)
-
-
-class AdmitKind(Enum):
-    APPENDED = "appended"
-    EVICTED_OTHER = "evicted-other"
-    REJECTED_SELF = "rejected-self"
-
-
-@dataclass(frozen=True)
-class Admission:
-    kind: AdmitKind
-    evicted: Packet | None = None
-
-
-def admit(buf: Buffer, p: Packet, inst: Instance) -> tuple[Buffer, Admission]:
-    """Admit an arriving packet, evicting on overflow.
-
-    With a full buffer the minimum-value candidate among the slots plus
-    the arrival is removed; ties go to the earliest-released candidate,
-    so the arrival (largest key) never wins a tie and a 1-value arrival
-    is self-rejected exactly when the buffer holds only alpha packets.
-    """
-    if buf.slots and buf.slots[-1].key >= p.key:
-        raise ValueError(f"arrival order violated: {p.id} not after buffered packets")
-    if len(buf.slots) < buf.capacity:
-        return Buffer(buf.slots + (p,), buf.capacity), Admission(AdmitKind.APPENDED)
-    victim = min(buf.slots + (p,), key=lambda q: (q.is_alpha, q.key))
-    if victim is p:
-        return buf, Admission(AdmitKind.REJECTED_SELF)
-    slots = tuple(q for q in buf.slots if q is not victim) + (p,)
-    return Buffer(slots, buf.capacity), Admission(AdmitKind.EVICTED_OTHER, victim)
-
-
-def ejectable_set(buf: Buffer) -> frozenset[Packet]:
-    """1-value packets released before at least one buffered alpha packet."""
-    alpha_keys = [p.key for p in buf.slots if p.is_alpha]
-    if not alpha_keys:
-        return frozenset()
-    last_alpha = max(alpha_keys)
-    return frozenset(p for p in buf.slots if not p.is_alpha and p.key < last_alpha)
-
-
-def deliver_on(
-    buf: Buffer, inst: Instance, beta: Rat
-) -> tuple[Buffer, Packet | None, frozenset[Packet]]:
-    """Threshold delivery: maybe preempt, then send the earliest packet.
-
-    An alpha head is sent immediately. Otherwise the ejectable packets D
-    are dropped when the buffered alpha mass is at least ``beta * |D|``
-    (vacuously true for empty D, where preemption is a no-op), and the
-    new head is sent. The comparison is exact, so equality preempts.
-    """
-    if not buf.slots:
-        return buf, None, frozenset()
-    head = buf.slots[0]
-    if head.is_alpha:
-        return Buffer(buf.slots[1:], buf.capacity), head, frozenset()
-    ejectable = ejectable_set(buf)
-    alpha_mass = inst.alpha * buf.alpha_count()
-    if alpha_mass >= beta * len(ejectable):
-        remaining = tuple(p for p in buf.slots if p not in ejectable)
-        preempted = ejectable
-    else:
-        remaining = buf.slots
-        preempted = frozenset()
-    sent = remaining[0]
-    return Buffer(remaining[1:], buf.capacity), sent, preempted
-
-
-def deliver_greedy(buf: Buffer) -> tuple[Buffer, Packet | None]:
-    """Send the earliest-released packet, if any."""
-    if not buf.slots:
-        return buf, None
-    return Buffer(buf.slots[1:], buf.capacity), buf.slots[0]
-
-
-@dataclass(frozen=True)
 class RunTrace:
     policy: Policy
     events: tuple[StepEvent, ...]
@@ -177,33 +85,40 @@ def run(policy: Policy, inst: Instance) -> RunTrace:
     Idle events are recorded only while later arrivals may still come.
     """
     require_valid(inst)
-    by_step: dict[int, list[Packet]] = {}
-    for p in inst.arrivals:
-        by_step.setdefault(p.key.step, []).append(p)
-    last = max(by_step) if by_step else 0
-
-    buf = Buffer((), inst.capacity)
+    arrivals = inst.arrivals
+    last = arrivals[-1].key.step if arrivals else 0
+    buf: list[Packet] = []
     events: list[StepEvent] = []
     sent_packets: list[Packet] = []
+    i = 0
     t = 1
-    while t <= last or buf.slots:
-        for p in by_step.get(t, ()):
-            buf, adm = admit(buf, p, inst)
-            if adm.kind is AdmitKind.APPENDED:
-                events.append(StepEvent(t, EventKind.ADMITTED, p))
-            elif adm.kind is AdmitKind.EVICTED_OTHER:
-                events.append(StepEvent(t, EventKind.EVICTED, adm.evicted))
-                events.append(StepEvent(t, EventKind.ADMITTED, p))
-            else:
-                events.append(StepEvent(t, EventKind.REJECTED, p))
-        if policy.kind == "on":
-            buf, sent, preempted = deliver_on(buf, inst, policy.beta)
-        else:
-            buf, sent = deliver_greedy(buf)
-            preempted = frozenset()
-        for q in sorted(preempted, key=lambda p: p.key):
-            events.append(StepEvent(t, EventKind.PREEMPTED, q))
-        if sent is not None:
+    while t <= last or buf:
+        while i < len(arrivals) and arrivals[i].key.step == t:
+            p = arrivals[i]
+            i += 1
+            if len(buf) == inst.capacity:
+                # overflow: the earliest buffered 1-value packet goes; with
+                # none, a 1-value arrival is rejected and an alpha evicts the head
+                k = next((k for k, q in enumerate(buf) if not q.is_alpha), None)
+                if k is None:
+                    if not p.is_alpha:
+                        events.append(StepEvent(t, EventKind.REJECTED, p))
+                        continue
+                    k = 0
+                events.append(StepEvent(t, EventKind.EVICTED, buf.pop(k)))
+            buf.append(p)
+            events.append(StepEvent(t, EventKind.ADMITTED, p))
+        if buf and policy.kind == "on" and not buf[0].is_alpha:
+            alpha_at = [k for k, q in enumerate(buf) if q.is_alpha]
+            if alpha_at:
+                # D: the 1-value packets ahead of the last buffered alpha
+                doomed = [q for q in buf[: alpha_at[-1]] if not q.is_alpha]
+                if inst.alpha * len(alpha_at) >= policy.beta * len(doomed):
+                    events.extend(StepEvent(t, EventKind.PREEMPTED, q) for q in doomed)
+                    # left: every alpha, then the 1-value packets behind the last one
+                    buf = [buf[k] for k in alpha_at] + buf[alpha_at[-1] + 1 :]
+        if buf:
+            sent = buf.pop(0)
             events.append(StepEvent(t, EventKind.SENT, sent))
             sent_packets.append(sent)
         elif t <= last:
@@ -216,21 +131,6 @@ def run(policy: Policy, inst: Instance) -> RunTrace:
 
 def sends_by_step(trace: RunTrace) -> dict[int, Packet]:
     return {e.step: e.packet for e in trace.events if e.kind is EventKind.SENT}
-
-
-def fates(trace: RunTrace) -> dict[Packet, StepEvent]:
-    """Terminal classification of every arrival (sent/evicted/rejected/preempted).
-
-    Raises if the trace classifies any packet more than once, which would
-    violate conservation.
-    """
-    out: dict[Packet, StepEvent] = {}
-    for e in trace.events:
-        if e.kind in TERMINAL_KINDS:
-            if e.packet in out:
-                raise ValueError(f"packet {e.packet.id} classified twice")
-            out[e.packet] = e
-    return out
 
 
 def replay_buffer_states(trace: RunTrace) -> list[tuple[StepEvent, tuple[Packet, ...]]]:

@@ -7,7 +7,6 @@ from fifolab import (
     GenConfig,
     Policy,
     analyze,
-    build_chain,
     build_instance,
     build_ledger,
     demo_instance,
@@ -27,9 +26,11 @@ from fifolab.analysis import (
     PREEMPTED_OPEN_CHAIN,
     REJECTED_ONE_CHAIN,
     SENT_BY_BOTH,
+    _ChainTable,
     format_ledger,
     format_report,
 )
+from fifolab.simulate import sends_by_step
 
 BETA_REF = Fraction(3284, 1000)
 
@@ -37,6 +38,11 @@ BETA_REF = Fraction(3284, 1000)
 def by_ids(inst, *ids):
     index = {p.id: p for p in inst.arrivals}
     return {index[i] for i in ids}
+
+
+def chain_steps(on, ropt, chosen):
+    """Chain steps per O-packet, as the ropt checks and the ledger walk them."""
+    return _ChainTable(sends_by_step(on), ropt.send_time, frozenset(chosen))
 
 
 def demo_setup(alpha=Fraction(2)):
@@ -66,8 +72,6 @@ class TestRunRopt:
         inst = build_instance(2, Fraction(2), [(1, 0, "alpha"), (1, 1, "alpha")])
         on = run(Policy.on(BETA_REF), inst)
         ropt = run_ropt(inst, set(inst.arrivals), on)
-        from fifolab.simulate import sends_by_step
-
         assert dict(ropt.sent) == sends_by_step(on)
 
     def test_infeasible_chosen_set_rejected(self):
@@ -111,9 +115,8 @@ class TestChains:
         assert [p.id for p in on.sent] == ["1", "2", "2.1"]
         chosen = by_ids(inst, "1", "1.1", "2")
         ropt = run_ropt(inst, chosen, on)
-        owner = next(p for p in inst.arrivals if p.id == "1.1")
-        chain = build_chain(on, ropt, chosen, owner, t=4)
-        assert chain.steps == (3,)
+        [owner] = by_ids(inst, "1.1")
+        assert chain_steps(on, ropt, chosen)[owner] == (3,)
 
     def test_two_hop_chain(self):
         # the reference runs two steps ahead; its send of 3 at step 3
@@ -127,20 +130,8 @@ class TestChains:
         on = run(Policy.on(BETA_REF), inst)
         chosen = by_ids(inst, "1.2", "1.3", "3")
         ropt = run_ropt(inst, chosen, on)
-        owner = next(p for p in inst.arrivals if p.id == "3")
-        chain = build_chain(on, ropt, chosen, owner, t=4)
-        assert chain.steps == (2, 3)
-        assert chain.status == "open"
-
-    def test_preconditions(self):
-        inst, on, chosen = demo_setup()
-        ropt = run_ropt(inst, chosen, on)
-        outsider = next(p for p in inst.arrivals if p.id == "1")
-        with pytest.raises(ValueError):
-            build_chain(on, ropt, chosen, outsider, t=3)
-        early = next(p for p in inst.arrivals if p.id == "5")
-        with pytest.raises(ValueError):
-            build_chain(on, ropt, chosen, early, t=3)  # reference sends it at 7
+        [owner] = by_ids(inst, "3")
+        assert chain_steps(on, ropt, chosen)[owner] == (2, 3)
 
 
 class TestLedgerDemo:

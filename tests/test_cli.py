@@ -200,6 +200,13 @@ def _not_utf8(tmp_path):
     return str(path)
 
 
+def _too_many_packets(tmp_path):
+    path = tmp_path / "big.txt"
+    packets = "".join(f"packet {step} 0 one\n" for step in range(1, 22))
+    path.write_text(f"buffer 2\nalpha 2/1\n{packets}")
+    return str(path)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -216,6 +223,7 @@ def _not_utf8(tmp_path):
         lambda tmp: ["simulate", _not_utf8(tmp)],
         lambda tmp: ["verify", _not_utf8(tmp)],
         lambda tmp: ["opt", _not_utf8(tmp)],
+        lambda tmp: ["opt", _too_many_packets(tmp)],
     ],
     ids=[
         "search-zero-budget",
@@ -231,6 +239,7 @@ def _not_utf8(tmp_path):
         "simulate-not-utf8",
         "verify-not-utf8",
         "opt-not-utf8",
+        "opt-over-packet-cap",
     ],
 )
 def test_bad_argument_is_one_line_usage_error(argv, tmp_path):

@@ -9,7 +9,6 @@ from fifolab import (
     demo_instance,
     format_instance,
     make_packet,
-    packet_value,
     parse_instance,
     parse_rat,
     total_value,
@@ -49,20 +48,20 @@ class TestValidate:
 class TestValues:
     def test_one_packet(self):
         inst = build_instance(1, Fraction(2), [(1, 0, "one")])
-        assert packet_value(inst, inst.arrivals[0]) == 1
+        assert total_value(inst, inst.arrivals) == 1
 
     def test_alpha_packet(self):
         inst = build_instance(1, Fraction(2), [(1, 0, "alpha")])
-        assert packet_value(inst, inst.arrivals[0]) == 2
+        assert total_value(inst, inst.arrivals) == 2
 
     def test_alpha_value_is_exact(self):
         inst = build_instance(1, Fraction(10, 3), [(1, 0, "alpha")])
-        assert packet_value(inst, inst.arrivals[0]) == Fraction(10, 3)
+        assert total_value(inst, inst.arrivals) == Fraction(10, 3)
 
     def test_foreign_packet_rejected(self):
         inst = build_instance(1, Fraction(2), [(1, 0, "one")])
         with pytest.raises(ValueError):
-            packet_value(inst, make_packet(9, 9, "one"))
+            total_value(inst, [make_packet(9, 9, "one")])
 
     def test_total_of_empty_set(self):
         inst = demo_instance(Fraction(2))

@@ -10,6 +10,8 @@ from fifolab import (
     EventKind,
     GenConfig,
     Policy,
+    RunTrace,
+    StepEvent,
     analyze,
     brute_force_opt,
     dp_opt,
@@ -23,7 +25,7 @@ from fifolab import (
 )
 from fifolab.model import build_instance
 from fifolab.offline import _feasible_steps
-from fifolab.simulate import fates, replay_buffer_states, sends_by_step
+from fifolab.simulate import replay_buffer_states, sends_by_step
 
 ALPHAS = [Fraction(3, 2), Fraction(2), Fraction(5), Fraction(10), Fraction(10, 3)]
 BETAS = [Fraction(1), Fraction(2), Fraction(3284, 1000), Fraction(6)]
@@ -47,6 +49,89 @@ def instances(draw, max_capacity=4, max_step=8, max_packets=10):
 
 def policies(draw_beta):
     return [Policy.greedy()] + [Policy.on(b) for b in draw_beta]
+
+
+TERMINAL_KINDS = frozenset(
+    {EventKind.SENT, EventKind.EVICTED, EventKind.REJECTED, EventKind.PREEMPTED}
+)
+
+
+def fates(trace):
+    """Terminal event of every arrival (sent/evicted/rejected/preempted).
+
+    Raises if the trace classifies any packet more than once, which would
+    violate conservation.
+    """
+    out = {}
+    for e in trace.events:
+        if e.kind in TERMINAL_KINDS:
+            if e.packet in out:
+                raise ValueError(f"packet {e.packet.id} classified twice")
+            out[e.packet] = e
+    return out
+
+
+def _literal_run(policy, inst):
+    """Literal simulator oracle: an immutable tuple buffer, rebuilt every step.
+
+    On overflow the victim is the minimum of the buffer plus the arrival by
+    (is_alpha, key), so ties go to the earliest released and a 1-value arrival
+    rejects itself exactly when the buffer holds only alpha packets. Under
+    "on", a 1-value head first drops the ejectable set (1-value packets
+    released before some buffered alpha packet) when the buffered alpha mass
+    is at least beta times its size; an empty set makes that a no-op.
+    """
+    by_step = {}
+    for p in inst.arrivals:
+        by_step.setdefault(p.key.step, []).append(p)
+    last = max(by_step, default=0)
+    buf = ()
+    events, sent = [], []
+    t = 1
+    while t <= last or buf:
+        for p in by_step.get(t, ()):
+            if len(buf) < inst.capacity:
+                buf += (p,)
+                events.append(StepEvent(t, EventKind.ADMITTED, p))
+                continue
+            victim = min(buf + (p,), key=lambda q: (q.is_alpha, q.key))
+            if victim is p:
+                events.append(StepEvent(t, EventKind.REJECTED, p))
+            else:
+                buf = tuple(q for q in buf if q is not victim) + (p,)
+                events.append(StepEvent(t, EventKind.EVICTED, victim))
+                events.append(StepEvent(t, EventKind.ADMITTED, p))
+        if buf and policy.kind == "on" and not buf[0].is_alpha:
+            alpha_keys = [q.key for q in buf if q.is_alpha]
+            ejectable = frozenset(
+                q for q in buf if not q.is_alpha and alpha_keys and q.key < max(alpha_keys)
+            )
+            if inst.alpha * len(alpha_keys) >= policy.beta * len(ejectable):
+                buf = tuple(q for q in buf if q not in ejectable)
+                for q in sorted(ejectable, key=lambda q: q.key):
+                    events.append(StepEvent(t, EventKind.PREEMPTED, q))
+        if buf:
+            events.append(StepEvent(t, EventKind.SENT, buf[0]))
+            sent.append(buf[0])
+            buf = buf[1:]
+        elif t <= last:
+            events.append(StepEvent(t, EventKind.IDLE, None))
+        t += 1
+    return RunTrace(policy, tuple(events), tuple(sent), total_value(inst, sent))
+
+
+@given(instances(max_step=6, max_packets=14))
+def test_run_matches_literal_oracle(inst):
+    for policy in policies(BETAS):
+        assert run(policy, inst) == _literal_run(policy, inst)
+
+
+def test_run_matches_literal_oracle_on_corpus():
+    for seed in range(2000):
+        inst = random_instance(GenConfig(seed=seed))
+        for beta in (Fraction(3284, 1000), Fraction(1)):
+            policy = Policy.on(beta)
+            assert run(policy, inst) == _literal_run(policy, inst), seed
 
 
 @given(instances(), st.sampled_from(BETAS), st.booleans())

@@ -3,146 +3,138 @@ from fractions import Fraction
 import pytest
 
 from fifolab import (
-    Buffer,
     EventKind,
     Instance,
     Policy,
-    admit,
     build_instance,
-    deliver_greedy,
-    deliver_on,
     demo_instance,
-    ejectable_set,
     format_trace,
     greedy_blocking,
     make_packet,
     run,
 )
-from fifolab.simulate import AdmitKind, fates, replay_buffer_states
+from fifolab.simulate import replay_buffer_states
+
+GREEDY = Policy.greedy()
 
 
-def buf(capacity, *specs):
-    return Buffer(tuple(make_packet(*s) for s in specs), capacity)
+def on(beta):
+    return Policy.on(Fraction(beta))
 
 
-def dummy(alpha, capacity=3):
-    return Instance(capacity, Fraction(alpha), ())
+def trace_lines(policy, capacity, alpha, *specs):
+    """Exported trace of a small instance: one line per event, then the total."""
+    return format_trace(run(policy, build_instance(capacity, Fraction(alpha), specs))).splitlines()
+
+
+def admitted(step, *ids):
+    return [f"{step} admitted {i}" for i in ids]
 
 
 class TestAdmit:
     def test_appended_when_space(self):
-        b = buf(3, (1, 1, "one"), (1, 2, "alpha"))
-        b2, adm = admit(b, make_packet(2, 0, "alpha"), dummy(2))
-        assert adm.kind is AdmitKind.APPENDED
-        assert [p.id for p in b2.slots] == ["1.1", "1.2", "2"]
+        lines = trace_lines(GREEDY, 3, 2, (1, 0, "one"), (1, 1, "alpha"), (2, 0, "alpha"))
+        assert lines == [
+            *admitted(1, "1", "1.1"), "1 sent 1",
+            *admitted(2, "2"), "2 sent 1.1",
+            "3 sent 2",
+            "total 5/1",
+        ]
 
     def test_one_value_arrival_self_rejected_by_full_alpha_buffer(self):
-        b = buf(3, (2, 0, "alpha"), (2, 1, "alpha"), (2, 2, "alpha"))
-        b2, adm = admit(b, make_packet(2, 3, "one"), dummy(2))
-        assert adm.kind is AdmitKind.REJECTED_SELF
-        assert b2 == b
+        specs = [(1, 0, "alpha"), (1, 1, "alpha"), (1, 2, "alpha"), (1, 3, "one")]
+        lines = trace_lines(GREEDY, 3, 2, *specs)
+        assert lines[:5] == [*admitted(1, "1", "1.1", "1.2"), "1 rejected 1.3", "1 sent 1"]
+        assert lines[-1] == "total 6/1"
 
     def test_alpha_tie_evicts_earliest_released(self):
-        b = buf(3, (1, 2, "alpha"), (2, 0, "alpha"), (2, 1, "alpha"))
-        b2, adm = admit(b, make_packet(2, 2, "alpha"), dummy(2))
-        assert adm.kind is AdmitKind.EVICTED_OTHER
-        assert adm.evicted.id == "1.2"
-        assert [p.id for p in b2.slots] == ["2", "2.1", "2.2"]
+        specs = [(1, 0, "alpha"), (1, 1, "alpha"), (1, 2, "alpha"), (1, 3, "alpha")]
+        lines = trace_lines(GREEDY, 3, 2, *specs)
+        assert lines[3:7] == ["1 evicted 1", "1 admitted 1.3", "1 sent 1.1", "2 sent 1.2"]
 
     def test_empty_buffer_appends(self):
-        b2, adm = admit(buf(1), make_packet(1, 0, "one"), dummy(2))
-        assert adm.kind is AdmitKind.APPENDED
-        assert len(b2.slots) == 1
+        assert trace_lines(GREEDY, 1, 2, (1, 0, "one")) == ["1 admitted 1", "1 sent 1", "total 1/1"]
 
     def test_buffered_one_evicted_before_arriving_one(self):
-        # a buffered 1-value packet loses the tie to a later 1-value arrival
-        b = buf(2, (1, 0, "one"), (1, 1, "alpha"))
-        b2, adm = admit(b, make_packet(2, 0, "one"), dummy(2))
-        assert adm.kind is AdmitKind.EVICTED_OTHER
-        assert adm.evicted.id == "1"
+        # the earliest buffered 1-value packet goes, not a later one or the arrival
+        specs = [(1, 0, "one"), (1, 1, "alpha"), (1, 2, "one"), (1, 3, "one")]
+        lines = trace_lines(GREEDY, 3, 2, *specs)
+        assert lines[3:6] == ["1 evicted 1", "1 admitted 1.3", "1 sent 1.1"]
 
     def test_arrival_order_enforced(self):
-        b = buf(3, (2, 0, "one"))
+        bad = Instance(3, Fraction(2), (make_packet(1, 1, "one"), make_packet(1, 0, "one")))
         with pytest.raises(ValueError):
-            admit(b, make_packet(1, 0, "one"), dummy(2))
+            run(GREEDY, bad)
 
 
 class TestEjectable:
     def test_one_before_alphas(self):
-        b = buf(3, (5, 0, "one"), (5, 1, "alpha"), (5, 2, "alpha"))
-        assert {p.id for p in ejectable_set(b)} == {"5"}
+        # both 1-value packets precede an alpha: 2 * 2 >= 2 * 2 drops them in key order
+        specs = [(1, 0, "one"), (1, 1, "one"), (1, 2, "alpha"), (1, 3, "alpha")]
+        lines = trace_lines(on(2), 4, 2, *specs)
+        assert lines[4:7] == ["1 preempted 1", "1 preempted 1.1", "1 sent 1.2"]
 
     def test_one_after_alpha_is_safe(self):
-        b = buf(3, (1, 0, "alpha"), (2, 0, "one"))
-        assert ejectable_set(b) == frozenset()
+        lines = trace_lines(on(1), 3, 2, (1, 0, "one"), (1, 1, "alpha"), (1, 2, "one"))
+        assert lines[3:] == ["1 preempted 1", "1 sent 1.1", "2 sent 1.2", "total 3/1"]
 
     def test_interleaved(self):
-        b = buf(4, (1, 0, "one"), (2, 0, "alpha"), (3, 0, "one"), (4, 0, "alpha"))
-        assert {p.id for p in ejectable_set(b)} == {"1", "3"}
+        specs = [(1, 0, "one"), (1, 1, "alpha"), (1, 2, "one"), (1, 3, "alpha"), (1, 4, "one")]
+        lines = trace_lines(on(1), 5, 2, *specs)
+        assert lines[5:] == [
+            "1 preempted 1", "1 preempted 1.2", "1 sent 1.1",
+            "2 sent 1.3",
+            "3 sent 1.4",
+            "total 5/1",
+        ]
 
 
 class TestDeliverOn:
     def test_threshold_not_met_keeps_ejectables(self):
-        b = buf(3, (1, 0, "one"), (1, 1, "one"), (1, 2, "alpha"))
-        b2, sent, preempted = deliver_on(b, dummy(2), Fraction(2))
-        assert sent.id == "1"
-        assert preempted == frozenset()
-        assert [p.id for p in b2.slots] == ["1.1", "1.2"]
+        # step 1: alpha mass 2 < 2 * |{1, 1.1}|; step 2: 2 >= 2 * |{1.1}|
+        lines = trace_lines(on(2), 3, 2, (1, 0, "one"), (1, 1, "one"), (1, 2, "alpha"))
+        assert lines[3:] == ["1 sent 1", "2 preempted 1.1", "2 sent 1.2", "total 3/1"]
 
     def test_threshold_met_preempts_then_sends_alpha(self):
-        b = buf(3, (5, 0, "one"), (5, 1, "alpha"), (5, 2, "alpha"))
-        b2, sent, preempted = deliver_on(b, dummy(2), Fraction(2))
-        assert {p.id for p in preempted} == {"5"}
-        assert sent.id == "5.1"
-        assert [p.id for p in b2.slots] == ["5.2"]
+        lines = trace_lines(on(2), 3, 2, (1, 0, "one"), (1, 1, "alpha"), (1, 2, "alpha"))
+        assert lines[3:] == ["1 preempted 1", "1 sent 1.1", "2 sent 1.2", "total 4/1"]
 
     def test_no_alpha_sends_head_vacuously(self):
-        b = buf(3, (3, 0, "one"))
-        b2, sent, preempted = deliver_on(b, dummy(2), Fraction(2))
-        assert sent.id == "3"
-        assert preempted == frozenset()
+        lines = trace_lines(on(2), 3, 2, (1, 0, "one"), (1, 1, "one"))
+        assert lines[2:] == ["1 sent 1", "2 sent 1.1", "total 2/1"]
 
     def test_alpha_head_sent_without_preemption(self):
-        b = buf(3, (1, 0, "alpha"), (2, 0, "one"), (2, 1, "alpha"))
-        b2, sent, preempted = deliver_on(b, dummy(2), Fraction(1, 10))
-        assert sent.id == "1"
-        assert preempted == frozenset()
+        # the 1-value packet ahead of an alpha is dropped only once it is the head
+        specs = [(1, 0, "alpha"), (1, 1, "one"), (1, 2, "alpha")]
+        lines = trace_lines(on(Fraction(1, 10)), 3, 2, *specs)
+        assert lines[3:] == ["1 sent 1", "2 preempted 1.1", "2 sent 1.2", "total 4/1"]
 
     def test_empty_buffer_idles(self):
-        b = buf(2)
-        assert deliver_on(b, dummy(2), Fraction(2)) == (b, None, frozenset())
+        lines = trace_lines(on(2), 2, 2, (1, 0, "one"), (3, 0, "alpha"))
+        assert lines == ["1 admitted 1", "1 sent 1", "2 idle -", "3 admitted 3", "3 sent 3", "total 3/1"]
 
     def test_exact_equality_preempts(self):
         # one alpha of value 2 against one ejectable at beta = 2: 2 >= 2
-        b = buf(2, (1, 0, "one"), (1, 1, "alpha"))
-        _, sent, preempted = deliver_on(b, dummy(2), Fraction(2))
-        assert {p.id for p in preempted} == {"1"}
-        assert sent.id == "1.1"
+        lines = trace_lines(on(2), 2, 2, (1, 0, "one"), (1, 1, "alpha"))
+        assert lines[2:] == ["1 preempted 1", "1 sent 1.1", "total 2/1"]
 
 
 class TestDeliverGreedy:
     def test_sends_head(self):
-        b = buf(2, (1, 0, "one"), (2, 0, "alpha"))
-        b2, sent = deliver_greedy(b)
-        assert sent.id == "1"
-        assert [p.id for p in b2.slots] == ["2"]
+        lines = trace_lines(GREEDY, 2, 2, (1, 0, "one"), (1, 1, "alpha"))
+        assert lines[2:] == ["1 sent 1", "2 sent 1.1", "total 3/1"]
 
     def test_empty_idles(self):
-        assert deliver_greedy(buf(2)) == (buf(2), None)
+        lines = trace_lines(GREEDY, 2, 2, (1, 0, "alpha"), (3, 0, "one"))
+        assert lines == ["1 admitted 1", "1 sent 1", "2 idle -", "3 admitted 3", "3 sent 3", "total 3/1"]
 
     def test_blocking_family_step_two(self):
         # after greedy sends the cheap head, the second-step burst evicts
         # the first alpha packet
-        b = buf(2, (1, 1, "alpha"))
-        inst = dummy(10, capacity=2)
-        b, adm = admit(b, make_packet(2, 0, "alpha"), inst)
-        assert adm.kind is AdmitKind.APPENDED
-        b, adm = admit(b, make_packet(2, 1, "alpha"), inst)
-        assert adm.kind is AdmitKind.EVICTED_OTHER
-        assert adm.evicted.id == "1.1"
-        b, sent = deliver_greedy(b)
-        assert sent.id == "2"
-        assert [p.id for p in b.slots] == ["2.1"]
+        lines = format_trace(run(GREEDY, greedy_blocking(Fraction(10)))).splitlines()
+        assert [line for line in lines if line.startswith("2 ")] == [
+            "2 admitted 2", "2 evicted 1.1", "2 admitted 2.1", "2 sent 2",
+        ]
 
 
 class TestRun:
@@ -174,9 +166,10 @@ class TestRun:
         assert preempted == ["1"]
 
     def test_invalid_instance_rejected(self):
-        bad = Instance(1, Fraction(1), ())
-        with pytest.raises(ValueError):
-            run(Policy.greedy(), bad)
+        out_of_order = (make_packet(2, 0, "one"), make_packet(1, 0, "one"))
+        for bad in (Instance(1, Fraction(1), ()), Instance(2, Fraction(2), out_of_order)):
+            with pytest.raises(ValueError):
+                run(Policy.greedy(), bad)
 
     def test_idle_step_between_bursts(self):
         inst = build_instance(2, Fraction(2), [(1, 0, "one"), (4, 0, "one")])
@@ -186,9 +179,10 @@ class TestRun:
 
     def test_conservation_of_arrivals(self):
         inst = demo_instance(Fraction(2))
+        terminal = {EventKind.SENT, EventKind.EVICTED, EventKind.REJECTED, EventKind.PREEMPTED}
         for policy in (Policy.on(Fraction(2)), Policy.greedy()):
-            classified = fates(run(policy, inst))
-            assert set(classified) == set(inst.arrivals)
+            fated = [e.packet for e in run(policy, inst).events if e.kind in terminal]
+            assert sorted(fated, key=lambda p: p.key) == list(inst.arrivals)  # each exactly once
 
     def test_replay_reconstructs_fifo_buffers(self):
         inst = demo_instance(Fraction(2))
