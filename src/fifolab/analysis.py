@@ -21,10 +21,17 @@ capacity and completeness, send precedence, chain disjointness, head
 shape, interval purity, exclusivity, and exact conservation of value.
 A claim that fails to apply raises :class:`LedgerError` instead of being
 patched over, surfacing the run as a counterexample.
+
+No pass walks every step number or copies the buffer: the reference
+schedule jumps over the steps at which its buffer is empty, and the
+checks and the ledger read the policy's live buffer while replaying its
+events.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -35,7 +42,7 @@ from .simulate import (
     EventKind,
     Policy,
     RunTrace,
-    replay_buffer_states,
+    replay_events,
     run,
     sends_by_step,
 )
@@ -77,14 +84,12 @@ class LedgerError(RuntimeError):
 
 @dataclass(frozen=True)
 class RoptTrace:
-    """Per-step record of the relaxed reference schedule.
+    """The relaxed reference schedule: the step at which it sends each O-packet.
 
-    ``sent`` maps every simulated step to the packet sent there (None for
-    an idle step); ``send_time`` inverts it for the non-idle steps.
+    ``last_step`` is its final send step (0 when O is empty). Every step
+    that sends nothing has an empty reference buffer.
     """
 
-    accepted: Mapping[int, tuple[Packet, ...]]
-    sent: Mapping[int, Packet | None]
     send_time: Mapping[Packet, int]
     last_step: int
 
@@ -95,41 +100,30 @@ def run_ropt(inst: Instance, chosen: Iterable[Packet], on: RunTrace) -> RoptTrac
     Accepts every O-packet at its arrival step; then, if the policy's
     send of the step is an O-packet still buffered here, mirrors it,
     otherwise sends the earliest buffered packet. Runs until the buffer
-    drains, which may outlast the policy's own trace.
+    drains, which may outlast the policy's own trace, and skips the steps
+    at which the buffer is empty.
     """
     o_set = frozenset(chosen)
-    ok, _ = feasible(inst, o_set)
+    ok, schedule = feasible(inst, o_set)
     if not ok:
         raise ValueError("chosen packet set is not deliverable offline")
     on_sends = sends_by_step(on)
-    by_step: dict[int, list[Packet]] = {}
-    for p in inst.arrivals:
-        if p in o_set:
-            by_step.setdefault(p.key.step, []).append(p)
-    last_arrival = max(by_step) if by_step else 0
-
-    buf: list[Packet] = []
-    accepted: dict[int, tuple[Packet, ...]] = {}
-    sent: dict[int, Packet | None] = {}
+    # pending: the unsent O-packets in key order, so the buffer is its
+    # released part; packets mirrored out of key order leave the front lazily
+    pending = deque(schedule)
     send_time: dict[Packet, int] = {}
-    t = 1
-    while t <= last_arrival or buf:
-        arriving = by_step.get(t, [])
-        buf.extend(arriving)
-        accepted[t] = tuple(arriving)
+    t = 0
+    while pending:
+        if pending[0] in send_time:
+            pending.popleft()
+            continue
+        t = max(t + 1, pending[0].key.step)
         mirrored = on_sends.get(t)
-        if mirrored is not None and mirrored in o_set and mirrored in buf:
-            buf.remove(mirrored)
-            chosen_packet: Packet | None = mirrored
-        elif buf:
-            chosen_packet = buf.pop(0)
+        if mirrored in o_set and mirrored not in send_time:
+            send_time[mirrored] = t
         else:
-            chosen_packet = None
-        sent[t] = chosen_packet
-        if chosen_packet is not None:
-            send_time[chosen_packet] = t
-        t += 1
-    return RoptTrace(accepted, sent, send_time, t - 1)
+            send_time[pending.popleft()] = t
+    return RoptTrace(send_time, t)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +254,7 @@ def build_ledger(
             diagnostics["null-head-chains"] += 1
         charges.append(ChargeRecord(charged, kind, ONE, step=head, drop_step=drop_step))
 
-    def open_chain_candidates(buffered: tuple[Packet, ...], now: int) -> list[Packet]:
+    def open_chain_candidates(buffered: list[Packet], now: int) -> list[Packet]:
         """Alpha packets in the policy's buffer whose chain exists and is open."""
         out = []
         for z in buffered:
@@ -276,73 +270,65 @@ def build_ledger(
             t += 1
         return t - 1
 
-    states = replay_buffer_states(on)
-    step_indices: dict[int, list[int]] = {}
-    for i, (event, _) in enumerate(states):
-        step_indices.setdefault(event.step, []).append(i)
-
+    # the reference's sends in step order; each closes a deferred eviction's
+    # chain once the policy's events of its step are through
+    ref_sends = sorted(send_time.items(), key=lambda item: item[1])
+    next_send = 0
     deferred: dict[Packet, int] = {}
-    last_step = max(
-        [ropt.last_step] + ([max(step_indices)] if step_indices else [0])
-    )
-    for t in range(1, last_step + 1):
-        preempt_context: tuple[Packet, ...] | None = None
-        for i in step_indices.get(t, ()):
-            event, post = states[i]
-            p = event.packet
-            if event.kind is EventKind.EVICTED and p in o_set:
-                if p.is_alpha:
-                    # the interval always includes the drop step itself, so
-                    # the purity check can catch a non-alpha send there
-                    end = interval_end_of_alpha_run(t)
-                    charges.append(
-                        ChargeRecord(
-                            p, EVICTED_ALPHA_INTERVAL, alpha, interval=(t, end), drop_step=t
-                        )
-                    )
-                elif send_time.get(p, t) < t:
-                    close_chain(p, p, EVICTED_ONE_CHAIN, drop_step=t)
-                else:
-                    deferred[p] = t
-                    diagnostics["deferred-evictions"] += 1
-            elif event.kind is EventKind.REJECTED and p in o_set:
-                if p.is_alpha:
-                    raise LedgerError("alpha packet self-rejected", step=t, packet=p)
-                if len(post) != inst.capacity or not all(q.is_alpha for q in post):
-                    raise LedgerError(
-                        "rejection without a full all-alpha buffer", step=t, packet=p
-                    )
-                diagnostics["reject-context-non-o-packets"] += sum(
-                    1 for q in post if q not in o_set
+
+    def reference_sends_before(step: int) -> None:
+        nonlocal next_send
+        while next_send < len(ref_sends) and ref_sends[next_send][1] < step:
+            q = ref_sends[next_send][0]
+            next_send += 1
+            if q in deferred:
+                close_chain(q, q, EVICTED_ONE_CHAIN, drop_step=deferred.pop(q))
+
+    for event, buf in replay_events(on):
+        t = event.step
+        p = event.packet
+        reference_sends_before(t)
+        if event.kind is EventKind.EVICTED and p in o_set:
+            if p.is_alpha:
+                # the interval always includes the drop step itself, so
+                # the purity check can catch a non-alpha send there
+                end = interval_end_of_alpha_run(t)
+                charges.append(
+                    ChargeRecord(p, EVICTED_ALPHA_INTERVAL, alpha, interval=(t, end), drop_step=t)
                 )
-                candidates = open_chain_candidates(post, t)
-                if not candidates:
-                    raise LedgerError("no open chain for rejected packet", step=t, packet=p)
-                close_chain(candidates[0], p, REJECTED_ONE_CHAIN, drop_step=t)
-            elif event.kind is EventKind.PREEMPTED:
-                if p.is_alpha:
-                    raise LedgerError("alpha packet preempted", step=t, packet=p)
-                if preempt_context is None:
-                    preempt_context = states[i - 1][1] if i > 0 else ()
-                if p not in o_set:
-                    continue
-                candidates = open_chain_candidates(preempt_context, t)
-                if candidates:
-                    close_chain(candidates[0], p, PREEMPTED_OPEN_CHAIN, drop_step=t)
-                else:
-                    if any(send_time.get(z, t) < t for z in preempt_context if z.is_alpha):
-                        diagnostics["preempt-fallthrough-with-closed-chains"] += 1
-                    h = sum(1 for q in preempt_context if q.is_alpha)
-                    charges.append(
-                        ChargeRecord(
-                            p, PREEMPTED_INTERVAL, ONE, interval=(t, t + h - 1), drop_step=t
-                        )
-                    )
-        sent_here = ropt.sent.get(t)
-        if sent_here is not None and sent_here in deferred:
-            close_chain(
-                sent_here, sent_here, EVICTED_ONE_CHAIN, drop_step=deferred.pop(sent_here)
-            )
+            elif send_time.get(p, t) < t:
+                close_chain(p, p, EVICTED_ONE_CHAIN, drop_step=t)
+            else:
+                deferred[p] = t
+                diagnostics["deferred-evictions"] += 1
+        elif event.kind is EventKind.REJECTED and p in o_set:
+            if p.is_alpha:
+                raise LedgerError("alpha packet self-rejected", step=t, packet=p)
+            if len(buf) != inst.capacity or not all(q.is_alpha for q in buf):
+                raise LedgerError("rejection without a full all-alpha buffer", step=t, packet=p)
+            diagnostics["reject-context-non-o-packets"] += sum(1 for q in buf if q not in o_set)
+            candidates = open_chain_candidates(buf, t)
+            if not candidates:
+                raise LedgerError("no open chain for rejected packet", step=t, packet=p)
+            close_chain(candidates[0], p, REJECTED_ONE_CHAIN, drop_step=t)
+        elif event.kind is EventKind.PREEMPTED:
+            if p.is_alpha:
+                raise LedgerError("alpha packet preempted", step=t, packet=p)
+            if p not in o_set:
+                continue
+            # only 1-value packets leave in a preemption, so the live
+            # buffer still holds the step's alpha context in order
+            candidates = open_chain_candidates(buf, t)
+            if candidates:
+                close_chain(candidates[0], p, PREEMPTED_OPEN_CHAIN, drop_step=t)
+            else:
+                if any(send_time.get(z, t) < t for z in buf if z.is_alpha):
+                    diagnostics["preempt-fallthrough-with-closed-chains"] += 1
+                h = sum(1 for q in buf if q.is_alpha)
+                charges.append(
+                    ChargeRecord(p, PREEMPTED_INTERVAL, ONE, interval=(t, t + h - 1), drop_step=t)
+                )
+    reference_sends_before(ropt.last_step + 1)
 
     if deferred:
         missing = ", ".join(sorted(p.id for p in deferred))
@@ -421,15 +407,15 @@ def verify_ropt(
     o_set = frozenset(chosen)
     checks: list[CheckResult] = []
 
-    occupancy = 0
+    # the reference accepts O-packets in key order and, by then, has sent
+    # one packet at each send step before the acceptance step
+    send_steps = sorted(ropt.send_time.values())
     capacity_breach = ""
-    for t in range(1, ropt.last_step + 1):
-        for p in ropt.accepted.get(t, ()):
-            occupancy += 1
-            if occupancy > inst.capacity and not capacity_breach:
-                capacity_breach = f"occupancy {occupancy} at step {t} accepting {p.id}"
-        if ropt.sent.get(t) is not None:
-            occupancy -= 1
+    for k, p in enumerate((p for p in inst.arrivals if p in o_set), start=1):
+        occupancy = k - bisect_left(send_steps, p.key.step)
+        if occupancy > inst.capacity:
+            capacity_breach = f"occupancy {occupancy} at step {p.key.step} accepting {p.id}"
+            break
     checks.append(_result("ropt-capacity", not capacity_breach, capacity_breach))
 
     missing = sorted(p.id for p in o_set if p not in ropt.send_time)
@@ -452,21 +438,20 @@ def verify_ropt(
         _result("send-precedence", not late, f"reference later than policy at {late}" if late else "")
     )
 
-    # One pass over the delivery points. The O-packets the reference has
-    # already sent but the policy still buffers each own a chain, and
-    # simultaneously live chains must not share steps; their count is also
-    # the backlog. Chain walks stop at the first overlap, the maxima do not.
+    # One pass over the policy's sends (an idle step's buffer is empty). The
+    # O-packets the reference has already sent but the policy still buffers
+    # each own a chain, and simultaneously live chains must not share steps;
+    # their count is also the backlog. Chain walks stop at the first overlap,
+    # the maxima do not.
     chain_steps = _ChainTable(on_sends, ropt.send_time, o_set)
     overlap = ""
     max_alpha = 0
     max_any = 0
-    for event, buffer_after in replay_buffer_states(on):
-        if event.kind not in (EventKind.SENT, EventKind.IDLE):
+    for event, buf in replay_events(on):
+        if event.kind is not EventKind.SENT:
             continue
         t = event.step
-        live = [
-            z for z in buffer_after if z in o_set and ropt.send_time.get(z, t + 1) <= t
-        ]
+        live = [z for z in buf if z in o_set and ropt.send_time.get(z, t + 1) <= t]
         max_any = max(max_any, len(live))
         max_alpha = max(max_alpha, sum(1 for z in live if z.is_alpha))
         if overlap:
@@ -578,13 +563,15 @@ def verify_ledger(
     else:
         checks.append(CheckResult("chain-heads", CheckStatus.PASS))
 
-    head_charges = [rec.step for rec in ledger.ropt_charges if rec.kind in CHAIN_CHARGE_KINDS]
-    duplicates = sorted({s for s in head_charges if head_charges.count(s) > 1})
+    head_charges = Counter(
+        rec.step for rec in ledger.ropt_charges if rec.kind in CHAIN_CHARGE_KINDS
+    )
+    duplicates = sorted(s for s, n in head_charges.items() if n > 1)
     closed = sum(1 for chain in ledger.chains if chain.status == "closed")
     checks.append(
         _result(
             "single-closure",
-            not duplicates and closed == len(head_charges),
+            not duplicates and closed == head_charges.total(),
             f"duplicated head charges at {duplicates}" if duplicates else "",
         )
     )

@@ -11,8 +11,8 @@ when the buffered alpha mass is at least ``beta * |D|`` (equality
 preempts); the greedy policy always sends its head.
 
 Traces record every admission, eviction, rejection, preemption, send,
-and idle step, so downstream analysis can replay buffer states without
-re-running policy logic.
+and idle step, so downstream analysis can replay the buffer event by
+event without re-running policy logic.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Iterator
 
 from .model import (
     Instance,
@@ -133,14 +134,14 @@ def sends_by_step(trace: RunTrace) -> dict[int, Packet]:
     return {e.step: e.packet for e in trace.events if e.kind is EventKind.SENT}
 
 
-def replay_buffer_states(trace: RunTrace) -> list[tuple[StepEvent, tuple[Packet, ...]]]:
-    """Reconstruct the buffer after each event, from the event log alone.
+def replay_events(trace: RunTrace) -> Iterator[tuple[StepEvent, list[Packet]]]:
+    """Yield each event with the buffer just after it, rebuilt from the event log.
 
-    Delivery must remove the current head; a mismatch means the trace
-    itself violates FIFO order and raises.
+    The buffer is the replay's one live list, not a copy: it changes when
+    the next event is drawn. Delivery must remove the current head; a
+    mismatch means the trace itself violates FIFO order and raises.
     """
     buf: list[Packet] = []
-    out: list[tuple[StepEvent, tuple[Packet, ...]]] = []
     for e in trace.events:
         if e.kind is EventKind.ADMITTED:
             buf.append(e.packet)
@@ -150,8 +151,12 @@ def replay_buffer_states(trace: RunTrace) -> list[tuple[StepEvent, tuple[Packet,
             if not buf or buf[0] is not e.packet:
                 raise ValueError(f"non-FIFO send of {e.packet.id} at step {e.step}")
             buf.pop(0)
-        out.append((e, tuple(buf)))
-    return out
+        yield e, buf
+
+
+def replay_buffer_states(trace: RunTrace) -> list[tuple[StepEvent, tuple[Packet, ...]]]:
+    """:func:`replay_events` with a snapshot of the buffer after every event."""
+    return [(e, tuple(buf)) for e, buf in replay_events(trace)]
 
 
 def format_trace(trace: RunTrace) -> str:

@@ -1,11 +1,17 @@
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
 
 from fifolab import (
     CheckStatus,
+    EventKind,
     GenConfig,
+    LedgerError,
     Policy,
+    RunTrace,
+    StepEvent,
     analyze,
     build_instance,
     build_ledger,
@@ -72,7 +78,8 @@ class TestRunRopt:
         inst = build_instance(2, Fraction(2), [(1, 0, "alpha"), (1, 1, "alpha")])
         on = run(Policy.on(BETA_REF), inst)
         ropt = run_ropt(inst, set(inst.arrivals), on)
-        assert dict(ropt.sent) == sends_by_step(on)
+        assert {t: p for p, t in ropt.send_time.items()} == sends_by_step(on)
+        assert ropt.last_step == 2
 
     def test_infeasible_chosen_set_rejected(self):
         inst = greedy_blocking(Fraction(10))
@@ -415,3 +422,99 @@ def test_report_and_ledger_golden(make_instance, beta, report_text, ledger_text)
     result = analyze(make_instance(), beta)
     assert format_report(result.report) == report_text
     assert format_ledger(result.ledger) == ledger_text
+
+
+def _stretched(inst, rng):
+    """The same arrivals, each gap between arrival steps stretched 1x to 50x."""
+    new_step = {}
+    prev = end = 0
+    for p in inst.arrivals:
+        s = p.key.step
+        if s not in new_step:
+            end += (s - prev) * rng.choice((1, 1, 1, 2, 3, 50))
+            new_step[s], prev = end, s
+    return build_instance(
+        inst.capacity,
+        inst.alpha,
+        [(new_step[p.key.step], p.key.seq, p.klass) for p in inst.arrivals],
+    )
+
+
+def _random_feasible_subset(inst, rng):
+    """Offer the arrivals in random order; keep 9 in 10 of those that stay deliverable."""
+    chosen = set()
+    for p in rng.sample(inst.arrivals, len(inst.arrivals)):
+        if rng.randrange(10) and feasible(inst, chosen | {p})[0]:
+            chosen.add(p)
+    return chosen
+
+
+# sha256 of every send schedule, check table, ledger and LedgerError text
+# the loop below produces; a different digest is a change of behaviour
+FAILURE_PATHS_DIGEST = "31a9d14c89ec8c2171092110db1fcee69d1dde28937f1c85d268589483d742fc"
+
+
+def test_failure_paths_digest():
+    # arbitrary optimal-or-not O-sets make the accounting's preconditions
+    # fail; pin every verdict, ledger and error those failures produce
+    digest = hashlib.sha256()
+    reached = set()
+    for seed in range(500):
+        rng = random.Random(seed)
+        cfg = GenConfig(capacity_max=5, horizon=10, max_burst=4, max_packets=16, seed=seed)
+        inst = _stretched(random_instance(cfg), rng)
+        for beta in (BETA_REF, Fraction(1, 2), Fraction(6)):
+            on = run(Policy.on(beta), inst)
+            chosen = _random_feasible_subset(inst, rng)
+            ropt = run_ropt(inst, chosen, on)
+            sends = sorted((t, p.id) for p, t in ropt.send_time.items())
+            report = verify_ropt(inst, chosen, on, ropt)
+            parts = [f"{seed} {beta} {sends} {ropt.last_step}", format_report(report)]
+            reached.update(c.name for c in report.failures)
+            try:
+                ledger = build_ledger(inst, chosen, on, ropt)
+            except LedgerError as exc:
+                parts.append(str(exc))
+                reached.add(str(exc).split(" (")[0])
+            else:
+                checked = verify_ledger(ledger, inst, chosen, on)
+                reached.update(c.name for c in checked.failures)
+                parts += [
+                    format_ledger(ledger),
+                    " ".join(c.owner.id for c in ledger.chains),
+                    " ".join(f"{r.kind}:{r.packet.id}" for r in ledger.ropt_charges),
+                    str(sorted(ledger.diagnostics.items())),
+                    format_report(checked),
+                ]
+            digest.update("\n".join(parts).encode())
+    assert {
+        "no open chain for rejected packet",
+        "chain head charged twice",
+        "chain-heads",
+        "interval-exclusive",
+    } <= reached, reached
+    assert digest.hexdigest() == FAILURE_PATHS_DIGEST
+
+
+def test_non_fifo_trace_rejected():
+    # a hand-built trace that sends the second packet while the first is
+    # still at the head of the buffer
+    inst = build_instance(2, Fraction(2), [(1, 0, "one"), (1, 1, "alpha")])
+    first, second = inst.arrivals
+    on = RunTrace(
+        Policy.on(BETA_REF),
+        (
+            StepEvent(1, EventKind.ADMITTED, first),
+            StepEvent(1, EventKind.ADMITTED, second),
+            StepEvent(1, EventKind.SENT, second),
+            StepEvent(2, EventKind.SENT, first),
+        ),
+        (second, first),
+        Fraction(3),
+    )
+    chosen = set(inst.arrivals)
+    ropt = run_ropt(inst, chosen, on)
+    with pytest.raises(ValueError, match="non-FIFO send of 1.1 at step 1"):
+        verify_ropt(inst, chosen, on, ropt)
+    with pytest.raises(ValueError, match="non-FIFO send of 1.1 at step 1"):
+        build_ledger(inst, chosen, on, ropt)

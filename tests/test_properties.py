@@ -21,6 +21,7 @@ from fifolab import (
     format_instance,
     random_instance,
     run,
+    run_ropt,
     total_value,
 )
 from fifolab.model import build_instance
@@ -192,6 +193,62 @@ def test_threshold_policy_preemption_rules(inst, beta):
             assert all(p.is_alpha for p in after)
             for t in range(event.step, event.step + inst.capacity):
                 assert sends[t].is_alpha
+
+
+def _literal_run_ropt(inst, chosen, on):
+    """Literal reference-schedule oracle: walk every step until the buffer drains.
+
+    Accepts the step's O-packets, then mirrors the policy's send of the step
+    if it is an O-packet still buffered here, otherwise sends the earliest
+    buffered packet. Returns the send step of every O-packet, in send order,
+    and the last step walked.
+    """
+    o_set = frozenset(chosen)
+    on_sends = sends_by_step(on)
+    by_step = {}
+    for p in inst.arrivals:
+        if p in o_set:
+            by_step.setdefault(p.key.step, []).append(p)
+    last_arrival = max(by_step, default=0)
+    buf = []
+    send_time = {}
+    t = 1
+    while t <= last_arrival or buf:
+        buf.extend(by_step.get(t, ()))
+        mirrored = on_sends.get(t)
+        if mirrored is not None and mirrored in o_set and mirrored in buf:
+            buf.remove(mirrored)
+            send_time[mirrored] = t
+        elif buf:
+            send_time[buf.pop(0)] = t
+        t += 1
+    return send_time, t - 1
+
+
+def _assert_ropt_matches_oracle(inst, chosen, on, ropt):
+    send_time, last_step = _literal_run_ropt(inst, chosen, on)
+    assert list(ropt.send_time.items()) == list(send_time.items())
+    assert ropt.last_step == last_step
+
+
+@given(instances(max_step=12, max_packets=12), st.sampled_from(BETAS), st.data())
+def test_run_ropt_matches_literal_oracle(inst, beta, data):
+    # any deliverable O: offer a drawn subset in key order, keep what stays feasible
+    n = len(inst.arrivals)
+    mask = data.draw(st.integers(0, 2**n - 1)) if n else 0
+    chosen = set()
+    for i, p in enumerate(inst.arrivals):
+        if mask >> i & 1 and feasible(inst, chosen | {p})[0]:
+            chosen.add(p)
+    for policy in (Policy.greedy(), Policy.on(beta)):
+        on = run(policy, inst)
+        _assert_ropt_matches_oracle(inst, chosen, on, run_ropt(inst, chosen, on))
+
+
+def test_run_ropt_matches_literal_oracle_on_corpus():
+    for seed in range(2000):
+        result = analyze(random_instance(GenConfig(seed=seed)), DEFAULT_BETA)
+        _assert_ropt_matches_oracle(result.instance, result.optimum.subset, result.on, result.ropt)
 
 
 def _simulate_feasible(inst, packets):
