@@ -36,16 +36,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .model import Instance, Packet, Rat, ONE, require_valid, total_value, value_of
+from .model import Instance, Packet, Rat, ONE, total_value, value_of
 from .offline import OptResult, brute_force_opt, dp_opt, feasible, opt_containing
-from .simulate import (
-    EventKind,
-    Policy,
-    RunTrace,
-    replay_events,
-    run,
-    sends_by_step,
-)
+from .simulate import EventKind, Policy, RunTrace, replay_events, run
 from .theory import BoundBreakdown, competitive_bound
 
 SENT_BY_BOTH = "sent-by-both"
@@ -107,7 +100,6 @@ def run_ropt(inst: Instance, chosen: Iterable[Packet], on: RunTrace) -> RoptTrac
     ok, schedule = feasible(inst, o_set)
     if not ok:
         raise ValueError("chosen packet set is not deliverable offline")
-    on_sends = sends_by_step(on)
     # pending: the unsent O-packets in key order, so the buffer is its
     # released part; packets mirrored out of key order leave the front lazily
     pending = deque(schedule)
@@ -118,7 +110,7 @@ def run_ropt(inst: Instance, chosen: Iterable[Packet], on: RunTrace) -> RoptTrac
             pending.popleft()
             continue
         t = max(t + 1, pending[0].key.step)
-        mirrored = on_sends.get(t)
+        mirrored = on.sends.get(t)
         if mirrored in o_set and mirrored not in send_time:
             send_time[mirrored] = t
         else:
@@ -221,7 +213,6 @@ def build_ledger(
     """
     o_set = frozenset(chosen)
     alpha = inst.alpha
-    on_sends = sends_by_step(on)
     send_time = ropt.send_time
 
     on_charges: dict[int, Rat] = {}
@@ -233,12 +224,12 @@ def build_ledger(
         "null-head-chains": 0,
     }
 
-    for t, p in on_sends.items():
+    for t, p in on.sends.items():
         on_charges[t] = value_of(p, alpha)
         if p in o_set:
             charges.append(ChargeRecord(p, SENT_BY_BOTH, value_of(p, alpha), step=t))
 
-    chain_steps = _ChainTable(on_sends, send_time, o_set)
+    chain_steps = _ChainTable(on.sends, send_time, o_set)
     closed_heads: dict[int, Packet] = {}
     closing_charge: dict[Packet, Packet] = {}
 
@@ -250,7 +241,7 @@ def build_ledger(
             raise LedgerError("chain head charged twice", step=head, packet=charged)
         closed_heads[head] = owner
         closing_charge[owner] = charged
-        if on_sends.get(head) is None:
+        if on.sends.get(head) is None:
             diagnostics["null-head-chains"] += 1
         charges.append(ChargeRecord(charged, kind, ONE, step=head, drop_step=drop_step))
 
@@ -266,7 +257,7 @@ def build_ledger(
     def interval_end_of_alpha_run(start: int) -> int:
         """Last step of the run of alpha sends beginning after `start`."""
         t = start + 1
-        while (q := on_sends.get(t)) is not None and q.is_alpha:
+        while (q := on.sends.get(t)) is not None and q.is_alpha:
             t += 1
         return t - 1
 
@@ -428,10 +419,9 @@ def verify_ropt(
         )
     )
 
-    on_sends = sends_by_step(on)
     late = [
         (t, p.id)
-        for t, p in on_sends.items()
+        for t, p in on.sends.items()
         if p in o_set and ropt.send_time.get(p, t + 1) > t
     ]
     checks.append(
@@ -443,7 +433,7 @@ def verify_ropt(
     # each own a chain, and simultaneously live chains must not share steps;
     # their count is also the backlog. Chain walks stop at the first overlap,
     # the maxima do not.
-    chain_steps = _ChainTable(on_sends, ropt.send_time, o_set)
+    chain_steps = _ChainTable(on.sends, ropt.send_time, o_set)
     overlap = ""
     max_alpha = 0
     max_any = 0
@@ -493,7 +483,6 @@ def verify_ledger(
     """
     o_set = frozenset(chosen)
     checks: list[CheckResult] = []
-    on_sends = sends_by_step(on)
 
     ropt_total = sum((rec.amount for rec in ledger.ropt_charges), Fraction(0))
     expected = total_value(inst, o_set)
@@ -532,7 +521,7 @@ def verify_ledger(
             continue
         lo, hi = rec.interval
         for s in range(lo, hi + 1):
-            q = on_sends.get(s)
+            q = on.sends.get(s)
             if q is None or not q.is_alpha:
                 impure = f"interval [{lo}, {hi}] of {rec.packet.id}: step {s} is not an alpha send"
                 break
@@ -545,7 +534,7 @@ def verify_ledger(
     for chain in ledger.chains:
         if chain.status != "closed":
             continue
-        q = on_sends.get(chain.head)
+        q = on.sends.get(chain.head)
         if q is None:
             null_heads += 1
         elif q in o_set:
@@ -609,7 +598,6 @@ def _make_ratio(
 
 def policy_ratio(policy: Policy, inst: Instance, reference_beta: Rat) -> RatioReport:
     """Ratio of the offline optimum to an arbitrary policy's value."""
-    require_valid(inst)
     trace = run(policy, inst)
     opt_value = brute_force_opt(inst).value
     return _make_ratio(policy, trace.totals, opt_value, inst.alpha, reference_beta)
@@ -635,10 +623,9 @@ def analyze(inst: Instance, beta: Rat) -> InstanceAnalysis:
     itself one of the hard checks. A ledger that cannot be built is
     reported as a failed check carrying the falsification message.
     """
-    require_valid(inst)
     on = run(Policy.on(beta), inst)
     exhaustive = brute_force_opt(inst)
-    alpha_sends = frozenset(p for p in on.sent if p.is_alpha)
+    alpha_sends = frozenset(p for p in on.sends.values() if p.is_alpha)
     optimum = opt_containing(inst, alpha_sends)
     if optimum is None:
         raise RuntimeError("delivered alpha packets must form a deliverable set")

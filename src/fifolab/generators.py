@@ -75,6 +75,8 @@ class GenConfig:
             raise ValueError("empty horizon, burst or packet range")
         if not self.alpha_choices:
             raise ValueError("no alpha choices")
+        if min(self.alpha_choices) <= 1:
+            raise ValueError("alpha choices must exceed 1")
         if not 0 <= self.alpha_weight <= 1:
             raise ValueError("alpha weight must be a probability")
 

@@ -198,7 +198,7 @@ def parse_instance(text: str) -> Instance:
         if directive == "buffer":
             if capacity is not None:
                 raise InstanceParseError(line_no, "duplicate buffer directive")
-            if len(args) != 1 or not args[0].isdigit() or int(args[0]) < 1:
+            if len(args) != 1 or not args[0].isdecimal() or int(args[0]) < 1:
                 raise InstanceParseError(line_no, "buffer takes one positive integer")
             capacity = int(args[0])
         elif directive == "alpha":

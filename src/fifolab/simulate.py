@@ -10,9 +10,11 @@ buffered 1-value packets ahead of the last buffered alpha packet, but only
 when the buffered alpha mass is at least ``beta * |D|`` (equality
 preempts); the greedy policy always sends its head.
 
-Traces record every admission, eviction, rejection, preemption, send,
-and idle step, so downstream analysis can replay the buffer event by
-event without re-running policy logic.
+Traces record every admission, eviction, rejection, preemption and send,
+and the packet sent at each step, so downstream analysis can replay the
+buffer event by event without re-running policy logic. Idle steps are
+not stored: they are exactly the event-free steps before the last event,
+which the run jumps over and :func:`format_trace` writes back.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Mapping
 
 from .model import (
     Instance,
@@ -39,14 +41,13 @@ class EventKind(Enum):
     REJECTED = "rejected"
     PREEMPTED = "preempted"
     SENT = "sent"
-    IDLE = "idle"
 
 
 @dataclass(frozen=True)
 class StepEvent:
     step: int
     kind: EventKind
-    packet: Packet | None
+    packet: Packet
 
 
 @dataclass(frozen=True)
@@ -74,26 +75,28 @@ class Policy:
 class RunTrace:
     policy: Policy
     events: tuple[StepEvent, ...]
-    sent: tuple[Packet, ...]
+    sends: Mapping[int, Packet]  # step -> packet sent, in send order
     totals: Rat
 
 
 def run(policy: Policy, inst: Instance) -> RunTrace:
     """Run a policy over an instance until the buffer drains.
 
-    Within a step, arrivals are processed before delivery; the run
-    continues past the last arrival step until the buffer is empty.
-    Idle events are recorded only while later arrivals may still come.
+    Within a step, arrivals are processed before delivery, and a step
+    with a non-empty buffer always sends. When the buffer is empty the
+    run jumps to the next arrival's step, so its cost follows the packet
+    count, not the largest step number.
     """
     require_valid(inst)
     arrivals = inst.arrivals
-    last = arrivals[-1].key.step if arrivals else 0
     buf: list[Packet] = []
     events: list[StepEvent] = []
-    sent_packets: list[Packet] = []
+    sends: dict[int, Packet] = {}
     i = 0
-    t = 1
-    while t <= last or buf:
+    t = 0
+    while i < len(arrivals) or buf:
+        if not buf:
+            t = arrivals[i].key.step
         while i < len(arrivals) and arrivals[i].key.step == t:
             p = arrivals[i]
             i += 1
@@ -109,7 +112,7 @@ def run(policy: Policy, inst: Instance) -> RunTrace:
                 events.append(StepEvent(t, EventKind.EVICTED, buf.pop(k)))
             buf.append(p)
             events.append(StepEvent(t, EventKind.ADMITTED, p))
-        if buf and policy.kind == "on" and not buf[0].is_alpha:
+        if policy.kind == "on" and not buf[0].is_alpha:
             alpha_at = [k for k, q in enumerate(buf) if q.is_alpha]
             if alpha_at:
                 # D: the 1-value packets ahead of the last buffered alpha
@@ -118,20 +121,15 @@ def run(policy: Policy, inst: Instance) -> RunTrace:
                     events.extend(StepEvent(t, EventKind.PREEMPTED, q) for q in doomed)
                     # left: every alpha, then the 1-value packets behind the last one
                     buf = [buf[k] for k in alpha_at] + buf[alpha_at[-1] + 1 :]
-        if buf:
-            sent = buf.pop(0)
-            events.append(StepEvent(t, EventKind.SENT, sent))
-            sent_packets.append(sent)
-        elif t <= last:
-            events.append(StepEvent(t, EventKind.IDLE, None))
+        # never empty here: an arrival into an empty buffer is admitted,
+        # and a preemption keeps every alpha packet
+        sent = buf.pop(0)
+        events.append(StepEvent(t, EventKind.SENT, sent))
+        sends[t] = sent
         t += 1
 
-    totals = sum((value_of(p, inst.alpha) for p in sent_packets), ZERO)
-    return RunTrace(policy, tuple(events), tuple(sent_packets), totals)
-
-
-def sends_by_step(trace: RunTrace) -> dict[int, Packet]:
-    return {e.step: e.packet for e in trace.events if e.kind is EventKind.SENT}
+    totals = sum((value_of(p, inst.alpha) for p in sends.values()), ZERO)
+    return RunTrace(policy, tuple(events), sends, totals)
 
 
 def replay_events(trace: RunTrace) -> Iterator[tuple[StepEvent, list[Packet]]]:
@@ -160,10 +158,18 @@ def replay_buffer_states(trace: RunTrace) -> list[tuple[StepEvent, tuple[Packet,
 
 
 def format_trace(trace: RunTrace) -> str:
-    """Line-oriented trace export: one event per line, then the exact total."""
+    """Line-oriented trace export: one event per line, then the exact total.
+
+    A step before the last event with no event of its own had an empty
+    buffer (a step with a non-empty buffer sends), so it gets a
+    ``<step> idle -`` line.
+    """
     lines = []
+    prev = 0
     for e in trace.events:
-        pid = e.packet.id if e.packet is not None else "-"
-        lines.append(f"{e.step} {e.kind.value} {pid}")
+        if e.step > prev + 1:
+            lines.extend(f"{t} idle -" for t in range(prev + 1, e.step))
+        lines.append(f"{e.step} {e.kind.value} {e.packet.id}")
+        prev = e.step
     lines.append(f"total {format_rat(trace.totals)}")
     return "\n".join(lines) + "\n"

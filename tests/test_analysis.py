@@ -36,7 +36,6 @@ from fifolab.analysis import (
     format_ledger,
     format_report,
 )
-from fifolab.simulate import sends_by_step
 
 BETA_REF = Fraction(3284, 1000)
 
@@ -48,7 +47,7 @@ def by_ids(inst, *ids):
 
 def chain_steps(on, ropt, chosen):
     """Chain steps per O-packet, as the ropt checks and the ledger walk them."""
-    return _ChainTable(sends_by_step(on), ropt.send_time, frozenset(chosen))
+    return _ChainTable(on.sends, ropt.send_time, frozenset(chosen))
 
 
 def demo_setup(alpha=Fraction(2)):
@@ -78,7 +77,7 @@ class TestRunRopt:
         inst = build_instance(2, Fraction(2), [(1, 0, "alpha"), (1, 1, "alpha")])
         on = run(Policy.on(BETA_REF), inst)
         ropt = run_ropt(inst, set(inst.arrivals), on)
-        assert {t: p for p, t in ropt.send_time.items()} == sends_by_step(on)
+        assert {t: p for p, t in ropt.send_time.items()} == on.sends
         assert ropt.last_step == 2
 
     def test_infeasible_chosen_set_rejected(self):
@@ -119,7 +118,7 @@ class TestChains:
             2, Fraction(2), [(1, 0, "one"), (1, 1, "one"), (2, 0, "one"), (2, 1, "one")]
         )
         on = run(Policy.on(BETA_REF), inst)
-        assert [p.id for p in on.sent] == ["1", "2", "2.1"]
+        assert [p.id for p in on.sends.values()] == ["1", "2", "2.1"]
         chosen = by_ids(inst, "1", "1.1", "2")
         ropt = run_ropt(inst, chosen, on)
         [owner] = by_ids(inst, "1.1")
@@ -204,7 +203,7 @@ class TestLedgerChainCharges:
             2, Fraction(2), [(1, 0, "one"), (1, 1, "alpha"), (2, 0, "alpha"), (2, 1, "one")]
         )
         on = run(Policy.on(BETA_REF), inst)
-        assert [p.id for p in on.sent] == ["1", "1.1", "2"]
+        assert [p.id for p in on.sends.values()] == ["1", "1.1", "2"]
         chosen = by_ids(inst, "1.1", "2", "2.1")
         assert total_value(inst, chosen) == 5
         assert feasible(inst, chosen)[0]
@@ -228,7 +227,7 @@ class TestLedgerChainCharges:
             [(1, 0, "one"), (1, 1, "one"), (1, 2, "one"), (1, 3, "alpha"), (3, 0, "alpha")],
         )
         on = run(Policy.on(BETA_REF), inst)
-        assert [p.id for p in on.sent] == ["1", "1.1", "1.3", "3"]
+        assert [p.id for p in on.sends.values()] == ["1", "1.1", "1.3", "3"]
         chosen = by_ids(inst, "1.2", "1.3", "3")
         ropt = run_ropt(inst, chosen, on)
         ledger = build_ledger(inst, chosen, on, ropt)
@@ -509,7 +508,7 @@ def test_non_fifo_trace_rejected():
             StepEvent(1, EventKind.SENT, second),
             StepEvent(2, EventKind.SENT, first),
         ),
-        (second, first),
+        {1: second, 2: first},
         Fraction(3),
     )
     chosen = set(inst.arrivals)

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+SPARSE_SEED_0_DIGEST = "6b6e8d6fbbc5df5d94c2c59000d6c42961d2fb329e2f9701d579ffcaad56c2cf"
 
 
 def test_sparse_workload_runs_clean():
@@ -18,6 +19,9 @@ def test_sparse_workload_runs_clean():
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    result = json.loads(done.stdout.splitlines()[-1])
+    info_line, *_, result_line = done.stdout.splitlines()
+    result = json.loads(result_line)
     assert result["correct"] is True
     assert result["failed"] == 0
+    # the hash of every trace, optimum, report and ledger the run produced
+    assert json.loads(info_line)["info"]["digest"] == SPARSE_SEED_0_DIGEST

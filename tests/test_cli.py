@@ -23,6 +23,18 @@ def write_blocking(tmp_path, alpha=Fraction(10)):
     return str(path)
 
 
+def run_cli_process(argv):
+    """Run the CLI in a fresh process, so that a hang fails the test instead of the run."""
+    env = dict(os.environ, PYTHONPATH=str(Path(fifolab.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "fifolab.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=10,
+    )
+
+
 class TestDecimal:
     def test_rounding_is_exact(self):
         assert decimal_str(Fraction(4284, 3284)) == "1.304507"
@@ -85,6 +97,14 @@ class TestVerify:
         text = ledger_path.read_text()
         assert "sent-by-both" in text
         assert text.startswith("on 1 1/1\n")
+
+    def test_far_apart_arrivals_finish(self, tmp_path):
+        # cost follows the packet count, not the largest step number
+        path = tmp_path / "far.txt"
+        path.write_text("buffer 2\nalpha 2/1\npacket 1 0 one\npacket 1000000000 0 alpha\n")
+        done = run_cli_process(["verify", str(path)])
+        assert done.returncode == 0, done.stderr
+        assert "FAIL" not in done.stdout
 
 
 class TestTheoryCommands:
@@ -243,16 +263,19 @@ def _too_many_packets(tmp_path):
     ],
 )
 def test_bad_argument_is_one_line_usage_error(argv, tmp_path):
-    # a fresh process, so that a hang fails the test instead of the run
-    env = dict(os.environ, PYTHONPATH=str(Path(fifolab.__file__).resolve().parents[1]))
-    done = subprocess.run(
-        [sys.executable, "-m", "fifolab.cli", *argv(tmp_path)],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=10,
-    )
+    done = run_cli_process(argv(tmp_path))
     assert done.returncode == 2
     assert done.stdout == ""
     [line] = done.stderr.splitlines()
     assert line.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify", "opt"])
+def test_superscript_buffer_size_is_one_line_parse_error(command, tmp_path):
+    # '²'.isdigit() holds, but int('²') fails
+    path = tmp_path / "superscript.txt"
+    path.write_text("buffer \u00b2\nalpha 2/1\npacket 1 0 one\n")
+    done = run_cli_process([command, str(path)])
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == "parse error: line 1: buffer takes one positive integer\n"

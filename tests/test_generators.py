@@ -85,6 +85,9 @@ class TestRandomInstances:
             random_instance(GenConfig(alpha_choices=()))
         with pytest.raises(ValueError):
             GenConfig(max_packets=-1)
+        for alpha in (Fraction(1), Fraction(1, 2)):
+            with pytest.raises(ValueError):
+                GenConfig(alpha_choices=(Fraction(2), alpha))
 
 
 class TestSearch:

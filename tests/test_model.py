@@ -122,6 +122,12 @@ class TestTextFormat:
         with pytest.raises(InstanceParseError):
             parse_instance("buffer 1\nalpha 1/1\n")
 
+    def test_non_decimal_buffer_size_rejected(self):
+        # '²'.isdigit() holds, but int('²') fails
+        for size in ("²", "0", "-1", "1.5"):
+            with pytest.raises(InstanceParseError):
+                parse_instance(f"buffer {size}\nalpha 2/1\n")
+
     def test_parse_rat(self):
         assert parse_rat("10/4") == Fraction(5, 2)
         assert parse_rat("7") == 7

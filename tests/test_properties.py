@@ -10,12 +10,12 @@ from fifolab import (
     EventKind,
     GenConfig,
     Policy,
-    RunTrace,
     StepEvent,
     analyze,
     brute_force_opt,
     dp_opt,
     feasible,
+    format_trace,
     opt_containing,
     parse_instance,
     format_instance,
@@ -26,7 +26,7 @@ from fifolab import (
 )
 from fifolab.model import build_instance
 from fifolab.offline import _feasible_steps
-from fifolab.simulate import replay_buffer_states, sends_by_step
+from fifolab.simulate import replay_buffer_states
 
 ALPHAS = [Fraction(3, 2), Fraction(2), Fraction(5), Fraction(10), Fraction(10, 3)]
 BETAS = [Fraction(1), Fraction(2), Fraction(3284, 1000), Fraction(6)]
@@ -81,27 +81,37 @@ def _literal_run(policy, inst):
     "on", a 1-value head first drops the ejectable set (1-value packets
     released before some buffered alpha packet) when the buffered alpha mass
     is at least beta times its size; an empty set makes that a no-op.
+
+    Walks every step up to the last arrival, then until the buffer drains,
+    and returns its own export lines (an idle line for every step up to the
+    last arrival that sends nothing), its packet events and its sends as
+    (step, packet) pairs.
     """
     by_step = {}
     for p in inst.arrivals:
         by_step.setdefault(p.key.step, []).append(p)
     last = max(by_step, default=0)
     buf = ()
-    events, sent = [], []
+    lines, events, sends = [], [], []
+
+    def emit(t, kind, p):
+        events.append(StepEvent(t, kind, p))
+        lines.append(f"{t} {kind.value} {p.id}")
+
     t = 1
     while t <= last or buf:
         for p in by_step.get(t, ()):
             if len(buf) < inst.capacity:
                 buf += (p,)
-                events.append(StepEvent(t, EventKind.ADMITTED, p))
+                emit(t, EventKind.ADMITTED, p)
                 continue
             victim = min(buf + (p,), key=lambda q: (q.is_alpha, q.key))
             if victim is p:
-                events.append(StepEvent(t, EventKind.REJECTED, p))
+                emit(t, EventKind.REJECTED, p)
             else:
                 buf = tuple(q for q in buf if q is not victim) + (p,)
-                events.append(StepEvent(t, EventKind.EVICTED, victim))
-                events.append(StepEvent(t, EventKind.ADMITTED, p))
+                emit(t, EventKind.EVICTED, victim)
+                emit(t, EventKind.ADMITTED, p)
         if buf and policy.kind == "on" and not buf[0].is_alpha:
             alpha_keys = [q.key for q in buf if q.is_alpha]
             ejectable = frozenset(
@@ -110,29 +120,39 @@ def _literal_run(policy, inst):
             if inst.alpha * len(alpha_keys) >= policy.beta * len(ejectable):
                 buf = tuple(q for q in buf if q not in ejectable)
                 for q in sorted(ejectable, key=lambda q: q.key):
-                    events.append(StepEvent(t, EventKind.PREEMPTED, q))
+                    emit(t, EventKind.PREEMPTED, q)
         if buf:
-            events.append(StepEvent(t, EventKind.SENT, buf[0]))
-            sent.append(buf[0])
+            emit(t, EventKind.SENT, buf[0])
+            sends.append((t, buf[0]))
             buf = buf[1:]
         elif t <= last:
-            events.append(StepEvent(t, EventKind.IDLE, None))
+            lines.append(f"{t} idle -")
         t += 1
-    return RunTrace(policy, tuple(events), tuple(sent), total_value(inst, sent))
+    total = total_value(inst, [p for _, p in sends])
+    lines.append(f"total {total.numerator}/{total.denominator}")
+    return lines, events, sends
+
+
+def _assert_run_matches_oracle(policy, inst):
+    trace = run(policy, inst)
+    lines, events, sends = _literal_run(policy, inst)
+    assert format_trace(trace).splitlines() == lines
+    assert list(trace.events) == events
+    assert list(trace.sends.items()) == sends
+    assert trace.totals == total_value(inst, trace.sends.values())
 
 
 @given(instances(max_step=6, max_packets=14))
 def test_run_matches_literal_oracle(inst):
     for policy in policies(BETAS):
-        assert run(policy, inst) == _literal_run(policy, inst)
+        _assert_run_matches_oracle(policy, inst)
 
 
 def test_run_matches_literal_oracle_on_corpus():
     for seed in range(2000):
         inst = random_instance(GenConfig(seed=seed))
-        for beta in (Fraction(3284, 1000), Fraction(1)):
-            policy = Policy.on(beta)
-            assert run(policy, inst) == _literal_run(policy, inst), seed
+        for policy in (Policy.on(Fraction(3284, 1000)), Policy.on(Fraction(1)), Policy.greedy()):
+            _assert_run_matches_oracle(policy, inst)
 
 
 @given(instances(), st.sampled_from(BETAS), st.booleans())
@@ -146,7 +166,7 @@ def test_trace_invariants(inst, beta, use_greedy):
         assert list(state) == sorted(state, key=lambda p: p.key)
 
     # FIFO delivery
-    keys = [p.key for p in trace.sent]
+    keys = [p.key for p in trace.sends.values()]
     assert keys == sorted(keys)
 
     # conservation: every arrival classified exactly once
@@ -154,7 +174,7 @@ def test_trace_invariants(inst, beta, use_greedy):
     assert set(classified) == set(inst.arrivals)
 
     # totals computed exactly
-    assert trace.totals == total_value(inst, trace.sent)
+    assert trace.totals == total_value(inst, trace.sends.values())
 
     # determinism
     assert run(policy, inst) == trace
@@ -185,7 +205,7 @@ def test_threshold_policy_preemption_rules(inst, beta):
 
     # an evicted alpha packet leaves behind a full all-alpha buffer, and
     # the policy then sends alpha packets for a full buffer's worth of steps
-    sends = sends_by_step(trace)
+    sends = trace.sends
     for i, (event, state) in enumerate(states):
         if event.kind is EventKind.EVICTED and event.packet.is_alpha:
             after = states[i + 1][1]  # the admission that caused the eviction
@@ -204,7 +224,6 @@ def _literal_run_ropt(inst, chosen, on):
     and the last step walked.
     """
     o_set = frozenset(chosen)
-    on_sends = sends_by_step(on)
     by_step = {}
     for p in inst.arrivals:
         if p in o_set:
@@ -215,7 +234,7 @@ def _literal_run_ropt(inst, chosen, on):
     t = 1
     while t <= last_arrival or buf:
         buf.extend(by_step.get(t, ()))
-        mirrored = on_sends.get(t)
+        mirrored = on.sends.get(t)
         if mirrored is not None and mirrored in o_set and mirrored in buf:
             buf.remove(mirrored)
             send_time[mirrored] = t
@@ -369,7 +388,7 @@ def test_greedy_optimum_matches_exhaustive_oracle_on_corpus():
     # every alpha packet the threshold policy delivered
     for seed in range(2000):
         inst = random_instance(GenConfig(seed=seed))
-        delivered_alphas = {p for p in run(Policy.on(DEFAULT_BETA), inst).sent if p.is_alpha}
+        delivered_alphas = {p for p in run(Policy.on(DEFAULT_BETA), inst).sends.values() if p.is_alpha}
         _assert_greedy_matches_oracle(inst, set())
         _assert_greedy_matches_oracle(inst, delivered_alphas)
 

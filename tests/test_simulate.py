@@ -112,6 +112,13 @@ class TestDeliverOn:
     def test_empty_buffer_idles(self):
         lines = trace_lines(on(2), 2, 2, (1, 0, "one"), (3, 0, "alpha"))
         assert lines == ["1 admitted 1", "1 sent 1", "2 idle -", "3 admitted 3", "3 sent 3", "total 3/1"]
+        # leading idle steps: the first arrival comes at step 3
+        lines = trace_lines(on(2), 2, 2, (3, 0, "one"), (3, 1, "alpha"))
+        assert lines == [
+            "1 idle -", "2 idle -",
+            *admitted(3, "3", "3.1"), "3 preempted 3", "3 sent 3.1",
+            "total 2/1",
+        ]
 
     def test_exact_equality_preempts(self):
         # one alpha of value 2 against one ejectable at beta = 2: 2 >= 2
@@ -141,7 +148,7 @@ class TestRun:
     def test_demo_threshold_trace(self):
         inst = demo_instance(Fraction(2))
         trace = run(Policy.on(Fraction(2)), inst)
-        assert [p.id for p in trace.sent] == ["1", "2", "2.1", "2.2", "5.1", "5.2"]
+        assert [p.id for p in trace.sends.values()] == ["1", "2", "2.1", "2.2", "5.1", "5.2"]
         assert trace.totals == 11  # 5 * alpha + 1
 
     def test_demo_greedy_totals(self):
@@ -149,7 +156,7 @@ class TestRun:
         # 5 * alpha + 2
         inst = demo_instance(Fraction(2))
         trace = run(Policy.greedy(), inst)
-        assert [p.id for p in trace.sent] == ["1", "2", "2.1", "2.2", "5", "5.1", "5.2"]
+        assert [p.id for p in trace.sends.values()] == ["1", "2", "2.1", "2.2", "5", "5.1", "5.2"]
         assert trace.totals == 12
 
     def test_empty_instance_has_no_events(self):
@@ -172,10 +179,14 @@ class TestRun:
                 run(Policy.greedy(), bad)
 
     def test_idle_step_between_bursts(self):
-        inst = build_instance(2, Fraction(2), [(1, 0, "one"), (4, 0, "one")])
-        trace = run(Policy.greedy(), inst)
-        idle_steps = [e.step for e in trace.events if e.kind is EventKind.IDLE]
-        assert idle_steps == [2, 3]
+        lines = trace_lines(GREEDY, 2, 2, (1, 0, "one"), (1, 1, "one"), (5, 0, "one"))
+        assert lines == [
+            *admitted(1, "1", "1.1"), "1 sent 1",
+            "2 sent 1.1",
+            "3 idle -", "4 idle -",
+            *admitted(5, "5"), "5 sent 5",
+            "total 3/1",
+        ]
 
     def test_conservation_of_arrivals(self):
         inst = demo_instance(Fraction(2))
