@@ -93,8 +93,10 @@ def run_ropt(inst: Instance, chosen: Iterable[Packet], on: RunTrace) -> RoptTrac
     Accepts every O-packet at its arrival step; then, if the policy's
     send of the step is an O-packet still buffered here, mirrors it,
     otherwise sends the earliest buffered packet. Runs until the buffer
-    drains, which may outlast the policy's own trace, and skips the steps
-    at which the buffer is empty.
+    drains, which may outlast the policy's own trace. The reference sends
+    whenever its buffer is non-empty, so it is busy at exactly the steps
+    of O's earliest-send schedule from :func:`feasible`; the loop visits
+    only those steps and chooses which packet goes at each.
     """
     o_set = frozenset(chosen)
     ok, schedule = feasible(inst, o_set)
@@ -105,11 +107,9 @@ def run_ropt(inst: Instance, chosen: Iterable[Packet], on: RunTrace) -> RoptTrac
     pending = deque(schedule)
     send_time: dict[Packet, int] = {}
     t = 0
-    while pending:
-        if pending[0] in send_time:
+    for t in schedule.values():
+        while pending[0] in send_time:
             pending.popleft()
-            continue
-        t = max(t + 1, pending[0].key.step)
         mirrored = on.sends.get(t)
         if mirrored in o_set and mirrored not in send_time:
             send_time[mirrored] = t
@@ -643,34 +643,27 @@ def analyze(inst: Instance, beta: Rat) -> InstanceAnalysis:
         ),
     ]
     ropt = run_ropt(inst, optimum.subset, on)
-    report = AnalysisReport(tuple(checks)).merged(verify_ropt(inst, optimum.subset, on, ropt))
+    checks += verify_ropt(inst, optimum.subset, on, ropt).checks
 
     ledger: ChargeLedger | None
     try:
         ledger = build_ledger(inst, optimum.subset, on, ropt)
     except LedgerError as exc:
         ledger = None
-        report = report.merged(
-            AnalysisReport((CheckResult("charging-complete", CheckStatus.FAIL, str(exc)),))
-        )
+        checks.append(CheckResult("charging-complete", CheckStatus.FAIL, str(exc)))
     else:
-        report = report.merged(
-            AnalysisReport((CheckResult("charging-complete", CheckStatus.PASS),))
-        )
-        report = report.merged(verify_ledger(ledger, inst, optimum.subset, on))
+        checks.append(CheckResult("charging-complete", CheckStatus.PASS))
+        checks += verify_ledger(ledger, inst, optimum.subset, on).checks
 
     ratio = _make_ratio(on.policy, on.totals, exhaustive.value, inst.alpha, beta)
-    report = report.merged(
-        AnalysisReport(
-            (
-                _result(
-                    "ratio-bound",
-                    ratio.within_bound or ratio.opt_value == 0,
-                    f"ratio {ratio.ratio} vs bound {ratio.bound.bound}",
-                ),
-            )
+    checks.append(
+        _result(
+            "ratio-bound",
+            ratio.within_bound,
+            f"ratio {ratio.ratio} vs bound {ratio.bound.bound}",
         )
     )
+    report = AnalysisReport(tuple(checks))
     return InstanceAnalysis(inst, beta, on, optimum, ropt, ledger, report, ratio)
 
 

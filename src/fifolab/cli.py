@@ -125,9 +125,9 @@ def cmd_opt(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     result = analyze(_load_instance(args.instance), args.beta)
-    sys.stdout.write(format_report(result.report))
     if args.emit_ledger and result.ledger is not None:
         Path(args.emit_ledger).write_text(format_ledger(result.ledger))
+    sys.stdout.write(format_report(result.report))
     return EXIT_OK if result.report.ok else EXIT_CHECK_FAILED
 
 
@@ -211,7 +211,7 @@ def experiment_row(seed: int, inst: Instance, result: InstanceAnalysis) -> list[
         decimal_str(ratio.ratio) if ratio.ratio is not None else "inf",
         format_rat(ratio.bound.bound),
         decimal_str(ratio.bound.bound),
-        str(ratio.within_bound or ratio.opt_value == 0).lower(),
+        str(ratio.within_bound).lower(),
         "|".join(c.name for c in result.report.failures),
         "|".join(c.name for c in result.report.warnings),
     ]
@@ -234,7 +234,7 @@ def fuzz_rows(cfg: GenConfig, count: int, base_seed: int, beta: Rat) -> tuple[st
         if not result.report.ok:
             names = ",".join(c.name for c in result.report.failures)
             failures.append(f"seed {seed}: {names}")
-        if not (result.ratio.within_bound or result.ratio.opt_value == 0):
+        if not result.ratio.within_bound:
             failures.append(f"seed {seed}: ratio {result.ratio.ratio} above bound")
     return buf.getvalue(), failures, worst
 
@@ -254,13 +254,9 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     policy = _policy_from_args(args)
-    cfg = fuzz_config(args)
-    cfg = replace(cfg, seed=args.seed)
-    inst, report = adversarial_search(policy, cfg, args.budget, max_packets=args.max_packets)
-    text = format_instance(inst)
-    if args.out:
-        Path(args.out).write_text(text)
-    sys.stdout.write(text)
+    cfg = replace(fuzz_config(args), seed=args.seed)
+    inst, report = adversarial_search(policy, cfg, args.budget)
+    _write_out(format_instance(inst), args.out)
     ratio = format_rat(report.ratio) if report.ratio is not None else "inf"
     sys.stdout.write(
         f"# ratio {ratio} bound {format_rat(report.bound.bound)} "

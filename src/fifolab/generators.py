@@ -86,11 +86,14 @@ def random_instance(cfg: GenConfig) -> Instance:
     capacity = rng.randint(cfg.capacity_min, cfg.capacity_max)
     alpha = rng.choice(cfg.alpha_choices)
     num, den = cfg.alpha_weight.numerator, cfg.alpha_weight.denominator
+    cap = cfg.max_packets
     specs: list[tuple[int, int, str]] = []
     for step in range(1, cfg.horizon + 1):
+        if cfg.max_burst == 0 or len(specs) == cap:
+            break  # no later draw can add a packet
         burst = rng.randint(0, cfg.max_burst)
         for seq in range(burst):
-            if cfg.max_packets is not None and len(specs) >= cfg.max_packets:
+            if len(specs) == cap:
                 break
             klass = "alpha" if rng.randrange(den) < num else "one"
             specs.append((step, seq, klass))
@@ -136,19 +139,20 @@ def _mutate(inst: Instance, cfg: GenConfig, rng: random.Random, cap: int) -> Ins
     return build_instance(inst.capacity, alpha, specs)
 
 
-def adversarial_search(
-    policy: Policy, cfg: GenConfig, budget: int, max_packets: int = 14
-) -> tuple[Instance, RatioReport]:
+def adversarial_search(policy: Policy, cfg: GenConfig, budget: int) -> tuple[Instance, RatioReport]:
     """Hill-climb on the optimum-to-policy ratio; deterministic in (cfg, budget).
 
     Restart points begin with the structured families above (so their
     known ratios are floors on the result) and continue with seeded
     random instances; each climb applies local mutations and keeps
     strict improvements, restarting after a stagnation streak. Every
-    candidate has at most `max_packets` packets.
+    candidate has at most `cfg.max_packets` packets.
     """
     if budget < 1:
         raise ValueError("budget must be positive")
+    max_packets = cfg.max_packets
+    if max_packets is None:
+        raise ValueError("the search needs a packet cap (max_packets)")
     rng = random.Random(cfg.seed)
     reference_beta = policy.beta if policy.beta is not None else DEFAULT_BETA
     restarts = [greedy_blocking(a) for a in cfg.alpha_choices]
@@ -167,9 +171,7 @@ def adversarial_search(
             if restarts:
                 candidate = restarts.pop(0)
             else:
-                candidate = random_instance(
-                    replace(cfg, seed=rng.getrandbits(63), max_packets=max_packets)
-                )
+                candidate = random_instance(replace(cfg, seed=rng.getrandbits(63)))
         else:
             candidate = _mutate(current, cfg, rng, max_packets)
         if validate_instance(candidate) or len(candidate.arrivals) > max_packets:

@@ -3,13 +3,17 @@
 A kept subset is delivered in arrival order, one packet per step, and an
 arrival instant may never see more than B kept-but-unsent packets. Since
 delaying a send never lowers future occupancy, sending the head as early
-as possible is a complete feasibility test. One occupancy recurrence over
-the kept packets' release steps decides it. A subset is feasible iff its
-packets can be matched to distinct send slots in [step, step + B - 1], so
-the feasible subsets form a transversal matroid (Glover 1967) and the
-optimum is a greedy pick. The step simulation and the exhaustive enumeration
-survive only as test oracles. :func:`dp_opt` reaches the same value
-through an (arrival index, queue length) dynamic program.
+as possible is a complete feasibility test, and one pass over the kept
+packets' release steps computes it: each goes at its release or one step
+after the previous send, and the subset is infeasible as soon as one
+waits B steps or more (it would arrive to a full buffer). A subset is
+feasible iff its packets can be matched to distinct send slots in
+[step, step + B - 1], so the feasible subsets form a transversal matroid
+(Glover 1967) and the optimum is a greedy pick; that pass is both the
+greedy's independence test and the optimum's schedule. The step
+simulation and the exhaustive enumeration survive only as test oracles.
+:func:`dp_opt` reaches the same value through an (arrival index, queue
+length) dynamic program.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .model import Instance, Packet, Rat, ZERO, require_valid, value_of
 
@@ -36,52 +40,45 @@ class OptResult:
 
 
 def feasible(inst: Instance, packets: Iterable[Packet]) -> tuple[bool, dict[Packet, int] | None]:
-    """Can this subset be fully delivered? Returns a witnessing schedule.
-
-    The verdict is the occupancy recurrence of :func:`_feasible_steps`, the
-    schedule that of :func:`_earliest_sends`.
-    """
-    chosen = set(packets)
-    if not chosen <= set(inst.arrivals):
-        raise ValueError("subset contains packets foreign to the instance")
-    kept = [p for p in inst.arrivals if p in chosen]
-    if not _feasible_steps(tuple(p.key.step for p in kept), inst.capacity):
+    """Can this subset be fully delivered? Returns the earliest-send schedule."""
+    kept = [inst.arrivals[i] for i in _arrival_indices(inst, packets)]
+    sends = _earliest_sends([p.key.step for p in kept], inst.capacity)
+    if sends is None:
         return False, None
-    return True, _earliest_sends(kept)
+    return True, dict(zip(kept, sends))
 
 
-def _earliest_sends(kept: list[Packet]) -> dict[Packet, int]:
-    """Send each kept packet (key order) at its release or one step after the previous send."""
-    schedule: dict[Packet, int] = {}
-    send = 0
-    for p in kept:
-        send = max(p.key.step, send + 1)
-        schedule[p] = send
-    return schedule
+def _arrival_indices(inst: Instance, packets: Iterable[Packet]) -> list[int]:
+    """Ascending arrival indices of `packets`, each packet once."""
+    index_of = {p: i for i, p in enumerate(inst.arrivals)}
+    idxs: set[int] = set()
+    for p in packets:
+        if p not in index_of:
+            raise ValueError(f"packet {p.id!r} does not belong to this instance")
+        idxs.add(index_of[p])
+    return sorted(idxs)
 
 
-def _feasible_steps(steps: tuple[int, ...], capacity: int) -> bool:
-    """Occupancy recurrence over the kept packets' release steps (ascending).
+def _earliest_sends(steps: Sequence[int], capacity: int) -> list[int] | None:
+    """Send step of each kept packet, from their release steps in key order.
 
-    Between consecutive kept arrivals, one send happens per elapsed step,
-    so the queue decays by the step gap; agreement with a literal step
-    simulation is property-tested.
+    Each packet goes at its release or one step after the previous send,
+    whichever is later. A packet that would wait `capacity` steps or more
+    arrived to a full buffer, so the pass returns None there; agreement
+    with a literal step simulation is property-tested.
     """
-    q = 0
-    prev = steps[0] if steps else 0
-    for t in steps:
-        q -= t - prev
-        if q < 0:
-            q = 0
-        q += 1
-        if q > capacity:
-            return False
-        prev = t
-    return True
+    sends = []
+    send = 0
+    for step in steps:
+        send = step if step > send else send + 1
+        if send - step >= capacity:
+            return None
+        sends.append(send)
+    return sends
 
 
-def _best_subset(inst: Instance, required: Iterable[Packet]) -> tuple[Rat, tuple[int, ...]] | None:
-    """Maximum-value feasible subset containing `required`, as arrival indices.
+def _best_subset(inst: Instance, required: Iterable[Packet]) -> OptResult | None:
+    """Maximum-value feasible subset containing `required`; None if `required` is infeasible.
 
     Seeded with `required`, the greedy offers the free alpha packets, then
     the free 1-value packets, each in key order, and keeps each that leaves
@@ -94,37 +91,30 @@ def _best_subset(inst: Instance, required: Iterable[Packet]) -> tuple[Rat, tuple
         raise InstanceTooLargeError(
             f"the offline optimum is limited to {BRUTE_FORCE_LIMIT} packets, got {n}"
         )
-    index_of = {p: i for i, p in enumerate(arr)}
-    req_idx: set[int] = set()
-    for p in required:
-        if p not in index_of:
-            raise ValueError(f"required packet {p.id!r} does not belong to this instance")
-        req_idx.add(index_of[p])
-    steps = tuple(p.key.step for p in arr)
+    kept = _arrival_indices(inst, required)
+    steps = [p.key.step for p in arr]
 
-    def feas(idxs: Iterable[int]) -> bool:
-        return _feasible_steps(tuple(steps[i] for i in idxs), inst.capacity)
+    def sends_of(idxs: Iterable[int]) -> list[int] | None:
+        return _earliest_sends([steps[i] for i in idxs], inst.capacity)
 
-    kept = sorted(req_idx)
-    if not feas(kept):
+    if sends_of(kept) is None:
         return None
-    if feas(range(n)):
+    if sends_of(range(n)) is not None:
         kept = list(range(n))
     else:
+        req = set(kept)
         for i in sorted(range(n), key=lambda i: not arr[i].is_alpha):  # alphas first (stable sort)
-            if i not in req_idx:
+            if i not in req:
                 insort(kept, i)
-                if not feas(kept):
+                if sends_of(kept) is None:
                     kept.remove(i)
-    a, b = inst.alpha.numerator, inst.alpha.denominator
-    return Fraction(sum(a if arr[i].is_alpha else b for i in kept), b), tuple(kept)
-
-
-def _as_result(inst: Instance, value: Rat, idxs: tuple[int, ...]) -> OptResult:
-    kept = [inst.arrivals[i] for i in idxs]  # ascending indices, so key order
-    if not _feasible_steps(tuple(p.key.step for p in kept), inst.capacity):
+    sends = sends_of(kept)
+    if sends is None:
         raise RuntimeError("internal error: optimizer returned an infeasible subset")
-    return OptResult(value, frozenset(kept), _earliest_sends(kept))
+    a, b = inst.alpha.numerator, inst.alpha.denominator
+    value = Fraction(sum(a if arr[i].is_alpha else b for i in kept), b)
+    packets = [arr[i] for i in kept]  # ascending indices, so key order
+    return OptResult(value, frozenset(packets), dict(zip(packets, sends)))
 
 
 def brute_force_opt(inst: Instance) -> OptResult:
@@ -133,16 +123,12 @@ def brute_force_opt(inst: Instance) -> OptResult:
     It keeps the name of the exhaustive search it replaced (same subset)
     because the CLI, the analysis and the benchmark tracer call it.
     """
-    value, idxs = _best_subset(inst, ())
-    return _as_result(inst, value, idxs)
+    return _best_subset(inst, ())  # the empty requirement is always feasible
 
 
 def opt_containing(inst: Instance, required: Iterable[Packet]) -> OptResult | None:
     """Best feasible subset containing `required`; None if no superset is feasible."""
-    best = _best_subset(inst, required)
-    if best is None:
-        return None
-    return _as_result(inst, *best)
+    return _best_subset(inst, required)
 
 
 def dp_opt(inst: Instance) -> Rat:

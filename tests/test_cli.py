@@ -181,6 +181,17 @@ class TestSearchAndGen:
         assert main(["gen", "blocking", "--alpha", "10"]) == 0
         assert capsys.readouterr().out == format_instance(greedy_blocking(Fraction(10)))
 
+    @pytest.mark.parametrize(
+        "flags, packets",
+        [(["--max-packets", "14"], 14), (["--max-burst", "0"], 0)],
+        ids=["packet-cap", "zero-burst"],
+    )
+    def test_gen_random_stops_drawing_when_no_packet_can_be_added(self, flags, packets):
+        # a horizon of 10^12 steps would take days to walk
+        done = run_cli_process(["gen", "random", "--seed", "0", "--horizon", "1000000000000", *flags])
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.count("\npacket ") == packets
+
     def test_gen_random_deterministic(self, capsys):
         assert main(["gen", "random", "--seed", "9"]) == 0
         first = capsys.readouterr().out
@@ -201,8 +212,15 @@ def _path_under_a_file(tmp_path):
         (lambda tmp: ["simulate", str(tmp)], {}),
         (lambda tmp: ["verify", str(tmp)], {}),
         (lambda tmp: ["opt", _path_under_a_file(tmp)], {}),
+        (lambda tmp: ["verify", write_demo(tmp), "--emit-ledger", str(tmp)], {}),
     ],
-    ids=["non-integer-seed", "simulate-directory", "verify-directory", "other-os-error"],
+    ids=[
+        "non-integer-seed",
+        "simulate-directory",
+        "verify-directory",
+        "other-os-error",
+        "verify-ledger-to-directory",
+    ],
 )
 def test_bad_environment_or_path_is_usage_error(argv, env, tmp_path, capsys, monkeypatch):
     for name, value in env.items():

@@ -114,6 +114,17 @@ class TestSearch:
         with pytest.raises(ValueError):
             adversarial_search(Policy.greedy(), GenConfig(), budget=0)
 
+    def test_config_packet_cap_bounds_the_result(self):
+        # the 4-packet blocking restart would win if the cap were ignored
+        for seed in range(3):
+            cfg = GenConfig(max_packets=2, seed=seed)
+            inst, _ = adversarial_search(Policy.greedy(), cfg, budget=60)
+            assert len(inst.arrivals) <= 2
+
+    def test_uncapped_config_rejected(self):
+        with pytest.raises(ValueError):
+            adversarial_search(Policy.greedy(), GenConfig(max_packets=None), budget=1)
+
     def test_deterministic(self):
         cfg = GenConfig(seed=77)
         a = adversarial_search(Policy.greedy(), cfg, budget=40)

@@ -25,7 +25,7 @@ from fifolab import (
     total_value,
 )
 from fifolab.model import build_instance
-from fifolab.offline import _feasible_steps
+from fifolab.offline import _earliest_sends
 from fifolab.simulate import replay_buffer_states
 
 ALPHAS = [Fraction(3, 2), Fraction(2), Fraction(5), Fraction(10), Fraction(10, 3)]
@@ -248,6 +248,9 @@ def _assert_ropt_matches_oracle(inst, chosen, on, ropt):
     send_time, last_step = _literal_run_ropt(inst, chosen, on)
     assert list(ropt.send_time.items()) == list(send_time.items())
     assert ropt.last_step == last_step
+    # the reference is busy at exactly the steps of O's earliest-send schedule
+    ok, schedule = feasible(inst, chosen)
+    assert ok and sorted(send_time.values()) == list(schedule.values())
 
 
 @given(instances(max_step=12, max_packets=12), st.sampled_from(BETAS), st.data())
@@ -332,7 +335,7 @@ def _exhaustive_best_subset(inst, required):
     steps = tuple(p.key.step for p in arr)
 
     def feas(idxs):
-        return _feasible_steps(tuple(steps[i] for i in idxs), inst.capacity)
+        return _earliest_sends([steps[i] for i in idxs], inst.capacity) is not None
 
     if not feas(req):
         return None
