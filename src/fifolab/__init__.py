@@ -49,7 +49,6 @@ from .model import (
     validate_instance,
 )
 from .offline import (
-    InstanceTooLargeError,
     OptResult,
     brute_force_opt,
     dp_opt,

@@ -376,9 +376,6 @@ class AnalysisReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def merged(self, other: "AnalysisReport") -> "AnalysisReport":
-        return AnalysisReport(self.checks + other.checks)
-
 
 def _result(name: str, ok: bool, detail: str = "") -> CheckResult:
     return CheckResult(name, CheckStatus.PASS if ok else CheckStatus.FAIL, detail)

@@ -17,6 +17,7 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from typing import NoReturn
 
 from .analysis import (
     InstanceAnalysis,
@@ -35,7 +36,7 @@ from .model import (
     parse_instance,
     parse_rat,
 )
-from .offline import InstanceTooLargeError, brute_force_opt
+from .offline import brute_force_opt
 from .simulate import Policy, format_trace, run
 from .theory import DEFAULT_BETA, competitive_bound, optimal_beta
 
@@ -308,8 +309,15 @@ def _add_gen_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-packets", type=int, default=14)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad argument as one `error:` line; subcommand parsers inherit it."""
+
+    def error(self, message: str) -> NoReturn:
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="fifolab")
+    parser = _Parser(prog="fifolab")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run a policy over an instance file")
@@ -373,9 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         for name, ok, message in _FLAG_RULES:
             if hasattr(args, name) and not ok(getattr(args, name)):
                 raise UsageError(message)
@@ -385,7 +392,7 @@ def main(argv: list[str] | None = None) -> int:
     except InstanceParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return EXIT_USAGE
-    except (InvalidInstanceError, InstanceTooLargeError, UsageError, OSError) as exc:
+    except (InvalidInstanceError, UsageError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

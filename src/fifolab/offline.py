@@ -9,28 +9,25 @@ after the previous send, and the subset is infeasible as soon as one
 waits B steps or more (it would arrive to a full buffer). A subset is
 feasible iff its packets can be matched to distinct send slots in
 [step, step + B - 1], so the feasible subsets form a transversal matroid
-(Glover 1967) and the optimum is a greedy pick; that pass is both the
-greedy's independence test and the optimum's schedule. The step
-simulation and the exhaustive enumeration survive only as test oracles.
-:func:`dp_opt` reaches the same value through an (arrival index, queue
-length) dynamic program.
+(Glover 1967) and the optimum is a greedy pick. By Hall's condition on
+those intervals, with F(x) = (kept packets released by step x) - x, a
+subset is feasible iff F rises by less than B from any step to any later
+one; adding a packet at step s lifts F at every step from s on, so the
+greedy tests each offered packet with a suffix maximum and a running
+minimum of F, and runs each of its two phases in linear time. The
+earliest-send pass then gives the optimum's schedule. The step
+simulation, the exhaustive enumeration and the insertion greedy survive
+only as test oracles. :func:`dp_opt` reaches the same value through an
+(arrival index, queue length) dynamic program.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .model import Instance, Packet, Rat, ZERO, require_valid, value_of
-
-BRUTE_FORCE_LIMIT = 20
-
-
-class InstanceTooLargeError(ValueError):
-    pass
-
 
 @dataclass(frozen=True)
 class OptResult:
@@ -87,38 +84,69 @@ def _best_subset(inst: Instance, required: Iterable[Packet]) -> OptResult | None
     """
     arr = inst.arrivals
     n = len(arr)
-    if n > BRUTE_FORCE_LIMIT:
-        raise InstanceTooLargeError(
-            f"the offline optimum is limited to {BRUTE_FORCE_LIMIT} packets, got {n}"
-        )
-    kept = _arrival_indices(inst, required)
+    idxs = _arrival_indices(inst, required)
     steps = [p.key.step for p in arr]
 
-    def sends_of(idxs: Iterable[int]) -> list[int] | None:
-        return _earliest_sends([steps[i] for i in idxs], inst.capacity)
+    def sends_of(chosen: Iterable[int]) -> list[int] | None:
+        return _earliest_sends([steps[i] for i in chosen], inst.capacity)
 
-    if sends_of(kept) is None:
+    if sends_of(idxs) is None:
         return None
     if sends_of(range(n)) is not None:
-        kept = list(range(n))
+        idxs = list(range(n))
     else:
-        req = set(kept)
-        for i in sorted(range(n), key=lambda i: not arr[i].is_alpha):  # alphas first (stable sort)
-            if i not in req:
-                insort(kept, i)
-                if sends_of(kept) is None:
-                    kept.remove(i)
-    sends = sends_of(kept)
+        kept = [False] * n
+        for i in idxs:
+            kept[i] = True
+        alpha = [p.is_alpha for p in arr]
+        _keep_fitting(steps, kept, alpha, inst.capacity)
+        _keep_fitting(steps, kept, [not a for a in alpha], inst.capacity)
+        idxs = [i for i in range(n) if kept[i]]
+    sends = sends_of(idxs)
     if sends is None:
         raise RuntimeError("internal error: optimizer returned an infeasible subset")
     a, b = inst.alpha.numerator, inst.alpha.denominator
-    value = Fraction(sum(a if arr[i].is_alpha else b for i in kept), b)
-    packets = [arr[i] for i in kept]  # ascending indices, so key order
+    value = Fraction(sum(a if arr[i].is_alpha else b for i in idxs), b)
+    packets = [arr[i] for i in idxs]  # ascending indices, so key order
     return OptResult(value, frozenset(packets), dict(zip(packets, sends)))
 
 
+def _keep_fitting(
+    steps: Sequence[int], kept: list[bool], offered: Sequence[bool], capacity: int
+) -> None:
+    """Mark kept, in key order, each offered packet not yet kept that leaves the set feasible.
+
+    `kept` must be feasible. With F(x) = (kept packets released by step x) - x,
+    a packet at step s fits iff max_{y>=s} F - min_{x<s} F < capacity - 1.
+    Every packet kept earlier in the pass sits at a step <= s, so the
+    maximum is the starting set's suffix maximum (a backward pass over
+    F at each packet's step) plus the count kept so far, and the minimum
+    is a running one over F just before each packet's step.
+    """
+    n = len(steps)
+    top = [0] * n  # max of F over the steps from steps[j] on, for the starting set
+    count = sum(kept)  # kept packets at indices <= j
+    high = count - steps[-1]
+    for j in range(n - 1, -1, -1):
+        f = count - steps[j]
+        if f > high:
+            high = f
+        top[j] = high
+        count -= kept[j]
+    added = below = 0  # below: kept packets at indices < j
+    low = 1 - steps[0]  # F just before the first release
+    for j, step in enumerate(steps):
+        f = below - step + 1
+        if f < low:
+            low = f
+        if offered[j] and not kept[j] and top[j] + added - low < capacity - 1:
+            kept[j] = True
+            added += 1
+        below += kept[j]
+
+
 def brute_force_opt(inst: Instance) -> OptResult:
-    """Maximum over all feasible subsets, by the greedy (guarded instance size).
+    """Maximum over all feasible subsets, by the greedy, in linear time.
 
     It keeps the name of the exhaustive search it replaced (same subset)
     because the CLI, the analysis and the benchmark tracer call it.
@@ -134,8 +162,8 @@ def opt_containing(inst: Instance, required: Iterable[Packet]) -> OptResult | No
 def dp_opt(inst: Instance) -> Rat:
     """Optimum value by dynamic programming over (arrival, queue length).
 
-    Scales past the greedy's instance-size guard; contracted to agree
-    with :func:`brute_force_opt` wherever both run.
+    Does not rely on the matroid structure, so it cross-checks
+    :func:`brute_force_opt`; its cost grows as n*B.
     """
     require_valid(inst)
     states: dict[int, Rat] = {0: ZERO}

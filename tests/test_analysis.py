@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from fifolab import (
+    AnalysisReport,
     CheckStatus,
     EventKind,
     GenConfig,
@@ -214,7 +215,9 @@ class TestLedgerChainCharges:
         assert rec.step == 1
         [chain] = ledger.chains
         assert chain.owner.id == "1.1" and chain.status == "closed"
-        report = verify_ropt(inst, chosen, on, ropt).merged(verify_ledger(ledger, inst, chosen, on))
+        report = AnalysisReport(
+            verify_ropt(inst, chosen, on, ropt).checks + verify_ledger(ledger, inst, chosen, on).checks
+        )
         assert report.ok
 
     def test_preemption_charged_at_open_chain_head(self):
@@ -237,7 +240,9 @@ class TestLedgerChainCharges:
         assert rec.drop_step == 3
         [chain] = ledger.chains
         assert chain.owner.id == "1.3" and chain.steps == (2,) and chain.status == "closed"
-        report = verify_ropt(inst, chosen, on, ropt).merged(verify_ledger(ledger, inst, chosen, on))
+        report = AnalysisReport(
+            verify_ropt(inst, chosen, on, ropt).checks + verify_ledger(ledger, inst, chosen, on).checks
+        )
         assert report.ok
         assert sum(r.amount for r in ledger.ropt_charges) == total_value(inst, chosen)
 

@@ -84,6 +84,20 @@ class TestOpt:
         assert "value 13/1" in out
         assert "subset 1.2 2 2.1 2.2 5 5.1 5.2" in out
 
+    def test_large_instance_finishes(self, tmp_path):
+        # 10^5 packets, three per step into a buffer of 1000; the optimum keeps
+        # the 33,333 alphas (steps 1 to 33,333) and one 1-value packet for each
+        # of the 1,000 slots after them
+        path = tmp_path / "large.txt"
+        kinds = ("one", "alpha", "one")
+        packets = "".join(f"packet {i // 3 + 1} {i % 3} {kinds[i % 3]}\n" for i in range(10**5))
+        path.write_text(f"buffer 1000\nalpha 2/1\n{packets}")
+        done = run_cli_process(["opt", str(path)])
+        assert done.returncode == 0, done.stderr
+        value, subset = done.stdout.splitlines()
+        assert value == "value 67666/1"
+        assert len(subset.split()) == 1 + 34_333
+
 
 class TestVerify:
     def test_demo_passes(self, tmp_path, capsys):
@@ -171,6 +185,22 @@ class TestSearchAndGen:
         out = capsys.readouterr().out
         assert "# ratio" in out
 
+    def test_search_past_twenty_packets(self):
+        done = run_cli_process(
+            ["search", "--budget", "3000", "--max-packets", "30", "--max-burst", "3",
+             "--horizon", "12", "--seed", "1"]
+        )
+        assert done.returncode == 0, done.stderr
+        assert "# ratio" in done.stdout
+
+    def test_fuzz_past_twenty_packets(self):
+        done = run_cli_process(
+            ["fuzz", "--count", "200", "--max-packets", "40", "--b-max", "8", "--horizon", "40",
+             "--max-burst", "3"]
+        )
+        assert done.returncode == 0, done.stderr
+        assert "all checks passed" in done.stderr
+
     def test_gen_example_round_trips(self, tmp_path, capsys):
         out = tmp_path / "inst.txt"
         assert main(["gen", "example", "--alpha", "3", "--out", str(out)]) == 0
@@ -238,13 +268,6 @@ def _not_utf8(tmp_path):
     return str(path)
 
 
-def _too_many_packets(tmp_path):
-    path = tmp_path / "big.txt"
-    packets = "".join(f"packet {step} 0 one\n" for step in range(1, 22))
-    path.write_text(f"buffer 2\nalpha 2/1\n{packets}")
-    return str(path)
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -261,7 +284,10 @@ def _too_many_packets(tmp_path):
         lambda tmp: ["simulate", _not_utf8(tmp)],
         lambda tmp: ["verify", _not_utf8(tmp)],
         lambda tmp: ["opt", _not_utf8(tmp)],
-        lambda tmp: ["opt", _too_many_packets(tmp)],
+        lambda tmp: ["simulate", write_demo(tmp), "--beta", "1/0"],
+        lambda tmp: ["simulate", write_demo(tmp), "--policy", "foo"],
+        lambda tmp: ["bound", "--alpha", "2"],
+        lambda tmp: [],
     ],
     ids=[
         "search-zero-budget",
@@ -277,7 +303,10 @@ def _too_many_packets(tmp_path):
         "simulate-not-utf8",
         "verify-not-utf8",
         "opt-not-utf8",
-        "opt-over-packet-cap",
+        "simulate-zero-denominator-beta",
+        "simulate-unknown-policy",
+        "bound-missing-beta",
+        "no-command",
     ],
 )
 def test_bad_argument_is_one_line_usage_error(argv, tmp_path):
@@ -286,6 +315,13 @@ def test_bad_argument_is_one_line_usage_error(argv, tmp_path):
     assert done.stdout == ""
     [line] = done.stderr.splitlines()
     assert line.startswith("error: ")
+
+
+def test_help_prints_usage():
+    done = run_cli_process(["bound", "--help"])
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: fifolab bound")
+    assert done.stderr == ""
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify", "opt"])

@@ -5,7 +5,6 @@ import pytest
 
 from fifolab import (
     GenConfig,
-    InstanceTooLargeError,
     brute_force_opt,
     build_instance,
     demo_instance,
@@ -72,11 +71,10 @@ class TestBruteForce:
         assert result.value == 30
         assert {p.id for p in result.subset} == {"1.1", "2", "2.1"}
 
-    def test_size_guard(self):
+    def test_past_twenty_packets_matches_dp(self):
         inst = build_instance(3, Fraction(2), [(s, q, "one") for s in range(1, 8) for q in range(3)])
         assert len(inst.arrivals) == 21
-        with pytest.raises(InstanceTooLargeError):
-            brute_force_opt(inst)
+        assert brute_force_opt(inst).value == dp_opt(inst) == 9  # 7 steps plus 2 drained after
 
     def test_schedule_witnesses_subset(self):
         result = brute_force_opt(demo_instance(Fraction(5)))

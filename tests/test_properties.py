@@ -1,5 +1,6 @@
 """Property-based invariants over randomly drawn instances."""
 
+from bisect import insort
 from fractions import Fraction
 from itertools import combinations
 
@@ -394,6 +395,103 @@ def test_greedy_optimum_matches_exhaustive_oracle_on_corpus():
         delivered_alphas = {p for p in run(Policy.on(DEFAULT_BETA), inst).sends.values() if p.is_alpha}
         _assert_greedy_matches_oracle(inst, set())
         _assert_greedy_matches_oracle(inst, delivered_alphas)
+
+
+def _insertion_best_subset(inst, required):
+    """Insertion-greedy oracle: offer each free packet, alphas first, in key order.
+
+    Inserts the offered packet into the kept indices and reruns the whole
+    earliest-send pass, O(n) per offer, dropping the packet again if the
+    pass fails. Returns (value, arrival indices, send steps), or None if
+    `required` itself is infeasible.
+    """
+    arr = inst.arrivals
+    index_of = {p: i for i, p in enumerate(arr)}
+    kept = sorted({index_of[p] for p in required})
+    steps = [p.key.step for p in arr]
+
+    def sends_of(idxs):
+        return _earliest_sends([steps[i] for i in idxs], inst.capacity)
+
+    if sends_of(kept) is None:
+        return None
+    req = set(kept)
+    for i in sorted(range(len(arr)), key=lambda i: not arr[i].is_alpha):  # stable sort
+        if i not in req:
+            insort(kept, i)
+            if sends_of(kept) is None:
+                kept.remove(i)
+    value = total_value(inst, [arr[i] for i in kept])
+    return value, tuple(kept), tuple(sends_of(kept))
+
+
+def _assert_sweep_matches_insertion_oracle(inst, required):
+    result = opt_containing(inst, required)
+    expected = _insertion_best_subset(inst, required)
+    if expected is None:
+        assert result is None
+        return
+    value, idxs = _value_and_indices(inst, result)
+    assert (value, idxs, tuple(result.schedule[inst.arrivals[i]] for i in idxs)) == expected
+
+
+@st.composite
+def stretched_instances(draw, max_capacity=40, max_packets=60):
+    """Bursts at one step, often into a small buffer, mixed with gaps of up to 10^6 steps."""
+    capacity = draw(st.one_of(st.integers(1, 4), st.integers(1, max_capacity)))
+    alpha = draw(st.sampled_from(ALPHAS))
+    n = draw(st.integers(0, max_packets))
+    gap = st.one_of(st.just(0), st.integers(0, 3), st.integers(0, 10**6))
+    drawn = draw(
+        st.lists(st.tuples(gap, st.sampled_from(["one", "alpha"])), min_size=n, max_size=n)
+    )
+    step, seq, specs = 1, 0, []
+    for g, kind in drawn:
+        if g:
+            step, seq = step + g, 0
+        specs.append((step, seq, kind))
+        seq += 1
+    return build_instance(capacity, alpha, specs)
+
+
+@given(stretched_instances(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_sweep_matches_insertion_oracle(inst, data):
+    n = len(inst.arrivals)
+    mask = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    required = {p for p, m in zip(inst.arrivals, mask) if m}
+    _assert_sweep_matches_insertion_oracle(inst, set())
+    _assert_sweep_matches_insertion_oracle(inst, required)  # None on both sides if infeasible
+
+
+def _overloaded(capacity, packets, seed):
+    """About 1.5 arrivals per step: bursts of 0 to 3 packets, one send per step."""
+    cfg = GenConfig(
+        capacity_min=capacity,
+        capacity_max=capacity,
+        horizon=packets,
+        max_burst=3,
+        max_packets=packets,
+        seed=seed,
+    )
+    inst = random_instance(cfg)
+    assert len(inst.arrivals) == packets
+    return inst
+
+
+def test_optimum_at_scale_matches_dp_and_insertion_oracle():
+    for capacity in (16, 256):
+        inst = _overloaded(capacity, 2000, seed=capacity)
+        result = brute_force_opt(inst)
+        assert result.value == dp_opt(inst)
+        _assert_sweep_matches_insertion_oracle(inst, set())
+
+
+def test_full_analysis_passes_at_scale():
+    for capacity, seed in [(4, 0), (16, 1), (64, 2)]:
+        result = analyze(_overloaded(capacity, 200, seed), DEFAULT_BETA)
+        assert result.report.ok, [(c.name, c.detail) for c in result.report.failures]
+        assert result.ratio.within_bound
 
 
 def _schedule_exists(inst, chosen):
