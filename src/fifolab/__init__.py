@@ -62,6 +62,7 @@ from .simulate import (
     StepEvent,
     format_trace,
     run,
+    trace_lines,
 )
 from .theory import (
     DEFAULT_BETA,

@@ -5,10 +5,10 @@ containing every alpha packet the policy delivered), a relaxed reference
 schedule replays the run: it accepts every O-packet on arrival and
 mirrors the policy's send whenever that packet is an O-packet still in
 its buffer, otherwise sending its earliest packet. Steps where the
-relaxed schedule runs ahead of the policy link backward into *chains*:
-walking from the step where the relaxed schedule sent a packet, through
-the step where it sent the policy's send of that step, and so on, down
-to a head step where the policy sent a packet outside O.
+relaxed schedule runs ahead of the policy link backward into *chains*,
+recorded as it runs: from the step where it sent a packet, through the
+step where it sent the policy's send of that step, and so on, down to a
+head step where the policy sent a packet outside O.
 
 The charge ledger then assigns every delivered value to exactly one
 account: the policy is charged at each of its send steps; O-packets the
@@ -81,10 +81,25 @@ class RoptTrace:
 
     ``last_step`` is its final send step (0 when O is empty). Every step
     that sends nothing has an empty reference buffer.
+
+    ``link`` maps each send step that does not mirror the policy to the
+    step at which the reference sent the policy's packet, or to None (a
+    chain head) when that packet is outside O; ``head`` maps it to its
+    chain's head. No step is linked from two later steps, so two chains
+    share a step exactly when they share a head.
     """
 
     send_time: Mapping[Packet, int]
     last_step: int
+    link: Mapping[int, int | None]
+    head: Mapping[int, int]
+
+    def chain(self, packet: Packet) -> tuple[int, ...]:
+        """Ascending steps of the chain ending at the reference's send of `packet`."""
+        steps = [self.send_time[packet]]
+        while (prev := self.link[steps[-1]]) is not None:
+            steps.append(prev)
+        return tuple(reversed(steps))
 
 
 def run_ropt(inst: Instance, chosen: Iterable[Packet], on: RunTrace) -> RoptTrace:
@@ -106,6 +121,8 @@ def run_ropt(inst: Instance, chosen: Iterable[Packet], on: RunTrace) -> RoptTrac
     # released part; packets mirrored out of key order leave the front lazily
     pending = deque(schedule)
     send_time: dict[Packet, int] = {}
+    link: dict[int, int | None] = {}
+    head: dict[int, int] = {}
     t = 0
     for t in schedule.values():
         while pending[0] in send_time:
@@ -115,7 +132,10 @@ def run_ropt(inst: Instance, chosen: Iterable[Packet], on: RunTrace) -> RoptTrac
             send_time[mirrored] = t
         else:
             send_time[pending.popleft()] = t
-    return RoptTrace(send_time, t)
+            # a policy-sent O-packet left here earlier, at a non-mirroring step
+            prev = link[t] = send_time.get(mirrored)
+            head[t] = t if prev is None else head[prev]
+    return RoptTrace(send_time, t, link, head)
 
 
 # ---------------------------------------------------------------------------
@@ -140,40 +160,6 @@ class Chain:
     @property
     def head(self) -> int:
         return self.steps[0]
-
-
-class _ChainTable(dict):
-    """Chain steps per owner packet, walked on first lookup and memoised.
-
-    Owners keep first-lookup order, which fixes the order of a ledger's chains.
-    """
-
-    def __init__(
-        self,
-        on_sends: Mapping[int, Packet],
-        send_time: Mapping[Packet, int],
-        o_set: frozenset[Packet],
-    ):
-        super().__init__()
-        self.on_sends = on_sends
-        self.send_time = send_time
-        self.o_set = o_set
-
-    def __missing__(self, packet: Packet) -> tuple[int, ...]:
-        """Walk backward from the reference's send of `packet` to a head step."""
-        steps = [self.send_time[packet]]
-        hop = self.on_sends.get(steps[0])
-        while hop is not None and hop in self.o_set:
-            prev = self.send_time.get(hop)
-            if prev is None:
-                raise LedgerError("policy sent an O-packet the reference never sent", packet=hop)
-            if prev >= steps[-1]:
-                raise LedgerError("chain walk failed to descend", step=prev, packet=hop)
-            steps.append(prev)
-            hop = self.on_sends.get(prev)
-        steps.reverse()
-        chain = self[packet] = tuple(steps)
-        return chain
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +215,16 @@ def build_ledger(
         if p in o_set:
             charges.append(ChargeRecord(p, SENT_BY_BOTH, value_of(p, alpha), step=t))
 
-    chain_steps = _ChainTable(on.sends, send_time, o_set)
+    # chain heads per owner, in first-touch order: the order of the ledger's chains
+    owner_heads: dict[Packet, int] = {}
     closed_heads: dict[int, Packet] = {}
     closing_charge: dict[Packet, Packet] = {}
 
+    def head_of(owner: Packet) -> int:
+        return owner_heads.setdefault(owner, ropt.head[send_time[owner]])
+
     def close_chain(owner: Packet, charged: Packet, kind: str, drop_step: int) -> None:
-        head = chain_steps[owner][0]
+        head = head_of(owner)
         if owner in closing_charge:
             raise LedgerError("chain closed twice", step=head, packet=owner)
         if head in closed_heads:
@@ -250,7 +240,7 @@ def build_ledger(
         out = []
         for z in buffered:
             if z.is_alpha and send_time.get(z, now) < now:
-                if chain_steps[z][0] not in closed_heads:
+                if head_of(z) not in closed_heads:
                     out.append(z)
         return out
 
@@ -328,11 +318,11 @@ def build_ledger(
     chains = tuple(
         Chain(
             owner,
-            steps,
+            ropt.chain(owner),
             "closed" if owner in closing_charge else "open",
             closing_charge.get(owner),
         )
-        for owner, steps in chain_steps.items()
+        for owner in owner_heads
     )
     return ChargeLedger(dict(on_charges), tuple(charges), chains, diagnostics)
 
@@ -428,9 +418,9 @@ def verify_ropt(
     # One pass over the policy's sends (an idle step's buffer is empty). The
     # O-packets the reference has already sent but the policy still buffers
     # each own a chain, and simultaneously live chains must not share steps;
-    # their count is also the backlog. Chain walks stop at the first overlap,
+    # their count is also the backlog. Chains that share any step share their
+    # head, the first step of each. The search stops at the first overlap,
     # the maxima do not.
-    chain_steps = _ChainTable(on.sends, ropt.send_time, o_set)
     overlap = ""
     max_alpha = 0
     max_any = 0
@@ -443,12 +433,13 @@ def verify_ropt(
         max_alpha = max(max_alpha, sum(1 for z in live if z.is_alpha))
         if overlap:
             continue
-        seen: dict[int, Packet] = {}
+        owners: dict[int, Packet] = {}
         for z in live:
-            for s in chain_steps[z]:
-                if s in seen and seen[s] is not z and not overlap:
-                    overlap = f"step {s} shared by chains of {seen[s].id} and {z.id} at t={t}"
-                seen.setdefault(s, z)
+            head = ropt.head[ropt.send_time[z]]
+            owner = owners.setdefault(head, z)
+            if owner is not z:
+                overlap = f"step {head} shared by chains of {owner.id} and {z.id} at t={t}"
+                break
     checks.append(_result("chains-disjoint", not overlap, overlap))
 
     if on.policy.kind == "on":

@@ -14,10 +14,11 @@ import csv
 import io
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
-from typing import NoReturn
+from typing import Iterable, NoReturn
 
 from .analysis import (
     InstanceAnalysis,
@@ -37,7 +38,7 @@ from .model import (
     parse_rat,
 )
 from .offline import brute_force_opt
-from .simulate import Policy, format_trace, run
+from .simulate import Policy, run, trace_lines
 from .theory import DEFAULT_BETA, competitive_bound, optimal_beta
 
 EXIT_OK = 0
@@ -105,15 +106,21 @@ def _policy_from_args(args: argparse.Namespace) -> Policy:
     return Policy.greedy()
 
 
-def _write_out(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    sys.stdout.write(text)
+def _write_out(chunks: Iterable[str], out: str | None) -> None:
+    """Write `chunks` to stdout, and to the file `out` if given, as they come.
+
+    The file is opened first, so a bad path fails before any output.
+    """
+    with open(out, "w") if out else nullcontext() as file:
+        for chunk in chunks:
+            if file:
+                file.write(chunk)
+            sys.stdout.write(chunk)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     trace = run(_policy_from_args(args), _load_instance(args.instance))
-    _write_out(format_trace(trace), args.out)
+    _write_out(trace_lines(trace), args.out)
     return EXIT_OK
 
 
@@ -179,7 +186,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 str(beta == minimizer).lower(),
             ]
         )
-    _write_out(buf.getvalue(), args.out)
+    _write_out([buf.getvalue()], args.out)
     return EXIT_OK
 
 
@@ -242,7 +249,7 @@ def fuzz_rows(cfg: GenConfig, count: int, base_seed: int, beta: Rat) -> tuple[st
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
     csv_text, failures, worst = fuzz_rows(fuzz_config(args), args.count, args.seed, args.beta)
-    _write_out(csv_text, args.out)
+    _write_out([csv_text], args.out)
     sys.stderr.write(f"max ratio {format_rat(worst)} ({decimal_str(worst)})\n")
     if failures:
         for line in failures[:20]:
@@ -257,7 +264,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     policy = _policy_from_args(args)
     cfg = replace(fuzz_config(args), seed=args.seed)
     inst, report = adversarial_search(policy, cfg, args.budget)
-    _write_out(format_instance(inst), args.out)
+    _write_out([format_instance(inst)], args.out)
     ratio = format_rat(report.ratio) if report.ratio is not None else "inf"
     sys.stdout.write(
         f"# ratio {ratio} bound {format_rat(report.bound.bound)} "
@@ -279,7 +286,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     else:
         cfg = replace(fuzz_config(args), seed=args.seed)
         inst = random_instance(cfg)
-    _write_out(format_instance(inst), args.out)
+    _write_out([format_instance(inst)], args.out)
     return EXIT_OK
 
 

@@ -36,13 +36,28 @@ class InvalidInstanceError(ValueError):
         self.violations = tuple(violations)
 
 
+def _parse_int(text: str, signed: bool = False) -> int:
+    """Parse ASCII decimal digits, after one leading '-' only if `signed`.
+
+    Stricter than :func:`int`, which also takes '+', '_', surrounding
+    whitespace and non-ASCII digits.
+    """
+    digits = text[1:] if signed and text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def parse_rat(text: str) -> Rat:
-    """Parse ``num/den`` (or a bare integer) into an exact rational."""
+    """Parse ``num/den`` (or a bare integer) into an exact rational.
+
+    Both parts are ASCII digits; only the numerator may carry a '-'.
+    """
     body = text.strip()
     num_text, sep, den_text = body.partition("/")
     try:
-        num = int(num_text)
-        den = int(den_text) if sep else 1
+        num = _parse_int(num_text, signed=True)
+        den = _parse_int(den_text) if sep else 1
     except ValueError:
         raise ValueError(f"not a rational: {text!r}") from None
     if den <= 0:
@@ -173,6 +188,7 @@ def total_value(inst: Instance, packets: Iterable[Packet]) -> Rat:
 #   alpha <num>/<den>
 #   packet <step> <seq> <one|alpha>
 #
+# Integers are ASCII decimal digits; only alpha's numerator may carry a '-'.
 # '#' starts a comment. Directives may appear in any order except packet
 # lines, which must be ascending by (step, seq). Unknown directives are
 # rejected.
@@ -198,9 +214,13 @@ def parse_instance(text: str) -> Instance:
         if directive == "buffer":
             if capacity is not None:
                 raise InstanceParseError(line_no, "duplicate buffer directive")
-            if len(args) != 1 or not args[0].isdecimal() or int(args[0]) < 1:
+            try:
+                [size] = args
+                capacity = _parse_int(size)
+            except ValueError:
+                capacity = 0
+            if capacity < 1:
                 raise InstanceParseError(line_no, "buffer takes one positive integer")
-            capacity = int(args[0])
         elif directive == "alpha":
             if alpha is not None:
                 raise InstanceParseError(line_no, "duplicate alpha directive")
@@ -216,11 +236,11 @@ def parse_instance(text: str) -> Instance:
             if len(args) != 3:
                 raise InstanceParseError(line_no, "packet takes: step seq one|alpha")
             try:
-                step, seq = int(args[0]), int(args[1])
+                step, seq = _parse_int(args[0]), _parse_int(args[1])
                 klass = PacketClass(args[2])
             except ValueError:
                 raise InstanceParseError(line_no, f"bad packet line: {line!r}") from None
-            if step < 1 or seq < 0:
+            if step < 1:
                 raise InstanceParseError(line_no, "packet key out of range")
             p = make_packet(step, seq, klass)
             if packets and p.key <= packets[-1].key:

@@ -14,7 +14,7 @@ Traces record every admission, eviction, rejection, preemption and send,
 and the packet sent at each step, so downstream analysis can replay the
 buffer event by event without re-running policy logic. Idle steps are
 not stored: they are exactly the event-free steps before the last event,
-which the run jumps over and :func:`format_trace` writes back.
+which the run jumps over and :func:`trace_lines` writes back.
 """
 
 from __future__ import annotations
@@ -157,19 +157,28 @@ def replay_buffer_states(trace: RunTrace) -> list[tuple[StepEvent, tuple[Packet,
     return [(e, tuple(buf)) for e, buf in replay_events(trace)]
 
 
-def format_trace(trace: RunTrace) -> str:
+_IDLE_BLOCK = 4096  # idle lines per yielded chunk
+
+
+def trace_lines(trace: RunTrace) -> Iterator[str]:
     """Line-oriented trace export: one event per line, then the exact total.
 
     A step before the last event with no event of its own had an empty
     buffer (a step with a non-empty buffer sends), so it gets a
-    ``<step> idle -`` line.
+    ``<step> idle -`` line. Yields newline-terminated lines, idle runs in
+    chunks of at most ``_IDLE_BLOCK`` lines, so a writer's memory does not
+    follow the largest step number.
     """
-    lines = []
     prev = 0
     for e in trace.events:
         if e.step > prev + 1:
-            lines.extend(f"{t} idle -" for t in range(prev + 1, e.step))
-        lines.append(f"{e.step} {e.kind.value} {e.packet.id}")
+            for lo in range(prev + 1, e.step, _IDLE_BLOCK):
+                yield "".join([f"{t} idle -\n" for t in range(lo, min(lo + _IDLE_BLOCK, e.step))])
+        yield f"{e.step} {e.kind.value} {e.packet.id}\n"
         prev = e.step
-    lines.append(f"total {format_rat(trace.totals)}")
-    return "\n".join(lines) + "\n"
+    yield f"total {format_rat(trace.totals)}\n"
+
+
+def format_trace(trace: RunTrace) -> str:
+    """The lines of :func:`trace_lines` as one string."""
+    return "".join(trace_lines(trace))

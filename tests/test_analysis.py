@@ -33,7 +33,6 @@ from fifolab.analysis import (
     PREEMPTED_OPEN_CHAIN,
     REJECTED_ONE_CHAIN,
     SENT_BY_BOTH,
-    _ChainTable,
     format_ledger,
     format_report,
 )
@@ -44,11 +43,6 @@ BETA_REF = Fraction(3284, 1000)
 def by_ids(inst, *ids):
     index = {p.id: p for p in inst.arrivals}
     return {index[i] for i in ids}
-
-
-def chain_steps(on, ropt, chosen):
-    """Chain steps per O-packet, as the ropt checks and the ledger walk them."""
-    return _ChainTable(on.sends, ropt.send_time, frozenset(chosen))
 
 
 def demo_setup(alpha=Fraction(2)):
@@ -123,7 +117,7 @@ class TestChains:
         chosen = by_ids(inst, "1", "1.1", "2")
         ropt = run_ropt(inst, chosen, on)
         [owner] = by_ids(inst, "1.1")
-        assert chain_steps(on, ropt, chosen)[owner] == (3,)
+        assert ropt.chain(owner) == (3,)
 
     def test_two_hop_chain(self):
         # the reference runs two steps ahead; its send of 3 at step 3
@@ -138,7 +132,7 @@ class TestChains:
         chosen = by_ids(inst, "1.2", "1.3", "3")
         ropt = run_ropt(inst, chosen, on)
         [owner] = by_ids(inst, "3")
-        assert chain_steps(on, ropt, chosen)[owner] == (2, 3)
+        assert ropt.chain(owner) == (2, 3)
 
 
 class TestLedgerDemo:

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -75,6 +76,31 @@ class TestSimulate:
 
     def test_missing_file(self, capsys):
         assert main(["simulate", "nope.txt"]) == 2
+
+    def test_long_gap_is_streamed(self, tmp_path, monkeypatch):
+        # a 10**6-step gap prints 10**6 idle lines (14 MB of text); written
+        # as they are produced, they never need to be held all at once
+        path = tmp_path / "gap.txt"
+        path.write_text("buffer 1\nalpha 2/1\npacket 1 0 one\npacket 1000001 0 one\n")
+        sink = _CountingSink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            assert main(["simulate", str(path)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        assert sink.lines == 10**6 + 4
+
+
+class _CountingSink:
+    """A stdout stand-in that keeps only a line count."""
+
+    lines = 0
+
+    def write(self, text):
+        self.lines += text.count("\n")
 
 
 class TestOpt:
@@ -243,6 +269,7 @@ def _path_under_a_file(tmp_path):
         (lambda tmp: ["verify", str(tmp)], {}),
         (lambda tmp: ["opt", _path_under_a_file(tmp)], {}),
         (lambda tmp: ["verify", write_demo(tmp), "--emit-ledger", str(tmp)], {}),
+        (lambda tmp: ["simulate", write_demo(tmp), "--out", str(tmp)], {}),
     ],
     ids=[
         "non-integer-seed",
@@ -250,6 +277,7 @@ def _path_under_a_file(tmp_path):
         "verify-directory",
         "other-os-error",
         "verify-ledger-to-directory",
+        "simulate-out-to-directory",
     ],
 )
 def test_bad_environment_or_path_is_usage_error(argv, env, tmp_path, capsys, monkeypatch):
@@ -333,3 +361,55 @@ def test_superscript_buffer_size_is_one_line_parse_error(command, tmp_path):
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr == "parse error: line 1: buffer takes one positive integer\n"
+
+
+_GOOD_LINES = {"buffer": "buffer 2", "alpha": "alpha 2/1", "packet": "packet 1 0 one"}
+
+
+@pytest.mark.parametrize(
+    "bad_line, message",
+    [
+        ("buffer 1_0", "line 1: buffer takes one positive integer"),
+        ("buffer +1", "line 1: buffer takes one positive integer"),
+        ("buffer ١", "line 1: buffer takes one positive integer"),
+        ("buffer 0", "line 1: buffer takes one positive integer"),
+        ("alpha 1_0/1", "line 2: not a rational: '1_0/1'"),
+        ("alpha +3/2", "line 2: not a rational: '+3/2'"),
+        ("alpha 3/-2", "line 2: not a rational: '3/-2'"),
+        ("alpha ３/2", "line 2: not a rational: '３/2'"),
+        ("alpha -3/2", "line 2: alpha must exceed 1"),
+        ("alpha 3/0", "line 2: denominator must be positive: '3/0'"),
+        ("packet 1_0 0 one", "line 3: bad packet line: 'packet 1_0 0 one'"),
+        ("packet +1 0 one", "line 3: bad packet line: 'packet +1 0 one'"),
+        ("packet 1 -1 one", "line 3: bad packet line: 'packet 1 -1 one'"),
+        ("packet ١ 0 one", "line 3: bad packet line: 'packet ١ 0 one'"),
+        ("packet 0 0 one", "line 3: packet key out of range"),
+    ],
+    ids=[
+        "buffer-underscore",
+        "buffer-plus",
+        "buffer-arabic-indic-digit",
+        "buffer-zero",
+        "alpha-underscore",
+        "alpha-plus",
+        "alpha-negative-denominator",
+        "alpha-fullwidth-digit",
+        "alpha-negative",
+        "alpha-zero-denominator",
+        "packet-underscore",
+        "packet-plus",
+        "packet-negative-seq",
+        "packet-arabic-indic-digit",
+        "packet-step-zero",
+    ],
+)
+def test_malformed_integer_is_one_line_parse_error(bad_line, message, tmp_path, capsys):
+    # one grammar for every integer in an instance file: ASCII digits, and a
+    # leading '-' only on alpha's numerator
+    lines = dict(_GOOD_LINES, **{bad_line.split()[0]: bad_line})
+    path = tmp_path / "instance.txt"
+    path.write_text("\n".join(lines.values()) + "\n", encoding="utf-8")
+    assert main(["simulate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"parse error: {message}\n"

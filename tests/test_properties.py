@@ -1,5 +1,6 @@
 """Property-based invariants over randomly drawn instances."""
 
+import random
 from bisect import insort
 from fractions import Fraction
 from itertools import combinations
@@ -245,6 +246,38 @@ def _literal_run_ropt(inst, chosen, on):
     return send_time, t - 1
 
 
+def _literal_chain(on, send_time, o_set, packet):
+    """Literal chain oracle: walk back from the reference's send of `packet`.
+
+    Each hop goes to the step at which the reference sent the policy's
+    packet of the current step, until the policy sends nothing there or a
+    packet outside O. Returns the steps in ascending order.
+    """
+    steps = [send_time[packet]]
+    hop = on.sends.get(steps[0])
+    while hop in o_set:
+        prev = send_time[hop]
+        assert prev < steps[-1], f"chain walk from {packet.id} failed to descend at {prev}"
+        steps.append(prev)
+        hop = on.sends.get(prev)
+    return tuple(reversed(steps))
+
+
+def _assert_chains_match_oracle(chosen, on, ropt):
+    o_set = frozenset(chosen)
+    # the reference's send steps whose packet the policy does not send there
+    unmirrored = {t: p for p, t in ropt.send_time.items() if on.sends.get(t) is not p}
+    assert set(ropt.link) == set(ropt.head) == set(unmirrored)
+    for t, p in unmirrored.items():
+        steps = _literal_chain(on, ropt.send_time, o_set, p)
+        assert ropt.chain(p) == steps
+        assert ropt.head[t] == steps[0]
+    linked = [(t, prev) for t, prev in ropt.link.items() if prev is not None]
+    assert all(prev < t for t, prev in linked)
+    # no step is linked from two later steps
+    assert len({prev for _, prev in linked}) == len(linked)
+
+
 def _assert_ropt_matches_oracle(inst, chosen, on, ropt):
     send_time, last_step = _literal_run_ropt(inst, chosen, on)
     assert list(ropt.send_time.items()) == list(send_time.items())
@@ -252,6 +285,7 @@ def _assert_ropt_matches_oracle(inst, chosen, on, ropt):
     # the reference is busy at exactly the steps of O's earliest-send schedule
     ok, schedule = feasible(inst, chosen)
     assert ok and sorted(send_time.values()) == list(schedule.values())
+    _assert_chains_match_oracle(chosen, on, ropt)
 
 
 @given(instances(max_step=12, max_packets=12), st.sampled_from(BETAS), st.data())
@@ -272,6 +306,21 @@ def test_run_ropt_matches_literal_oracle_on_corpus():
     for seed in range(2000):
         result = analyze(random_instance(GenConfig(seed=seed)), DEFAULT_BETA)
         _assert_ropt_matches_oracle(result.instance, result.optimum.subset, result.on, result.ropt)
+
+
+def test_run_ropt_matches_literal_oracle_on_corpus_random_o_sets():
+    # arbitrary deliverable O-sets: offer the arrivals in random order and
+    # keep 9 in 10 of those that stay deliverable
+    for seed in range(1000):
+        rng = random.Random(seed)
+        inst = random_instance(GenConfig(seed=seed))
+        chosen = set()
+        for p in rng.sample(inst.arrivals, len(inst.arrivals)):
+            if rng.randrange(10) and feasible(inst, chosen | {p})[0]:
+                chosen.add(p)
+        for policy in (Policy.greedy(), Policy.on(DEFAULT_BETA)):
+            on = run(policy, inst)
+            _assert_ropt_matches_oracle(inst, chosen, on, run_ropt(inst, chosen, on))
 
 
 def _simulate_feasible(inst, packets):
