@@ -215,22 +215,21 @@ def build_ledger(
         if p in o_set:
             charges.append(ChargeRecord(p, SENT_BY_BOTH, value_of(p, alpha), step=t))
 
-    # chain heads per owner, in first-touch order: the order of the ledger's chains
-    owner_heads: dict[Packet, int] = {}
-    closed_heads: dict[int, Packet] = {}
-    closing_charge: dict[Packet, Packet] = {}
+    # the closing charge per chain owner, None while its chain is open, in
+    # first-touch order: the order of the ledger's chains
+    closing: dict[Packet, Packet | None] = {}
+    closed_heads: set[int] = set()
 
     def head_of(owner: Packet) -> int:
-        return owner_heads.setdefault(owner, ropt.head[send_time[owner]])
+        closing.setdefault(owner, None)
+        return ropt.head[send_time[owner]]
 
     def close_chain(owner: Packet, charged: Packet, kind: str, drop_step: int) -> None:
         head = head_of(owner)
-        if owner in closing_charge:
-            raise LedgerError("chain closed twice", step=head, packet=owner)
         if head in closed_heads:
             raise LedgerError("chain head charged twice", step=head, packet=charged)
-        closed_heads[head] = owner
-        closing_charge[owner] = charged
+        closed_heads.add(head)
+        closing[owner] = charged
         if on.sends.get(head) is None:
             diagnostics["null-head-chains"] += 1
         charges.append(ChargeRecord(charged, kind, ONE, step=head, drop_step=drop_step))
@@ -316,13 +315,8 @@ def build_ledger(
         raise LedgerError(f"evicted O-packets never sent by the reference: {missing}")
 
     chains = tuple(
-        Chain(
-            owner,
-            ropt.chain(owner),
-            "closed" if owner in closing_charge else "open",
-            closing_charge.get(owner),
-        )
-        for owner in owner_heads
+        Chain(owner, ropt.chain(owner), "open" if charged is None else "closed", charged)
+        for owner, charged in closing.items()
     )
     return ChargeLedger(dict(on_charges), tuple(charges), chains, diagnostics)
 

@@ -4,7 +4,8 @@ sweep, fuzz, search, gen.
 Exit codes: 0 success, 1 check failure, 2 usage or parse error. All
 output is deterministic given flags and seeds; rationals go on the wire
 as num/den with 6-place decimal renderings as advisory duplicates. The
-FBL_SEED environment variable overrides the default seed.
+FBL_SEED environment variable overrides the default seed; it and every
+integer flag follow the instance file's integer grammar (parse_int).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from contextlib import nullcontext
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, NoReturn
+from typing import Callable, Iterable, NoReturn, TypeVar
 
 from .analysis import (
     InstanceAnalysis,
@@ -35,6 +36,7 @@ from .model import (
     format_instance,
     format_rat,
     parse_instance,
+    parse_int,
     parse_rat,
 )
 from .offline import brute_force_opt
@@ -74,23 +76,39 @@ def decimal_str(value: Rat, places: int = 6) -> str:
     return f"{digits[:-places]}.{digits[-places:]}"
 
 
-def _rat_arg(text: str) -> Rat:
-    try:
-        return parse_rat(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+T = TypeVar("T")
+
+
+def _flag(
+    parse: Callable[[str], T], ok: Callable[[T], object] = lambda v: True, rule: str = ""
+) -> Callable[[str], T]:
+    """An argparse `type` that parses, then checks the flag's range rule."""
+
+    def convert(text: str) -> T:
+        try:
+            value = parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(rule)
+        return value
+
+    return convert
 
 
 def _rat_list(text: str) -> tuple[Rat, ...]:
     return tuple(parse_rat(part) for part in text.split(",") if part.strip())
 
 
-def _default_seed() -> int:
-    text = os.environ.get("FBL_SEED", "0")
-    try:
-        return int(text)
-    except ValueError:
-        raise UsageError(f"FBL_SEED must be an integer, got {text!r}") from None
+# GenConfig checks the ranges of the flags that only configure it
+_INT = _flag(parse_int)
+_SEED = _flag(lambda text: parse_int(text, signed=True))
+_COUNT = _flag(parse_int, lambda v: v > 0, "must be positive")
+_RAT = _flag(parse_rat)
+_POSITIVE = _flag(parse_rat, lambda v: v > 0, "must be positive")
+_ALPHA = _flag(parse_rat, lambda v: v > 1, "must exceed 1")
+_ALPHAS = _flag(_rat_list, lambda v: v and all(a > 1 for a in v), "must list values above 1")
+_BETAS = _flag(_rat_list, lambda v: v and all(b > 0 for b in v), "must list positive values")
 
 
 def _load_instance(path: str) -> Instance:
@@ -200,6 +218,7 @@ def fuzz_config(args: argparse.Namespace) -> GenConfig:
             alpha_choices=args.alphas,
             alpha_weight=args.alpha_weight,
             max_packets=args.max_packets,
+            seed=args.seed,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -262,8 +281,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     policy = _policy_from_args(args)
-    cfg = replace(fuzz_config(args), seed=args.seed)
-    inst, report = adversarial_search(policy, cfg, args.budget)
+    inst, report = adversarial_search(policy, fuzz_config(args), args.budget)
     _write_out([format_instance(inst)], args.out)
     ratio = format_rat(report.ratio) if report.ratio is not None else "inf"
     sys.stdout.write(
@@ -284,8 +302,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     elif args.family == "blocking":
         inst = greedy_blocking(args.alpha)
     else:
-        cfg = replace(fuzz_config(args), seed=args.seed)
-        inst = random_instance(cfg)
+        inst = random_instance(fuzz_config(args))
     _write_out([format_instance(inst)], args.out)
     return EXIT_OK
 
@@ -294,26 +311,16 @@ class UsageError(ValueError):
     pass
 
 
-# Flag ranges the library checks only once work has started (GenConfig checks its own).
-_FLAG_RULES = (
-    ("alpha", lambda v: v > 1, "alpha must exceed 1"),
-    ("beta", lambda v: v > 0, "beta must be positive"),
-    ("alphas", lambda v: v and all(a > 1 for a in v), "alphas must list values above 1"),
-    ("betas", lambda v: v and all(b > 0 for b in v), "betas must list positive values"),
-    ("tol", lambda v: v > 0, "tol must be positive"),
-    ("count", lambda v: v > 0, "count must be positive"),
-    ("budget", lambda v: v > 0, "budget must be positive"),
-)
-
-
 def _add_gen_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--b-min", type=int, default=1)
-    parser.add_argument("--b-max", type=int, default=5)
-    parser.add_argument("--horizon", type=int, default=12)
-    parser.add_argument("--max-burst", type=int, default=2)
-    parser.add_argument("--alphas", type=_rat_list, default=_rat_list("3/2,2,5,10"))
-    parser.add_argument("--alpha-weight", type=_rat_arg, default=Fraction(1, 2))
-    parser.add_argument("--max-packets", type=int, default=14)
+    # a string default goes through `type` too, so a bad FBL_SEED fails like a bad --seed
+    parser.add_argument("--seed", type=_SEED, default=os.environ.get("FBL_SEED", "0"))
+    parser.add_argument("--b-min", type=_INT, default=1)
+    parser.add_argument("--b-max", type=_INT, default=5)
+    parser.add_argument("--horizon", type=_INT, default=12)
+    parser.add_argument("--max-burst", type=_INT, default=2)
+    parser.add_argument("--alphas", type=_ALPHAS, default="3/2,2,5,10")
+    parser.add_argument("--alpha-weight", type=_RAT, default=Fraction(1, 2))
+    parser.add_argument("--max-packets", type=_INT, default=14)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -330,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a policy over an instance file")
     p.add_argument("instance")
     p.add_argument("--policy", choices=["on", "greedy"], default="on")
-    p.add_argument("--beta", type=_rat_arg, default=DEFAULT_BETA)
+    p.add_argument("--beta", type=_POSITIVE, default=DEFAULT_BETA)
     p.add_argument("--out")
     p.set_defaults(func=cmd_simulate)
 
@@ -340,46 +347,43 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="full analysis checks over an instance file")
     p.add_argument("instance")
-    p.add_argument("--beta", type=_rat_arg, default=DEFAULT_BETA)
+    p.add_argument("--beta", type=_POSITIVE, default=DEFAULT_BETA)
     p.add_argument("--emit-ledger")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bound", help="competitive bound breakdown at (alpha, beta)")
-    p.add_argument("--alpha", type=_rat_arg, required=True)
-    p.add_argument("--beta", type=_rat_arg, required=True)
+    p.add_argument("--alpha", type=_ALPHA, required=True)
+    p.add_argument("--beta", type=_POSITIVE, required=True)
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("optimal-beta", help="bisect for the best threshold")
-    p.add_argument("--tol", type=_rat_arg, default=Fraction(1, 10**6))
+    p.add_argument("--tol", type=_POSITIVE, default=Fraction(1, 10**6))
     p.set_defaults(func=cmd_optimal_beta)
 
     p = sub.add_parser("sweep", help="bound table over alpha and beta grids")
-    p.add_argument("--alphas", type=_rat_list, required=True)
-    p.add_argument("--betas", type=_rat_list, required=True)
+    p.add_argument("--alphas", type=_ALPHAS, required=True)
+    p.add_argument("--betas", type=_BETAS, required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("fuzz", help="seeded random sweep with full verification")
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--beta", type=_rat_arg, default=DEFAULT_BETA)
+    p.add_argument("--count", type=_COUNT, required=True)
+    p.add_argument("--beta", type=_POSITIVE, default=DEFAULT_BETA)
     _add_gen_flags(p)
     p.add_argument("--out")
     p.set_defaults(func=cmd_fuzz)
 
     p = sub.add_parser("search", help="hill-climb for high-ratio instances")
     p.add_argument("--policy", choices=["on", "greedy"], default="on")
-    p.add_argument("--beta", type=_rat_arg, default=DEFAULT_BETA)
-    p.add_argument("--budget", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--beta", type=_POSITIVE, default=DEFAULT_BETA)
+    p.add_argument("--budget", type=_COUNT, required=True)
     _add_gen_flags(p)
     p.add_argument("--out")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("gen", help="write an instance file")
     p.add_argument("family", choices=["example", "blocking", "random"])
-    p.add_argument("--alpha", type=_rat_arg, default=Fraction(2))
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--alpha", type=_ALPHA, default=Fraction(2))
     _add_gen_flags(p)
     p.add_argument("--out")
     p.set_defaults(func=cmd_gen)
@@ -390,11 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        for name, ok, message in _FLAG_RULES:
-            if hasattr(args, name) and not ok(getattr(args, name)):
-                raise UsageError(message)
-        if hasattr(args, "seed") and args.seed is None:
-            args.seed = _default_seed()
         return args.func(args)
     except InstanceParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")

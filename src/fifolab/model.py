@@ -36,7 +36,7 @@ class InvalidInstanceError(ValueError):
         self.violations = tuple(violations)
 
 
-def _parse_int(text: str, signed: bool = False) -> int:
+def parse_int(text: str, signed: bool = False) -> int:
     """Parse ASCII decimal digits, after one leading '-' only if `signed`.
 
     Stricter than :func:`int`, which also takes '+', '_', surrounding
@@ -56,8 +56,8 @@ def parse_rat(text: str) -> Rat:
     body = text.strip()
     num_text, sep, den_text = body.partition("/")
     try:
-        num = _parse_int(num_text, signed=True)
-        den = _parse_int(den_text) if sep else 1
+        num = parse_int(num_text, signed=True)
+        den = parse_int(den_text) if sep else 1
     except ValueError:
         raise ValueError(f"not a rational: {text!r}") from None
     if den <= 0:
@@ -216,7 +216,7 @@ def parse_instance(text: str) -> Instance:
                 raise InstanceParseError(line_no, "duplicate buffer directive")
             try:
                 [size] = args
-                capacity = _parse_int(size)
+                capacity = parse_int(size)
             except ValueError:
                 capacity = 0
             if capacity < 1:
@@ -236,7 +236,7 @@ def parse_instance(text: str) -> Instance:
             if len(args) != 3:
                 raise InstanceParseError(line_no, "packet takes: step seq one|alpha")
             try:
-                step, seq = _parse_int(args[0]), _parse_int(args[1])
+                step, seq = parse_int(args[0]), parse_int(args[1])
                 klass = PacketClass(args[2])
             except ValueError:
                 raise InstanceParseError(line_no, f"bad packet line: {line!r}") from None

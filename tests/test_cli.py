@@ -194,12 +194,13 @@ class TestFuzz:
         assert main(["fuzz", "--count", "0"]) == 2
 
     def test_seed_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("FBL_SEED", "123")
-        assert main(["fuzz", "--count", "5"]) == 0
-        with_env = capsys.readouterr().out
-        monkeypatch.delenv("FBL_SEED")
-        assert main(["fuzz", "--count", "5", "--seed", "123"]) == 0
-        assert capsys.readouterr().out == with_env
+        for seed in ("123", "-3"):
+            monkeypatch.setenv("FBL_SEED", seed)
+            assert main(["fuzz", "--count", "5"]) == 0
+            with_env = capsys.readouterr().out
+            monkeypatch.delenv("FBL_SEED")
+            assert main(["fuzz", "--count", "5", "--seed", seed]) == 0
+            assert capsys.readouterr().out == with_env
 
 
 class TestSearchAndGen:
@@ -265,6 +266,8 @@ def _path_under_a_file(tmp_path):
     "argv, env",
     [
         (lambda tmp: ["fuzz", "--count", "1"], {"FBL_SEED": "seven"}),
+        (lambda tmp: ["fuzz", "--count", "1"], {"FBL_SEED": "1_0"}),
+        (lambda tmp: ["fuzz", "--count", "1"], {"FBL_SEED": "٣"}),
         (lambda tmp: ["simulate", str(tmp)], {}),
         (lambda tmp: ["verify", str(tmp)], {}),
         (lambda tmp: ["opt", _path_under_a_file(tmp)], {}),
@@ -273,6 +276,8 @@ def _path_under_a_file(tmp_path):
     ],
     ids=[
         "non-integer-seed",
+        "underscore-seed",
+        "arabic-indic-digit-seed",
         "simulate-directory",
         "verify-directory",
         "other-os-error",
@@ -316,6 +321,10 @@ def _not_utf8(tmp_path):
         lambda tmp: ["simulate", write_demo(tmp), "--policy", "foo"],
         lambda tmp: ["bound", "--alpha", "2"],
         lambda tmp: [],
+        lambda tmp: ["gen", "random", "--seed", "1_0"],
+        lambda tmp: ["gen", "random", "--max-packets", "٣"],
+        lambda tmp: ["fuzz", "--count", "+3"],
+        lambda tmp: ["fuzz", "--count", " 2"],
     ],
     ids=[
         "search-zero-budget",
@@ -335,6 +344,10 @@ def _not_utf8(tmp_path):
         "simulate-unknown-policy",
         "bound-missing-beta",
         "no-command",
+        "gen-underscore-seed",
+        "gen-arabic-indic-digit-max-packets",
+        "fuzz-plus-count",
+        "fuzz-space-count",
     ],
 )
 def test_bad_argument_is_one_line_usage_error(argv, tmp_path):
