@@ -97,7 +97,7 @@ def _flag(
 
 
 def _rat_list(text: str) -> tuple[Rat, ...]:
-    return tuple(parse_rat(part) for part in text.split(",") if part.strip())
+    return tuple(parse_rat(part) for part in text.split(","))
 
 
 # GenConfig checks the ranges of the flags that only configure it

@@ -53,8 +53,7 @@ def parse_rat(text: str) -> Rat:
 
     Both parts are ASCII digits; only the numerator may carry a '-'.
     """
-    body = text.strip()
-    num_text, sep, den_text = body.partition("/")
+    num_text, sep, den_text = text.partition("/")
     try:
         num = parse_int(num_text, signed=True)
         den = parse_int(den_text) if sep else 1

@@ -1,4 +1,4 @@
-"""Exact offline optimum for a FIFO buffer: feasibility, greedy optimum, DP.
+"""Exact offline optimum for a FIFO buffer: feasibility, greedy optimum, bound.
 
 A kept subset is delivered in arrival order, one packet per step, and an
 arrival instant may never see more than B kept-but-unsent packets. Since
@@ -15,10 +15,10 @@ subset is feasible iff F rises by less than B from any step to any later
 one; adding a packet at step s lifts F at every step from s on, so the
 greedy tests each offered packet with a suffix maximum and a running
 minimum of F, and runs each of its two phases in linear time. The
-earliest-send pass then gives the optimum's schedule. The step
-simulation, the exhaustive enumeration and the insertion greedy survive
-only as test oracles. :func:`dp_opt` reaches the same value through an
-(arrival index, queue length) dynamic program.
+earliest-send pass then gives the optimum's schedule, and :func:`dp_opt`
+certifies its value with a tight bound, one integer pass per class. The
+step simulation, the exhaustive enumeration, the insertion greedy and the
+queue-length dynamic program survive only as test oracles.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .model import Instance, Packet, Rat, ZERO, require_valid, value_of
+from .model import Instance, Packet, Rat, require_valid
 
 @dataclass(frozen=True)
 class OptResult:
@@ -160,28 +160,28 @@ def opt_containing(inst: Instance, required: Iterable[Packet]) -> OptResult | No
 
 
 def dp_opt(inst: Instance) -> Rat:
-    """Optimum value by dynamic programming over (arrival, queue length).
+    """Optimum value as a tight weak-duality bound, in one integer pass per class.
 
-    Does not rely on the matroid structure, so it cross-checks
-    :func:`brute_force_opt`; its cost grows as n*B.
+    A schedule sends the packets released in steps [l, r] within [l, r + B - 1],
+    so :func:`_cover` bounds |S & X| for a packet set X and every feasible S, and
+    value(S) <= (alpha - 1) * cover(alpha packets) + cover(all packets). The bound
+    is attained (Konig's theorem), so a feasible set reaching it is optimal.
     """
     require_valid(inst)
-    states: dict[int, Rat] = {0: ZERO}
-    prev_step: int | None = None
-    for p in inst.arrivals:
-        gap = 0 if prev_step is None else p.key.step - prev_step
-        value = value_of(p, inst.alpha)
-        nxt: dict[int, Rat] = {}
-        for q, gained in states.items():
-            q2 = q - gap
-            if q2 < 0:
-                q2 = 0
-            if nxt.get(q2, -1) < gained:
-                nxt[q2] = gained
-            if q2 + 1 <= inst.capacity:
-                kept = gained + value
-                if nxt.get(q2 + 1, -1) < kept:
-                    nxt[q2 + 1] = kept
-        states = nxt
-        prev_step = p.key.step
-    return max(states.values())
+    a, b = inst.alpha.numerator, inst.alpha.denominator
+    steps = [p.key.step for p in inst.arrivals]
+    alpha_steps = [p.key.step for p in inst.arrivals if p.is_alpha]
+    return Fraction((a - b) * _cover(alpha_steps, inst.capacity) + b * _cover(steps, inst.capacity), b)
+
+
+def _cover(steps: Sequence[int], capacity: int) -> int:
+    """Least cost of covering ascending `steps` by disjoint windows of release steps.
+
+    A packet left out costs 1 and a window [l, r] costs r - l + capacity. `low` is the
+    least (cover before l) - l so far; its start, a window from step 0, never wins (steps start at 1).
+    """
+    cover = low = 0
+    for step in steps:
+        low = min(low, cover - step)
+        cover = min(cover + 1, low + step + capacity)
+    return cover

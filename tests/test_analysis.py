@@ -10,6 +10,7 @@ from fifolab import (
     EventKind,
     GenConfig,
     LedgerError,
+    OptResult,
     Policy,
     RunTrace,
     StepEvent,
@@ -26,6 +27,7 @@ from fifolab import (
     verify_ledger,
     verify_ropt,
 )
+import fifolab.analysis as analysis_module
 from fifolab.analysis import (
     EVICTED_ALPHA_INTERVAL,
     EVICTED_ONE_CHAIN,
@@ -36,6 +38,7 @@ from fifolab.analysis import (
     format_ledger,
     format_report,
 )
+from fifolab.model import value_of
 
 BETA_REF = Fraction(3284, 1000)
 
@@ -278,8 +281,15 @@ class TestAnalyze:
             (lambda: demo_instance(Fraction(2)), Fraction(2), Fraction(13, 11), Fraction(3, 2)),
             (lambda: greedy_blocking(Fraction(10)), BETA_REF, 1, Fraction(1071, 821)),
             (lambda: build_instance(2, Fraction(2), []), BETA_REF, 1, Fraction(1071, 821)),
+            # alpha = beta attains the first term of the bound, (1 + beta) / beta
+            (
+                lambda: build_instance(2, Fraction(821, 250), [(1, 0, "one"), (1, 1, "alpha")]),
+                Fraction(821, 250),
+                Fraction(1071, 821),
+                Fraction(1071, 821),
+            ),
         ],
-        ids=["demo", "blocking-family", "empty-instance"],
+        ids=["demo", "blocking-family", "empty-instance", "alpha-equals-beta"],
     )
     def test_ratio_within_bound(self, make_instance, beta, ratio, bound):
         result = analyze(make_instance(), beta)
@@ -296,6 +306,21 @@ class TestAnalyze:
         result = analyze(demo_instance(Fraction(2)), Fraction(2))
         text = format_report(result.report)
         assert "ratio-bound" in text and "PASS" in text
+
+    def test_oracle_agreement_fails_one_packet_short_of_optimal(self, monkeypatch):
+        real = analysis_module.brute_force_opt
+
+        def one_short(inst):
+            best = real(inst)
+            last = max(best.subset, key=lambda p: p.key)
+            schedule = {p: t for p, t in best.schedule.items() if p != last}
+            return OptResult(best.value - value_of(last, inst.alpha), best.subset - {last}, schedule)
+
+        monkeypatch.setattr(analysis_module, "brute_force_opt", one_short)
+        report = analyze(demo_instance(Fraction(2)), Fraction(2)).report
+        [check] = [c for c in report.checks if c.name == "oracle-agreement"]
+        assert check.status is CheckStatus.FAIL
+        assert check.detail == "dp 13 vs exhaustive 11"
 
     def test_ledger_formatting_is_stable(self):
         result = analyze(demo_instance(Fraction(2)), Fraction(2))

@@ -325,6 +325,10 @@ def _not_utf8(tmp_path):
         lambda tmp: ["gen", "random", "--max-packets", "٣"],
         lambda tmp: ["fuzz", "--count", "+3"],
         lambda tmp: ["fuzz", "--count", " 2"],
+        lambda tmp: ["bound", "--alpha", " 2", "--beta", "2"],
+        lambda tmp: ["bound", "--alpha", "2", "--beta", "2 "],
+        lambda tmp: ["sweep", "--alphas", ",2,", "--betas", "2"],
+        lambda tmp: ["sweep", "--alphas", "2", "--betas", "2,,3"],
     ],
     ids=[
         "search-zero-budget",
@@ -348,6 +352,10 @@ def _not_utf8(tmp_path):
         "gen-arabic-indic-digit-max-packets",
         "fuzz-plus-count",
         "fuzz-space-count",
+        "bound-space-alpha",
+        "bound-space-beta",
+        "sweep-empty-alpha-items",
+        "sweep-empty-beta-item",
     ],
 )
 def test_bad_argument_is_one_line_usage_error(argv, tmp_path):

@@ -135,3 +135,5 @@ class TestTextFormat:
             parse_rat("1/0")
         with pytest.raises(ValueError):
             parse_rat("x")
+        with pytest.raises(ValueError):
+            parse_rat(" 2")

@@ -15,6 +15,7 @@ from fifolab import (
     opt_containing,
     random_instance,
 )
+from test_properties import _dp_oracle
 
 
 def by_ids(inst, *ids):
@@ -95,6 +96,7 @@ class TestDp:
         for seed in range(500):
             inst = random_instance(replace(cfg, seed=seed))
             assert dp_opt(inst) == brute_force_opt(inst).value
+            assert _dp_oracle(inst) == dp_opt(inst)
 
 
 class TestOptContaining:

@@ -26,7 +26,7 @@ from fifolab import (
     run_ropt,
     total_value,
 )
-from fifolab.model import build_instance
+from fifolab.model import ZERO, Instance, Rat, build_instance, require_valid, value_of
 from fifolab.offline import _earliest_sends
 from fifolab.simulate import replay_buffer_states
 
@@ -365,9 +365,39 @@ def test_feasible_matches_step_simulation(inst, data):
         assert list(schedule) == list(expected_schedule)  # send order too
 
 
+def _dp_oracle(inst: Instance) -> Rat:
+    """Optimum value by dynamic programming over (arrival, queue length).
+
+    Does not rely on the matroid structure or on the window bound, so it
+    cross-checks :func:`dp_opt` and :func:`brute_force_opt`; its cost
+    grows as n*B.
+    """
+    require_valid(inst)
+    states: dict[int, Rat] = {0: ZERO}
+    prev_step: int | None = None
+    for p in inst.arrivals:
+        gap = 0 if prev_step is None else p.key.step - prev_step
+        value = value_of(p, inst.alpha)
+        nxt: dict[int, Rat] = {}
+        for q, gained in states.items():
+            q2 = q - gap
+            if q2 < 0:
+                q2 = 0
+            if nxt.get(q2, -1) < gained:
+                nxt[q2] = gained
+            if q2 + 1 <= inst.capacity:
+                kept = gained + value
+                if nxt.get(q2 + 1, -1) < kept:
+                    nxt[q2 + 1] = kept
+        states = nxt
+        prev_step = p.key.step
+    return max(states.values())
+
+
 @given(instances(max_packets=9))
 def test_dp_matches_brute_force(inst):
     assert dp_opt(inst) == brute_force_opt(inst).value
+    assert _dp_oracle(inst) == dp_opt(inst)
 
 
 def _exhaustive_best_subset(inst, required):
@@ -533,12 +563,13 @@ def test_optimum_at_scale_matches_dp_and_insertion_oracle():
         inst = _overloaded(capacity, 2000, seed=capacity)
         result = brute_force_opt(inst)
         assert result.value == dp_opt(inst)
+        assert _dp_oracle(inst) == dp_opt(inst)
         _assert_sweep_matches_insertion_oracle(inst, set())
 
 
 def test_full_analysis_passes_at_scale():
-    for capacity, seed in [(4, 0), (16, 1), (64, 2)]:
-        result = analyze(_overloaded(capacity, 200, seed), DEFAULT_BETA)
+    for capacity, packets, seed in [(4, 200, 0), (16, 200, 1), (64, 200, 2), (1024, 2000, 4)]:
+        result = analyze(_overloaded(capacity, packets, seed), DEFAULT_BETA)
         assert result.report.ok, [(c.name, c.detail) for c in result.report.failures]
         assert result.ratio.within_bound
 
