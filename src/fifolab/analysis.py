@@ -30,13 +30,15 @@ events.
 
 from __future__ import annotations
 
+import heapq
+import math
 from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .model import Instance, Packet, Rat, ONE, total_value, value_of
+from .model import ArrivalKey, Instance, Packet, Rat, ONE, total_value, value_of
 from .offline import OptResult, brute_force_opt, dp_opt, feasible, opt_containing
 from .simulate import EventKind, Policy, RunTrace, replay_events, run
 from .theory import BoundBreakdown, competitive_bound
@@ -250,19 +252,14 @@ def build_ledger(
             t += 1
         return t - 1
 
-    # the reference's sends in step order; each closes a deferred eviction's
-    # chain once the policy's events of its step are through
-    ref_sends = sorted(send_time.items(), key=lambda item: item[1])
-    next_send = 0
-    deferred: dict[Packet, int] = {}
+    # deferred evictions by (reference send step or math.inf, key); each
+    # closes its chain once the policy's events of that step are through
+    deferred: list[tuple[float, ArrivalKey, Packet, int]] = []
 
     def reference_sends_before(step: int) -> None:
-        nonlocal next_send
-        while next_send < len(ref_sends) and ref_sends[next_send][1] < step:
-            q = ref_sends[next_send][0]
-            next_send += 1
-            if q in deferred:
-                close_chain(q, q, EVICTED_ONE_CHAIN, drop_step=deferred.pop(q))
+        while deferred and deferred[0][0] < step:
+            _, _, q, drop_step = heapq.heappop(deferred)
+            close_chain(q, q, EVICTED_ONE_CHAIN, drop_step=drop_step)
 
     for event, buf in replay_events(on):
         t = event.step
@@ -279,7 +276,7 @@ def build_ledger(
             elif send_time.get(p, t) < t:
                 close_chain(p, p, EVICTED_ONE_CHAIN, drop_step=t)
             else:
-                deferred[p] = t
+                heapq.heappush(deferred, (send_time.get(p, math.inf), p.key, p, t))
                 diagnostics["deferred-evictions"] += 1
         elif event.kind is EventKind.REJECTED and p in o_set:
             if p.is_alpha:
@@ -311,7 +308,7 @@ def build_ledger(
     reference_sends_before(ropt.last_step + 1)
 
     if deferred:
-        missing = ", ".join(sorted(p.id for p in deferred))
+        missing = ", ".join(sorted(q.id for _, _, q, _ in deferred))
         raise LedgerError(f"evicted O-packets never sent by the reference: {missing}")
 
     chains = tuple(

@@ -1,6 +1,7 @@
 """Step-driven simulation of online FIFO buffering policies, in one loop.
 
-The buffer is a list of packets in arrival order. Each time step has two
+The buffer is two queues, one per packet class, each in arrival order;
+its head is whichever front was released first. Each time step has two
 phases: all arrivals of the step are admitted in release order, then the
 policy delivers at most one packet. On overflow the earliest buffered
 1-value packet is evicted; with none buffered, a 1-value arrival is
@@ -19,6 +20,8 @@ which the run jumps over and :func:`trace_lines` writes back.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -85,45 +88,45 @@ def run(policy: Policy, inst: Instance) -> RunTrace:
     Within a step, arrivals are processed before delivery, and a step
     with a non-empty buffer always sends. When the buffer is empty the
     run jumps to the next arrival's step, so its cost follows the packet
-    count, not the largest step number.
+    count, not the largest step number or the capacity: each event costs
+    O(1), and finding the preempted set O(log B).
     """
     require_valid(inst)
     arrivals = inst.arrivals
-    buf: list[Packet] = []
+    ones: deque[Packet] = deque()
+    alphas: deque[Packet] = deque()
     events: list[StepEvent] = []
     sends: dict[int, Packet] = {}
     i = 0
     t = 0
-    while i < len(arrivals) or buf:
-        if not buf:
+    while i < len(arrivals) or ones or alphas:
+        if not (ones or alphas):
             t = arrivals[i].key.step
         while i < len(arrivals) and arrivals[i].key.step == t:
             p = arrivals[i]
             i += 1
-            if len(buf) == inst.capacity:
+            if len(ones) + len(alphas) == inst.capacity:
                 # overflow: the earliest buffered 1-value packet goes; with
                 # none, a 1-value arrival is rejected and an alpha evicts the head
-                k = next((k for k, q in enumerate(buf) if not q.is_alpha), None)
-                if k is None:
-                    if not p.is_alpha:
-                        events.append(StepEvent(t, EventKind.REJECTED, p))
-                        continue
-                    k = 0
-                events.append(StepEvent(t, EventKind.EVICTED, buf.pop(k)))
-            buf.append(p)
+                if ones:
+                    victim = ones.popleft()
+                elif p.is_alpha:
+                    victim = alphas.popleft()
+                else:
+                    events.append(StepEvent(t, EventKind.REJECTED, p))
+                    continue
+                events.append(StepEvent(t, EventKind.EVICTED, victim))
+            (alphas if p.is_alpha else ones).append(p)
             events.append(StepEvent(t, EventKind.ADMITTED, p))
-        if policy.kind == "on" and not buf[0].is_alpha:
-            alpha_at = [k for k, q in enumerate(buf) if q.is_alpha]
-            if alpha_at:
-                # D: the 1-value packets ahead of the last buffered alpha
-                doomed = [q for q in buf[: alpha_at[-1]] if not q.is_alpha]
-                if inst.alpha * len(alpha_at) >= policy.beta * len(doomed):
-                    events.extend(StepEvent(t, EventKind.PREEMPTED, q) for q in doomed)
-                    # left: every alpha, then the 1-value packets behind the last one
-                    buf = [buf[k] for k in alpha_at] + buf[alpha_at[-1] + 1 :]
-        # never empty here: an arrival into an empty buffer is admitted,
-        # and a preemption keeps every alpha packet
-        sent = buf.pop(0)
+        if policy.kind == "on" and ones and alphas and ones[0].key < alphas[0].key:
+            # D: the 1-value packets ahead of the last buffered alpha
+            doomed = bisect_left(ones, alphas[-1].key, key=lambda q: q.key)
+            if inst.alpha * len(alphas) >= policy.beta * doomed:
+                for _ in range(doomed):
+                    events.append(StepEvent(t, EventKind.PREEMPTED, ones.popleft()))
+        # the head is the earlier front, never missing: an arrival into an
+        # empty buffer is admitted, and a preemption keeps every alpha packet
+        sent = (alphas if not ones or (alphas and alphas[0].key < ones[0].key) else ones).popleft()
         events.append(StepEvent(t, EventKind.SENT, sent))
         sends[t] = sent
         t += 1

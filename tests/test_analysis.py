@@ -12,6 +12,7 @@ from fifolab import (
     LedgerError,
     OptResult,
     Policy,
+    RoptTrace,
     RunTrace,
     StepEvent,
     analyze,
@@ -541,3 +542,46 @@ def test_non_fifo_trace_rejected():
         verify_ropt(inst, chosen, on, ropt)
     with pytest.raises(ValueError, match="non-FIFO send of 1.1 at step 1"):
         build_ledger(inst, chosen, on, ropt)
+
+
+@pytest.mark.parametrize(
+    "specs, events, message",
+    [
+        (
+            [(1, 0, "one"), (1, 1, "one"), (2, 0, "alpha"), (2, 1, "alpha")],
+            [(1, "admitted", "1"), (1, "admitted", "1.1"), (2, "evicted", "1.1"),
+             (2, "admitted", "2"), (2, "evicted", "1"), (2, "admitted", "2.1")],
+            "evicted O-packets never sent by the reference: 1, 1.1",
+        ),
+        (
+            [(1, 0, "one"), (1, 1, "one")],
+            [(1, "admitted", "1"), (1, "rejected", "1.1")],
+            "rejection without a full all-alpha buffer (step 1, packet 1.1)",
+        ),
+        (
+            [(1, 0, "alpha")],
+            [(1, "rejected", "1")],
+            "alpha packet self-rejected (step 1, packet 1)",
+        ),
+        (
+            [(1, 0, "alpha")],
+            [(1, "admitted", "1"), (1, "preempted", "1")],
+            "alpha packet preempted (step 1, packet 1)",
+        ),
+    ],
+)
+def test_ledger_rejects_hand_built_trace(specs, events, message):
+    # traces `run` never produces, against a reference that sends nothing;
+    # the first case defers two evictions out of key order, so the heap of
+    # deferred evictions breaks a tie by key
+    inst = build_instance(2, Fraction(2), specs)
+    index = {p.id: p for p in inst.arrivals}
+    on = RunTrace(
+        Policy.on(BETA_REF),
+        tuple(StepEvent(t, EventKind(kind), index[i]) for t, kind, i in events),
+        {},
+        Fraction(0),
+    )
+    with pytest.raises(LedgerError) as exc:
+        build_ledger(inst, inst.arrivals, on, RoptTrace({}, 0, {}, {}))
+    assert str(exc.value) == message

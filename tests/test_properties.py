@@ -2,6 +2,8 @@
 
 import random
 from bisect import insort
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -142,6 +144,7 @@ def _assert_run_matches_oracle(policy, inst):
     assert list(trace.events) == events
     assert list(trace.sends.items()) == sends
     assert trace.totals == total_value(inst, trace.sends.values())
+    return trace
 
 
 @given(instances(max_step=6, max_packets=14))
@@ -565,6 +568,21 @@ def test_optimum_at_scale_matches_dp_and_insertion_oracle():
         assert result.value == dp_opt(inst)
         assert _dp_oracle(inst) == dp_opt(inst)
         _assert_sweep_matches_insertion_oracle(inst, set())
+
+
+def test_run_matches_literal_oracle_at_scale():
+    kinds, most_preempted = set(), 0
+    for capacity in (16, 256):
+        for alpha in (Fraction(2), Fraction(10)):
+            inst = replace(_overloaded(capacity, 1000, seed=capacity), alpha=alpha)
+            for policy in (Policy.greedy(), Policy.on(Fraction(1, 2)), Policy.on(Fraction(3284, 1000))):
+                trace = _assert_run_matches_oracle(policy, inst)
+                kinds.update(e.kind for e in trace.events)
+                preempted = Counter(e.step for e in trace.events if e.kind is EventKind.PREEMPTED)
+                most_preempted = max(most_preempted, *preempted.values(), 0)
+    # the cases reach every drop path, and preemptions of several packets at once
+    assert kinds == set(EventKind)
+    assert most_preempted > 1
 
 
 def test_full_analysis_passes_at_scale():
