@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .model import ArrivalKey, Instance, Packet, Rat, ONE, total_value, value_of
+from .model import ArrivalKey, Instance, Packet, Rat, ONE, exact_sum, total_value, value_of
 from .offline import OptResult, brute_force_opt, dp_opt, feasible, opt_containing
 from .simulate import EventKind, Policy, RunTrace, replay_events, run
 from .theory import BoundBreakdown, competitive_bound
@@ -463,9 +463,9 @@ def verify_ledger(
     o_set = frozenset(chosen)
     checks: list[CheckResult] = []
 
-    ropt_total = sum((rec.amount for rec in ledger.ropt_charges), Fraction(0))
+    ropt_total = exact_sum([rec.amount for rec in ledger.ropt_charges])
     expected = total_value(inst, o_set)
-    on_total = sum(ledger.on_charges.values(), Fraction(0))
+    on_total = exact_sum(ledger.on_charges.values())
     conserved = ropt_total == expected and on_total == on.totals
     checks.append(
         _result(

@@ -3,16 +3,19 @@
 A problem instance is a FIFO buffer of capacity ``B`` together with a
 sequence of packets, each worth 1 or ``alpha`` (``alpha > 1``), arriving
 at totally ordered ``(step, seq)`` keys. Every quantity that decides
-algorithm behavior is kept in :class:`fractions.Fraction`; floats never
-enter a comparison, so simulations are reproducible bit for bit.
+algorithm behavior is exact: values cross every function boundary as
+:class:`fractions.Fraction`, and hot loops count in integers scaled by
+alpha's denominator, building one Fraction at the end. Floats never enter
+a comparison, so simulations are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 Rat = Fraction
 
@@ -73,12 +76,12 @@ class PacketClass(Enum):
     ALPHA = "alpha"
 
 
-@dataclass(frozen=True, order=True)
-class ArrivalKey:
+class ArrivalKey(NamedTuple):
     """Total order on packet releases: lexicographic on (step, seq).
 
     ``seq`` separates packets released within the same step, in release
-    order; two packets never share a key in a valid instance.
+    order; two packets never share a key in a valid instance. A tuple, so
+    it compares and hashes in C.
     """
 
     step: int
@@ -90,6 +93,11 @@ class Packet:
     id: str
     key: ArrivalKey
     klass: PacketClass
+
+    def __hash__(self) -> int:
+        # equal packets have equal keys, and keys are unique within a valid
+        # instance, so the key alone is a consistent and cheap hash
+        return hash(self.key)
 
     @property
     def is_alpha(self) -> bool:
@@ -169,15 +177,36 @@ def value_of(p: Packet, alpha: Rat) -> Rat:
     return alpha if p.is_alpha else ONE
 
 
+def value_sum(alpha: Rat, ones: int, alphas: int) -> Rat:
+    """Exact value of `ones` 1-value and `alphas` alpha packets.
+
+    Counts in integers scaled by alpha's denominator and builds one Fraction.
+    """
+    return Fraction(ones * alpha.denominator + alphas * alpha.numerator, alpha.denominator)
+
+
+def exact_sum(values: Collection[Rat]) -> Rat:
+    """Exact sum of rationals, built as one Fraction.
+
+    Each numerator is scaled to the least common denominator, which is
+    alpha's for packet values, so no intermediate Fraction is made.
+    """
+    scale = math.lcm(*(v.denominator for v in values))
+    return Fraction(sum(v.numerator * (scale // v.denominator) for v in values), scale)
+
+
 def total_value(inst: Instance, packets: Iterable[Packet]) -> Rat:
     """Exact sum of packet values; additive and enumeration-order invariant."""
     known = set(inst.arrivals)
-    total = ZERO
+    ones = alphas = 0
     for p in packets:
         if p not in known:
             raise ValueError(f"packet {p.id!r} does not belong to this instance")
-        total += value_of(p, inst.alpha)
-    return total
+        if p.is_alpha:
+            alphas += 1
+        else:
+            ones += 1
+    return value_sum(inst.alpha, ones, alphas)
 
 
 # ---------------------------------------------------------------------------

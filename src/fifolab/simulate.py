@@ -27,15 +27,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Mapping
 
-from .model import (
-    Instance,
-    Packet,
-    Rat,
-    ZERO,
-    format_rat,
-    require_valid,
-    value_of,
-)
+from .model import Instance, Packet, Rat, format_rat, require_valid, value_sum
 
 
 class EventKind(Enum):
@@ -93,10 +85,16 @@ def run(policy: Policy, inst: Instance) -> RunTrace:
     """
     require_valid(inst)
     arrivals = inst.arrivals
+    preempts = policy.kind == "on"
+    if preempts:
+        # alpha * |A| >= beta * |D|, cross-multiplied over both denominators
+        alpha_weight = inst.alpha.numerator * policy.beta.denominator
+        beta_weight = policy.beta.numerator * inst.alpha.denominator
     ones: deque[Packet] = deque()
     alphas: deque[Packet] = deque()
     events: list[StepEvent] = []
     sends: dict[int, Packet] = {}
+    alpha_sends = 0
     i = 0
     t = 0
     while i < len(arrivals) or ones or alphas:
@@ -118,20 +116,24 @@ def run(policy: Policy, inst: Instance) -> RunTrace:
                 events.append(StepEvent(t, EventKind.EVICTED, victim))
             (alphas if p.is_alpha else ones).append(p)
             events.append(StepEvent(t, EventKind.ADMITTED, p))
-        if policy.kind == "on" and ones and alphas and ones[0].key < alphas[0].key:
+        if preempts and ones and alphas and ones[0].key < alphas[0].key:
             # D: the 1-value packets ahead of the last buffered alpha
             doomed = bisect_left(ones, alphas[-1].key, key=lambda q: q.key)
-            if inst.alpha * len(alphas) >= policy.beta * doomed:
+            if alpha_weight * len(alphas) >= beta_weight * doomed:
                 for _ in range(doomed):
                     events.append(StepEvent(t, EventKind.PREEMPTED, ones.popleft()))
         # the head is the earlier front, never missing: an arrival into an
         # empty buffer is admitted, and a preemption keeps every alpha packet
-        sent = (alphas if not ones or (alphas and alphas[0].key < ones[0].key) else ones).popleft()
+        if not ones or (alphas and alphas[0].key < ones[0].key):
+            sent = alphas.popleft()
+            alpha_sends += 1
+        else:
+            sent = ones.popleft()
         events.append(StepEvent(t, EventKind.SENT, sent))
         sends[t] = sent
         t += 1
 
-    totals = sum((value_of(p, inst.alpha) for p in sends.values()), ZERO)
+    totals = value_sum(inst.alpha, len(sends) - alpha_sends, alpha_sends)
     return RunTrace(policy, tuple(events), sends, totals)
 
 

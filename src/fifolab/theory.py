@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .model import Rat
 
@@ -29,8 +30,10 @@ class BoundBreakdown:
     bound: Rat
 
 
+# typed: an int argument gives float terms, which must not be served for a Fraction
+@lru_cache(maxsize=1024, typed=True)
 def competitive_bound(alpha: Rat, beta: Rat) -> BoundBreakdown:
-    """Exact evaluation of both regime terms and their maximum."""
+    """Exact evaluation of both regime terms and their maximum, memoised."""
     if alpha <= 1:
         raise ValueError("alpha must exceed 1")
     if beta <= 0:

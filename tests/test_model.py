@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from fifolab import (
+    ArrivalKey,
     Instance,
     InstanceParseError,
     build_instance,
@@ -14,6 +16,7 @@ from fifolab import (
     total_value,
     validate_instance,
 )
+from test_properties import instances
 
 
 def by_ids(inst, *ids):
@@ -137,3 +140,45 @@ class TestTextFormat:
             parse_rat("x")
         with pytest.raises(ValueError):
             parse_rat(" 2")
+
+
+class TestIdentity:
+    @given(instances())
+    def test_parsed_packets_equal_and_hash_equal(self, inst):
+        parsed = parse_instance(format_instance(inst)).arrivals
+        assert parsed == inst.arrivals
+        assert [hash(p) for p in parsed] == [hash(p) for p in inst.arrivals]
+        index = {p: i for i, p in enumerate(inst.arrivals)}
+        assert [index[p] for p in parsed] == list(range(len(parsed)))
+        assert set(parsed) == set(inst.arrivals)
+        assert all(p in set(parsed) for p in inst.arrivals)
+
+    @given(*[st.tuples(st.integers(0, 3), st.integers(0, 3))] * 2)
+    def test_key_order_is_tuple_order(self, a, b):
+        ka, kb = ArrivalKey(*a), ArrivalKey(*b)
+        assert (ka < kb, ka == kb, ka > kb) == (a < b, a == b, a > b)
+        if a == b:
+            assert hash(ka) == hash(kb)
+
+    def test_key_seq_defaults_to_zero(self):
+        assert ArrivalKey(5) == ArrivalKey(5, 0)
+
+    def test_fields_are_read_only(self):
+        key = ArrivalKey(3, 1)
+        packet = make_packet(3, 1, "alpha")
+        for target, field in ((key, "step"), (key, "seq"), (packet, "key"), (packet, "id")):
+            with pytest.raises(AttributeError):
+                setattr(target, field, 0)
+
+    def test_reprs(self):
+        assert repr(ArrivalKey(3, 1)) == "ArrivalKey(step=3, seq=1)"
+        assert repr(make_packet(3, 1, "alpha")) == (
+            "Packet(id='3.1', key=ArrivalKey(step=3, seq=1), klass=<PacketClass.ALPHA: 'alpha'>)"
+        )
+
+    def test_equality_still_compares_every_field(self):
+        one, alpha = make_packet(1, 0, "one"), make_packet(1, 0, "alpha")
+        renamed = make_packet(1, 0, "one", id="x")
+        assert one != alpha and one != renamed
+        assert hash(one) == hash(alpha) == hash(renamed)
+        assert len({one, alpha, renamed}) == 3

@@ -27,8 +27,10 @@ from fifolab import (
     run,
     run_ropt,
     total_value,
+    verify_ledger,
 )
-from fifolab.model import ZERO, Instance, Rat, build_instance, require_valid, value_of
+from fifolab.analysis import SENT_BY_BOTH, ChargeRecord
+from fifolab.model import ZERO, Instance, Rat, build_instance, make_packet, require_valid, value_of
 from fifolab.offline import _earliest_sends
 from fifolab.simulate import replay_buffer_states
 
@@ -118,8 +120,9 @@ def _literal_run(policy, inst):
                 emit(t, EventKind.ADMITTED, p)
         if buf and policy.kind == "on" and not buf[0].is_alpha:
             alpha_keys = [q.key for q in buf if q.is_alpha]
+            last_alpha = max(alpha_keys, default=None)
             ejectable = frozenset(
-                q for q in buf if not q.is_alpha and alpha_keys and q.key < max(alpha_keys)
+                q for q in buf if not q.is_alpha and last_alpha is not None and q.key < last_alpha
             )
             if inst.alpha * len(alpha_keys) >= policy.beta * len(ejectable):
                 buf = tuple(q for q in buf if q not in ejectable)
@@ -132,7 +135,7 @@ def _literal_run(policy, inst):
         elif t <= last:
             lines.append(f"{t} idle -")
         t += 1
-    total = total_value(inst, [p for _, p in sends])
+    total = sum((value_of(p, inst.alpha) for _, p in sends), ZERO)
     lines.append(f"total {total.numerator}/{total.denominator}")
     return lines, events, sends
 
@@ -158,6 +161,44 @@ def test_run_matches_literal_oracle_on_corpus():
         inst = random_instance(GenConfig(seed=seed))
         for policy in (Policy.on(Fraction(3284, 1000)), Policy.on(Fraction(1)), Policy.greedy()):
             _assert_run_matches_oracle(policy, inst)
+
+
+FRACTIONAL_ALPHAS = [Fraction(7, 3), Fraction(3284, 1000), Fraction(10, 3)]
+
+
+@given(instances(), st.sampled_from(FRACTIONAL_ALPHAS), st.sampled_from(BETAS))
+def test_integer_value_sums_match_fraction_sums(inst, alpha, beta):
+    inst = replace(inst, alpha=alpha)
+
+    def fraction_sum(packets):
+        return sum((value_of(p, alpha) for p in packets), ZERO)
+
+    for policy in (Policy.greedy(), Policy.on(beta)):
+        trace = run(policy, inst)
+        assert trace.totals == fraction_sum(trace.sends.values())
+    assert total_value(inst, inst.arrivals) == fraction_sum(inst.arrivals)
+    assert total_value(inst, inst.arrivals[1::2]) == fraction_sum(inst.arrivals[1::2])
+
+    result = analyze(inst, beta)
+    chosen = result.optimum.subset
+    assert result.report.check("charge-conservation").status == "pass"
+    assert sum((r.amount for r in result.ledger.ropt_charges), ZERO) == fraction_sum(chosen)
+    assert sum(result.ledger.on_charges.values(), ZERO) == result.on.totals
+    # off-grid amounts on both sides make the check fail and print both sums
+    stray = ChargeRecord(make_packet(1, 0, "one"), SENT_BY_BOTH, Fraction(1, 11), step=1)
+    tampered = replace(
+        result.ledger,
+        ropt_charges=result.ledger.ropt_charges + (stray,),
+        on_charges={**result.ledger.on_charges, 0: Fraction(2, 13)},
+    )
+    check = verify_ledger(tampered, inst, chosen, result.on).check("charge-conservation")
+    ropt_total = sum((r.amount for r in tampered.ropt_charges), ZERO)
+    on_total = sum(tampered.on_charges.values(), ZERO)
+    assert check.status == "fail"
+    assert check.detail == (
+        f"reference charges {ropt_total} vs optimum value {fraction_sum(chosen)}; "
+        f"policy charges {on_total} vs delivered {fraction_sum(result.on.sends.values())}"
+    )
 
 
 @given(instances(), st.sampled_from(BETAS), st.booleans())
@@ -574,7 +615,7 @@ def test_run_matches_literal_oracle_at_scale():
     kinds, most_preempted = set(), 0
     for capacity in (16, 256):
         for alpha in (Fraction(2), Fraction(10)):
-            inst = replace(_overloaded(capacity, 1000, seed=capacity), alpha=alpha)
+            inst = replace(_overloaded(capacity, 2000, seed=capacity), alpha=alpha)
             for policy in (Policy.greedy(), Policy.on(Fraction(1, 2)), Policy.on(Fraction(3284, 1000))):
                 trace = _assert_run_matches_oracle(policy, inst)
                 kinds.update(e.kind for e in trace.events)

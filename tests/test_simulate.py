@@ -125,6 +125,30 @@ class TestDeliverOn:
         lines = trace_lines(on(2), 2, 2, (1, 0, "one"), (1, 1, "alpha"))
         assert lines[2:] == ["1 preempted 1", "1 sent 1.1", "total 2/1"]
 
+    @pytest.mark.parametrize(
+        "alpha, beta, alphas, ones",
+        [
+            (Fraction(7, 3), Fraction(7, 6), 1, 2),
+            (Fraction(2463, 500), Fraction(3284, 1000), 2, 3),
+        ],
+    )
+    def test_fractional_equality_preempts_and_one_past_does_not(self, alpha, beta, alphas, ones):
+        assert alpha * alphas == beta * ones
+        for extra, preempts in ((0, True), (1, False)):
+            n = ones + extra
+            specs = [(1, i, "one") for i in range(n)] + [(1, n + j, "alpha") for j in range(alphas)]
+            trace = run(on(beta), build_instance(n + alphas, alpha, specs))
+            first_step = [
+                e for e in trace.events if e.step == 1 and e.kind is not EventKind.ADMITTED
+            ]
+            kinds = [e.kind for e in first_step]
+            if preempts:
+                assert kinds == [EventKind.PREEMPTED] * n + [EventKind.SENT]
+                assert first_step[-1].packet.is_alpha
+            else:
+                assert kinds == [EventKind.SENT]
+                assert not first_step[-1].packet.is_alpha
+
 
 class TestDeliverGreedy:
     def test_sends_head(self):

@@ -38,6 +38,36 @@ class TestCompetitiveBound:
                 assert breakdown.second_term > 1
 
 
+class TestBoundMemo:
+    def test_cached_result_equals_fresh_evaluation(self):
+        alpha, beta = Fraction(7, 3), Fraction(3284, 1000)
+        first = competitive_bound(alpha, beta)
+        hits = competitive_bound.cache_info().hits
+        again = competitive_bound(alpha, beta)
+        assert competitive_bound.cache_info().hits == hits + 1
+        assert again == first == competitive_bound.__wrapped__(alpha, beta)
+
+    def test_invalid_arguments_raise_on_every_call(self):
+        for alpha, beta in ((Fraction(1), Fraction(2)), (Fraction(2), Fraction(0))):
+            for _ in range(3):
+                with pytest.raises(ValueError):
+                    competitive_bound(alpha, beta)
+
+    def test_cache_is_bounded(self):
+        maxsize = competitive_bound.cache_info().maxsize
+        assert maxsize is not None and maxsize > 0
+
+    def test_integer_arguments_do_not_share_fraction_entries(self):
+        # (1 + 2) / 2 is a float for int arguments; a Fraction call must not get it
+        competitive_bound.cache_clear()
+        competitive_bound(2, 2)
+        breakdown = competitive_bound(Fraction(2), Fraction(2))
+        assert all(
+            type(term) is Fraction
+            for term in (breakdown.first_term, breakdown.second_term, breakdown.bound)
+        )
+
+
 class TestStability:
     def test_beta_one_always_holds(self):
         for alpha in (Fraction(11, 10), Fraction(2), Fraction(100)):
