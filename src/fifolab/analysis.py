@@ -22,25 +22,42 @@ shape, interval purity, exclusivity, and exact conservation of value.
 A claim that fails to apply raises :class:`LedgerError` instead of being
 patched over, surfacing the run as a counterexample.
 
-No pass walks every step number or copies the buffer: the reference
-schedule jumps over the steps at which its buffer is empty, and the
-checks and the ledger read the policy's live buffer while replaying its
-events.
+No pass walks every step number or copies the buffer, and inside the
+passes packets are arrival indices. The reference schedule jumps over
+the steps at which its buffer is empty. The reference checks do not
+replay the policy: an O-packet is in the policy's buffer at a send step
+t, with its chain live, exactly when the reference sent it by t and the
+policy had not yet sent or dropped it, so the backlog maxima and chain
+disjointness are sweeps over those intervals. Only the ledger replays
+the policy's events, reading its live buffer at rejections and
+preemptions.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from itertools import accumulate
+from operator import attrgetter
+from typing import Iterable, Mapping, Sequence
 
-from .model import ArrivalKey, Instance, Packet, Rat, ONE, exact_sum, total_value, value_of
-from .offline import OptResult, brute_force_opt, dp_opt, feasible, opt_containing
-from .simulate import EventKind, Policy, RunTrace, replay_events, run
+from .model import ArrivalKey, Instance, Packet, Rat, ONE, arrival_index, exact_sum, value_of, value_sum
+from .offline import OptResult, _earliest_sends, brute_force_opt, dp_opt, opt_containing
+from .simulate import (
+    ADMITTED,
+    EVICTED,
+    PREEMPTED,
+    REJECTED,
+    SENT,
+    Policy,
+    RunTrace,
+    replay_events,
+    run,
+)
 from .theory import BoundBreakdown, competitive_bound
 
 SENT_BY_BOTH = "sent-by-both"
@@ -74,6 +91,27 @@ class LedgerError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
+# Arrival indices
+
+
+def _index_of(inst: Instance) -> dict[ArrivalKey, int]:
+    """Arrival index by key, for looking up the packets of a trace's events."""
+    return dict(zip(map(attrgetter("key"), inst.arrivals), range(len(inst.arrivals))))
+
+
+def _o_mask(inst: Instance, chosen: Iterable[Packet], index: Mapping[ArrivalKey, int]) -> list[bool]:
+    """O-membership by arrival index; a packet of another instance raises ValueError."""
+    arr = inst.arrivals
+    in_o = [False] * len(arr)
+    for p in chosen:
+        i = index.get(p.key)
+        if i is None or (arr[i] is not p and arr[i] != p):
+            i = arrival_index(inst, p)  # raises: `p` does not belong to this instance
+        in_o[i] = True
+    return in_o
+
+
+# ---------------------------------------------------------------------------
 # Relaxed reference schedule
 
 
@@ -81,8 +119,9 @@ class LedgerError(RuntimeError):
 class RoptTrace:
     """The relaxed reference schedule: the step at which it sends each O-packet.
 
-    ``last_step`` is its final send step (0 when O is empty). Every step
-    that sends nothing has an empty reference buffer.
+    ``send_time`` is indexed like the instance's arrivals, None for a packet
+    the reference never sends. ``last_step`` is its final send step (0 when
+    O is empty). Every step that sends nothing has an empty reference buffer.
 
     ``link`` maps each send step that does not mirror the policy to the
     step at which the reference sent the policy's packet, or to None (a
@@ -91,14 +130,14 @@ class RoptTrace:
     share a step exactly when they share a head.
     """
 
-    send_time: Mapping[Packet, int]
+    send_time: Sequence[int | None]
     last_step: int
     link: Mapping[int, int | None]
     head: Mapping[int, int]
 
-    def chain(self, packet: Packet) -> tuple[int, ...]:
-        """Ascending steps of the chain ending at the reference's send of `packet`."""
-        steps = [self.send_time[packet]]
+    def chain(self, index: int) -> tuple[int, ...]:
+        """Ascending steps of the chain ending at the reference's send of arrival `index`."""
+        steps = [self.send_time[index]]
         while (prev := self.link[steps[-1]]) is not None:
             steps.append(prev)
         return tuple(reversed(steps))
@@ -115,27 +154,31 @@ def run_ropt(inst: Instance, chosen: Iterable[Packet], on: RunTrace) -> RoptTrac
     of O's earliest-send schedule from :func:`feasible`; the loop visits
     only those steps and chooses which packet goes at each.
     """
-    o_set = frozenset(chosen)
-    ok, schedule = feasible(inst, o_set)
-    if not ok:
+    arr = inst.arrivals
+    index = _index_of(inst)
+    in_o = _o_mask(inst, chosen, index)
+    o_idx = [i for i, member in enumerate(in_o) if member]
+    schedule = _earliest_sends([arr[i].key.step for i in o_idx], inst.capacity)
+    if schedule is None:
         raise ValueError("chosen packet set is not deliverable offline")
     # pending: the unsent O-packets in key order, so the buffer is its
     # released part; packets mirrored out of key order leave the front lazily
-    pending = deque(schedule)
-    send_time: dict[Packet, int] = {}
+    pending = deque(o_idx)
+    send_time: list[int | None] = [None] * len(arr)
     link: dict[int, int | None] = {}
     head: dict[int, int] = {}
     t = 0
-    for t in schedule.values():
-        while pending[0] in send_time:
+    for t in schedule:
+        while send_time[pending[0]] is not None:
             pending.popleft()
         mirrored = on.sends.get(t)
-        if mirrored in o_set and mirrored not in send_time:
-            send_time[mirrored] = t
+        m = None if mirrored is None else index[mirrored.key]
+        if m is not None and in_o[m] and send_time[m] is None:
+            send_time[m] = t
         else:
             send_time[pending.popleft()] = t
             # a policy-sent O-packet left here earlier, at a non-mirroring step
-            prev = link[t] = send_time.get(mirrored)
+            prev = link[t] = None if m is None else send_time[m]
             head[t] = t if prev is None else head[prev]
     return RoptTrace(send_time, t, link, head)
 
@@ -199,7 +242,9 @@ def build_ledger(
     reference has sent it gets its charge when that send happens; its
     chain is built from that very step.
     """
-    o_set = frozenset(chosen)
+    arr = inst.arrivals
+    index = _index_of(inst)
+    in_o = _o_mask(inst, chosen, index)
     alpha = inst.alpha
     send_time = ropt.send_time
 
@@ -213,20 +258,20 @@ def build_ledger(
     }
 
     for t, p in on.sends.items():
-        on_charges[t] = value_of(p, alpha)
-        if p in o_set:
-            charges.append(ChargeRecord(p, SENT_BY_BOTH, value_of(p, alpha), step=t))
+        value = on_charges[t] = value_of(p, alpha)
+        if in_o[index[p.key]]:
+            charges.append(ChargeRecord(p, SENT_BY_BOTH, value, step=t))
 
-    # the closing charge per chain owner, None while its chain is open, in
-    # first-touch order: the order of the ledger's chains
-    closing: dict[Packet, Packet | None] = {}
+    # the closing charge per chain owner's arrival index, None while its
+    # chain is open, in first-touch order: the order of the ledger's chains
+    closing: dict[int, Packet | None] = {}
     closed_heads: set[int] = set()
 
-    def head_of(owner: Packet) -> int:
+    def head_of(owner: int) -> int:
         closing.setdefault(owner, None)
         return ropt.head[send_time[owner]]
 
-    def close_chain(owner: Packet, charged: Packet, kind: str, drop_step: int) -> None:
+    def close_chain(owner: int, charged: Packet, kind: str, drop_step: int) -> None:
         head = head_of(owner)
         if head in closed_heads:
             raise LedgerError("chain head charged twice", step=head, packet=charged)
@@ -236,13 +281,19 @@ def build_ledger(
             diagnostics["null-head-chains"] += 1
         charges.append(ChargeRecord(charged, kind, ONE, step=head, drop_step=drop_step))
 
-    def open_chain_candidates(buffered: list[Packet], now: int) -> list[Packet]:
+    def sent_before(i: int, now: int) -> bool:
+        """Has the reference sent arrival `i` before step `now`?"""
+        sent = send_time[i]
+        return sent is not None and sent < now
+
+    def open_chain_candidates(buffered: list[Packet], now: int) -> list[int]:
         """Alpha packets in the policy's buffer whose chain exists and is open."""
         out = []
         for z in buffered:
-            if z.is_alpha and send_time.get(z, now) < now:
-                if head_of(z) not in closed_heads:
-                    out.append(z)
+            if z.is_alpha:
+                j = index[z.key]
+                if sent_before(j, now) and head_of(j) not in closed_heads:
+                    out.append(j)
         return out
 
     def interval_end_of_alpha_run(start: int) -> int:
@@ -252,20 +303,21 @@ def build_ledger(
             t += 1
         return t - 1
 
-    # deferred evictions by (reference send step or math.inf, key); each
-    # closes its chain once the policy's events of that step are through
-    deferred: list[tuple[float, ArrivalKey, Packet, int]] = []
+    # deferred evictions by (reference send step or math.inf, arrival index);
+    # each closes its chain once the policy's events of that step are through
+    deferred: list[tuple[float, int, int]] = []
 
     def reference_sends_before(step: int) -> None:
         while deferred and deferred[0][0] < step:
-            _, _, q, drop_step = heapq.heappop(deferred)
-            close_chain(q, q, EVICTED_ONE_CHAIN, drop_step=drop_step)
+            _, i, drop_step = heapq.heappop(deferred)
+            close_chain(i, arr[i], EVICTED_ONE_CHAIN, drop_step=drop_step)
 
-    for event, buf in replay_events(on):
-        t = event.step
-        p = event.packet
+    for (t, kind, p), buf in replay_events(on):
         reference_sends_before(t)
-        if event.kind is EventKind.EVICTED and p in o_set:
+        if kind is SENT or kind is ADMITTED:
+            continue
+        i = index[p.key]
+        if kind is EVICTED and in_o[i]:
             if p.is_alpha:
                 # the interval always includes the drop step itself, so
                 # the purity check can catch a non-alpha send there
@@ -273,25 +325,28 @@ def build_ledger(
                 charges.append(
                     ChargeRecord(p, EVICTED_ALPHA_INTERVAL, alpha, interval=(t, end), drop_step=t)
                 )
-            elif send_time.get(p, t) < t:
-                close_chain(p, p, EVICTED_ONE_CHAIN, drop_step=t)
+            elif sent_before(i, t):
+                close_chain(i, p, EVICTED_ONE_CHAIN, drop_step=t)
             else:
-                heapq.heappush(deferred, (send_time.get(p, math.inf), p.key, p, t))
+                sent = send_time[i]
+                heapq.heappush(deferred, (math.inf if sent is None else sent, i, t))
                 diagnostics["deferred-evictions"] += 1
-        elif event.kind is EventKind.REJECTED and p in o_set:
+        elif kind is REJECTED and in_o[i]:
             if p.is_alpha:
                 raise LedgerError("alpha packet self-rejected", step=t, packet=p)
             if len(buf) != inst.capacity or not all(q.is_alpha for q in buf):
                 raise LedgerError("rejection without a full all-alpha buffer", step=t, packet=p)
-            diagnostics["reject-context-non-o-packets"] += sum(1 for q in buf if q not in o_set)
+            diagnostics["reject-context-non-o-packets"] += sum(
+                1 for q in buf if not in_o[index[q.key]]
+            )
             candidates = open_chain_candidates(buf, t)
             if not candidates:
                 raise LedgerError("no open chain for rejected packet", step=t, packet=p)
             close_chain(candidates[0], p, REJECTED_ONE_CHAIN, drop_step=t)
-        elif event.kind is EventKind.PREEMPTED:
+        elif kind is PREEMPTED:
             if p.is_alpha:
                 raise LedgerError("alpha packet preempted", step=t, packet=p)
-            if p not in o_set:
+            if not in_o[i]:
                 continue
             # only 1-value packets leave in a preemption, so the live
             # buffer still holds the step's alpha context in order
@@ -299,7 +354,7 @@ def build_ledger(
             if candidates:
                 close_chain(candidates[0], p, PREEMPTED_OPEN_CHAIN, drop_step=t)
             else:
-                if any(send_time.get(z, t) < t for z in buf if z.is_alpha):
+                if any(sent_before(index[z.key], t) for z in buf if z.is_alpha):
                     diagnostics["preempt-fallthrough-with-closed-chains"] += 1
                 h = sum(1 for q in buf if q.is_alpha)
                 charges.append(
@@ -308,11 +363,11 @@ def build_ledger(
     reference_sends_before(ropt.last_step + 1)
 
     if deferred:
-        missing = ", ".join(sorted(q.id for _, _, q, _ in deferred))
+        missing = ", ".join(sorted(arr[i].id for _, i, _ in deferred))
         raise LedgerError(f"evicted O-packets never sent by the reference: {missing}")
 
     chains = tuple(
-        Chain(owner, ropt.chain(owner), "open" if charged is None else "closed", charged)
+        Chain(arr[owner], ropt.chain(owner), "open" if charged is None else "closed", charged)
         for owner, charged in closing.items()
     )
     return ChargeLedger(dict(on_charges), tuple(charges), chains, diagnostics)
@@ -372,23 +427,32 @@ def verify_ropt(
     later than the policy on a shared packet), live-chain disjointness,
     and the buffered-backlog diagnostic with both the alpha-only and
     any-value counts against the bound B*beta/(alpha+beta).
+
+    One pass over the policy's events finds when each packet left its
+    buffer, checking FIFO delivery on the way; the live chains at every
+    send step are then interval sweeps, not a replay of the buffer.
     """
-    o_set = frozenset(chosen)
+    arr = inst.arrivals
+    index = _index_of(inst)
+    in_o = _o_mask(inst, chosen, index)
+    o_idx = [i for i, member in enumerate(in_o) if member]
+    send_time = ropt.send_time
     checks: list[CheckResult] = []
 
     # the reference accepts O-packets in key order and, by then, has sent
     # one packet at each send step before the acceptance step
-    send_steps = sorted(ropt.send_time.values())
+    ropt_steps = sorted(t for t in send_time if t is not None)
     capacity_breach = ""
-    for k, p in enumerate((p for p in inst.arrivals if p in o_set), start=1):
-        occupancy = k - bisect_left(send_steps, p.key.step)
+    for k, i in enumerate(o_idx, start=1):
+        step = arr[i].key.step
+        occupancy = k - bisect_left(ropt_steps, step)
         if occupancy > inst.capacity:
-            capacity_breach = f"occupancy {occupancy} at step {p.key.step} accepting {p.id}"
+            capacity_breach = f"occupancy {occupancy} at step {step} accepting {arr[i].id}"
             break
     checks.append(_result("ropt-capacity", not capacity_breach, capacity_breach))
 
-    missing = sorted(p.id for p in o_set if p not in ropt.send_time)
-    extra = sorted(p.id for p in ropt.send_time if p not in o_set)
+    missing = sorted(arr[i].id for i in o_idx if send_time[i] is None)
+    extra = sorted(arr[i].id for i, t in enumerate(send_time) if t is not None and not in_o[i])
     checks.append(
         _result(
             "ropt-sends-all",
@@ -397,46 +461,99 @@ def verify_ropt(
         )
     )
 
-    late = [
-        (t, p.id)
-        for t, p in on.sends.items()
-        if p in o_set and ropt.send_time.get(p, t + 1) > t
-    ]
+    late = []
+    for t, p in on.sends.items():
+        i = index[p.key]
+        if in_o[i] and (send_time[i] is None or send_time[i] > t):
+            late.append((t, p.id))
     checks.append(
         _result("send-precedence", not late, f"reference later than policy at {late}" if late else "")
     )
 
-    # One pass over the policy's sends (an idle step's buffer is empty). The
-    # O-packets the reference has already sent but the policy still buffers
-    # each own a chain, and simultaneously live chains must not share steps;
-    # their count is also the backlog. Chains that share any step share their
-    # head, the first step of each. The search stops at the first overlap,
-    # the maxima do not.
-    overlap = ""
-    max_alpha = 0
-    max_any = 0
-    for event, buf in replay_events(on):
-        if event.kind is not EventKind.SENT:
+    # leave[i]: the step packet i left the policy's buffer, math.inf while
+    # it is still there at the end, None if it never entered. A queue of
+    # admissions checks FIFO delivery; departed packets leave its front lazily.
+    leave: list[float | None] = [None] * len(arr)
+    admitted: deque[int] = deque()
+    on_steps: list[int] = []  # the policy's send steps
+    for t, kind, p in on.events:
+        if kind is REJECTED:
             continue
-        t = event.step
-        live = [z for z in buf if z in o_set and ropt.send_time.get(z, t + 1) <= t]
-        max_any = max(max_any, len(live))
-        max_alpha = max(max_alpha, sum(1 for z in live if z.is_alpha))
-        if overlap:
+        i = index[p.key]
+        if kind is ADMITTED:
+            leave[i] = math.inf
+            admitted.append(i)
             continue
-        owners: dict[int, Packet] = {}
-        for z in live:
-            head = ropt.head[ropt.send_time[z]]
-            owner = owners.setdefault(head, z)
-            if owner is not z:
-                overlap = f"step {head} shared by chains of {owner.id} and {z.id} at t={t}"
+        if kind is SENT:
+            while admitted and leave[admitted[0]] < math.inf:
+                admitted.popleft()
+            if not admitted or admitted[0] != i:
+                raise ValueError(f"non-FIFO send of {p.id} at step {t}")
+            admitted.popleft()
+            on_steps.append(t)
+        leave[i] = t
+
+    # An O-packet z is in the policy's buffer just after its send at step t,
+    # with the reference already through it, exactly when
+    # send_time(z) <= t < leave(z): positions [lo, hi) of on_steps.
+    # Each such packet owns a live chain, and their count is the backlog.
+    any_diff = [0] * (len(on_steps) + 1)
+    alpha_diff = [0] * (len(on_steps) + 1)
+    spans: list[tuple[int, int, int]] = []  # (lo, hi, arrival index)
+    for i in o_idx:
+        sent, left = send_time[i], leave[i]
+        if sent is None or left is None:
+            continue
+        lo = bisect_left(on_steps, sent)
+        hi = bisect_left(on_steps, left, lo)
+        if lo < hi:
+            any_diff[lo] += 1
+            any_diff[hi] -= 1
+            if arr[i].is_alpha:
+                alpha_diff[lo] += 1
+                alpha_diff[hi] -= 1
+            spans.append((lo, hi, i))
+    max_any = max(accumulate(any_diff))
+    max_alpha = max(accumulate(alpha_diff))
+
+    # Chains that share any step share their head, the first step of each,
+    # so live chains overlap where two spans with one head overlap. In a
+    # group sorted by start, the first start below the running end of the
+    # earlier spans is the group's earliest overlap.
+    by_head: dict[int, list[tuple[int, int]]] = {}
+    for lo, hi, i in spans:
+        by_head.setdefault(ropt.head[send_time[i]], []).append((lo, hi))
+    first: int | None = None
+    for group in by_head.values():
+        group.sort()
+        reach = group[0][1]
+        for lo, hi in group[1:]:
+            if lo < reach:
+                if first is None or lo < first:
+                    first = lo
                 break
+            reach = max(reach, hi)
+    overlap = ""
+    if first is not None:
+        # name the pair as a walk of the buffer at that step would, in key order
+        t = on_steps[first]
+        owners: dict[int, int] = {}
+        for lo, hi, i in spans:
+            if lo <= first < hi:
+                head = ropt.head[send_time[i]]
+                owner = owners.setdefault(head, i)
+                if owner != i:
+                    overlap = f"step {head} shared by chains of {arr[owner].id} and {arr[i].id} at t={t}"
+                    break
     checks.append(_result("chains-disjoint", not overlap, overlap))
 
     if on.policy.kind == "on":
-        beta = on.policy.beta
-        bound = Fraction(inst.capacity) * beta / (inst.alpha + beta)
-        strict_ok = Fraction(max_alpha) < bound
+        # B*beta/(alpha+beta) with alpha = a/b and beta = c/d is B*c*b / (a*d + c*b)
+        a, b = inst.alpha.numerator, inst.alpha.denominator
+        c, d = on.policy.beta.numerator, on.policy.beta.denominator
+        scaled, den = inst.capacity * c * b, a * d + c * b
+        bound = Fraction(scaled, den)
+        strict_ok = max_alpha * den < scaled
         detail = f"max alpha backlog {max_alpha}, max any {max_any}, bound {bound}"
         checks.append(
             CheckResult(
@@ -460,11 +577,13 @@ def verify_ledger(
     policy sends a 1-value non-O packet there, idle heads reported as
     warnings); and single closure per head.
     """
-    o_set = frozenset(chosen)
+    index = _index_of(inst)
+    in_o = _o_mask(inst, chosen, index)
     checks: list[CheckResult] = []
 
     ropt_total = exact_sum([rec.amount for rec in ledger.ropt_charges])
-    expected = total_value(inst, o_set)
+    o_alphas = sum(1 for p, member in zip(inst.arrivals, in_o) if member and p.is_alpha)
+    expected = value_sum(inst.alpha, sum(in_o) - o_alphas, o_alphas)
     on_total = exact_sum(ledger.on_charges.values())
     conserved = ropt_total == expected and on_total == on.totals
     checks.append(
@@ -478,6 +597,7 @@ def verify_ledger(
         )
     )
 
+    # ascending: the ledger records alpha evictions in event order
     eviction_drops = [
         rec.drop_step for rec in ledger.ropt_charges if rec.kind == EVICTED_ALPHA_INTERVAL
     ]
@@ -486,7 +606,7 @@ def verify_ledger(
         if rec.kind != PREEMPTED_INTERVAL:
             continue
         lo, hi = rec.interval
-        inside = [d for d in eviction_drops if lo <= d <= hi]
+        inside = eviction_drops[bisect_left(eviction_drops, lo) : bisect_right(eviction_drops, hi)]
         if inside:
             exclusivity_breach = (
                 f"alpha evictions at {inside} inside preemption interval [{lo}, {hi}]"
@@ -516,7 +636,7 @@ def verify_ledger(
         q = on.sends.get(chain.head)
         if q is None:
             null_heads += 1
-        elif q in o_set:
+        elif in_o[index[q.key]]:
             bad_head = f"head {chain.head} of {chain.owner.id}'s chain sends O-packet {q.id}"
             break
         elif q.is_alpha:
@@ -604,8 +724,15 @@ def analyze(inst: Instance, beta: Rat) -> InstanceAnalysis:
     """
     on = run(Policy.on(beta), inst)
     exhaustive = brute_force_opt(inst)
-    alpha_sends = frozenset(p for p in on.sends.values() if p.is_alpha)
-    optimum = opt_containing(inst, alpha_sends)
+    alpha_sends = [p for p in on.sends.values() if p.is_alpha]
+    # The greedy seeded with S = alpha_sends offers the free packets in the
+    # unseeded greedy's order. If its optimum G contains S, the seeded one
+    # keeps each packet of G (G is feasible) and drops each other packet
+    # (the unseeded one dropped it against a subset of G), so it returns G.
+    if exhaustive.subset.issuperset(alpha_sends):
+        optimum = exhaustive
+    else:
+        optimum = opt_containing(inst, alpha_sends)
     if optimum is None:
         raise RuntimeError("delivered alpha packets must form a deliverable set")
     dp_value = dp_opt(inst)

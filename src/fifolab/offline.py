@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .model import Instance, Packet, Rat, require_valid
+from .model import Instance, Packet, Rat, arrival_index, require_valid
 
 @dataclass(frozen=True)
 class OptResult:
@@ -47,13 +47,7 @@ def feasible(inst: Instance, packets: Iterable[Packet]) -> tuple[bool, dict[Pack
 
 def _arrival_indices(inst: Instance, packets: Iterable[Packet]) -> list[int]:
     """Ascending arrival indices of `packets`, each packet once."""
-    index_of = {p: i for i, p in enumerate(inst.arrivals)}
-    idxs: set[int] = set()
-    for p in packets:
-        if p not in index_of:
-            raise ValueError(f"packet {p.id!r} does not belong to this instance")
-        idxs.add(index_of[p])
-    return sorted(idxs)
+    return sorted({arrival_index(inst, p) for p in packets})
 
 
 def _earliest_sends(steps: Sequence[int], capacity: int) -> list[int] | None:

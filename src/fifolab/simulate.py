@@ -25,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .model import Instance, Packet, Rat, format_rat, require_valid, value_sum
 
@@ -38,8 +38,18 @@ class EventKind(Enum):
     SENT = "sent"
 
 
-@dataclass(frozen=True)
-class StepEvent:
+# The members as module globals: a member lookup on the Enum class costs about
+# ten times a global lookup, and the simulator and the analysis make one per event.
+ADMITTED = EventKind.ADMITTED
+EVICTED = EventKind.EVICTED
+REJECTED = EventKind.REJECTED
+PREEMPTED = EventKind.PREEMPTED
+SENT = EventKind.SENT
+
+
+class StepEvent(NamedTuple):
+    """One packet event of a run; a tuple, so it is built and unpacked in C."""
+
     step: int
     kind: EventKind
     packet: Packet
@@ -111,17 +121,17 @@ def run(policy: Policy, inst: Instance) -> RunTrace:
                 elif p.is_alpha:
                     victim = alphas.popleft()
                 else:
-                    events.append(StepEvent(t, EventKind.REJECTED, p))
+                    events.append(StepEvent(t, REJECTED, p))
                     continue
-                events.append(StepEvent(t, EventKind.EVICTED, victim))
+                events.append(StepEvent(t, EVICTED, victim))
             (alphas if p.is_alpha else ones).append(p)
-            events.append(StepEvent(t, EventKind.ADMITTED, p))
+            events.append(StepEvent(t, ADMITTED, p))
         if preempts and ones and alphas and ones[0].key < alphas[0].key:
             # D: the 1-value packets ahead of the last buffered alpha
             doomed = bisect_left(ones, alphas[-1].key, key=lambda q: q.key)
             if alpha_weight * len(alphas) >= beta_weight * doomed:
                 for _ in range(doomed):
-                    events.append(StepEvent(t, EventKind.PREEMPTED, ones.popleft()))
+                    events.append(StepEvent(t, PREEMPTED, ones.popleft()))
         # the head is the earlier front, never missing: an arrival into an
         # empty buffer is admitted, and a preemption keeps every alpha packet
         if not ones or (alphas and alphas[0].key < ones[0].key):
@@ -129,7 +139,7 @@ def run(policy: Policy, inst: Instance) -> RunTrace:
             alpha_sends += 1
         else:
             sent = ones.popleft()
-        events.append(StepEvent(t, EventKind.SENT, sent))
+        events.append(StepEvent(t, SENT, sent))
         sends[t] = sent
         t += 1
 
@@ -146,11 +156,11 @@ def replay_events(trace: RunTrace) -> Iterator[tuple[StepEvent, list[Packet]]]:
     """
     buf: list[Packet] = []
     for e in trace.events:
-        if e.kind is EventKind.ADMITTED:
+        if e.kind is ADMITTED:
             buf.append(e.packet)
-        elif e.kind in (EventKind.EVICTED, EventKind.PREEMPTED):
+        elif e.kind in (EVICTED, PREEMPTED):
             buf.remove(e.packet)
-        elif e.kind is EventKind.SENT:
+        elif e.kind is SENT:
             if not buf or buf[0] is not e.packet:
                 raise ValueError(f"non-FIFO send of {e.packet.id} at step {e.step}")
             buf.pop(0)

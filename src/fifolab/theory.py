@@ -30,10 +30,14 @@ class BoundBreakdown:
     bound: Rat
 
 
-# typed: an int argument gives float terms, which must not be served for a Fraction
-@lru_cache(maxsize=1024, typed=True)
+@lru_cache(maxsize=1024)
 def competitive_bound(alpha: Rat, beta: Rat) -> BoundBreakdown:
-    """Exact evaluation of both regime terms and their maximum, memoised."""
+    """Exact evaluation of both regime terms and their maximum, memoised.
+
+    Both arguments are taken as Fractions, so the terms are exact for int
+    arguments too.
+    """
+    alpha, beta = Fraction(alpha), Fraction(beta)
     if alpha <= 1:
         raise ValueError("alpha must exceed 1")
     if beta <= 0:

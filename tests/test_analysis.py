@@ -1,5 +1,6 @@
 import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -49,6 +50,11 @@ def by_ids(inst, *ids):
     return {index[i] for i in ids}
 
 
+def send_times(inst, ropt):
+    """The reference's send step of each O-packet, from its index-keyed list."""
+    return {p: t for p, t in zip(inst.arrivals, ropt.send_time) if t is not None}
+
+
 def demo_setup(alpha=Fraction(2)):
     inst = demo_instance(alpha)
     on = run(Policy.on(alpha), inst)
@@ -60,7 +66,7 @@ class TestRunRopt:
     def test_demo_reference_runs_ahead_on_the_lost_alpha(self):
         inst, on, chosen = demo_setup()
         ropt = run_ropt(inst, chosen, on)
-        times = {p.id: t for p, t in ropt.send_time.items()}
+        times = {p.id: t for p, t in send_times(inst, ropt).items()}
         # the policy spends step 1 on a 1-value packet; the reference
         # sends the alpha packet the policy will lose to eviction
         assert times["1.2"] == 1
@@ -70,13 +76,13 @@ class TestRunRopt:
     def test_empty_chosen_set_never_sends(self):
         inst, on, _ = demo_setup()
         ropt = run_ropt(inst, set(), on)
-        assert ropt.send_time == {}
+        assert ropt.send_time == [None] * len(inst.arrivals)
 
     def test_mirrors_when_policy_matches_optimum(self):
         inst = build_instance(2, Fraction(2), [(1, 0, "alpha"), (1, 1, "alpha")])
         on = run(Policy.on(BETA_REF), inst)
         ropt = run_ropt(inst, set(inst.arrivals), on)
-        assert {t: p for p, t in ropt.send_time.items()} == on.sends
+        assert {t: p for p, t in send_times(inst, ropt).items()} == on.sends
         assert ropt.last_step == 2
 
     def test_infeasible_chosen_set_rejected(self):
@@ -97,6 +103,22 @@ class TestVerifyRopt:
     def test_empty_chosen_set_vacuous(self):
         inst, on, _ = demo_setup()
         report = verify_ropt(inst, set(), on, run_ropt(inst, set(), on))
+        assert report.ok
+
+    def test_checks_without_replaying_the_policy(self, monkeypatch):
+        def no_replay(trace):
+            raise AssertionError("verify_ropt replayed the policy's buffer")
+
+        monkeypatch.setattr(analysis_module, "replay_events", no_replay)
+        inst, on, chosen = demo_setup()
+        report = verify_ropt(inst, chosen, on, run_ropt(inst, chosen, on))
+        assert [c.name for c in report.checks] == [
+            "ropt-capacity",
+            "ropt-sends-all",
+            "send-precedence",
+            "chains-disjoint",
+            "backlog-bound",
+        ]
         assert report.ok
 
     def test_backlog_diagnostic_reports_counts(self):
@@ -121,7 +143,7 @@ class TestChains:
         chosen = by_ids(inst, "1", "1.1", "2")
         ropt = run_ropt(inst, chosen, on)
         [owner] = by_ids(inst, "1.1")
-        assert ropt.chain(owner) == (3,)
+        assert ropt.chain(inst.arrivals.index(owner)) == (3,)
 
     def test_two_hop_chain(self):
         # the reference runs two steps ahead; its send of 3 at step 3
@@ -136,7 +158,7 @@ class TestChains:
         chosen = by_ids(inst, "1.2", "1.3", "3")
         ropt = run_ropt(inst, chosen, on)
         [owner] = by_ids(inst, "3")
-        assert ropt.chain(owner) == (2, 3)
+        assert ropt.chain(inst.arrivals.index(owner)) == (2, 3)
 
 
 class TestLedgerDemo:
@@ -174,6 +196,18 @@ class TestLedgerDemo:
         report = verify_ledger(ledger, inst, chosen, on)
         assert report.ok
         assert report.check("interval-exclusive").status == CheckStatus.PASS
+
+    def test_exclusivity_names_the_drops_inside_the_interval(self):
+        # alpha evictions just before, at both ends of, and just after the
+        # preemption interval [5, 6], recorded in step order as the ledger does
+        inst, on, chosen = demo_setup()
+        ledger = build_ledger(inst, chosen, on, run_ropt(inst, chosen, on))
+        [evicted] = [r for r in ledger.ropt_charges if r.kind == EVICTED_ALPHA_INTERVAL]
+        drops = tuple(replace(evicted, drop_step=d) for d in (4, 5, 6, 7))
+        tampered = replace(ledger, ropt_charges=ledger.ropt_charges + drops)
+        check = verify_ledger(tampered, inst, chosen, on).check("interval-exclusive")
+        assert check.status == CheckStatus.FAIL
+        assert check.detail == "alpha evictions at [5, 6] inside preemption interval [5, 6]"
 
 
 class TestLedgerChainCharges:
@@ -491,7 +525,7 @@ def test_failure_paths_digest():
             on = run(Policy.on(beta), inst)
             chosen = _random_feasible_subset(inst, rng)
             ropt = run_ropt(inst, chosen, on)
-            sends = sorted((t, p.id) for p, t in ropt.send_time.items())
+            sends = sorted((t, p.id) for p, t in send_times(inst, ropt).items())
             report = verify_ropt(inst, chosen, on, ropt)
             parts = [f"{seed} {beta} {sends} {ropt.last_step}", format_report(report)]
             reached.update(c.name for c in report.failures)
@@ -583,5 +617,5 @@ def test_ledger_rejects_hand_built_trace(specs, events, message):
         Fraction(0),
     )
     with pytest.raises(LedgerError) as exc:
-        build_ledger(inst, inst.arrivals, on, RoptTrace({}, 0, {}, {}))
+        build_ledger(inst, inst.arrivals, on, RoptTrace([None] * len(specs), 0, {}, {}))
     assert str(exc.value) == message

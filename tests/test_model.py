@@ -65,6 +65,9 @@ class TestValues:
         inst = build_instance(1, Fraction(2), [(1, 0, "one")])
         with pytest.raises(ValueError):
             total_value(inst, [make_packet(9, 9, "one")])
+        # the key of an arrival, but another packet
+        with pytest.raises(ValueError, match="does not belong to this instance"):
+            total_value(inst, [make_packet(1, 0, "alpha")])
 
     def test_total_of_empty_set(self):
         inst = demo_instance(Fraction(2))

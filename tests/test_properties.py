@@ -1,6 +1,7 @@
 """Property-based invariants over randomly drawn instances."""
 
 import random
+import time
 from bisect import insort
 from collections import Counter
 from dataclasses import replace
@@ -11,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from fifolab import (
     DEFAULT_BETA,
+    AnalysisReport,
+    CheckStatus,
     EventKind,
     GenConfig,
     Policy,
@@ -28,11 +31,13 @@ from fifolab import (
     run_ropt,
     total_value,
     verify_ledger,
+    verify_ropt,
 )
-from fifolab.analysis import SENT_BY_BOTH, ChargeRecord
+from fifolab.analysis import SENT_BY_BOTH, CheckResult, ChargeRecord
 from fifolab.model import ZERO, Instance, Rat, build_instance, make_packet, require_valid, value_of
 from fifolab.offline import _earliest_sends
-from fifolab.simulate import replay_buffer_states
+from fifolab.simulate import replay_buffer_states, replay_events
+from test_analysis import _random_feasible_subset, _stretched
 
 ALPHAS = [Fraction(3, 2), Fraction(2), Fraction(5), Fraction(10), Fraction(10, 3)]
 BETAS = [Fraction(1), Fraction(2), Fraction(3284, 1000), Fraction(6)]
@@ -307,14 +312,20 @@ def _literal_chain(on, send_time, o_set, packet):
     return tuple(reversed(steps))
 
 
-def _assert_chains_match_oracle(chosen, on, ropt):
+def _send_times(inst, ropt):
+    """The reference's send step of each O-packet, from its index-keyed list."""
+    return {p: t for p, t in zip(inst.arrivals, ropt.send_time) if t is not None}
+
+
+def _assert_chains_match_oracle(inst, chosen, on, ropt):
     o_set = frozenset(chosen)
+    send_time = _send_times(inst, ropt)
     # the reference's send steps whose packet the policy does not send there
-    unmirrored = {t: p for p, t in ropt.send_time.items() if on.sends.get(t) is not p}
+    unmirrored = {t: p for p, t in send_time.items() if on.sends.get(t) is not p}
     assert set(ropt.link) == set(ropt.head) == set(unmirrored)
     for t, p in unmirrored.items():
-        steps = _literal_chain(on, ropt.send_time, o_set, p)
-        assert ropt.chain(p) == steps
+        steps = _literal_chain(on, send_time, o_set, p)
+        assert ropt.chain(inst.arrivals.index(p)) == steps
         assert ropt.head[t] == steps[0]
     linked = [(t, prev) for t, prev in ropt.link.items() if prev is not None]
     assert all(prev < t for t, prev in linked)
@@ -324,12 +335,12 @@ def _assert_chains_match_oracle(chosen, on, ropt):
 
 def _assert_ropt_matches_oracle(inst, chosen, on, ropt):
     send_time, last_step = _literal_run_ropt(inst, chosen, on)
-    assert list(ropt.send_time.items()) == list(send_time.items())
+    assert _send_times(inst, ropt) == send_time
     assert ropt.last_step == last_step
     # the reference is busy at exactly the steps of O's earliest-send schedule
     ok, schedule = feasible(inst, chosen)
     assert ok and sorted(send_time.values()) == list(schedule.values())
-    _assert_chains_match_oracle(chosen, on, ropt)
+    _assert_chains_match_oracle(inst, chosen, on, ropt)
 
 
 @given(instances(max_step=12, max_packets=12), st.sampled_from(BETAS), st.data())
@@ -365,6 +376,119 @@ def test_run_ropt_matches_literal_oracle_on_corpus_random_o_sets():
         for policy in (Policy.greedy(), Policy.on(DEFAULT_BETA)):
             on = run(policy, inst)
             _assert_ropt_matches_oracle(inst, chosen, on, run_ropt(inst, chosen, on))
+
+
+def _literal_verify_ropt(inst, chosen, on, ropt):
+    """Literal oracle of verify_ropt: replay the policy's buffer at every send.
+
+    The live chains at a policy send step t are those of the O-packets still
+    in the policy's buffer that the reference sent by t; they are searched
+    for a shared head, and counted for the backlog, buffer by buffer.
+    """
+    o_set = frozenset(chosen)
+    send_time = _send_times(inst, ropt)
+    checks = []
+
+    send_steps = sorted(send_time.values())
+    capacity_breach = ""
+    for k, p in enumerate((p for p in inst.arrivals if p in o_set), start=1):
+        occupancy = k - sum(1 for s in send_steps if s < p.key.step)
+        if occupancy > inst.capacity:
+            capacity_breach = f"occupancy {occupancy} at step {p.key.step} accepting {p.id}"
+            break
+    checks.append(CheckResult("ropt-capacity", "fail" if capacity_breach else "pass", capacity_breach))
+
+    missing = sorted(p.id for p in o_set if p not in send_time)
+    extra = sorted(p.id for p in send_time if p not in o_set)
+    detail = f"missing={missing} extra={extra}" if missing or extra else ""
+    checks.append(CheckResult("ropt-sends-all", "fail" if detail else "pass", detail))
+
+    late = [(t, p.id) for t, p in on.sends.items() if p in o_set and send_time.get(p, t + 1) > t]
+    detail = f"reference later than policy at {late}" if late else ""
+    checks.append(CheckResult("send-precedence", "fail" if late else "pass", detail))
+
+    overlap = ""
+    max_alpha = max_any = 0
+    for event, buf in replay_events(on):
+        if event.kind is not EventKind.SENT:
+            continue
+        t = event.step
+        live = [z for z in buf if z in o_set and send_time.get(z, t + 1) <= t]
+        max_any = max(max_any, len(live))
+        max_alpha = max(max_alpha, sum(1 for z in live if z.is_alpha))
+        if overlap:
+            continue
+        owners = {}
+        for z in live:
+            head = ropt.head[send_time[z]]
+            owner = owners.setdefault(head, z)
+            if owner is not z:
+                overlap = f"step {head} shared by chains of {owner.id} and {z.id} at t={t}"
+                break
+    checks.append(CheckResult("chains-disjoint", "fail" if overlap else "pass", overlap))
+
+    if on.policy.kind == "on":
+        beta = on.policy.beta
+        bound = Fraction(inst.capacity) * beta / (inst.alpha + beta)
+        detail = f"max alpha backlog {max_alpha}, max any {max_any}, bound {bound}"
+        checks.append(CheckResult("backlog-bound", "pass" if max_alpha < bound else "warn", detail))
+    return AnalysisReport(tuple(checks))
+
+
+def _assert_verify_ropt_matches_oracle(inst, chosen, on, ropt=None):
+    ropt = run_ropt(inst, chosen, on) if ropt is None else ropt
+    report = verify_ropt(inst, chosen, on, ropt)
+    assert report == _literal_verify_ropt(inst, chosen, on, ropt)
+    return report
+
+
+@given(instances(max_step=12, max_packets=12), st.sampled_from(BETAS), st.data())
+def test_verify_ropt_matches_literal_oracle(inst, beta, data):
+    n = len(inst.arrivals)
+    mask = data.draw(st.integers(0, 2**n - 1)) if n else 0
+    chosen = set()
+    for i, p in enumerate(inst.arrivals):
+        if mask >> i & 1 and feasible(inst, chosen | {p})[0]:
+            chosen.add(p)
+    for policy in (Policy.greedy(), Policy.on(beta)):
+        _assert_verify_ropt_matches_oracle(inst, chosen, run(policy, inst))
+
+
+def test_verify_ropt_matches_literal_oracle_on_corpus():
+    for seed in range(2000):
+        result = analyze(random_instance(GenConfig(seed=seed)), DEFAULT_BETA)
+        _assert_verify_ropt_matches_oracle(result.instance, result.optimum.subset, result.on, result.ropt)
+
+
+def test_verify_ropt_matches_literal_oracle_on_failure_paths():
+    # the instances and arbitrary O-sets of test_failure_paths_digest; checked against a reference schedule whose
+    # chains all share one head, and against O-sets it was not built for,
+    # every check reaches its failing verdict and detail
+    failed = set()
+    for seed in range(500):
+        rng = random.Random(seed)
+        cfg = GenConfig(capacity_max=5, horizon=10, max_burst=4, max_packets=16, seed=seed)
+        inst = _stretched(random_instance(cfg), rng)
+        for beta in (DEFAULT_BETA, Fraction(1, 2), Fraction(6)):
+            on = run(Policy.on(beta), inst)
+            chosen = _random_feasible_subset(inst, rng)
+            ropt = run_ropt(inst, chosen, on)
+            merged = replace(ropt, head=dict.fromkeys(ropt.head, 0))
+            fewer = set(list(chosen)[1:])
+            for o_set, trace in ((chosen, ropt), (chosen, merged), (inst.arrivals, ropt), (fewer, ropt)):
+                report = _assert_verify_ropt_matches_oracle(inst, o_set, on, trace)
+                failed.update(c.name for c in report.checks if c.status != CheckStatus.PASS)
+    names = {"ropt-capacity", "ropt-sends-all", "send-precedence", "chains-disjoint", "backlog-bound"}
+    assert failed == names, failed
+
+
+def test_verify_ropt_matches_literal_oracle_at_scale():
+    for capacity in (16, 256):
+        inst = _overloaded(capacity, 1000, seed=capacity)
+        rng = random.Random(capacity)
+        for chosen in (brute_force_opt(inst).subset, _random_feasible_subset(inst, rng)):
+            for policy in (Policy.greedy(), Policy.on(DEFAULT_BETA)):
+                _assert_verify_ropt_matches_oracle(inst, chosen, run(policy, inst))
 
 
 def _simulate_feasible(inst, packets):
@@ -626,11 +750,58 @@ def test_run_matches_literal_oracle_at_scale():
     assert most_preempted > 1
 
 
+def test_opt_containing_returns_the_optimum_that_contains_its_requirement():
+    # analyze takes brute_force_opt's optimum G as the canonical one when it
+    # contains the delivered alpha packets S; the seeded greedy must agree
+    contained = 0
+    for seed in range(500):
+        rng = random.Random(seed)
+        inst = random_instance(GenConfig(seed=seed))
+        best = brute_force_opt(inst)
+        on = run(Policy.on(DEFAULT_BETA), inst)
+        delivered = [p for p in on.sends.values() if p.is_alpha]
+        some_of_best = [p for p in best.subset if rng.randrange(2)]
+        for required in (delivered, some_of_best):
+            if best.subset.issuperset(required):
+                contained += 1
+                result = opt_containing(inst, required)
+                assert (result.subset, result.schedule) == (best.subset, best.schedule)
+        assert analyze(inst, DEFAULT_BETA).optimum == opt_containing(inst, delivered)
+    assert contained > 500
+
+
 def test_full_analysis_passes_at_scale():
     for capacity, packets, seed in [(4, 200, 0), (16, 200, 1), (64, 200, 2), (1024, 2000, 4)]:
         result = analyze(_overloaded(capacity, packets, seed), DEFAULT_BETA)
         assert result.report.ok, [(c.name, c.detail) for c in result.report.failures]
         assert result.ratio.within_bound
+
+
+def test_analysis_cost_does_not_grow_with_capacity():
+    # n = 10^4 overloaded arrivals: analyze at B = 10^3 must stay within 3x of
+    # B = 16, so a pass that rescans the buffer at every send (n*B) shows up
+    # whatever the machine's speed; best of 3 damps other load
+    best = {}
+    for capacity in (16, 1000):
+        cfg = GenConfig(
+            capacity_min=capacity,
+            capacity_max=capacity,
+            horizon=7000,
+            max_burst=3,
+            max_packets=10000,
+            alpha_choices=(Fraction(2),),
+            seed=1,
+        )
+        inst = random_instance(cfg)
+        assert len(inst.arrivals) == 10000
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            result = analyze(inst, DEFAULT_BETA)
+            times.append(time.perf_counter() - start)
+            assert result.report.ok, [(c.name, c.detail) for c in result.report.failures]
+        best[capacity] = min(times)
+    assert best[1000] < 3 * best[16], best
 
 
 def _schedule_exists(inst, chosen):

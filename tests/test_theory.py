@@ -57,15 +57,15 @@ class TestBoundMemo:
         maxsize = competitive_bound.cache_info().maxsize
         assert maxsize is not None and maxsize > 0
 
-    def test_integer_arguments_do_not_share_fraction_entries(self):
-        # (1 + 2) / 2 is a float for int arguments; a Fraction call must not get it
+    def test_integer_arguments_give_exact_terms(self):
+        # an int call and the equal Fraction call share one cache entry
         competitive_bound.cache_clear()
-        competitive_bound(2, 2)
-        breakdown = competitive_bound(Fraction(2), Fraction(2))
-        assert all(
-            type(term) is Fraction
-            for term in (breakdown.first_term, breakdown.second_term, breakdown.bound)
-        )
+        assert competitive_bound(2, 2).bound == Fraction(3, 2)
+        for breakdown in (competitive_bound(2, 2), competitive_bound(Fraction(2), Fraction(2))):
+            assert all(
+                type(term) is Fraction
+                for term in (breakdown.first_term, breakdown.second_term, breakdown.bound)
+            )
 
 
 class TestStability:
