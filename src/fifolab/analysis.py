@@ -23,14 +23,17 @@ A claim that fails to apply raises :class:`LedgerError` instead of being
 patched over, surfacing the run as a counterexample.
 
 No pass walks every step number or copies the buffer, and inside the
-passes packets are arrival indices. The reference schedule jumps over
-the steps at which its buffer is empty. The reference checks do not
-replay the policy: an O-packet is in the policy's buffer at a send step
-t, with its chain live, exactly when the reference sent it by t and the
-policy had not yet sent or dropped it, so the backlog maxima and chain
-disjointness are sweeps over those intervals. Only the ledger replays
-the policy's events, reading its live buffer at rejections and
-preemptions.
+passes packets are arrival indices: the four layers share one key ->
+index map per instance, the optimum arrives by index, and no packet is
+hashed. The reference schedule jumps over the steps at which its buffer
+is empty. The reference checks do not replay the policy: an O-packet is
+in the policy's buffer at a send step t, with its chain live, exactly
+when the reference sent it by t and the policy had not yet sent or
+dropped it, so the backlog maxima and chain disjointness are sweeps over
+those intervals. Only the ledger replays the policy's events, reading
+its live buffer at rejections and preemptions. Records (checks, charges,
+chains) are named tuples, and the conservation check compares its sums
+as scaled integers.
 """
 
 from __future__ import annotations
@@ -41,11 +44,11 @@ from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, compress
 from operator import attrgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .model import ArrivalKey, Instance, Packet, Rat, ONE, arrival_index, exact_sum, value_of, value_sum
+from .model import ArrivalKey, Instance, Packet, Rat, ONE, arrival_index, scaled_sum
 from .offline import OptResult, _earliest_sends, brute_force_opt, dp_opt, opt_containing
 from .simulate import (
     ADMITTED,
@@ -94,9 +97,26 @@ class LedgerError(RuntimeError):
 # Arrival indices
 
 
-def _index_of(inst: Instance) -> dict[ArrivalKey, int]:
-    """Arrival index by key, for looking up the packets of a trace's events."""
-    return dict(zip(map(attrgetter("key"), inst.arrivals), range(len(inst.arrivals))))
+# The arrivals last indexed and their map. Arrivals held as a tuple of
+# frozen packets cannot change, so the map cannot go stale.
+_last_index: tuple[tuple[Packet, ...], dict[ArrivalKey, int]] = ((), {})
+
+
+def _index_of(inst: Instance) -> Mapping[ArrivalKey, int]:
+    """Arrival index by key, for looking up the packets of a trace's events.
+
+    Memoised for the last instance's arrivals tuple, so the layers of one
+    analysis build it once; arrivals of any other type are indexed afresh.
+    """
+    global _last_index
+    arr = inst.arrivals
+    last, index = _last_index
+    if last is arr:
+        return index
+    index = dict(zip(map(attrgetter("key"), arr), range(len(arr))))
+    if type(arr) is tuple:
+        _last_index = (arr, index)
+    return index
 
 
 def _o_mask(inst: Instance, chosen: Iterable[Packet], index: Mapping[ArrivalKey, int]) -> list[bool]:
@@ -187,8 +207,7 @@ def run_ropt(inst: Instance, chosen: Iterable[Packet], on: RunTrace) -> RoptTrac
 # Chains
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(NamedTuple):
     """Backward-linked steps coupling reference sends to policy sends.
 
     ``steps`` ascend; at every step after the head, the policy sends the
@@ -211,8 +230,7 @@ class Chain:
 # Charge ledger
 
 
-@dataclass(frozen=True)
-class ChargeRecord:
+class ChargeRecord(NamedTuple):
     packet: Packet
     kind: str
     amount: Rat
@@ -258,7 +276,7 @@ def build_ledger(
     }
 
     for t, p in on.sends.items():
-        value = on_charges[t] = value_of(p, alpha)
+        value = on_charges[t] = alpha if p.is_alpha else ONE
         if in_o[index[p.key]]:
             charges.append(ChargeRecord(p, SENT_BY_BOTH, value, step=t))
 
@@ -313,7 +331,8 @@ def build_ledger(
             close_chain(i, arr[i], EVICTED_ONE_CHAIN, drop_step=drop_step)
 
     for (t, kind, p), buf in replay_events(on):
-        reference_sends_before(t)
+        if deferred:
+            reference_sends_before(t)
         if kind is SENT or kind is ADMITTED:
             continue
         i = index[p.key]
@@ -370,7 +389,7 @@ def build_ledger(
         Chain(arr[owner], ropt.chain(owner), "open" if charged is None else "closed", charged)
         for owner, charged in closing.items()
     )
-    return ChargeLedger(dict(on_charges), tuple(charges), chains, diagnostics)
+    return ChargeLedger(on_charges, tuple(charges), chains, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +402,7 @@ class CheckStatus:
     WARN = "warn"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     status: str
     detail: str = ""
@@ -441,7 +459,7 @@ def verify_ropt(
 
     # the reference accepts O-packets in key order and, by then, has sent
     # one packet at each send step before the acceptance step
-    ropt_steps = sorted(t for t in send_time if t is not None)
+    ropt_steps = sorted([t for t in send_time if t is not None])
     capacity_breach = ""
     for k, i in enumerate(o_idx, start=1):
         step = arr[i].key.step
@@ -451,8 +469,8 @@ def verify_ropt(
             break
     checks.append(_result("ropt-capacity", not capacity_breach, capacity_breach))
 
-    missing = sorted(arr[i].id for i in o_idx if send_time[i] is None)
-    extra = sorted(arr[i].id for i, t in enumerate(send_time) if t is not None and not in_o[i])
+    missing = sorted([arr[i].id for i in o_idx if send_time[i] is None])
+    extra = sorted([arr[i].id for i, t in enumerate(send_time) if t is not None and not in_o[i]])
     checks.append(
         _result(
             "ropt-sends-all",
@@ -549,11 +567,12 @@ def verify_ropt(
 
     if on.policy.kind == "on":
         # B*beta/(alpha+beta) with alpha = a/b and beta = c/d is B*c*b / (a*d + c*b)
-        a, b = inst.alpha.numerator, inst.alpha.denominator
-        c, d = on.policy.beta.numerator, on.policy.beta.denominator
+        a, b = inst.alpha.as_integer_ratio()
+        c, d = on.policy.beta.as_integer_ratio()
         scaled, den = inst.capacity * c * b, a * d + c * b
-        bound = Fraction(scaled, den)
         strict_ok = max_alpha * den < scaled
+        g = math.gcd(scaled, den)  # the bound in lowest terms, as str(Fraction) writes it
+        bound = f"{scaled // g}" if den == g else f"{scaled // g}/{den // g}"
         detail = f"max alpha backlog {max_alpha}, max any {max_any}, bound {bound}"
         checks.append(
             CheckResult(
@@ -581,18 +600,22 @@ def verify_ledger(
     in_o = _o_mask(inst, chosen, index)
     checks: list[CheckResult] = []
 
-    ropt_total = exact_sum([rec.amount for rec in ledger.ropt_charges])
-    o_alphas = sum(1 for p, member in zip(inst.arrivals, in_o) if member and p.is_alpha)
-    expected = value_sum(inst.alpha, sum(in_o) - o_alphas, o_alphas)
-    on_total = exact_sum(ledger.on_charges.values())
-    conserved = ropt_total == expected and on_total == on.totals
+    # both sides as integer ratios, compared cross-multiplied
+    ropt_num, ropt_den = scaled_sum([rec.amount for rec in ledger.ropt_charges])
+    on_num, on_den = scaled_sum(ledger.on_charges.values())
+    a, b = inst.alpha.as_integer_ratio()
+    o_alphas = sum([p.is_alpha for p in compress(inst.arrivals, in_o)])
+    expected = (sum(in_o) - o_alphas) * b + o_alphas * a  # over b
+    delivered, delivered_den = on.totals.as_integer_ratio()
+    conserved = ropt_num * b == expected * ropt_den and on_num * delivered_den == delivered * on_den
     checks.append(
         _result(
             "charge-conservation",
             conserved,
             "" if conserved else (
-                f"reference charges {ropt_total} vs optimum value {expected}; "
-                f"policy charges {on_total} vs delivered {on.totals}"
+                f"reference charges {Fraction(ropt_num, ropt_den)} "
+                f"vs optimum value {Fraction(expected, b)}; "
+                f"policy charges {Fraction(on_num, on_den)} vs delivered {on.totals}"
             ),
         )
     )
@@ -729,7 +752,8 @@ def analyze(inst: Instance, beta: Rat) -> InstanceAnalysis:
     # unseeded greedy's order. If its optimum G contains S, the seeded one
     # keeps each packet of G (G is feasible) and drops each other packet
     # (the unseeded one dropped it against a subset of G), so it returns G.
-    if exhaustive.subset.issuperset(alpha_sends):
+    index = _index_of(inst)
+    if {index[p.key] for p in alpha_sends}.issubset(exhaustive.indices):
         optimum = exhaustive
     else:
         optimum = opt_containing(inst, alpha_sends)
@@ -748,18 +772,19 @@ def analyze(inst: Instance, beta: Rat) -> InstanceAnalysis:
             f"dp {dp_value} vs exhaustive {exhaustive.value}",
         ),
     ]
-    ropt = run_ropt(inst, optimum.subset, on)
-    checks += verify_ropt(inst, optimum.subset, on, ropt).checks
+    chosen = optimum.packets(inst)
+    ropt = run_ropt(inst, chosen, on)
+    checks += verify_ropt(inst, chosen, on, ropt).checks
 
     ledger: ChargeLedger | None
     try:
-        ledger = build_ledger(inst, optimum.subset, on, ropt)
+        ledger = build_ledger(inst, chosen, on, ropt)
     except LedgerError as exc:
         ledger = None
         checks.append(CheckResult("charging-complete", CheckStatus.FAIL, str(exc)))
     else:
         checks.append(CheckResult("charging-complete", CheckStatus.PASS))
-        checks += verify_ledger(ledger, inst, optimum.subset, on).checks
+        checks += verify_ledger(ledger, inst, chosen, on).checks
 
     ratio = _make_ratio(on.policy, on.totals, exhaustive.value, inst.alpha, beta)
     checks.append(

@@ -143,8 +143,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_opt(args: argparse.Namespace) -> int:
-    result = brute_force_opt(_load_instance(args.instance))
-    ids = " ".join(p.id for p in sorted(result.subset, key=lambda p: p.key))
+    inst = _load_instance(args.instance)
+    result = brute_force_opt(inst)
+    ids = " ".join(p.id for p in result.packets(inst))
     sys.stdout.write(f"value {format_rat(result.value)}\nsubset {ids}\n")
     return EXIT_OK
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import attrgetter
-from typing import Collection, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Rat = Fraction
 
@@ -178,11 +178,6 @@ def require_valid(inst: Instance) -> None:
         raise InvalidInstanceError(violations)
 
 
-def value_of(p: Packet, alpha: Rat) -> Rat:
-    """Value of a packet under a given alpha (no membership check)."""
-    return alpha if p.is_alpha else ONE
-
-
 def value_sum(alpha: Rat, ones: int, alphas: int) -> Rat:
     """Exact value of `ones` 1-value and `alphas` alpha packets.
 
@@ -191,14 +186,28 @@ def value_sum(alpha: Rat, ones: int, alphas: int) -> Rat:
     return Fraction(ones * alpha.denominator + alphas * alpha.numerator, alpha.denominator)
 
 
-def exact_sum(values: Collection[Rat]) -> Rat:
-    """Exact sum of rationals, built as one Fraction.
+def scaled_sum(values: Iterable[Rat]) -> tuple[int, int]:
+    """Exact sum of rationals as an unreduced (numerator, denominator) pair.
 
-    Each numerator is scaled to the least common denominator, which is
-    alpha's for packet values, so no intermediate Fraction is made.
+    One pass reads each value's numerator and denominator once. The running
+    denominator widens to a least common multiple only for a value whose
+    denominator does not divide it, so packet values, all over alpha's
+    denominator or 1, widen it at most once. No Fraction is made.
     """
-    scale = math.lcm(*(v.denominator for v in values))
-    return Fraction(sum(v.numerator * (scale // v.denominator) for v in values), scale)
+    num, den = 0, 1
+    for v in values:
+        n, d = v.as_integer_ratio()
+        if den % d:
+            scale = math.lcm(den, d)
+            num *= scale // den
+            den = scale
+        num += n * (den // d)
+    return num, den
+
+
+def exact_sum(values: Iterable[Rat]) -> Rat:
+    """Exact sum of rationals, built as one Fraction from :func:`scaled_sum`."""
+    return Fraction(*scaled_sum(values))
 
 
 _KEY = attrgetter("key")

@@ -16,24 +16,36 @@ one; adding a packet at step s lifts F at every step from s on, so the
 greedy tests each offered packet with a suffix maximum and a running
 minimum of F, and runs each of its two phases in linear time. The
 earliest-send pass then gives the optimum's schedule, and :func:`dp_opt`
-certifies its value with a tight bound, one integer pass per class. The
-step simulation, the exhaustive enumeration, the insertion greedy and the
-queue-length dynamic program survive only as test oracles.
+certifies its value with a tight bound, one integer pass per class. An
+optimum is held by arrival index (:class:`OptResult`), so finding it
+hashes no packet. The step simulation, the exhaustive enumeration, the
+insertion greedy and the queue-length dynamic program survive only as
+test oracles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .model import Instance, Packet, Rat, arrival_index, require_valid
+from .model import Instance, Packet, Rat, arrival_index, require_valid, value_sum
 
-@dataclass(frozen=True)
-class OptResult:
+
+class OptResult(NamedTuple):
+    """An optimum by arrival index.
+
+    ``indices`` ascend, so they list the packets in key order; ``sends``
+    gives the step at which the earliest-send schedule sends each.
+    """
+
     value: Rat
-    subset: frozenset[Packet]
-    schedule: Mapping[Packet, int]
+    indices: tuple[int, ...]
+    sends: tuple[int, ...]
+
+    def packets(self, inst: Instance) -> tuple[Packet, ...]:
+        """The optimum's packets of `inst`, in key order."""
+        arr = inst.arrivals
+        return tuple([arr[i] for i in self.indices])
 
 
 def feasible(inst: Instance, packets: Iterable[Packet]) -> tuple[bool, dict[Packet, int] | None]:
@@ -80,6 +92,7 @@ def _best_subset(inst: Instance, required: Iterable[Packet]) -> OptResult | None
     n = len(arr)
     idxs = _arrival_indices(inst, required)
     steps = [p.key.step for p in arr]
+    alpha = [p.is_alpha for p in arr]
 
     def sends_of(chosen: Iterable[int]) -> list[int] | None:
         return _earliest_sends([steps[i] for i in chosen], inst.capacity)
@@ -92,17 +105,14 @@ def _best_subset(inst: Instance, required: Iterable[Packet]) -> OptResult | None
         kept = [False] * n
         for i in idxs:
             kept[i] = True
-        alpha = [p.is_alpha for p in arr]
         _keep_fitting(steps, kept, alpha, inst.capacity)
         _keep_fitting(steps, kept, [not a for a in alpha], inst.capacity)
         idxs = [i for i in range(n) if kept[i]]
     sends = sends_of(idxs)
     if sends is None:
         raise RuntimeError("internal error: optimizer returned an infeasible subset")
-    a, b = inst.alpha.numerator, inst.alpha.denominator
-    value = Fraction(sum(a if arr[i].is_alpha else b for i in idxs), b)
-    packets = [arr[i] for i in idxs]  # ascending indices, so key order
-    return OptResult(value, frozenset(packets), dict(zip(packets, sends)))
+    alphas = sum([alpha[i] for i in idxs])
+    return OptResult(value_sum(inst.alpha, len(idxs) - alphas, alphas), tuple(idxs), tuple(sends))
 
 
 def _keep_fitting(

@@ -40,9 +40,15 @@ from fifolab.analysis import (
     format_ledger,
     format_report,
 )
-from fifolab.model import value_of
+from fifolab.cli import experiment_row
+from fifolab.model import ONE, Packet
 
 BETA_REF = Fraction(3284, 1000)
+
+
+def value_of(p, alpha):
+    """A packet's value, read off its class alone."""
+    return alpha if p.is_alpha else ONE
 
 
 def by_ids(inst, *ids):
@@ -203,7 +209,7 @@ class TestLedgerDemo:
         inst, on, chosen = demo_setup()
         ledger = build_ledger(inst, chosen, on, run_ropt(inst, chosen, on))
         [evicted] = [r for r in ledger.ropt_charges if r.kind == EVICTED_ALPHA_INTERVAL]
-        drops = tuple(replace(evicted, drop_step=d) for d in (4, 5, 6, 7))
+        drops = tuple(evicted._replace(drop_step=d) for d in (4, 5, 6, 7))
         tampered = replace(ledger, ropt_charges=ledger.ropt_charges + drops)
         check = verify_ledger(tampered, inst, chosen, on).check("interval-exclusive")
         assert check.status == CheckStatus.FAIL
@@ -277,6 +283,10 @@ class TestLedgerChainCharges:
         )
         assert report.ok
         assert sum(r.amount for r in ledger.ropt_charges) == total_value(inst, chosen)
+        # a second charge at the same head breaks single closure
+        tampered = replace(ledger, ropt_charges=ledger.ropt_charges + (rec._replace(drop_step=4),))
+        check = verify_ledger(tampered, inst, chosen, on).check("single-closure")
+        assert check == ("single-closure", "fail", "duplicated head charges at [2]")
 
     def test_policy_matching_optimum_needs_no_chains(self):
         inst = build_instance(2, Fraction(2), [(1, 0, "alpha"), (2, 0, "one")])
@@ -285,6 +295,39 @@ class TestLedgerChainCharges:
         ledger = build_ledger(inst, chosen, on, run_ropt(inst, chosen, on))
         assert all(rec.kind == SENT_BY_BOTH for rec in ledger.ropt_charges)
         assert ledger.chains == ()
+
+
+class TestArrivalIndex:
+    def test_shared_per_arrivals_tuple(self):
+        inst = demo_instance(Fraction(2))
+        index = analysis_module._index_of(inst)
+        assert index == {p.key: i for i, p in enumerate(inst.arrivals)}
+        # another instance over the same arrivals tuple shares the map
+        assert analysis_module._index_of(replace(inst, alpha=Fraction(5))) is index
+
+    def test_list_arrivals_are_indexed_afresh(self):
+        inst = demo_instance(Fraction(2))
+        listed = replace(inst, arrivals=list(inst.arrivals))
+        first = analysis_module._index_of(listed)
+        listed.arrivals.pop()  # a list can change, so its map is not kept
+        assert analysis_module._index_of(listed) is not first
+        assert len(analysis_module._index_of(listed)) == len(inst.arrivals) - 1
+
+    def test_layers_agree_while_the_map_belongs_to_another_instance(self):
+        insts = [random_instance(GenConfig(seed=seed)) for seed in range(40)]
+        for inst, other in zip(insts, insts[1:] + insts[:1]):
+            result = analyze(inst, BETA_REF)
+            chosen, on = result.optimum.packets(inst), result.on
+            analysis_module._index_of(other)
+            ropt = run_ropt(inst, chosen, on)
+            analysis_module._index_of(other)
+            checks = verify_ropt(inst, chosen, on, ropt).checks
+            analysis_module._index_of(other)
+            ledger = build_ledger(inst, chosen, on, ropt)
+            analysis_module._index_of(other)
+            checks += verify_ledger(ledger, inst, chosen, on).checks
+            assert ropt == result.ropt and ledger == result.ledger
+            assert set(checks) <= set(result.report.checks)
 
 
 class TestAnalyze:
@@ -347,9 +390,8 @@ class TestAnalyze:
 
         def one_short(inst):
             best = real(inst)
-            last = max(best.subset, key=lambda p: p.key)
-            schedule = {p: t for p, t in best.schedule.items() if p != last}
-            return OptResult(best.value - value_of(last, inst.alpha), best.subset - {last}, schedule)
+            last = inst.arrivals[best.indices[-1]]  # ascending indices: the latest key
+            return OptResult(best.value - value_of(last, inst.alpha), best.indices[:-1], best.sends[:-1])
 
         monkeypatch.setattr(analysis_module, "brute_force_opt", one_short)
         report = analyze(demo_instance(Fraction(2)), Fraction(2)).report
@@ -552,6 +594,41 @@ def test_failure_paths_digest():
         "interval-exclusive",
     } <= reached, reached
     assert digest.hexdigest() == FAILURE_PATHS_DIGEST
+
+
+# sha256 of the check table, ledger export and fuzz CSV row of every corpus
+# instance below; a different digest is a change of behaviour
+CORPUS_ANALYZE_DIGEST = "d8c6dd2e12953002393177995847e371e19cdb3cba15cf8111372077415c89a7"
+
+
+def test_corpus_analyze_digest():
+    digest = hashlib.sha256()
+    for seed in range(2000):
+        inst = random_instance(GenConfig(seed=seed))
+        result = analyze(inst, BETA_REF)
+        ledger = "-\n" if result.ledger is None else format_ledger(result.ledger)
+        row = ",".join(experiment_row(seed, inst, result))
+        digest.update(f"{format_report(result.report)}{ledger}{row}\n".encode())
+    assert digest.hexdigest() == CORPUS_ANALYZE_DIGEST
+
+
+def test_analyze_hashes_no_packet(monkeypatch):
+    # every lookup inside analyze goes by arrival key or index
+    calls = 0
+    real_hash = Packet.__hash__
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        return real_hash(self)
+
+    monkeypatch.setattr(Packet, "__hash__", counted)
+    hash(demo_instance(Fraction(2)).arrivals[0])
+    assert calls == 1  # the counter is live
+    calls = 0
+    for seed in range(500):
+        analyze(random_instance(GenConfig(seed=seed)), BETA_REF)
+    assert calls == 0
 
 
 def test_non_fifo_trace_rejected():

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fifolab import (
     ArrivalKey,
@@ -16,6 +16,7 @@ from fifolab import (
     total_value,
     validate_instance,
 )
+from fifolab.model import exact_sum, scaled_sum
 from test_properties import instances
 
 
@@ -92,6 +93,25 @@ class TestValues:
         combined = total_value(inst, left | right)
         assert combined == total_value(inst, left) + total_value(inst, right)
         assert combined == total_value(inst, sorted(left | right, key=lambda p: p.key, reverse=True))
+
+
+class TestExactSum:
+    @given(st.lists(st.fractions(min_value=-100, max_value=100, max_denominator=60), max_size=30))
+    @example([])
+    @example([Fraction(1, 2), Fraction(1, 3), Fraction(-5, 6), Fraction(7, 4)])
+    @example([Fraction(821, 250), Fraction(1), Fraction(821, 250), Fraction(-1)])
+    def test_matches_fraction_sum(self, values):
+        expected = sum(values, Fraction(0))
+        total = exact_sum(values)
+        assert type(total) is Fraction and total == expected
+        assert exact_sum(iter(values)) == expected  # one pass: an iterator will do
+        num, den = scaled_sum(values)
+        assert den > 0 and Fraction(num, den) == expected
+
+    def test_shared_denominator_stays_unreduced(self):
+        # alpha's denominator is kept as the scale, not reduced per step
+        assert scaled_sum([Fraction(5, 2), Fraction(1), Fraction(3, 2)]) == (10, 2)
+        assert scaled_sum([]) == (0, 1)
 
 
 class TestTextFormat:

@@ -61,16 +61,17 @@ class TestBruteForce:
         inst = demo_instance(Fraction(2))
         result = brute_force_opt(inst)
         assert result.value == 13  # 6 * alpha + 1
-        assert {p.id for p in result.subset} == {"1.2", "2", "2.1", "2.2", "5", "5.1", "5.2"}
+        assert [p.id for p in result.packets(inst)] == ["1.2", "2", "2.1", "2.2", "5", "5.1", "5.2"]
 
     def test_empty_instance(self):
         result = brute_force_opt(build_instance(1, Fraction(2), []))
-        assert result.value == 0 and result.subset == frozenset()
+        assert result.value == 0 and result.indices == result.sends == ()
 
     def test_blocking_family_keeps_the_alphas(self):
-        result = brute_force_opt(greedy_blocking(Fraction(10)))
+        inst = greedy_blocking(Fraction(10))
+        result = brute_force_opt(inst)
         assert result.value == 30
-        assert {p.id for p in result.subset} == {"1.1", "2", "2.1"}
+        assert [p.id for p in result.packets(inst)] == ["1.1", "2", "2.1"]
 
     def test_past_twenty_packets_matches_dp(self):
         inst = build_instance(3, Fraction(2), [(s, q, "one") for s in range(1, 8) for q in range(3)])
@@ -78,8 +79,11 @@ class TestBruteForce:
         assert brute_force_opt(inst).value == dp_opt(inst) == 9  # 7 steps plus 2 drained after
 
     def test_schedule_witnesses_subset(self):
-        result = brute_force_opt(demo_instance(Fraction(5)))
-        assert set(result.schedule) == set(result.subset)
+        inst = demo_instance(Fraction(5))
+        result = brute_force_opt(inst)
+        assert list(result.indices) == sorted(set(result.indices))
+        ok, schedule = feasible(inst, result.packets(inst))
+        assert ok and tuple(schedule.values()) == result.sends
 
 
 class TestDp:
@@ -105,7 +109,7 @@ class TestOptContaining:
         result = opt_containing(inst, set())
         assert result is not None
         assert result.value == brute_force_opt(inst).value
-        assert result.subset == brute_force_opt(inst).subset
+        assert result.indices == brute_force_opt(inst).indices
 
     def test_required_alpha_sends_keep_full_value(self):
         # the packets the threshold policy delivers never cost optimality

@@ -34,10 +34,10 @@ from fifolab import (
     verify_ropt,
 )
 from fifolab.analysis import SENT_BY_BOTH, CheckResult, ChargeRecord
-from fifolab.model import ZERO, Instance, Rat, build_instance, make_packet, require_valid, value_of
+from fifolab.model import ZERO, Instance, Rat, build_instance, make_packet, require_valid
 from fifolab.offline import _earliest_sends
 from fifolab.simulate import replay_buffer_states, replay_events
-from test_analysis import _random_feasible_subset, _stretched
+from test_analysis import _random_feasible_subset, _stretched, value_of
 
 ALPHAS = [Fraction(3, 2), Fraction(2), Fraction(5), Fraction(10), Fraction(10, 3)]
 BETAS = [Fraction(1), Fraction(2), Fraction(3284, 1000), Fraction(6)]
@@ -185,7 +185,7 @@ def test_integer_value_sums_match_fraction_sums(inst, alpha, beta):
     assert total_value(inst, inst.arrivals[1::2]) == fraction_sum(inst.arrivals[1::2])
 
     result = analyze(inst, beta)
-    chosen = result.optimum.subset
+    chosen = result.optimum.packets(inst)
     assert result.report.check("charge-conservation").status == "pass"
     assert sum((r.amount for r in result.ledger.ropt_charges), ZERO) == fraction_sum(chosen)
     assert sum(result.ledger.on_charges.values(), ZERO) == result.on.totals
@@ -360,7 +360,8 @@ def test_run_ropt_matches_literal_oracle(inst, beta, data):
 def test_run_ropt_matches_literal_oracle_on_corpus():
     for seed in range(2000):
         result = analyze(random_instance(GenConfig(seed=seed)), DEFAULT_BETA)
-        _assert_ropt_matches_oracle(result.instance, result.optimum.subset, result.on, result.ropt)
+        chosen = result.optimum.packets(result.instance)
+        _assert_ropt_matches_oracle(result.instance, chosen, result.on, result.ropt)
 
 
 def test_run_ropt_matches_literal_oracle_on_corpus_random_o_sets():
@@ -457,7 +458,8 @@ def test_verify_ropt_matches_literal_oracle(inst, beta, data):
 def test_verify_ropt_matches_literal_oracle_on_corpus():
     for seed in range(2000):
         result = analyze(random_instance(GenConfig(seed=seed)), DEFAULT_BETA)
-        _assert_verify_ropt_matches_oracle(result.instance, result.optimum.subset, result.on, result.ropt)
+        chosen = result.optimum.packets(result.instance)
+        _assert_verify_ropt_matches_oracle(result.instance, chosen, result.on, result.ropt)
 
 
 def test_verify_ropt_matches_literal_oracle_on_failure_paths():
@@ -486,7 +488,7 @@ def test_verify_ropt_matches_literal_oracle_at_scale():
     for capacity in (16, 256):
         inst = _overloaded(capacity, 1000, seed=capacity)
         rng = random.Random(capacity)
-        for chosen in (brute_force_opt(inst).subset, _random_feasible_subset(inst, rng)):
+        for chosen in (brute_force_opt(inst).packets(inst), _random_feasible_subset(inst, rng)):
             for policy in (Policy.greedy(), Policy.on(DEFAULT_BETA)):
                 _assert_verify_ropt_matches_oracle(inst, chosen, run(policy, inst))
 
@@ -615,7 +617,7 @@ def _exhaustive_best_subset(inst, required):
 def _value_and_indices(inst, result):
     if result is None:
         return None
-    return result.value, tuple(i for i, p in enumerate(inst.arrivals) if p in result.subset)
+    return result.value, result.indices
 
 
 def _assert_greedy_matches_oracle(inst, required):
@@ -679,7 +681,7 @@ def _assert_sweep_matches_insertion_oracle(inst, required):
         assert result is None
         return
     value, idxs = _value_and_indices(inst, result)
-    assert (value, idxs, tuple(result.schedule[inst.arrivals[i]] for i in idxs)) == expected
+    assert (value, idxs, result.sends) == expected
 
 
 @st.composite
@@ -760,12 +762,11 @@ def test_opt_containing_returns_the_optimum_that_contains_its_requirement():
         best = brute_force_opt(inst)
         on = run(Policy.on(DEFAULT_BETA), inst)
         delivered = [p for p in on.sends.values() if p.is_alpha]
-        some_of_best = [p for p in best.subset if rng.randrange(2)]
+        some_of_best = [p for p in best.packets(inst) if rng.randrange(2)]
         for required in (delivered, some_of_best):
-            if best.subset.issuperset(required):
+            if set(best.packets(inst)).issuperset(required):
                 contained += 1
-                result = opt_containing(inst, required)
-                assert (result.subset, result.schedule) == (best.subset, best.schedule)
+                assert opt_containing(inst, required) == best
         assert analyze(inst, DEFAULT_BETA).optimum == opt_containing(inst, delivered)
     assert contained > 500
 
