@@ -22,11 +22,12 @@ shape, interval purity, exclusivity, and exact conservation of value.
 A claim that fails to apply raises :class:`LedgerError` instead of being
 patched over, surfacing the run as a counterexample.
 
-No pass walks every step number or copies the buffer, and inside the
-passes packets are arrival indices: the four layers share one key ->
-index map per instance, the optimum arrives by index, and no packet is
-hashed. The reference schedule jumps over the steps at which its buffer
-is empty. The reference checks do not replay the policy: an O-packet is
+No pass walks every step number or copies the buffer, and packets are
+arrival indices throughout: the policy's trace names them so, the
+optimum arrives by index, and :func:`run_ropt` builds the O-mask once
+and hands it to the other layers in its :class:`RoptTrace`, so no packet
+is hashed. The reference schedule jumps over the steps at which its
+buffer is empty. The reference checks do not replay the policy: an O-packet is
 in the policy's buffer at a send step t, with its chain live, exactly
 when the reference sent it by t and the policy had not yet sent or
 dropped it, so the backlog maxima and chain disjointness are sweeps over
@@ -45,10 +46,9 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress
-from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .model import ArrivalKey, Instance, Packet, Rat, ONE, arrival_index, scaled_sum
+from .model import Instance, Packet, Rat, ONE, arrival_index, scaled_sum
 from .offline import OptResult, _earliest_sends, brute_force_opt, dp_opt, opt_containing
 from .simulate import (
     ADMITTED,
@@ -94,44 +94,6 @@ class LedgerError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Arrival indices
-
-
-# The arrivals last indexed and their map. Arrivals held as a tuple of
-# frozen packets cannot change, so the map cannot go stale.
-_last_index: tuple[tuple[Packet, ...], dict[ArrivalKey, int]] = ((), {})
-
-
-def _index_of(inst: Instance) -> Mapping[ArrivalKey, int]:
-    """Arrival index by key, for looking up the packets of a trace's events.
-
-    Memoised for the last instance's arrivals tuple, so the layers of one
-    analysis build it once; arrivals of any other type are indexed afresh.
-    """
-    global _last_index
-    arr = inst.arrivals
-    last, index = _last_index
-    if last is arr:
-        return index
-    index = dict(zip(map(attrgetter("key"), arr), range(len(arr))))
-    if type(arr) is tuple:
-        _last_index = (arr, index)
-    return index
-
-
-def _o_mask(inst: Instance, chosen: Iterable[Packet], index: Mapping[ArrivalKey, int]) -> list[bool]:
-    """O-membership by arrival index; a packet of another instance raises ValueError."""
-    arr = inst.arrivals
-    in_o = [False] * len(arr)
-    for p in chosen:
-        i = index.get(p.key)
-        if i is None or (arr[i] is not p and arr[i] != p):
-            i = arrival_index(inst, p)  # raises: `p` does not belong to this instance
-        in_o[i] = True
-    return in_o
-
-
-# ---------------------------------------------------------------------------
 # Relaxed reference schedule
 
 
@@ -139,8 +101,9 @@ def _o_mask(inst: Instance, chosen: Iterable[Packet], index: Mapping[ArrivalKey,
 class RoptTrace:
     """The relaxed reference schedule: the step at which it sends each O-packet.
 
-    ``send_time`` is indexed like the instance's arrivals, None for a packet
-    the reference never sends. ``last_step`` is its final send step (0 when
+    ``in_o`` is the O-mask and ``send_time`` the send step, both indexed
+    like the instance's arrivals; ``send_time`` is None for a packet the
+    reference never sends. ``last_step`` is its final send step (0 when
     O is empty). Every step that sends nothing has an empty reference buffer.
 
     ``link`` maps each send step that does not mirror the policy to the
@@ -150,6 +113,7 @@ class RoptTrace:
     share a step exactly when they share a head.
     """
 
+    in_o: Sequence[bool]
     send_time: Sequence[int | None]
     last_step: int
     link: Mapping[int, int | None]
@@ -171,12 +135,15 @@ def run_ropt(inst: Instance, chosen: Iterable[Packet], on: RunTrace) -> RoptTrac
     otherwise sends the earliest buffered packet. Runs until the buffer
     drains, which may outlast the policy's own trace. The reference sends
     whenever its buffer is non-empty, so it is busy at exactly the steps
-    of O's earliest-send schedule from :func:`feasible`; the loop visits
-    only those steps and chooses which packet goes at each.
+    of O's earliest-send schedule from
+    :func:`~fifolab.offline._earliest_sends`; the loop visits only those
+    steps and chooses which packet goes at each. A packet of `chosen` that
+    does not belong to `inst` raises ValueError.
     """
     arr = inst.arrivals
-    index = _index_of(inst)
-    in_o = _o_mask(inst, chosen, index)
+    in_o = [False] * len(arr)
+    for p in chosen:
+        in_o[arrival_index(inst, p)] = True
     o_idx = [i for i, member in enumerate(in_o) if member]
     schedule = _earliest_sends([arr[i].key.step for i in o_idx], inst.capacity)
     if schedule is None:
@@ -191,8 +158,7 @@ def run_ropt(inst: Instance, chosen: Iterable[Packet], on: RunTrace) -> RoptTrac
     for t in schedule:
         while send_time[pending[0]] is not None:
             pending.popleft()
-        mirrored = on.sends.get(t)
-        m = None if mirrored is None else index[mirrored.key]
+        m = on.sends.get(t)
         if m is not None and in_o[m] and send_time[m] is None:
             send_time[m] = t
         else:
@@ -200,7 +166,7 @@ def run_ropt(inst: Instance, chosen: Iterable[Packet], on: RunTrace) -> RoptTrac
             # a policy-sent O-packet left here earlier, at a non-mirroring step
             prev = link[t] = None if m is None else send_time[m]
             head[t] = t if prev is None else head[prev]
-    return RoptTrace(send_time, t, link, head)
+    return RoptTrace(in_o, send_time, t, link, head)
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +213,7 @@ class ChargeLedger:
     diagnostics: Mapping[str, int]
 
 
-def build_ledger(
-    inst: Instance, chosen: Iterable[Packet], on: RunTrace, ropt: RoptTrace
-) -> ChargeLedger:
+def build_ledger(inst: Instance, on: RunTrace, ropt: RoptTrace) -> ChargeLedger:
     """Materialize the charging scheme over concrete traces.
 
     Point charges for packets the policy sends; for dropped O-packets,
@@ -261,8 +225,7 @@ def build_ledger(
     chain is built from that very step.
     """
     arr = inst.arrivals
-    index = _index_of(inst)
-    in_o = _o_mask(inst, chosen, index)
+    in_o = ropt.in_o
     alpha = inst.alpha
     send_time = ropt.send_time
 
@@ -275,9 +238,10 @@ def build_ledger(
         "null-head-chains": 0,
     }
 
-    for t, p in on.sends.items():
+    for t, i in on.sends.items():
+        p = arr[i]
         value = on_charges[t] = alpha if p.is_alpha else ONE
-        if in_o[index[p.key]]:
+        if in_o[i]:
             charges.append(ChargeRecord(p, SENT_BY_BOTH, value, step=t))
 
     # the closing charge per chain owner's arrival index, None while its
@@ -304,20 +268,18 @@ def build_ledger(
         sent = send_time[i]
         return sent is not None and sent < now
 
-    def open_chain_candidates(buffered: list[Packet], now: int) -> list[int]:
+    def open_chain_candidates(buffered: list[int], now: int) -> list[int]:
         """Alpha packets in the policy's buffer whose chain exists and is open."""
-        out = []
-        for z in buffered:
-            if z.is_alpha:
-                j = index[z.key]
-                if sent_before(j, now) and head_of(j) not in closed_heads:
-                    out.append(j)
-        return out
+        return [
+            j
+            for j in buffered
+            if arr[j].is_alpha and sent_before(j, now) and head_of(j) not in closed_heads
+        ]
 
     def interval_end_of_alpha_run(start: int) -> int:
         """Last step of the run of alpha sends beginning after `start`."""
         t = start + 1
-        while (q := on.sends.get(t)) is not None and q.is_alpha:
+        while (q := on.sends.get(t)) is not None and arr[q].is_alpha:
             t += 1
         return t - 1
 
@@ -330,12 +292,12 @@ def build_ledger(
             _, i, drop_step = heapq.heappop(deferred)
             close_chain(i, arr[i], EVICTED_ONE_CHAIN, drop_step=drop_step)
 
-    for (t, kind, p), buf in replay_events(on):
+    for (t, kind, i), buf in replay_events(on):
         if deferred:
             reference_sends_before(t)
         if kind is SENT or kind is ADMITTED:
             continue
-        i = index[p.key]
+        p = arr[i]
         if kind is EVICTED and in_o[i]:
             if p.is_alpha:
                 # the interval always includes the drop step itself, so
@@ -353,11 +315,9 @@ def build_ledger(
         elif kind is REJECTED and in_o[i]:
             if p.is_alpha:
                 raise LedgerError("alpha packet self-rejected", step=t, packet=p)
-            if len(buf) != inst.capacity or not all(q.is_alpha for q in buf):
+            if len(buf) != inst.capacity or not all(arr[q].is_alpha for q in buf):
                 raise LedgerError("rejection without a full all-alpha buffer", step=t, packet=p)
-            diagnostics["reject-context-non-o-packets"] += sum(
-                1 for q in buf if not in_o[index[q.key]]
-            )
+            diagnostics["reject-context-non-o-packets"] += sum(1 for q in buf if not in_o[q])
             candidates = open_chain_candidates(buf, t)
             if not candidates:
                 raise LedgerError("no open chain for rejected packet", step=t, packet=p)
@@ -373,9 +333,9 @@ def build_ledger(
             if candidates:
                 close_chain(candidates[0], p, PREEMPTED_OPEN_CHAIN, drop_step=t)
             else:
-                if any(sent_before(index[z.key], t) for z in buf if z.is_alpha):
+                if any(sent_before(z, t) for z in buf if arr[z].is_alpha):
                     diagnostics["preempt-fallthrough-with-closed-chains"] += 1
-                h = sum(1 for q in buf if q.is_alpha)
+                h = sum(1 for q in buf if arr[q].is_alpha)
                 charges.append(
                     ChargeRecord(p, PREEMPTED_INTERVAL, ONE, interval=(t, t + h - 1), drop_step=t)
                 )
@@ -435,9 +395,7 @@ def _result(name: str, ok: bool, detail: str = "") -> CheckResult:
     return CheckResult(name, CheckStatus.PASS if ok else CheckStatus.FAIL, detail)
 
 
-def verify_ropt(
-    inst: Instance, chosen: Iterable[Packet], on: RunTrace, ropt: RoptTrace
-) -> AnalysisReport:
+def verify_ropt(inst: Instance, on: RunTrace, ropt: RoptTrace) -> AnalysisReport:
     """Structural checks on the reference schedule against the policy trace.
 
     Capacity safety at every acceptance instant, completeness (every
@@ -451,8 +409,7 @@ def verify_ropt(
     send step are then interval sweeps, not a replay of the buffer.
     """
     arr = inst.arrivals
-    index = _index_of(inst)
-    in_o = _o_mask(inst, chosen, index)
+    in_o = ropt.in_o
     o_idx = [i for i, member in enumerate(in_o) if member]
     send_time = ropt.send_time
     checks: list[CheckResult] = []
@@ -480,10 +437,9 @@ def verify_ropt(
     )
 
     late = []
-    for t, p in on.sends.items():
-        i = index[p.key]
+    for t, i in on.sends.items():
         if in_o[i] and (send_time[i] is None or send_time[i] > t):
-            late.append((t, p.id))
+            late.append((t, arr[i].id))
     checks.append(
         _result("send-precedence", not late, f"reference later than policy at {late}" if late else "")
     )
@@ -494,10 +450,9 @@ def verify_ropt(
     leave: list[float | None] = [None] * len(arr)
     admitted: deque[int] = deque()
     on_steps: list[int] = []  # the policy's send steps
-    for t, kind, p in on.events:
+    for t, kind, i in on.events:
         if kind is REJECTED:
             continue
-        i = index[p.key]
         if kind is ADMITTED:
             leave[i] = math.inf
             admitted.append(i)
@@ -506,7 +461,7 @@ def verify_ropt(
             while admitted and leave[admitted[0]] < math.inf:
                 admitted.popleft()
             if not admitted or admitted[0] != i:
-                raise ValueError(f"non-FIFO send of {p.id} at step {t}")
+                raise ValueError(f"non-FIFO send of {arr[i].id} at step {t}")
             admitted.popleft()
             on_steps.append(t)
         leave[i] = t
@@ -586,7 +541,7 @@ def verify_ropt(
 
 
 def verify_ledger(
-    ledger: ChargeLedger, inst: Instance, chosen: Iterable[Packet], on: RunTrace
+    ledger: ChargeLedger, inst: Instance, on: RunTrace, ropt: RoptTrace
 ) -> AnalysisReport:
     """Accounting checks over a built ledger.
 
@@ -596,15 +551,15 @@ def verify_ledger(
     policy sends a 1-value non-O packet there, idle heads reported as
     warnings); and single closure per head.
     """
-    index = _index_of(inst)
-    in_o = _o_mask(inst, chosen, index)
+    arr = inst.arrivals
+    in_o = ropt.in_o
     checks: list[CheckResult] = []
 
     # both sides as integer ratios, compared cross-multiplied
     ropt_num, ropt_den = scaled_sum([rec.amount for rec in ledger.ropt_charges])
     on_num, on_den = scaled_sum(ledger.on_charges.values())
     a, b = inst.alpha.as_integer_ratio()
-    o_alphas = sum([p.is_alpha for p in compress(inst.arrivals, in_o)])
+    o_alphas = sum([p.is_alpha for p in compress(arr, in_o)])
     expected = (sum(in_o) - o_alphas) * b + o_alphas * a  # over b
     delivered, delivered_den = on.totals.as_integer_ratio()
     conserved = ropt_num * b == expected * ropt_den and on_num * delivered_den == delivered * on_den
@@ -644,7 +599,7 @@ def verify_ledger(
         lo, hi = rec.interval
         for s in range(lo, hi + 1):
             q = on.sends.get(s)
-            if q is None or not q.is_alpha:
+            if q is None or not arr[q].is_alpha:
                 impure = f"interval [{lo}, {hi}] of {rec.packet.id}: step {s} is not an alpha send"
                 break
         if impure:
@@ -659,11 +614,11 @@ def verify_ledger(
         q = on.sends.get(chain.head)
         if q is None:
             null_heads += 1
-        elif in_o[index[q.key]]:
-            bad_head = f"head {chain.head} of {chain.owner.id}'s chain sends O-packet {q.id}"
+        elif in_o[q]:
+            bad_head = f"head {chain.head} of {chain.owner.id}'s chain sends O-packet {arr[q].id}"
             break
-        elif q.is_alpha:
-            bad_head = f"head {chain.head} of {chain.owner.id}'s chain sends alpha packet {q.id}"
+        elif arr[q].is_alpha:
+            bad_head = f"head {chain.head} of {chain.owner.id}'s chain sends alpha packet {arr[q].id}"
             break
     if bad_head:
         checks.append(CheckResult("chain-heads", CheckStatus.FAIL, bad_head))
@@ -747,16 +702,16 @@ def analyze(inst: Instance, beta: Rat) -> InstanceAnalysis:
     """
     on = run(Policy.on(beta), inst)
     exhaustive = brute_force_opt(inst)
-    alpha_sends = [p for p in on.sends.values() if p.is_alpha]
+    arr = inst.arrivals
+    alpha_sends = [i for i in on.sends.values() if arr[i].is_alpha]
     # The greedy seeded with S = alpha_sends offers the free packets in the
     # unseeded greedy's order. If its optimum G contains S, the seeded one
     # keeps each packet of G (G is feasible) and drops each other packet
     # (the unseeded one dropped it against a subset of G), so it returns G.
-    index = _index_of(inst)
-    if {index[p.key] for p in alpha_sends}.issubset(exhaustive.indices):
+    if set(alpha_sends).issubset(exhaustive.indices):
         optimum = exhaustive
     else:
-        optimum = opt_containing(inst, alpha_sends)
+        optimum = opt_containing(inst, [arr[i] for i in alpha_sends])
     if optimum is None:
         raise RuntimeError("delivered alpha packets must form a deliverable set")
     dp_value = dp_opt(inst)
@@ -772,19 +727,18 @@ def analyze(inst: Instance, beta: Rat) -> InstanceAnalysis:
             f"dp {dp_value} vs exhaustive {exhaustive.value}",
         ),
     ]
-    chosen = optimum.packets(inst)
-    ropt = run_ropt(inst, chosen, on)
-    checks += verify_ropt(inst, chosen, on, ropt).checks
+    ropt = run_ropt(inst, optimum.packets(inst), on)
+    checks += verify_ropt(inst, on, ropt).checks
 
     ledger: ChargeLedger | None
     try:
-        ledger = build_ledger(inst, chosen, on, ropt)
+        ledger = build_ledger(inst, on, ropt)
     except LedgerError as exc:
         ledger = None
         checks.append(CheckResult("charging-complete", CheckStatus.FAIL, str(exc)))
     else:
         checks.append(CheckResult("charging-complete", CheckStatus.PASS))
-        checks += verify_ledger(ledger, inst, chosen, on).checks
+        checks += verify_ledger(ledger, inst, on, ropt).checks
 
     ratio = _make_ratio(on.policy, on.totals, exhaustive.value, inst.alpha, beta)
     checks.append(

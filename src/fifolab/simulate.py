@@ -13,9 +13,13 @@ preempts); the greedy policy always sends its head.
 
 Traces record every admission, eviction, rejection, preemption and send,
 and the packet sent at each step, so downstream analysis can replay the
-buffer event by event without re-running policy logic. Idle steps are
-not stored: they are exactly the event-free steps before the last event,
-which the run jumps over and :func:`trace_lines` writes back.
+buffer event by event without re-running policy logic. A trace names
+each packet by its arrival index, its position in the instance's
+arrivals, and carries those arrivals. The run's two queues hold the same
+indices, which ascend in key order, so the head and the preempted set
+are found by comparing integers. Idle steps are not stored: they are
+exactly the event-free steps before the last event, which the run jumps
+over and :func:`trace_lines` writes back.
 """
 
 from __future__ import annotations
@@ -48,11 +52,15 @@ SENT = EventKind.SENT
 
 
 class StepEvent(NamedTuple):
-    """One packet event of a run; a tuple, so it is built and unpacked in C."""
+    """One packet event of a run; a tuple, so it is built and unpacked in C.
+
+    ``arrival`` is the packet's arrival index: the packet is
+    ``trace.arrivals[arrival]``.
+    """
 
     step: int
     kind: EventKind
-    packet: Packet
+    arrival: int
 
 
 @dataclass(frozen=True)
@@ -78,9 +86,16 @@ class Policy:
 
 @dataclass(frozen=True)
 class RunTrace:
+    """A policy's run: its events, its sends and the value it delivered.
+
+    ``arrivals`` is the instance's own arrivals tuple, which the events'
+    and the sends' arrival indices point into.
+    """
+
     policy: Policy
+    arrivals: tuple[Packet, ...]
     events: tuple[StepEvent, ...]
-    sends: Mapping[int, Packet]  # step -> packet sent, in send order
+    sends: Mapping[int, int]  # step -> arrival index sent, in send order
     totals: Rat
 
 
@@ -100,10 +115,11 @@ def run(policy: Policy, inst: Instance) -> RunTrace:
         # alpha * |A| >= beta * |D|, cross-multiplied over both denominators
         alpha_weight = inst.alpha.numerator * policy.beta.denominator
         beta_weight = policy.beta.numerator * inst.alpha.denominator
-    ones: deque[Packet] = deque()
-    alphas: deque[Packet] = deque()
+    # the queues hold arrival indices, which ascend in key order
+    ones: deque[int] = deque()
+    alphas: deque[int] = deque()
     events: list[StepEvent] = []
-    sends: dict[int, Packet] = {}
+    sends: dict[int, int] = {}
     alpha_sends = 0
     i = 0
     t = 0
@@ -111,30 +127,31 @@ def run(policy: Policy, inst: Instance) -> RunTrace:
         if not (ones or alphas):
             t = arrivals[i].key.step
         while i < len(arrivals) and arrivals[i].key.step == t:
-            p = arrivals[i]
+            a = i
             i += 1
+            is_alpha = arrivals[a].is_alpha
             if len(ones) + len(alphas) == inst.capacity:
                 # overflow: the earliest buffered 1-value packet goes; with
                 # none, a 1-value arrival is rejected and an alpha evicts the head
                 if ones:
                     victim = ones.popleft()
-                elif p.is_alpha:
+                elif is_alpha:
                     victim = alphas.popleft()
                 else:
-                    events.append(StepEvent(t, REJECTED, p))
+                    events.append(StepEvent(t, REJECTED, a))
                     continue
                 events.append(StepEvent(t, EVICTED, victim))
-            (alphas if p.is_alpha else ones).append(p)
-            events.append(StepEvent(t, ADMITTED, p))
-        if preempts and ones and alphas and ones[0].key < alphas[0].key:
+            (alphas if is_alpha else ones).append(a)
+            events.append(StepEvent(t, ADMITTED, a))
+        if preempts and ones and alphas and ones[0] < alphas[0]:
             # D: the 1-value packets ahead of the last buffered alpha
-            doomed = bisect_left(ones, alphas[-1].key, key=lambda q: q.key)
+            doomed = bisect_left(ones, alphas[-1])
             if alpha_weight * len(alphas) >= beta_weight * doomed:
                 for _ in range(doomed):
                     events.append(StepEvent(t, PREEMPTED, ones.popleft()))
         # the head is the earlier front, never missing: an arrival into an
         # empty buffer is admitted, and a preemption keeps every alpha packet
-        if not ones or (alphas and alphas[0].key < ones[0].key):
+        if not ones or (alphas and alphas[0] < ones[0]):
             sent = alphas.popleft()
             alpha_sends += 1
         else:
@@ -144,30 +161,38 @@ def run(policy: Policy, inst: Instance) -> RunTrace:
         t += 1
 
     totals = value_sum(inst.alpha, len(sends) - alpha_sends, alpha_sends)
-    return RunTrace(policy, tuple(events), sends, totals)
+    return RunTrace(policy, arrivals, tuple(events), sends, totals)
 
 
-def replay_events(trace: RunTrace) -> Iterator[tuple[StepEvent, list[Packet]]]:
+def replay_events(trace: RunTrace) -> Iterator[tuple[StepEvent, list[int]]]:
     """Yield each event with the buffer just after it, rebuilt from the event log.
 
-    The buffer is the replay's one live list, not a copy: it changes when
-    the next event is drawn. Delivery must remove the current head; a
-    mismatch means the trace itself violates FIFO order and raises.
+    The buffer holds arrival indices in FIFO order and is the replay's one
+    live list, not a copy: it changes when the next event is drawn.
+    Delivery must remove the current head; a mismatch means the trace
+    itself violates FIFO order and raises, as does an eviction or a
+    preemption of a packet that is not buffered.
     """
-    buf: list[Packet] = []
+    buf: list[int] = []
     for e in trace.events:
         if e.kind is ADMITTED:
-            buf.append(e.packet)
+            buf.append(e.arrival)
         elif e.kind in (EVICTED, PREEMPTED):
-            buf.remove(e.packet)
+            try:
+                buf.remove(e.arrival)
+            except ValueError:
+                packet = trace.arrivals[e.arrival].id
+                message = f"unbuffered packet {packet} {e.kind.value} at step {e.step}"
+                raise ValueError(message) from None
         elif e.kind is SENT:
-            if not buf or buf[0] is not e.packet:
-                raise ValueError(f"non-FIFO send of {e.packet.id} at step {e.step}")
+            if not buf or buf[0] != e.arrival:
+                packet = trace.arrivals[e.arrival].id
+                raise ValueError(f"non-FIFO send of {packet} at step {e.step}")
             buf.pop(0)
         yield e, buf
 
 
-def replay_buffer_states(trace: RunTrace) -> list[tuple[StepEvent, tuple[Packet, ...]]]:
+def replay_buffer_states(trace: RunTrace) -> list[tuple[StepEvent, tuple[int, ...]]]:
     """:func:`replay_events` with a snapshot of the buffer after every event."""
     return [(e, tuple(buf)) for e, buf in replay_events(trace)]
 
@@ -184,12 +209,13 @@ def trace_lines(trace: RunTrace) -> Iterator[str]:
     chunks of at most ``_IDLE_BLOCK`` lines, so a writer's memory does not
     follow the largest step number.
     """
+    arrivals = trace.arrivals
     prev = 0
     for e in trace.events:
         if e.step > prev + 1:
             for lo in range(prev + 1, e.step, _IDLE_BLOCK):
                 yield "".join([f"{t} idle -\n" for t in range(lo, min(lo + _IDLE_BLOCK, e.step))])
-        yield f"{e.step} {e.kind.value} {e.packet.id}\n"
+        yield f"{e.step} {e.kind.value} {arrivals[e.arrival].id}\n"
         prev = e.step
     yield f"total {format_rat(trace.totals)}\n"
 

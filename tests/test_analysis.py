@@ -56,6 +56,11 @@ def by_ids(inst, *ids):
     return {index[i] for i in ids}
 
 
+def sent_ids(inst, trace):
+    """Ids of the packets a policy trace sends, in send order."""
+    return [inst.arrivals[i].id for i in trace.sends.values()]
+
+
 def send_times(inst, ropt):
     """The reference's send step of each O-packet, from its index-keyed list."""
     return {p: t for p, t in zip(inst.arrivals, ropt.send_time) if t is not None}
@@ -82,13 +87,15 @@ class TestRunRopt:
     def test_empty_chosen_set_never_sends(self):
         inst, on, _ = demo_setup()
         ropt = run_ropt(inst, set(), on)
+        assert ropt.in_o == [False] * len(inst.arrivals)
         assert ropt.send_time == [None] * len(inst.arrivals)
 
     def test_mirrors_when_policy_matches_optimum(self):
         inst = build_instance(2, Fraction(2), [(1, 0, "alpha"), (1, 1, "alpha")])
         on = run(Policy.on(BETA_REF), inst)
         ropt = run_ropt(inst, set(inst.arrivals), on)
-        assert {t: p for p, t in send_times(inst, ropt).items()} == on.sends
+        assert ropt.in_o == [True, True]
+        assert {t: i for i, t in enumerate(ropt.send_time) if t is not None} == on.sends
         assert ropt.last_step == 2
 
     def test_infeasible_chosen_set_rejected(self):
@@ -97,18 +104,24 @@ class TestRunRopt:
         with pytest.raises(ValueError):
             run_ropt(inst, set(inst.arrivals), on)
 
+    def test_packet_of_another_instance_rejected(self):
+        inst, on, chosen = demo_setup()
+        stranger = build_instance(2, Fraction(2), [(3, 0, "one")]).arrivals[0]
+        with pytest.raises(ValueError, match="does not belong to this instance"):
+            run_ropt(inst, chosen | {stranger}, on)
+
 
 class TestVerifyRopt:
     def test_demo_all_pass(self):
         inst, on, chosen = demo_setup()
-        report = verify_ropt(inst, chosen, on, run_ropt(inst, chosen, on))
+        report = verify_ropt(inst, on, run_ropt(inst, chosen, on))
         assert report.ok
         for name in ("ropt-capacity", "ropt-sends-all", "send-precedence", "chains-disjoint"):
             assert report.check(name).status == CheckStatus.PASS
 
     def test_empty_chosen_set_vacuous(self):
         inst, on, _ = demo_setup()
-        report = verify_ropt(inst, set(), on, run_ropt(inst, set(), on))
+        report = verify_ropt(inst, on, run_ropt(inst, set(), on))
         assert report.ok
 
     def test_checks_without_replaying_the_policy(self, monkeypatch):
@@ -117,7 +130,7 @@ class TestVerifyRopt:
 
         monkeypatch.setattr(analysis_module, "replay_events", no_replay)
         inst, on, chosen = demo_setup()
-        report = verify_ropt(inst, chosen, on, run_ropt(inst, chosen, on))
+        report = verify_ropt(inst, on, run_ropt(inst, chosen, on))
         assert [c.name for c in report.checks] == [
             "ropt-capacity",
             "ropt-sends-all",
@@ -129,7 +142,7 @@ class TestVerifyRopt:
 
     def test_backlog_diagnostic_reports_counts(self):
         inst, on, chosen = demo_setup()
-        report = verify_ropt(inst, chosen, on, run_ropt(inst, chosen, on))
+        report = verify_ropt(inst, on, run_ropt(inst, chosen, on))
         check = report.check("backlog-bound")
         assert check.status == CheckStatus.PASS
         assert "max alpha backlog 1" in check.detail
@@ -145,7 +158,7 @@ class TestChains:
             2, Fraction(2), [(1, 0, "one"), (1, 1, "one"), (2, 0, "one"), (2, 1, "one")]
         )
         on = run(Policy.on(BETA_REF), inst)
-        assert [p.id for p in on.sends.values()] == ["1", "2", "2.1"]
+        assert sent_ids(inst, on) == ["1", "2", "2.1"]
         chosen = by_ids(inst, "1", "1.1", "2")
         ropt = run_ropt(inst, chosen, on)
         [owner] = by_ids(inst, "1.1")
@@ -170,7 +183,8 @@ class TestChains:
 class TestLedgerDemo:
     def test_charges(self):
         inst, on, chosen = demo_setup()
-        ledger = build_ledger(inst, chosen, on, run_ropt(inst, chosen, on))
+        ropt = run_ropt(inst, chosen, on)
+        ledger = build_ledger(inst, on, ropt)
 
         by_kind = {}
         for rec in ledger.ropt_charges:
@@ -192,14 +206,16 @@ class TestLedgerDemo:
 
     def test_conservation(self):
         inst, on, chosen = demo_setup()
-        ledger = build_ledger(inst, chosen, on, run_ropt(inst, chosen, on))
+        ropt = run_ropt(inst, chosen, on)
+        ledger = build_ledger(inst, on, ropt)
         assert sum(rec.amount for rec in ledger.ropt_charges) == total_value(inst, chosen) == 13
         assert sum(ledger.on_charges.values(), Fraction(0)) == on.totals == 11
 
     def test_verify_passes(self):
         inst, on, chosen = demo_setup()
-        ledger = build_ledger(inst, chosen, on, run_ropt(inst, chosen, on))
-        report = verify_ledger(ledger, inst, chosen, on)
+        ropt = run_ropt(inst, chosen, on)
+        ledger = build_ledger(inst, on, ropt)
+        report = verify_ledger(ledger, inst, on, ropt)
         assert report.ok
         assert report.check("interval-exclusive").status == CheckStatus.PASS
 
@@ -207,11 +223,12 @@ class TestLedgerDemo:
         # alpha evictions just before, at both ends of, and just after the
         # preemption interval [5, 6], recorded in step order as the ledger does
         inst, on, chosen = demo_setup()
-        ledger = build_ledger(inst, chosen, on, run_ropt(inst, chosen, on))
+        ropt = run_ropt(inst, chosen, on)
+        ledger = build_ledger(inst, on, ropt)
         [evicted] = [r for r in ledger.ropt_charges if r.kind == EVICTED_ALPHA_INTERVAL]
         drops = tuple(evicted._replace(drop_step=d) for d in (4, 5, 6, 7))
         tampered = replace(ledger, ropt_charges=ledger.ropt_charges + drops)
-        check = verify_ledger(tampered, inst, chosen, on).check("interval-exclusive")
+        check = verify_ledger(tampered, inst, on, ropt).check("interval-exclusive")
         assert check.status == CheckStatus.FAIL
         assert check.detail == "alpha evictions at [5, 6] inside preemption interval [5, 6]"
 
@@ -224,14 +241,14 @@ class TestLedgerChainCharges:
         on = run(Policy.on(BETA_REF), inst)
         chosen = by_ids(inst, "1", "1.1", "2")
         ropt = run_ropt(inst, chosen, on)
-        ledger = build_ledger(inst, chosen, on, ropt)
+        ledger = build_ledger(inst, on, ropt)
         [rec] = [r for r in ledger.ropt_charges if r.kind == EVICTED_ONE_CHAIN]
         assert rec.packet.id == "1.1"
         assert rec.step == 3
         assert rec.drop_step == 2
         [chain] = ledger.chains
         assert chain.status == "closed" and chain.steps == (3,)
-        assert verify_ledger(ledger, inst, chosen, on).ok
+        assert verify_ledger(ledger, inst, on, ropt).ok
         assert ledger.diagnostics["deferred-evictions"] == 1
 
     def test_rejection_charged_at_open_chain_head(self):
@@ -242,19 +259,19 @@ class TestLedgerChainCharges:
             2, Fraction(2), [(1, 0, "one"), (1, 1, "alpha"), (2, 0, "alpha"), (2, 1, "one")]
         )
         on = run(Policy.on(BETA_REF), inst)
-        assert [p.id for p in on.sends.values()] == ["1", "1.1", "2"]
+        assert sent_ids(inst, on) == ["1", "1.1", "2"]
         chosen = by_ids(inst, "1.1", "2", "2.1")
         assert total_value(inst, chosen) == 5
         assert feasible(inst, chosen)[0]
         ropt = run_ropt(inst, chosen, on)
-        ledger = build_ledger(inst, chosen, on, ropt)
+        ledger = build_ledger(inst, on, ropt)
         [rec] = [r for r in ledger.ropt_charges if r.kind == REJECTED_ONE_CHAIN]
         assert rec.packet.id == "2.1"
         assert rec.step == 1
         [chain] = ledger.chains
         assert chain.owner.id == "1.1" and chain.status == "closed"
         report = AnalysisReport(
-            verify_ropt(inst, chosen, on, ropt).checks + verify_ledger(ledger, inst, chosen, on).checks
+            verify_ropt(inst, on, ropt).checks + verify_ledger(ledger, inst, on, ropt).checks
         )
         assert report.ok
 
@@ -268,10 +285,10 @@ class TestLedgerChainCharges:
             [(1, 0, "one"), (1, 1, "one"), (1, 2, "one"), (1, 3, "alpha"), (3, 0, "alpha")],
         )
         on = run(Policy.on(BETA_REF), inst)
-        assert [p.id for p in on.sends.values()] == ["1", "1.1", "1.3", "3"]
+        assert sent_ids(inst, on) == ["1", "1.1", "1.3", "3"]
         chosen = by_ids(inst, "1.2", "1.3", "3")
         ropt = run_ropt(inst, chosen, on)
-        ledger = build_ledger(inst, chosen, on, ropt)
+        ledger = build_ledger(inst, on, ropt)
         [rec] = [r for r in ledger.ropt_charges if r.kind == PREEMPTED_OPEN_CHAIN]
         assert rec.packet.id == "1.2"
         assert rec.step == 2
@@ -279,53 +296,36 @@ class TestLedgerChainCharges:
         [chain] = ledger.chains
         assert chain.owner.id == "1.3" and chain.steps == (2,) and chain.status == "closed"
         report = AnalysisReport(
-            verify_ropt(inst, chosen, on, ropt).checks + verify_ledger(ledger, inst, chosen, on).checks
+            verify_ropt(inst, on, ropt).checks + verify_ledger(ledger, inst, on, ropt).checks
         )
         assert report.ok
         assert sum(r.amount for r in ledger.ropt_charges) == total_value(inst, chosen)
         # a second charge at the same head breaks single closure
         tampered = replace(ledger, ropt_charges=ledger.ropt_charges + (rec._replace(drop_step=4),))
-        check = verify_ledger(tampered, inst, chosen, on).check("single-closure")
+        check = verify_ledger(tampered, inst, on, ropt).check("single-closure")
         assert check == ("single-closure", "fail", "duplicated head charges at [2]")
 
     def test_policy_matching_optimum_needs_no_chains(self):
         inst = build_instance(2, Fraction(2), [(1, 0, "alpha"), (2, 0, "one")])
         on = run(Policy.on(BETA_REF), inst)
         chosen = set(inst.arrivals)
-        ledger = build_ledger(inst, chosen, on, run_ropt(inst, chosen, on))
+        ropt = run_ropt(inst, chosen, on)
+        ledger = build_ledger(inst, on, ropt)
         assert all(rec.kind == SENT_BY_BOTH for rec in ledger.ropt_charges)
         assert ledger.chains == ()
 
 
 class TestArrivalIndex:
-    def test_shared_per_arrivals_tuple(self):
-        inst = demo_instance(Fraction(2))
-        index = analysis_module._index_of(inst)
-        assert index == {p.key: i for i, p in enumerate(inst.arrivals)}
-        # another instance over the same arrivals tuple shares the map
-        assert analysis_module._index_of(replace(inst, alpha=Fraction(5))) is index
-
-    def test_list_arrivals_are_indexed_afresh(self):
-        inst = demo_instance(Fraction(2))
-        listed = replace(inst, arrivals=list(inst.arrivals))
-        first = analysis_module._index_of(listed)
-        listed.arrivals.pop()  # a list can change, so its map is not kept
-        assert analysis_module._index_of(listed) is not first
-        assert len(analysis_module._index_of(listed)) == len(inst.arrivals) - 1
-
-    def test_layers_agree_while_the_map_belongs_to_another_instance(self):
-        insts = [random_instance(GenConfig(seed=seed)) for seed in range(40)]
-        for inst, other in zip(insts, insts[1:] + insts[:1]):
+    def test_layers_standalone_reproduce_analyze(self):
+        for seed in range(40):
+            inst = random_instance(GenConfig(seed=seed))
             result = analyze(inst, BETA_REF)
-            chosen, on = result.optimum.packets(inst), result.on
-            analysis_module._index_of(other)
-            ropt = run_ropt(inst, chosen, on)
-            analysis_module._index_of(other)
-            checks = verify_ropt(inst, chosen, on, ropt).checks
-            analysis_module._index_of(other)
-            ledger = build_ledger(inst, chosen, on, ropt)
-            analysis_module._index_of(other)
-            checks += verify_ledger(ledger, inst, chosen, on).checks
+            on = run(Policy.on(BETA_REF), inst)
+            assert on.arrivals is inst.arrivals and on == result.on
+            ropt = run_ropt(inst, result.optimum.packets(inst), on)
+            checks = verify_ropt(inst, on, ropt).checks
+            ledger = build_ledger(inst, on, ropt)
+            checks += verify_ledger(ledger, inst, on, ropt).checks
             assert ropt == result.ropt and ledger == result.ledger
             assert set(checks) <= set(result.report.checks)
 
@@ -568,16 +568,16 @@ def test_failure_paths_digest():
             chosen = _random_feasible_subset(inst, rng)
             ropt = run_ropt(inst, chosen, on)
             sends = sorted((t, p.id) for p, t in send_times(inst, ropt).items())
-            report = verify_ropt(inst, chosen, on, ropt)
+            report = verify_ropt(inst, on, ropt)
             parts = [f"{seed} {beta} {sends} {ropt.last_step}", format_report(report)]
             reached.update(c.name for c in report.failures)
             try:
-                ledger = build_ledger(inst, chosen, on, ropt)
+                ledger = build_ledger(inst, on, ropt)
             except LedgerError as exc:
                 parts.append(str(exc))
                 reached.add(str(exc).split(" (")[0])
             else:
-                checked = verify_ledger(ledger, inst, chosen, on)
+                checked = verify_ledger(ledger, inst, on, ropt)
                 reached.update(c.name for c in checked.failures)
                 parts += [
                     format_ledger(ledger),
@@ -631,13 +631,31 @@ def test_analyze_hashes_no_packet(monkeypatch):
     assert calls == 0
 
 
+def test_analyze_builds_one_o_mask(monkeypatch):
+    # run_ropt looks up each optimum packet once; the other layers reuse its mask
+    calls = 0
+    real_index = analysis_module.arrival_index
+
+    def counted(inst, p):
+        nonlocal calls
+        calls += 1
+        return real_index(inst, p)
+
+    monkeypatch.setattr(analysis_module, "arrival_index", counted)
+    for seed in range(500):
+        calls = 0
+        result = analyze(random_instance(GenConfig(seed=seed)), BETA_REF)
+        assert calls == len(result.optimum.indices) == sum(result.ropt.in_o)
+
+
 def test_non_fifo_trace_rejected():
     # a hand-built trace that sends the second packet while the first is
     # still at the head of the buffer
     inst = build_instance(2, Fraction(2), [(1, 0, "one"), (1, 1, "alpha")])
-    first, second = inst.arrivals
+    first, second = 0, 1
     on = RunTrace(
         Policy.on(BETA_REF),
+        inst.arrivals,
         (
             StepEvent(1, EventKind.ADMITTED, first),
             StepEvent(1, EventKind.ADMITTED, second),
@@ -647,12 +665,12 @@ def test_non_fifo_trace_rejected():
         {1: second, 2: first},
         Fraction(3),
     )
-    chosen = set(inst.arrivals)
-    ropt = run_ropt(inst, chosen, on)
+    ropt = run_ropt(inst, set(inst.arrivals), on)
+    assert ropt.in_o == [True, True]
     with pytest.raises(ValueError, match="non-FIFO send of 1.1 at step 1"):
-        verify_ropt(inst, chosen, on, ropt)
+        verify_ropt(inst, on, ropt)
     with pytest.raises(ValueError, match="non-FIFO send of 1.1 at step 1"):
-        build_ledger(inst, chosen, on, ropt)
+        build_ledger(inst, on, ropt)
 
 
 @pytest.mark.parametrize(
@@ -686,13 +704,15 @@ def test_ledger_rejects_hand_built_trace(specs, events, message):
     # the first case defers two evictions out of key order, so the heap of
     # deferred evictions breaks a tie by key
     inst = build_instance(2, Fraction(2), specs)
-    index = {p.id: p for p in inst.arrivals}
+    index = {p.id: i for i, p in enumerate(inst.arrivals)}
     on = RunTrace(
         Policy.on(BETA_REF),
+        inst.arrivals,
         tuple(StepEvent(t, EventKind(kind), index[i]) for t, kind, i in events),
         {},
         Fraction(0),
     )
+    every_packet_in_o = [True] * len(specs)
     with pytest.raises(LedgerError) as exc:
-        build_ledger(inst, inst.arrivals, on, RoptTrace([None] * len(specs), 0, {}, {}))
+        build_ledger(inst, on, RoptTrace(every_packet_in_o, [None] * len(specs), 0, {}, {}))
     assert str(exc.value) == message

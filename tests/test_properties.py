@@ -69,7 +69,7 @@ TERMINAL_KINDS = frozenset(
 
 
 def fates(trace):
-    """Terminal event of every arrival (sent/evicted/rejected/preempted).
+    """Terminal event of every arrival index (sent/evicted/rejected/preempted).
 
     Raises if the trace classifies any packet more than once, which would
     violate conservation.
@@ -77,10 +77,21 @@ def fates(trace):
     out = {}
     for e in trace.events:
         if e.kind in TERMINAL_KINDS:
-            if e.packet in out:
-                raise ValueError(f"packet {e.packet.id} classified twice")
-            out[e.packet] = e
+            if e.arrival in out:
+                raise ValueError(f"packet {trace.arrivals[e.arrival].id} classified twice")
+            out[e.arrival] = e
     return out
+
+
+def sent_packets(trace):
+    """The packets a trace sends, in send order."""
+    return [trace.arrivals[i] for i in trace.sends.values()]
+
+
+def sent_at(trace, step):
+    """The packet a trace sends at `step`, or None."""
+    i = trace.sends.get(step)
+    return None if i is None else trace.arrivals[i]
 
 
 def _literal_run(policy, inst):
@@ -96,8 +107,9 @@ def _literal_run(policy, inst):
     Walks every step up to the last arrival, then until the buffer drains,
     and returns its own export lines (an idle line for every step up to the
     last arrival that sends nothing), its packet events and its sends as
-    (step, packet) pairs.
+    (step, arrival index) pairs.
     """
+    position = {p.key: i for i, p in enumerate(inst.arrivals)}
     by_step = {}
     for p in inst.arrivals:
         by_step.setdefault(p.key.step, []).append(p)
@@ -106,7 +118,7 @@ def _literal_run(policy, inst):
     lines, events, sends = [], [], []
 
     def emit(t, kind, p):
-        events.append(StepEvent(t, kind, p))
+        events.append(StepEvent(t, kind, position[p.key]))
         lines.append(f"{t} {kind.value} {p.id}")
 
     t = 1
@@ -135,12 +147,12 @@ def _literal_run(policy, inst):
                     emit(t, EventKind.PREEMPTED, q)
         if buf:
             emit(t, EventKind.SENT, buf[0])
-            sends.append((t, buf[0]))
+            sends.append((t, position[buf[0].key]))
             buf = buf[1:]
         elif t <= last:
             lines.append(f"{t} idle -")
         t += 1
-    total = sum((value_of(p, inst.alpha) for _, p in sends), ZERO)
+    total = sum((value_of(inst.arrivals[i], inst.alpha) for _, i in sends), ZERO)
     lines.append(f"total {total.numerator}/{total.denominator}")
     return lines, events, sends
 
@@ -151,7 +163,7 @@ def _assert_run_matches_oracle(policy, inst):
     assert format_trace(trace).splitlines() == lines
     assert list(trace.events) == events
     assert list(trace.sends.items()) == sends
-    assert trace.totals == total_value(inst, trace.sends.values())
+    assert trace.totals == total_value(inst, sent_packets(trace))
     return trace
 
 
@@ -180,7 +192,7 @@ def test_integer_value_sums_match_fraction_sums(inst, alpha, beta):
 
     for policy in (Policy.greedy(), Policy.on(beta)):
         trace = run(policy, inst)
-        assert trace.totals == fraction_sum(trace.sends.values())
+        assert trace.totals == fraction_sum(sent_packets(trace))
     assert total_value(inst, inst.arrivals) == fraction_sum(inst.arrivals)
     assert total_value(inst, inst.arrivals[1::2]) == fraction_sum(inst.arrivals[1::2])
 
@@ -196,13 +208,13 @@ def test_integer_value_sums_match_fraction_sums(inst, alpha, beta):
         ropt_charges=result.ledger.ropt_charges + (stray,),
         on_charges={**result.ledger.on_charges, 0: Fraction(2, 13)},
     )
-    check = verify_ledger(tampered, inst, chosen, result.on).check("charge-conservation")
+    check = verify_ledger(tampered, inst, result.on, result.ropt).check("charge-conservation")
     ropt_total = sum((r.amount for r in tampered.ropt_charges), ZERO)
     on_total = sum(tampered.on_charges.values(), ZERO)
     assert check.status == "fail"
     assert check.detail == (
         f"reference charges {ropt_total} vs optimum value {fraction_sum(chosen)}; "
-        f"policy charges {on_total} vs delivered {fraction_sum(result.on.sends.values())}"
+        f"policy charges {on_total} vs delivered {fraction_sum(sent_packets(result.on))}"
     )
 
 
@@ -214,18 +226,18 @@ def test_trace_invariants(inst, beta, use_greedy):
     # capacity safety and FIFO buffers at every event
     for _, state in replay_buffer_states(trace):
         assert len(state) <= inst.capacity
-        assert list(state) == sorted(state, key=lambda p: p.key)
+        assert list(state) == sorted(state)  # arrival indices ascend in key order
 
     # FIFO delivery
-    keys = [p.key for p in trace.sends.values()]
+    keys = [p.key for p in sent_packets(trace)]
     assert keys == sorted(keys)
 
     # conservation: every arrival classified exactly once
     classified = fates(trace)
-    assert set(classified) == set(inst.arrivals)
+    assert set(classified) == set(range(len(inst.arrivals)))
 
     # totals computed exactly
-    assert trace.totals == total_value(inst, trace.sends.values())
+    assert trace.totals == total_value(inst, sent_packets(trace))
 
     # determinism
     assert run(policy, inst) == trace
@@ -234,12 +246,13 @@ def test_trace_invariants(inst, beta, use_greedy):
 @given(instances(), st.sampled_from(BETAS))
 def test_threshold_policy_preemption_rules(inst, beta):
     trace = run(Policy.on(beta), inst)
+    arr = trace.arrivals
     states = replay_buffer_states(trace)
 
     # no alpha packet is ever preempted
     for event, _ in states:
         if event.kind is EventKind.PREEMPTED:
-            assert not event.packet.is_alpha
+            assert not arr[event.arrival].is_alpha
 
     # preemption payback: buffered alpha mass covers beta times the batch
     batch_start: dict[int, int] = {}
@@ -251,19 +264,19 @@ def test_threshold_policy_preemption_rules(inst, beta):
     for step, size in batches.items():
         i = batch_start[step]
         before = states[i - 1][1] if i > 0 else ()
-        alpha_mass = inst.alpha * sum(1 for p in before if p.is_alpha)
+        alpha_mass = inst.alpha * sum(1 for i in before if arr[i].is_alpha)
         assert alpha_mass >= beta * size
 
     # an evicted alpha packet leaves behind a full all-alpha buffer, and
     # the policy then sends alpha packets for a full buffer's worth of steps
     sends = trace.sends
     for i, (event, state) in enumerate(states):
-        if event.kind is EventKind.EVICTED and event.packet.is_alpha:
+        if event.kind is EventKind.EVICTED and arr[event.arrival].is_alpha:
             after = states[i + 1][1]  # the admission that caused the eviction
             assert len(after) == inst.capacity
-            assert all(p.is_alpha for p in after)
+            assert all(arr[j].is_alpha for j in after)
             for t in range(event.step, event.step + inst.capacity):
-                assert sends[t].is_alpha
+                assert arr[sends[t]].is_alpha
 
 
 def _literal_run_ropt(inst, chosen, on):
@@ -285,7 +298,7 @@ def _literal_run_ropt(inst, chosen, on):
     t = 1
     while t <= last_arrival or buf:
         buf.extend(by_step.get(t, ()))
-        mirrored = on.sends.get(t)
+        mirrored = sent_at(on, t)
         if mirrored is not None and mirrored in o_set and mirrored in buf:
             buf.remove(mirrored)
             send_time[mirrored] = t
@@ -303,12 +316,12 @@ def _literal_chain(on, send_time, o_set, packet):
     packet outside O. Returns the steps in ascending order.
     """
     steps = [send_time[packet]]
-    hop = on.sends.get(steps[0])
+    hop = sent_at(on, steps[0])
     while hop in o_set:
         prev = send_time[hop]
         assert prev < steps[-1], f"chain walk from {packet.id} failed to descend at {prev}"
         steps.append(prev)
-        hop = on.sends.get(prev)
+        hop = sent_at(on, prev)
     return tuple(reversed(steps))
 
 
@@ -321,7 +334,7 @@ def _assert_chains_match_oracle(inst, chosen, on, ropt):
     o_set = frozenset(chosen)
     send_time = _send_times(inst, ropt)
     # the reference's send steps whose packet the policy does not send there
-    unmirrored = {t: p for p, t in send_time.items() if on.sends.get(t) is not p}
+    unmirrored = {t: p for p, t in send_time.items() if sent_at(on, t) is not p}
     assert set(ropt.link) == set(ropt.head) == set(unmirrored)
     for t, p in unmirrored.items():
         steps = _literal_chain(on, send_time, o_set, p)
@@ -404,7 +417,8 @@ def _literal_verify_ropt(inst, chosen, on, ropt):
     detail = f"missing={missing} extra={extra}" if missing or extra else ""
     checks.append(CheckResult("ropt-sends-all", "fail" if detail else "pass", detail))
 
-    late = [(t, p.id) for t, p in on.sends.items() if p in o_set and send_time.get(p, t + 1) > t]
+    sends = [(t, on.arrivals[i]) for t, i in on.sends.items()]
+    late = [(t, p.id) for t, p in sends if p in o_set and send_time.get(p, t + 1) > t]
     detail = f"reference later than policy at {late}" if late else ""
     checks.append(CheckResult("send-precedence", "fail" if late else "pass", detail))
 
@@ -414,7 +428,8 @@ def _literal_verify_ropt(inst, chosen, on, ropt):
         if event.kind is not EventKind.SENT:
             continue
         t = event.step
-        live = [z for z in buf if z in o_set and send_time.get(z, t + 1) <= t]
+        buffered = [on.arrivals[i] for i in buf]
+        live = [z for z in buffered if z in o_set and send_time.get(z, t + 1) <= t]
         max_any = max(max_any, len(live))
         max_alpha = max(max_alpha, sum(1 for z in live if z.is_alpha))
         if overlap:
@@ -438,7 +453,7 @@ def _literal_verify_ropt(inst, chosen, on, ropt):
 
 def _assert_verify_ropt_matches_oracle(inst, chosen, on, ropt=None):
     ropt = run_ropt(inst, chosen, on) if ropt is None else ropt
-    report = verify_ropt(inst, chosen, on, ropt)
+    report = verify_ropt(inst, on, ropt)
     assert report == _literal_verify_ropt(inst, chosen, on, ropt)
     return report
 
@@ -478,6 +493,8 @@ def test_verify_ropt_matches_literal_oracle_on_failure_paths():
             merged = replace(ropt, head=dict.fromkeys(ropt.head, 0))
             fewer = set(list(chosen)[1:])
             for o_set, trace in ((chosen, ropt), (chosen, merged), (inst.arrivals, ropt), (fewer, ropt)):
+                # the reference built for `chosen`, checked as if O were `o_set`
+                trace = replace(trace, in_o=[p in o_set for p in inst.arrivals])
                 report = _assert_verify_ropt_matches_oracle(inst, o_set, on, trace)
                 failed.update(c.name for c in report.checks if c.status != CheckStatus.PASS)
     names = {"ropt-capacity", "ropt-sends-all", "send-precedence", "chains-disjoint", "backlog-bound"}
@@ -641,7 +658,8 @@ def test_greedy_optimum_matches_exhaustive_oracle_on_corpus():
     # every alpha packet the threshold policy delivered
     for seed in range(2000):
         inst = random_instance(GenConfig(seed=seed))
-        delivered_alphas = {p for p in run(Policy.on(DEFAULT_BETA), inst).sends.values() if p.is_alpha}
+        on = run(Policy.on(DEFAULT_BETA), inst)
+        delivered_alphas = {p for p in sent_packets(on) if p.is_alpha}
         _assert_greedy_matches_oracle(inst, set())
         _assert_greedy_matches_oracle(inst, delivered_alphas)
 
@@ -761,7 +779,7 @@ def test_opt_containing_returns_the_optimum_that_contains_its_requirement():
         inst = random_instance(GenConfig(seed=seed))
         best = brute_force_opt(inst)
         on = run(Policy.on(DEFAULT_BETA), inst)
-        delivered = [p for p in on.sends.values() if p.is_alpha]
+        delivered = [p for p in sent_packets(on) if p.is_alpha]
         some_of_best = [p for p in best.packets(inst) if rng.randrange(2)]
         for required in (delivered, some_of_best):
             if set(best.packets(inst)).issuperset(required):

@@ -6,6 +6,8 @@ from fifolab import (
     EventKind,
     Instance,
     Policy,
+    RunTrace,
+    StepEvent,
     build_instance,
     demo_instance,
     format_trace,
@@ -25,6 +27,11 @@ def on(beta):
 def trace_lines(policy, capacity, alpha, *specs):
     """Exported trace of a small instance: one line per event, then the total."""
     return format_trace(run(policy, build_instance(capacity, Fraction(alpha), specs))).splitlines()
+
+
+def sent_ids(trace):
+    """Ids of the packets a trace sends, in send order."""
+    return [trace.arrivals[i].id for i in trace.sends.values()]
 
 
 def admitted(step, *ids):
@@ -144,10 +151,10 @@ class TestDeliverOn:
             kinds = [e.kind for e in first_step]
             if preempts:
                 assert kinds == [EventKind.PREEMPTED] * n + [EventKind.SENT]
-                assert first_step[-1].packet.is_alpha
+                assert trace.arrivals[first_step[-1].arrival].is_alpha
             else:
                 assert kinds == [EventKind.SENT]
-                assert not first_step[-1].packet.is_alpha
+                assert not trace.arrivals[first_step[-1].arrival].is_alpha
 
 
 class TestDeliverGreedy:
@@ -172,7 +179,7 @@ class TestRun:
     def test_demo_threshold_trace(self):
         inst = demo_instance(Fraction(2))
         trace = run(Policy.on(Fraction(2)), inst)
-        assert [p.id for p in trace.sends.values()] == ["1", "2", "2.1", "2.2", "5.1", "5.2"]
+        assert sent_ids(trace) == ["1", "2", "2.1", "2.2", "5.1", "5.2"]
         assert trace.totals == 11  # 5 * alpha + 1
 
     def test_demo_greedy_totals(self):
@@ -180,7 +187,7 @@ class TestRun:
         # 5 * alpha + 2
         inst = demo_instance(Fraction(2))
         trace = run(Policy.greedy(), inst)
-        assert [p.id for p in trace.sends.values()] == ["1", "2", "2.1", "2.2", "5", "5.1", "5.2"]
+        assert sent_ids(trace) == ["1", "2", "2.1", "2.2", "5", "5.1", "5.2"]
         assert trace.totals == 12
 
     def test_empty_instance_has_no_events(self):
@@ -193,8 +200,8 @@ class TestRun:
     def test_threshold_on_blocking_family(self):
         trace = run(Policy.on(Fraction(3284, 1000)), greedy_blocking(Fraction(10)))
         assert trace.totals == 30
-        preempted = [e.packet.id for e in trace.events if e.kind is EventKind.PREEMPTED]
-        assert preempted == ["1"]
+        preempted = [e.arrival for e in trace.events if e.kind is EventKind.PREEMPTED]
+        assert [trace.arrivals[i].id for i in preempted] == ["1"]
 
     def test_invalid_instance_rejected(self):
         out_of_order = (make_packet(2, 0, "one"), make_packet(1, 0, "one"))
@@ -216,15 +223,47 @@ class TestRun:
         inst = demo_instance(Fraction(2))
         terminal = {EventKind.SENT, EventKind.EVICTED, EventKind.REJECTED, EventKind.PREEMPTED}
         for policy in (Policy.on(Fraction(2)), Policy.greedy()):
-            fated = [e.packet for e in run(policy, inst).events if e.kind in terminal]
-            assert sorted(fated, key=lambda p: p.key) == list(inst.arrivals)  # each exactly once
+            fated = [e.arrival for e in run(policy, inst).events if e.kind in terminal]
+            assert sorted(fated) == list(range(len(inst.arrivals)))  # each exactly once
 
     def test_replay_reconstructs_fifo_buffers(self):
         inst = demo_instance(Fraction(2))
         states = replay_buffer_states(run(Policy.on(Fraction(2)), inst))
         for _, state in states:
-            assert list(state) == sorted(state, key=lambda p: p.key)
+            assert list(state) == sorted(state)  # arrival indices ascend in key order
             assert len(state) <= inst.capacity
+
+    def test_trace_shares_the_instance_arrivals(self):
+        inst = demo_instance(Fraction(2))
+        for policy in (Policy.on(Fraction(2)), Policy.greedy()):
+            assert run(policy, inst).arrivals is inst.arrivals
+
+    @pytest.mark.parametrize(
+        "kind, message",
+        [
+            (EventKind.EVICTED, "unbuffered packet 1.1 evicted at step 2"),
+            (EventKind.PREEMPTED, "unbuffered packet 1.1 preempted at step 2"),
+        ],
+    )
+    def test_replay_rejects_dropping_an_unbuffered_packet(self, kind, message):
+        # a hand-built trace that drops 1.1 after it was already sent
+        inst = build_instance(2, Fraction(2), [(1, 0, "one"), (1, 1, "one")])
+        trace = RunTrace(
+            GREEDY,
+            inst.arrivals,
+            (
+                StepEvent(1, EventKind.ADMITTED, 0),
+                StepEvent(1, EventKind.ADMITTED, 1),
+                StepEvent(1, EventKind.SENT, 0),
+                StepEvent(2, EventKind.SENT, 1),
+                StepEvent(2, kind, 1),
+            ),
+            {1: 0, 2: 1},
+            Fraction(2),
+        )
+        with pytest.raises(ValueError) as exc:
+            replay_buffer_states(trace)
+        assert str(exc.value) == message
 
 
 EXPECTED_DEMO_TRACE = """\
