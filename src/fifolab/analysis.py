@@ -24,17 +24,18 @@ patched over, surfacing the run as a counterexample.
 
 No pass walks every step number or copies the buffer, and packets are
 arrival indices throughout: the policy's trace names them so, the
-optimum arrives by index, and :func:`run_ropt` builds the O-mask once
-and hands it to the other layers in its :class:`RoptTrace`, so no packet
-is hashed. The reference schedule jumps over the steps at which its
-buffer is empty. The reference checks do not replay the policy: an O-packet is
-in the policy's buffer at a send step t, with its chain live, exactly
-when the reference sent it by t and the policy had not yet sent or
-dropped it, so the backlog maxima and chain disjointness are sweeps over
-those intervals. Only the ledger replays the policy's events, reading
-its live buffer at rejections and preemptions. Records (checks, charges,
-chains) are named tuples, and the conservation check compares its sums
-as scaled integers.
+optimum and every O-set arrive as indices, and :func:`run_ropt` builds
+the O-mask once and hands it to the other layers in its
+:class:`RoptTrace`, so no packet is hashed. The reference schedule jumps
+over the steps at which its buffer is empty. The reference checks do not
+replay the policy: an O-packet is in the policy's buffer at a send step
+t, with its chain live, exactly when the reference sent it by t and the
+policy had not yet sent or dropped it, so the backlog maxima and chain
+disjointness are sweeps over those intervals. Only the ledger replays
+the policy's events, reading its live buffer at rejections and
+preemptions; it and its check find where a run of alpha sends ends in
+one lookup. Records (checks, charges, chains) are named tuples, and the
+conservation check compares its sums as scaled integers.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from fractions import Fraction
 from itertools import accumulate, compress
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .model import Instance, Packet, Rat, ONE, arrival_index, scaled_sum
+from .model import Instance, Packet, Rat, ONE, arrival_indices, scaled_sum
 from .offline import OptResult, _earliest_sends, brute_force_opt, dp_opt, opt_containing
 from .simulate import (
     ADMITTED,
@@ -127,8 +128,8 @@ class RoptTrace:
         return tuple(reversed(steps))
 
 
-def run_ropt(inst: Instance, chosen: Iterable[Packet], on: RunTrace) -> RoptTrace:
-    """Replay the reference schedule for O = `chosen` against the policy trace.
+def run_ropt(inst: Instance, o_indices: Iterable[int], on: RunTrace) -> RoptTrace:
+    """Replay the reference schedule for O = the arrivals at `o_indices`.
 
     Accepts every O-packet at its arrival step; then, if the policy's
     send of the step is an O-packet still buffered here, mirrors it,
@@ -137,14 +138,14 @@ def run_ropt(inst: Instance, chosen: Iterable[Packet], on: RunTrace) -> RoptTrac
     whenever its buffer is non-empty, so it is busy at exactly the steps
     of O's earliest-send schedule from
     :func:`~fifolab.offline._earliest_sends`; the loop visits only those
-    steps and chooses which packet goes at each. A packet of `chosen` that
-    does not belong to `inst` raises ValueError.
+    steps and chooses which packet goes at each. An index outside the
+    arrivals raises ValueError.
     """
     arr = inst.arrivals
+    o_idx = arrival_indices(inst, o_indices)
     in_o = [False] * len(arr)
-    for p in chosen:
-        in_o[arrival_index(inst, p)] = True
-    o_idx = [i for i, member in enumerate(in_o) if member]
+    for i in o_idx:
+        in_o[i] = True
     schedule = _earliest_sends([arr[i].key.step for i in o_idx], inst.capacity)
     if schedule is None:
         raise ValueError("chosen packet set is not deliverable offline")
@@ -213,6 +214,16 @@ class ChargeLedger:
     diagnostics: Mapping[str, int]
 
 
+def _alpha_run_ends(inst: Instance, on: RunTrace) -> dict[int, int]:
+    """Map each step that sends an alpha packet to the last step of its run of alpha sends."""
+    arr = inst.arrivals
+    ends: dict[int, int] = {}
+    for t, i in reversed(on.sends.items()):
+        if arr[i].is_alpha:
+            ends[t] = ends.get(t + 1, t)
+    return ends
+
+
 def build_ledger(inst: Instance, on: RunTrace, ropt: RoptTrace) -> ChargeLedger:
     """Materialize the charging scheme over concrete traces.
 
@@ -276,16 +287,10 @@ def build_ledger(inst: Instance, on: RunTrace, ropt: RoptTrace) -> ChargeLedger:
             if arr[j].is_alpha and sent_before(j, now) and head_of(j) not in closed_heads
         ]
 
-    def interval_end_of_alpha_run(start: int) -> int:
-        """Last step of the run of alpha sends beginning after `start`."""
-        t = start + 1
-        while (q := on.sends.get(t)) is not None and arr[q].is_alpha:
-            t += 1
-        return t - 1
-
     # deferred evictions by (reference send step or math.inf, arrival index);
     # each closes its chain once the policy's events of that step are through
     deferred: list[tuple[float, int, int]] = []
+    alpha_run_end = _alpha_run_ends(inst, on)
 
     def reference_sends_before(step: int) -> None:
         while deferred and deferred[0][0] < step:
@@ -302,7 +307,7 @@ def build_ledger(inst: Instance, on: RunTrace, ropt: RoptTrace) -> ChargeLedger:
             if p.is_alpha:
                 # the interval always includes the drop step itself, so
                 # the purity check can catch a non-alpha send there
-                end = interval_end_of_alpha_run(t)
+                end = alpha_run_end.get(t + 1, t)
                 charges.append(
                     ChargeRecord(p, EVICTED_ALPHA_INTERVAL, alpha, interval=(t, end), drop_step=t)
                 )
@@ -592,17 +597,15 @@ def verify_ledger(
             break
     checks.append(_result("interval-exclusive", not exclusivity_breach, exclusivity_breach))
 
+    # the first step of [lo, hi] that is no alpha send follows the run of alpha sends from lo
+    alpha_run_end = _alpha_run_ends(inst, on)
     impure = ""
     for rec in ledger.ropt_charges:
         if rec.interval is None:
             continue
         lo, hi = rec.interval
-        for s in range(lo, hi + 1):
-            q = on.sends.get(s)
-            if q is None or not arr[q].is_alpha:
-                impure = f"interval [{lo}, {hi}] of {rec.packet.id}: step {s} is not an alpha send"
-                break
-        if impure:
+        if (end := alpha_run_end.get(lo, lo - 1)) < hi:
+            impure = f"interval [{lo}, {hi}] of {rec.packet.id}: step {end + 1} is not an alpha send"
             break
     checks.append(_result("alpha-send-intervals", not impure, impure))
 
@@ -711,7 +714,7 @@ def analyze(inst: Instance, beta: Rat) -> InstanceAnalysis:
     if set(alpha_sends).issubset(exhaustive.indices):
         optimum = exhaustive
     else:
-        optimum = opt_containing(inst, [arr[i] for i in alpha_sends])
+        optimum = opt_containing(inst, alpha_sends)
     if optimum is None:
         raise RuntimeError("delivered alpha packets must form a deliverable set")
     dp_value = dp_opt(inst)
@@ -727,7 +730,7 @@ def analyze(inst: Instance, beta: Rat) -> InstanceAnalysis:
             f"dp {dp_value} vs exhaustive {exhaustive.value}",
         ),
     ]
-    ropt = run_ropt(inst, optimum.packets(inst), on)
+    ropt = run_ropt(inst, optimum.indices, on)
     checks += verify_ropt(inst, on, ropt).checks
 
     ledger: ChargeLedger | None

@@ -145,7 +145,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_opt(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
     result = brute_force_opt(inst)
-    ids = " ".join(p.id for p in result.packets(inst))
+    ids = " ".join(inst.arrivals[i].id for i in result.indices)
     sys.stdout.write(f"value {format_rat(result.value)}\nsubset {ids}\n")
     return EXIT_OK
 

@@ -2,7 +2,9 @@
 
 A problem instance is a FIFO buffer of capacity ``B`` together with a
 sequence of packets, each worth 1 or ``alpha`` (``alpha > 1``), arriving
-at totally ordered ``(step, seq)`` keys. Every quantity that decides
+at totally ordered ``(step, seq)`` keys. A packet subset crosses every
+function boundary as arrival indices, positions in the key-ordered
+arrivals, checked by :func:`arrival_indices`. Every quantity that decides
 algorithm behavior is exact: values cross every function boundary as
 :class:`fractions.Fraction`, and hot loops count in integers scaled by
 alpha's denominator, building one Fraction at the end. Floats never enter
@@ -12,11 +14,9 @@ a comparison, so simulations are reproducible bit for bit.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
 Rat = Fraction
@@ -205,37 +205,20 @@ def scaled_sum(values: Iterable[Rat]) -> tuple[int, int]:
     return num, den
 
 
-def exact_sum(values: Iterable[Rat]) -> Rat:
-    """Exact sum of rationals, built as one Fraction from :func:`scaled_sum`."""
-    return Fraction(*scaled_sum(values))
+def arrival_indices(inst: Instance, indices: Iterable[int]) -> list[int]:
+    """`indices` ascending, each once; ValueError for one outside ``range(len(inst.arrivals))``."""
+    idxs = sorted(set(indices))
+    for i in idxs[:1] + idxs[-1:]:  # the least and the greatest
+        if not 0 <= i < len(inst.arrivals):
+            raise ValueError(f"arrival index {i} out of range for {len(inst.arrivals)} arrivals")
+    return idxs
 
 
-_KEY = attrgetter("key")
-
-
-def arrival_index(inst: Instance, p: Packet) -> int:
-    """Position of `p` in the arrivals, found by bisection on their keys.
-
-    Valid instances list arrivals in key order, so the position is unique.
-    Raises ValueError if `p` does not belong to this instance.
-    """
-    arrivals = inst.arrivals
-    i = bisect_left(arrivals, p.key, key=_KEY)
-    if i == len(arrivals) or (arrivals[i] is not p and arrivals[i] != p):
-        raise ValueError(f"packet {p.id!r} does not belong to this instance")
-    return i
-
-
-def total_value(inst: Instance, packets: Iterable[Packet]) -> Rat:
-    """Exact sum of packet values; additive and enumeration-order invariant."""
-    ones = alphas = 0
-    for p in packets:
-        arrival_index(inst, p)  # membership check
-        if p.is_alpha:
-            alphas += 1
-        else:
-            ones += 1
-    return value_sum(inst.alpha, ones, alphas)
+def total_value(inst: Instance, indices: Iterable[int]) -> Rat:
+    """Exact value of the arrivals at `indices`, each counted once."""
+    idxs = arrival_indices(inst, indices)
+    alphas = sum([inst.arrivals[i].is_alpha for i in idxs])
+    return value_sum(inst.alpha, len(idxs) - alphas, alphas)
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,12 @@ one; adding a packet at step s lifts F at every step from s on, so the
 greedy tests each offered packet with a suffix maximum and a running
 minimum of F, and runs each of its two phases in linear time. The
 earliest-send pass then gives the optimum's schedule, and :func:`dp_opt`
-certifies its value with a tight bound, one integer pass per class. An
-optimum is held by arrival index (:class:`OptResult`), so finding it
-hashes no packet. The step simulation, the exhaustive enumeration, the
+certifies its value with a tight bound, one integer pass per class. Every
+packet subset taken or returned is arrival indices: a required subset
+comes in as indices, and an optimum (:class:`OptResult`) goes out as its
+ascending indices and send steps, so no packet is hashed. Nothing here
+validates its instance; :func:`~fifolab.simulate.run` does, once per
+analysis. The step simulation, the exhaustive enumeration, the
 insertion greedy and the queue-length dynamic program survive only as
 test oracles.
 """
@@ -28,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .model import Instance, Packet, Rat, arrival_index, require_valid, value_sum
+from .model import Instance, Rat, arrival_indices, value_sum
 
 
 class OptResult(NamedTuple):
@@ -42,24 +45,14 @@ class OptResult(NamedTuple):
     indices: tuple[int, ...]
     sends: tuple[int, ...]
 
-    def packets(self, inst: Instance) -> tuple[Packet, ...]:
-        """The optimum's packets of `inst`, in key order."""
-        arr = inst.arrivals
-        return tuple([arr[i] for i in self.indices])
 
-
-def feasible(inst: Instance, packets: Iterable[Packet]) -> tuple[bool, dict[Packet, int] | None]:
-    """Can this subset be fully delivered? Returns the earliest-send schedule."""
-    kept = [inst.arrivals[i] for i in _arrival_indices(inst, packets)]
-    sends = _earliest_sends([p.key.step for p in kept], inst.capacity)
+def feasible(inst: Instance, indices: Iterable[int]) -> tuple[bool, dict[int, int] | None]:
+    """Can the arrivals at `indices` all be delivered? Returns their earliest send steps."""
+    kept = arrival_indices(inst, indices)
+    sends = _earliest_sends([inst.arrivals[i].key.step for i in kept], inst.capacity)
     if sends is None:
         return False, None
     return True, dict(zip(kept, sends))
-
-
-def _arrival_indices(inst: Instance, packets: Iterable[Packet]) -> list[int]:
-    """Ascending arrival indices of `packets`, each packet once."""
-    return sorted({arrival_index(inst, p) for p in packets})
 
 
 def _earliest_sends(steps: Sequence[int], capacity: int) -> list[int] | None:
@@ -80,7 +73,7 @@ def _earliest_sends(steps: Sequence[int], capacity: int) -> list[int] | None:
     return sends
 
 
-def _best_subset(inst: Instance, required: Iterable[Packet]) -> OptResult | None:
+def _best_subset(inst: Instance, required: Iterable[int]) -> OptResult | None:
     """Maximum-value feasible subset containing `required`; None if `required` is infeasible.
 
     Seeded with `required`, the greedy offers the free alpha packets, then
@@ -90,7 +83,7 @@ def _best_subset(inst: Instance, required: Iterable[Packet]) -> OptResult | None
     """
     arr = inst.arrivals
     n = len(arr)
-    idxs = _arrival_indices(inst, required)
+    idxs = arrival_indices(inst, required)
     steps = [p.key.step for p in arr]
     alpha = [p.is_alpha for p in arr]
 
@@ -158,9 +151,9 @@ def brute_force_opt(inst: Instance) -> OptResult:
     return _best_subset(inst, ())  # the empty requirement is always feasible
 
 
-def opt_containing(inst: Instance, required: Iterable[Packet]) -> OptResult | None:
-    """Best feasible subset containing `required`; None if no superset is feasible."""
-    return _best_subset(inst, required)
+def opt_containing(inst: Instance, required_indices: Iterable[int]) -> OptResult | None:
+    """Best feasible subset containing the arrivals at `required_indices`; None if none is."""
+    return _best_subset(inst, required_indices)
 
 
 def dp_opt(inst: Instance) -> Rat:
@@ -171,7 +164,6 @@ def dp_opt(inst: Instance) -> Rat:
     value(S) <= (alpha - 1) * cover(alpha packets) + cover(all packets). The bound
     is attained (Konig's theorem), so a feasible set reaching it is optimal.
     """
-    require_valid(inst)
     a, b = inst.alpha.numerator, inst.alpha.denominator
     steps = [p.key.step for p in inst.arrivals]
     alpha_steps = [p.key.step for p in inst.arrivals if p.is_alpha]

@@ -10,6 +10,8 @@ from fifolab import (
     CheckStatus,
     EventKind,
     GenConfig,
+    Instance,
+    InvalidInstanceError,
     LedgerError,
     OptResult,
     Policy,
@@ -30,6 +32,7 @@ from fifolab import (
     verify_ropt,
 )
 import fifolab.analysis as analysis_module
+import fifolab.model as model_module
 from fifolab.analysis import (
     EVICTED_ALPHA_INTERVAL,
     EVICTED_ONE_CHAIN,
@@ -37,11 +40,13 @@ from fifolab.analysis import (
     PREEMPTED_OPEN_CHAIN,
     REJECTED_ONE_CHAIN,
     SENT_BY_BOTH,
+    ChargeLedger,
+    ChargeRecord,
     format_ledger,
     format_report,
 )
 from fifolab.cli import experiment_row
-from fifolab.model import ONE, Packet
+from fifolab.model import ONE, Packet, make_packet
 
 BETA_REF = Fraction(3284, 1000)
 
@@ -52,7 +57,8 @@ def value_of(p, alpha):
 
 
 def by_ids(inst, *ids):
-    index = {p.id: p for p in inst.arrivals}
+    """Arrival indices of the packets with these ids."""
+    index = {p.id: i for i, p in enumerate(inst.arrivals)}
     return {index[i] for i in ids}
 
 
@@ -93,7 +99,7 @@ class TestRunRopt:
     def test_mirrors_when_policy_matches_optimum(self):
         inst = build_instance(2, Fraction(2), [(1, 0, "alpha"), (1, 1, "alpha")])
         on = run(Policy.on(BETA_REF), inst)
-        ropt = run_ropt(inst, set(inst.arrivals), on)
+        ropt = run_ropt(inst, range(2), on)
         assert ropt.in_o == [True, True]
         assert {t: i for i, t in enumerate(ropt.send_time) if t is not None} == on.sends
         assert ropt.last_step == 2
@@ -102,13 +108,7 @@ class TestRunRopt:
         inst = greedy_blocking(Fraction(10))
         on = run(Policy.on(BETA_REF), inst)
         with pytest.raises(ValueError):
-            run_ropt(inst, set(inst.arrivals), on)
-
-    def test_packet_of_another_instance_rejected(self):
-        inst, on, chosen = demo_setup()
-        stranger = build_instance(2, Fraction(2), [(3, 0, "one")]).arrivals[0]
-        with pytest.raises(ValueError, match="does not belong to this instance"):
-            run_ropt(inst, chosen | {stranger}, on)
+            run_ropt(inst, range(len(inst.arrivals)), on)
 
 
 class TestVerifyRopt:
@@ -162,7 +162,7 @@ class TestChains:
         chosen = by_ids(inst, "1", "1.1", "2")
         ropt = run_ropt(inst, chosen, on)
         [owner] = by_ids(inst, "1.1")
-        assert ropt.chain(inst.arrivals.index(owner)) == (3,)
+        assert ropt.chain(owner) == (3,)
 
     def test_two_hop_chain(self):
         # the reference runs two steps ahead; its send of 3 at step 3
@@ -177,7 +177,7 @@ class TestChains:
         chosen = by_ids(inst, "1.2", "1.3", "3")
         ropt = run_ropt(inst, chosen, on)
         [owner] = by_ids(inst, "3")
-        assert ropt.chain(inst.arrivals.index(owner)) == (2, 3)
+        assert ropt.chain(owner) == (2, 3)
 
 
 class TestLedgerDemo:
@@ -308,8 +308,7 @@ class TestLedgerChainCharges:
     def test_policy_matching_optimum_needs_no_chains(self):
         inst = build_instance(2, Fraction(2), [(1, 0, "alpha"), (2, 0, "one")])
         on = run(Policy.on(BETA_REF), inst)
-        chosen = set(inst.arrivals)
-        ropt = run_ropt(inst, chosen, on)
+        ropt = run_ropt(inst, range(2), on)
         ledger = build_ledger(inst, on, ropt)
         assert all(rec.kind == SENT_BY_BOTH for rec in ledger.ropt_charges)
         assert ledger.chains == ()
@@ -322,7 +321,7 @@ class TestArrivalIndex:
             result = analyze(inst, BETA_REF)
             on = run(Policy.on(BETA_REF), inst)
             assert on.arrivals is inst.arrivals and on == result.on
-            ropt = run_ropt(inst, result.optimum.packets(inst), on)
+            ropt = run_ropt(inst, result.optimum.indices, on)
             checks = verify_ropt(inst, on, ropt).checks
             ledger = build_ledger(inst, on, ropt)
             checks += verify_ledger(ledger, inst, on, ropt).checks
@@ -542,10 +541,11 @@ def _stretched(inst, rng):
 
 def _random_feasible_subset(inst, rng):
     """Offer the arrivals in random order; keep 9 in 10 of those that stay deliverable."""
+    n = len(inst.arrivals)
     chosen = set()
-    for p in rng.sample(inst.arrivals, len(inst.arrivals)):
-        if rng.randrange(10) and feasible(inst, chosen | {p})[0]:
-            chosen.add(p)
+    for i in rng.sample(range(n), n):
+        if rng.randrange(10) and feasible(inst, chosen | {i})[0]:
+            chosen.add(i)
     return chosen
 
 
@@ -632,20 +632,66 @@ def test_analyze_hashes_no_packet(monkeypatch):
 
 
 def test_analyze_builds_one_o_mask(monkeypatch):
-    # run_ropt looks up each optimum packet once; the other layers reuse its mask
+    # run_ropt checks the optimum's indices once; the other layers reuse its mask
     calls = 0
-    real_index = analysis_module.arrival_index
+    real_indices = analysis_module.arrival_indices
 
-    def counted(inst, p):
+    def counted(inst, indices):
         nonlocal calls
         calls += 1
-        return real_index(inst, p)
+        return real_indices(inst, indices)
 
-    monkeypatch.setattr(analysis_module, "arrival_index", counted)
+    monkeypatch.setattr(analysis_module, "arrival_indices", counted)
     for seed in range(500):
         calls = 0
         result = analyze(random_instance(GenConfig(seed=seed)), BETA_REF)
-        assert calls == len(result.optimum.indices) == sum(result.ropt.in_o)
+        assert calls == 1
+        assert len(result.optimum.indices) == sum(result.ropt.in_o)
+
+
+def test_analyze_validates_once(monkeypatch):
+    # run validates the instance; no other layer of analyze does it again
+    calls = 0
+    real_validate = model_module.validate_instance
+
+    def counted(inst):
+        nonlocal calls
+        calls += 1
+        return real_validate(inst)
+
+    monkeypatch.setattr(model_module, "validate_instance", counted)
+    for seed in range(500):
+        inst = random_instance(GenConfig(seed=seed))
+        calls = 0
+        analyze(inst, BETA_REF)
+        assert calls == 1
+    out_of_order = Instance(2, Fraction(2), (make_packet(2, 0, "one"), make_packet(1, 0, "one")))
+    with pytest.raises(InvalidInstanceError, match="arrivals out of order at packet 1"):
+        analyze(out_of_order, BETA_REF)
+
+
+@pytest.mark.parametrize(
+    "interval, detail",
+    [
+        ((3, 3), ""),
+        ((2, 3), "interval [2, 3] of 1: step 2 is not an alpha send"),  # idle first step
+        ((4, 5), "interval [4, 5] of 1: step 4 is not an alpha send"),  # 1-value first step
+        ((3, 5), "interval [3, 5] of 1: step 4 is not an alpha send"),  # break mid-run
+    ],
+    ids=["pure", "idle-first", "one-value-first", "mid-run"],
+)
+def test_alpha_send_intervals_names_the_first_impure_step(interval, detail):
+    # the policy sends alpha at 1, idles at 2, sends alpha at 3, a 1-value packet at 4, alpha at 5
+    inst = build_instance(
+        2, Fraction(2), [(1, 0, "alpha"), (3, 0, "alpha"), (4, 0, "one"), (5, 0, "alpha")]
+    )
+    on = run(Policy.on(BETA_REF), inst)
+    assert list(on.sends.items()) == [(1, 0), (3, 1), (4, 2), (5, 3)]
+    record = ChargeRecord(inst.arrivals[0], EVICTED_ALPHA_INTERVAL, Fraction(2), interval=interval)
+    ledger = ChargeLedger({}, (record,), (), {})
+    ropt = RoptTrace([False] * 4, [None] * 4, 0, {}, {})
+    check = verify_ledger(ledger, inst, on, ropt).check("alpha-send-intervals")
+    assert check == ("alpha-send-intervals", "fail" if detail else "pass", detail)
 
 
 def test_non_fifo_trace_rejected():
@@ -665,7 +711,7 @@ def test_non_fifo_trace_rejected():
         {1: second, 2: first},
         Fraction(3),
     )
-    ropt = run_ropt(inst, set(inst.arrivals), on)
+    ropt = run_ropt(inst, range(2), on)
     assert ropt.in_o == [True, True]
     with pytest.raises(ValueError, match="non-FIFO send of 1.1 at step 1"):
         verify_ropt(inst, on, ropt)

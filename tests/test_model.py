@@ -7,21 +7,27 @@ from fifolab import (
     ArrivalKey,
     Instance,
     InstanceParseError,
+    Policy,
     build_instance,
     demo_instance,
+    feasible,
     format_instance,
     make_packet,
+    opt_containing,
     parse_instance,
     parse_rat,
+    run,
+    run_ropt,
     total_value,
     validate_instance,
 )
-from fifolab.model import exact_sum, scaled_sum
+from fifolab.model import arrival_indices, scaled_sum
 from test_properties import instances
 
 
 def by_ids(inst, *ids):
-    index = {p.id: p for p in inst.arrivals}
+    """Arrival indices of the packets with these ids."""
+    index = {p.id: i for i, p in enumerate(inst.arrivals)}
     return {index[i] for i in ids}
 
 
@@ -52,23 +58,20 @@ class TestValidate:
 class TestValues:
     def test_one_packet(self):
         inst = build_instance(1, Fraction(2), [(1, 0, "one")])
-        assert total_value(inst, inst.arrivals) == 1
+        assert total_value(inst, [0]) == 1
 
     def test_alpha_packet(self):
         inst = build_instance(1, Fraction(2), [(1, 0, "alpha")])
-        assert total_value(inst, inst.arrivals) == 2
+        assert total_value(inst, [0]) == 2
 
     def test_alpha_value_is_exact(self):
         inst = build_instance(1, Fraction(10, 3), [(1, 0, "alpha")])
-        assert total_value(inst, inst.arrivals) == Fraction(10, 3)
+        assert total_value(inst, [0]) == Fraction(10, 3)
 
-    def test_foreign_packet_rejected(self):
-        inst = build_instance(1, Fraction(2), [(1, 0, "one")])
-        with pytest.raises(ValueError):
-            total_value(inst, [make_packet(9, 9, "one")])
-        # the key of an arrival, but another packet
-        with pytest.raises(ValueError, match="does not belong to this instance"):
-            total_value(inst, [make_packet(1, 0, "alpha")])
+    def test_each_index_counts_once(self):
+        inst = build_instance(2, Fraction(2), [(1, 0, "one"), (1, 1, "alpha")])
+        assert arrival_indices(inst, [1, 0, 1, 1]) == [0, 1]
+        assert total_value(inst, [1, 0, 1, 1]) == 3
 
     def test_total_of_empty_set(self):
         inst = demo_instance(Fraction(2))
@@ -92,7 +95,33 @@ class TestValues:
         right = by_ids(inst, "5.1", "2.3")
         combined = total_value(inst, left | right)
         assert combined == total_value(inst, left) + total_value(inst, right)
-        assert combined == total_value(inst, sorted(left | right, key=lambda p: p.key, reverse=True))
+        assert combined == total_value(inst, sorted(left | right, reverse=True))
+
+
+# every function that takes a packet subset takes it as arrival indices
+INDEX_TAKERS = {
+    "total_value": lambda inst, on, idxs: total_value(inst, idxs),
+    "feasible": lambda inst, on, idxs: feasible(inst, idxs),
+    "opt_containing": lambda inst, on, idxs: opt_containing(inst, idxs),
+    "run_ropt": lambda inst, on, idxs: run_ropt(inst, idxs, on),
+}
+
+
+@pytest.mark.parametrize(
+    "index, message",
+    [
+        (-1, "arrival index -1 out of range for 10 arrivals"),
+        (10, "arrival index 10 out of range for 10 arrivals"),
+    ],
+    ids=["minus-one", "past-the-end"],
+)
+@pytest.mark.parametrize("name", INDEX_TAKERS)
+def test_index_outside_the_arrivals_rejected(name, index, message):
+    inst = demo_instance(Fraction(2))
+    on = run(Policy.on(Fraction(2)), inst)
+    with pytest.raises(ValueError) as exc:
+        INDEX_TAKERS[name](inst, on, [0, index])
+    assert str(exc.value) == message
 
 
 class TestExactSum:
@@ -102,9 +131,7 @@ class TestExactSum:
     @example([Fraction(821, 250), Fraction(1), Fraction(821, 250), Fraction(-1)])
     def test_matches_fraction_sum(self, values):
         expected = sum(values, Fraction(0))
-        total = exact_sum(values)
-        assert type(total) is Fraction and total == expected
-        assert exact_sum(iter(values)) == expected  # one pass: an iterator will do
+        assert Fraction(*scaled_sum(iter(values))) == expected  # one pass: an iterator will do
         num, den = scaled_sum(values)
         assert den > 0 and Fraction(num, den) == expected
 

@@ -163,7 +163,7 @@ def _assert_run_matches_oracle(policy, inst):
     assert format_trace(trace).splitlines() == lines
     assert list(trace.events) == events
     assert list(trace.sends.items()) == sends
-    assert trace.totals == total_value(inst, sent_packets(trace))
+    assert trace.totals == total_value(inst, trace.sends.values())
     return trace
 
 
@@ -193,11 +193,12 @@ def test_integer_value_sums_match_fraction_sums(inst, alpha, beta):
     for policy in (Policy.greedy(), Policy.on(beta)):
         trace = run(policy, inst)
         assert trace.totals == fraction_sum(sent_packets(trace))
-    assert total_value(inst, inst.arrivals) == fraction_sum(inst.arrivals)
-    assert total_value(inst, inst.arrivals[1::2]) == fraction_sum(inst.arrivals[1::2])
+    n = len(inst.arrivals)
+    assert total_value(inst, range(n)) == fraction_sum(inst.arrivals)
+    assert total_value(inst, range(1, n, 2)) == fraction_sum(inst.arrivals[1::2])
 
     result = analyze(inst, beta)
-    chosen = result.optimum.packets(inst)
+    chosen = [inst.arrivals[i] for i in result.optimum.indices]
     assert result.report.check("charge-conservation").status == "pass"
     assert sum((r.amount for r in result.ledger.ropt_charges), ZERO) == fraction_sum(chosen)
     assert sum(result.ledger.on_charges.values(), ZERO) == result.on.totals
@@ -237,7 +238,7 @@ def test_trace_invariants(inst, beta, use_greedy):
     assert set(classified) == set(range(len(inst.arrivals)))
 
     # totals computed exactly
-    assert trace.totals == total_value(inst, sent_packets(trace))
+    assert trace.totals == total_value(inst, trace.sends.values())
 
     # determinism
     assert run(policy, inst) == trace
@@ -287,7 +288,7 @@ def _literal_run_ropt(inst, chosen, on):
     buffered packet. Returns the send step of every O-packet, in send order,
     and the last step walked.
     """
-    o_set = frozenset(chosen)
+    o_set = _packets(inst, chosen)
     by_step = {}
     for p in inst.arrivals:
         if p in o_set:
@@ -325,13 +326,18 @@ def _literal_chain(on, send_time, o_set, packet):
     return tuple(reversed(steps))
 
 
+def _packets(inst, indices):
+    """The packets at these arrival indices, as a set: the oracles work on packets."""
+    return frozenset(inst.arrivals[i] for i in indices)
+
+
 def _send_times(inst, ropt):
     """The reference's send step of each O-packet, from its index-keyed list."""
     return {p: t for p, t in zip(inst.arrivals, ropt.send_time) if t is not None}
 
 
 def _assert_chains_match_oracle(inst, chosen, on, ropt):
-    o_set = frozenset(chosen)
+    o_set = _packets(inst, chosen)
     send_time = _send_times(inst, ropt)
     # the reference's send steps whose packet the policy does not send there
     unmirrored = {t: p for p, t in send_time.items() if sent_at(on, t) is not p}
@@ -362,9 +368,9 @@ def test_run_ropt_matches_literal_oracle(inst, beta, data):
     n = len(inst.arrivals)
     mask = data.draw(st.integers(0, 2**n - 1)) if n else 0
     chosen = set()
-    for i, p in enumerate(inst.arrivals):
-        if mask >> i & 1 and feasible(inst, chosen | {p})[0]:
-            chosen.add(p)
+    for i in range(n):
+        if mask >> i & 1 and feasible(inst, chosen | {i})[0]:
+            chosen.add(i)
     for policy in (Policy.greedy(), Policy.on(beta)):
         on = run(policy, inst)
         _assert_ropt_matches_oracle(inst, chosen, on, run_ropt(inst, chosen, on))
@@ -373,8 +379,7 @@ def test_run_ropt_matches_literal_oracle(inst, beta, data):
 def test_run_ropt_matches_literal_oracle_on_corpus():
     for seed in range(2000):
         result = analyze(random_instance(GenConfig(seed=seed)), DEFAULT_BETA)
-        chosen = result.optimum.packets(result.instance)
-        _assert_ropt_matches_oracle(result.instance, chosen, result.on, result.ropt)
+        _assert_ropt_matches_oracle(result.instance, result.optimum.indices, result.on, result.ropt)
 
 
 def test_run_ropt_matches_literal_oracle_on_corpus_random_o_sets():
@@ -383,10 +388,7 @@ def test_run_ropt_matches_literal_oracle_on_corpus_random_o_sets():
     for seed in range(1000):
         rng = random.Random(seed)
         inst = random_instance(GenConfig(seed=seed))
-        chosen = set()
-        for p in rng.sample(inst.arrivals, len(inst.arrivals)):
-            if rng.randrange(10) and feasible(inst, chosen | {p})[0]:
-                chosen.add(p)
+        chosen = _random_feasible_subset(inst, rng)
         for policy in (Policy.greedy(), Policy.on(DEFAULT_BETA)):
             on = run(policy, inst)
             _assert_ropt_matches_oracle(inst, chosen, on, run_ropt(inst, chosen, on))
@@ -399,7 +401,7 @@ def _literal_verify_ropt(inst, chosen, on, ropt):
     in the policy's buffer that the reference sent by t; they are searched
     for a shared head, and counted for the backlog, buffer by buffer.
     """
-    o_set = frozenset(chosen)
+    o_set = _packets(inst, chosen)
     send_time = _send_times(inst, ropt)
     checks = []
 
@@ -463,9 +465,9 @@ def test_verify_ropt_matches_literal_oracle(inst, beta, data):
     n = len(inst.arrivals)
     mask = data.draw(st.integers(0, 2**n - 1)) if n else 0
     chosen = set()
-    for i, p in enumerate(inst.arrivals):
-        if mask >> i & 1 and feasible(inst, chosen | {p})[0]:
-            chosen.add(p)
+    for i in range(n):
+        if mask >> i & 1 and feasible(inst, chosen | {i})[0]:
+            chosen.add(i)
     for policy in (Policy.greedy(), Policy.on(beta)):
         _assert_verify_ropt_matches_oracle(inst, chosen, run(policy, inst))
 
@@ -473,8 +475,7 @@ def test_verify_ropt_matches_literal_oracle(inst, beta, data):
 def test_verify_ropt_matches_literal_oracle_on_corpus():
     for seed in range(2000):
         result = analyze(random_instance(GenConfig(seed=seed)), DEFAULT_BETA)
-        chosen = result.optimum.packets(result.instance)
-        _assert_verify_ropt_matches_oracle(result.instance, chosen, result.on, result.ropt)
+        _assert_verify_ropt_matches_oracle(result.instance, result.optimum.indices, result.on, result.ropt)
 
 
 def test_verify_ropt_matches_literal_oracle_on_failure_paths():
@@ -492,9 +493,10 @@ def test_verify_ropt_matches_literal_oracle_on_failure_paths():
             ropt = run_ropt(inst, chosen, on)
             merged = replace(ropt, head=dict.fromkeys(ropt.head, 0))
             fewer = set(list(chosen)[1:])
-            for o_set, trace in ((chosen, ropt), (chosen, merged), (inst.arrivals, ropt), (fewer, ropt)):
+            everything = range(len(inst.arrivals))
+            for o_set, trace in ((chosen, ropt), (chosen, merged), (everything, ropt), (fewer, ropt)):
                 # the reference built for `chosen`, checked as if O were `o_set`
-                trace = replace(trace, in_o=[p in o_set for p in inst.arrivals])
+                trace = replace(trace, in_o=[i in o_set for i in everything])
                 report = _assert_verify_ropt_matches_oracle(inst, o_set, on, trace)
                 failed.update(c.name for c in report.checks if c.status != CheckStatus.PASS)
     names = {"ropt-capacity", "ropt-sends-all", "send-precedence", "chains-disjoint", "backlog-bound"}
@@ -505,23 +507,23 @@ def test_verify_ropt_matches_literal_oracle_at_scale():
     for capacity in (16, 256):
         inst = _overloaded(capacity, 1000, seed=capacity)
         rng = random.Random(capacity)
-        for chosen in (brute_force_opt(inst).packets(inst), _random_feasible_subset(inst, rng)):
+        for chosen in (brute_force_opt(inst).indices, _random_feasible_subset(inst, rng)):
             for policy in (Policy.greedy(), Policy.on(DEFAULT_BETA)):
                 _assert_verify_ropt_matches_oracle(inst, chosen, run(policy, inst))
 
 
-def _simulate_feasible(inst, packets):
+def _simulate_feasible(inst, indices):
     """Literal feasibility oracle: simulate every step of the subset's run.
 
     Admits the subset's arrivals of each step in key order (infeasible the
     instant occupancy would exceed capacity), then sends the earliest
-    buffered packet.
+    buffered packet. Returns the schedule by arrival index.
     """
-    chosen = set(packets)
+    chosen = set(indices)
     by_step = {}
-    for p in inst.arrivals:
-        if p in chosen:
-            by_step.setdefault(p.key.step, []).append(p)
+    for i, p in enumerate(inst.arrivals):
+        if i in chosen:
+            by_step.setdefault(p.key.step, []).append(i)
     if not by_step:
         return True, {}
     last = max(by_step)
@@ -529,8 +531,8 @@ def _simulate_feasible(inst, packets):
     schedule = {}
     t = 1
     while t <= last or buf:
-        for p in by_step.get(t, ()):
-            buf.append(p)
+        for i in by_step.get(t, ()):
+            buf.append(i)
             if len(buf) > inst.capacity:
                 return False, None
         if buf:
@@ -543,7 +545,7 @@ def _simulate_feasible(inst, packets):
 def test_feasible_matches_step_simulation(inst, data):
     n = len(inst.arrivals)
     mask = data.draw(st.integers(0, 2**n - 1)) if n else 0
-    chosen = [p for i, p in enumerate(inst.arrivals) if mask >> i & 1]
+    chosen = [i for i in range(n) if mask >> i & 1]
     ok, schedule = feasible(inst, chosen)
     expected_ok, expected_schedule = _simulate_feasible(inst, chosen)
     assert ok == expected_ok
@@ -597,8 +599,7 @@ def _exhaustive_best_subset(inst, required):
     """
     arr = inst.arrivals
     n = len(arr)
-    index_of = {p: i for i, p in enumerate(arr)}
-    req = tuple(sorted({index_of[p] for p in required}))
+    req = tuple(sorted(set(required)))
     steps = tuple(p.key.step for p in arr)
 
     def feas(idxs):
@@ -648,7 +649,7 @@ def _assert_greedy_matches_oracle(inst, required):
 def test_greedy_optimum_matches_exhaustive_oracle(inst, data):
     n = len(inst.arrivals)
     mask = data.draw(st.integers(0, 2**n - 1)) if n else 0
-    required = {p for i, p in enumerate(inst.arrivals) if mask >> i & 1}
+    required = {i for i in range(n) if mask >> i & 1}
     _assert_greedy_matches_oracle(inst, set())
     _assert_greedy_matches_oracle(inst, required)  # None on both sides if infeasible
 
@@ -659,7 +660,7 @@ def test_greedy_optimum_matches_exhaustive_oracle_on_corpus():
     for seed in range(2000):
         inst = random_instance(GenConfig(seed=seed))
         on = run(Policy.on(DEFAULT_BETA), inst)
-        delivered_alphas = {p for p in sent_packets(on) if p.is_alpha}
+        delivered_alphas = {i for i in on.sends.values() if inst.arrivals[i].is_alpha}
         _assert_greedy_matches_oracle(inst, set())
         _assert_greedy_matches_oracle(inst, delivered_alphas)
 
@@ -673,8 +674,7 @@ def _insertion_best_subset(inst, required):
     `required` itself is infeasible.
     """
     arr = inst.arrivals
-    index_of = {p: i for i, p in enumerate(arr)}
-    kept = sorted({index_of[p] for p in required})
+    kept = sorted(set(required))
     steps = [p.key.step for p in arr]
 
     def sends_of(idxs):
@@ -688,7 +688,7 @@ def _insertion_best_subset(inst, required):
             insort(kept, i)
             if sends_of(kept) is None:
                 kept.remove(i)
-    value = total_value(inst, [arr[i] for i in kept])
+    value = total_value(inst, kept)
     return value, tuple(kept), tuple(sends_of(kept))
 
 
@@ -726,7 +726,7 @@ def stretched_instances(draw, max_capacity=40, max_packets=60):
 def test_sweep_matches_insertion_oracle(inst, data):
     n = len(inst.arrivals)
     mask = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    required = {p for p, m in zip(inst.arrivals, mask) if m}
+    required = {i for i, m in enumerate(mask) if m}
     _assert_sweep_matches_insertion_oracle(inst, set())
     _assert_sweep_matches_insertion_oracle(inst, required)  # None on both sides if infeasible
 
@@ -779,10 +779,10 @@ def test_opt_containing_returns_the_optimum_that_contains_its_requirement():
         inst = random_instance(GenConfig(seed=seed))
         best = brute_force_opt(inst)
         on = run(Policy.on(DEFAULT_BETA), inst)
-        delivered = [p for p in sent_packets(on) if p.is_alpha]
-        some_of_best = [p for p in best.packets(inst) if rng.randrange(2)]
+        delivered = [i for i in on.sends.values() if inst.arrivals[i].is_alpha]
+        some_of_best = [i for i in best.indices if rng.randrange(2)]
         for required in (delivered, some_of_best):
-            if set(best.packets(inst)).issuperset(required):
+            if set(best.indices).issuperset(required):
                 contained += 1
                 assert opt_containing(inst, required) == best
         assert analyze(inst, DEFAULT_BETA).optimum == opt_containing(inst, delivered)
@@ -799,14 +799,21 @@ def test_full_analysis_passes_at_scale():
 def test_analysis_cost_does_not_grow_with_capacity():
     # n = 10^4 overloaded arrivals: analyze at B = 10^3 must stay within 3x of
     # B = 16, so a pass that rescans the buffer at every send (n*B) shows up
-    # whatever the machine's speed; best of 3 damps other load
+    # whatever the machine's speed; best of 3 damps other load. Bursts of up
+    # to 5 bring long runs of alpha sends, so a walk along each run per
+    # ledger interval (records x run length) shows up too.
+    for max_burst in (3, 5):
+        _assert_analysis_cost_flat_in_capacity(max_burst)
+
+
+def _assert_analysis_cost_flat_in_capacity(max_burst):
     best = {}
     for capacity in (16, 1000):
         cfg = GenConfig(
             capacity_min=capacity,
             capacity_max=capacity,
             horizon=7000,
-            max_burst=3,
+            max_burst=max_burst,
             max_packets=10000,
             alpha_choices=(Fraction(2),),
             seed=1,
@@ -820,7 +827,7 @@ def test_analysis_cost_does_not_grow_with_capacity():
             times.append(time.perf_counter() - start)
             assert result.report.ok, [(c.name, c.detail) for c in result.report.failures]
         best[capacity] = min(times)
-    assert best[1000] < 3 * best[16], best
+    assert best[1000] < 3 * best[16], (max_burst, best)
 
 
 def _schedule_exists(inst, chosen):
@@ -830,7 +837,7 @@ def _schedule_exists(inst, chosen):
     one per kept packet in key order, each no earlier than its release,
     such that no kept packet arrives to find the buffer already full.
     """
-    ordered = sorted(chosen, key=lambda p: p.key)
+    ordered = [inst.arrivals[i] for i in sorted(chosen)]
     if not ordered:
         return True
     n = len(ordered)
@@ -854,9 +861,9 @@ def _schedule_exists(inst, chosen):
 @given(instances(max_capacity=2, max_step=4, max_packets=5))
 @settings(max_examples=60)
 def test_earliest_send_is_a_complete_feasibility_test(inst):
-    arrivals = inst.arrivals
-    for mask in range(2 ** len(arrivals)):
-        chosen = {p for i, p in enumerate(arrivals) if mask >> i & 1}
+    n = len(inst.arrivals)
+    for mask in range(2**n):
+        chosen = {i for i in range(n) if mask >> i & 1}
         assert feasible(inst, chosen)[0] == _schedule_exists(inst, chosen)
 
 
@@ -865,8 +872,8 @@ def test_opt_containing_monotone(inst, data):
     n = len(inst.arrivals)
     small_mask = data.draw(st.integers(0, 2**n - 1)) if n else 0
     extra_mask = data.draw(st.integers(0, 2**n - 1)) if n else 0
-    small = {p for i, p in enumerate(inst.arrivals) if small_mask >> i & 1}
-    large = small | {p for i, p in enumerate(inst.arrivals) if extra_mask >> i & 1}
+    small = {i for i in range(n) if small_mask >> i & 1}
+    large = small | {i for i in range(n) if extra_mask >> i & 1}
     a = opt_containing(inst, small)
     b = opt_containing(inst, large)
     if b is not None:
