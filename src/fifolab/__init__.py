@@ -57,6 +57,7 @@ from .offline import (
 )
 from .simulate import (
     EventKind,
+    EventLog,
     Policy,
     RunTrace,
     StepEvent,

@@ -455,7 +455,7 @@ def verify_ropt(inst: Instance, on: RunTrace, ropt: RoptTrace) -> AnalysisReport
     leave: list[float | None] = [None] * len(arr)
     admitted: deque[int] = deque()
     on_steps: list[int] = []  # the policy's send steps
-    for t, kind, i in on.events:
+    for t, kind, i in zip(*on.log):
         if kind is REJECTED:
             continue
         if kind is ADMITTED:

@@ -13,7 +13,9 @@ preempts); the greedy policy always sends its head.
 
 Traces record every admission, eviction, rejection, preemption and send,
 and the packet sent at each step, so downstream analysis can replay the
-buffer event by event without re-running policy logic. A trace names
+buffer event by event without re-running policy logic. The events are
+stored in columns, an :class:`EventLog` of three parallel lists (step,
+kind, arrival), so the run builds no object per event; a trace names
 each packet by its arrival index, its position in the instance's
 arrivals, and carries those arrivals. The run's two queues hold the same
 indices, which ascend in key order, so the head and the preempted set
@@ -51,8 +53,12 @@ PREEMPTED = EventKind.PREEMPTED
 SENT = EventKind.SENT
 
 
+# the text each event kind exports as: ``kind.value`` is a Python-level property
+_KIND_TEXT = {kind: kind.value for kind in EventKind}
+
+
 class StepEvent(NamedTuple):
-    """One packet event of a run; a tuple, so it is built and unpacked in C.
+    """One packet event of a run, as :attr:`RunTrace.events` shows it.
 
     ``arrival`` is the packet's arrival index: the packet is
     ``trace.arrivals[arrival]``.
@@ -63,6 +69,17 @@ class StepEvent(NamedTuple):
     arrival: int
 
 
+class EventLog(NamedTuple):
+    """A run's events as three parallel columns, event ``k`` being
+    ``(steps[k], kinds[k], arrivals[k])``; the fields are the plurals of
+    :class:`StepEvent`'s.
+    """
+
+    steps: list[int]
+    kinds: list[EventKind]
+    arrivals: list[int]
+
+
 @dataclass(frozen=True)
 class Policy:
     kind: str  # "on" | "greedy"
@@ -70,9 +87,12 @@ class Policy:
 
     @classmethod
     def on(cls, beta: Rat) -> "Policy":
-        if beta <= 0:
+        # a Fraction is kept as is and signed by its numerator: comparing
+        # or rebuilding one goes through Python-level Fraction methods
+        fraction = type(beta) is Fraction
+        if not (beta.numerator > 0 if fraction else beta > 0):
             raise ValueError("beta must be positive")
-        return cls("on", Fraction(beta))
+        return cls("on", beta if fraction else Fraction(beta))
 
     @classmethod
     def greedy(cls) -> "Policy":
@@ -86,17 +106,22 @@ class Policy:
 
 @dataclass(frozen=True)
 class RunTrace:
-    """A policy's run: its events, its sends and the value it delivered.
+    """A policy's run: its event log, its sends and the value it delivered.
 
-    ``arrivals`` is the instance's own arrivals tuple, which the events'
+    ``arrivals`` is the instance's own arrivals tuple, which the log's
     and the sends' arrival indices point into.
     """
 
     policy: Policy
     arrivals: tuple[Packet, ...]
-    events: tuple[StepEvent, ...]
+    log: EventLog
     sends: Mapping[int, int]  # step -> arrival index sent, in send order
     totals: Rat
+
+    @property
+    def events(self) -> tuple[StepEvent, ...]:
+        """The log as one :class:`StepEvent` per event, built on each read."""
+        return tuple(map(StepEvent, *self.log))
 
 
 def run(policy: Policy, inst: Instance) -> RunTrace:
@@ -118,7 +143,9 @@ def run(policy: Policy, inst: Instance) -> RunTrace:
     # the queues hold arrival indices, which ascend in key order
     ones: deque[int] = deque()
     alphas: deque[int] = deque()
-    events: list[StepEvent] = []
+    steps: list[int] = []
+    kinds: list[EventKind] = []
+    indices: list[int] = []
     sends: dict[int, int] = {}
     alpha_sends = 0
     i = 0
@@ -138,17 +165,25 @@ def run(policy: Policy, inst: Instance) -> RunTrace:
                 elif is_alpha:
                     victim = alphas.popleft()
                 else:
-                    events.append(StepEvent(t, REJECTED, a))
+                    steps.append(t)
+                    kinds.append(REJECTED)
+                    indices.append(a)
                     continue
-                events.append(StepEvent(t, EVICTED, victim))
+                steps.append(t)
+                kinds.append(EVICTED)
+                indices.append(victim)
             (alphas if is_alpha else ones).append(a)
-            events.append(StepEvent(t, ADMITTED, a))
+            steps.append(t)
+            kinds.append(ADMITTED)
+            indices.append(a)
         if preempts and ones and alphas and ones[0] < alphas[0]:
             # D: the 1-value packets ahead of the last buffered alpha
             doomed = bisect_left(ones, alphas[-1])
             if alpha_weight * len(alphas) >= beta_weight * doomed:
                 for _ in range(doomed):
-                    events.append(StepEvent(t, PREEMPTED, ones.popleft()))
+                    steps.append(t)
+                    kinds.append(PREEMPTED)
+                    indices.append(ones.popleft())
         # the head is the earlier front, never missing: an arrival into an
         # empty buffer is admitted, and a preemption keeps every alpha packet
         if not ones or (alphas and alphas[0] < ones[0]):
@@ -156,45 +191,49 @@ def run(policy: Policy, inst: Instance) -> RunTrace:
             alpha_sends += 1
         else:
             sent = ones.popleft()
-        events.append(StepEvent(t, SENT, sent))
+        steps.append(t)
+        kinds.append(SENT)
+        indices.append(sent)
         sends[t] = sent
         t += 1
 
     totals = value_sum(inst.alpha, len(sends) - alpha_sends, alpha_sends)
-    return RunTrace(policy, arrivals, tuple(events), sends, totals)
+    return RunTrace(policy, arrivals, EventLog(steps, kinds, indices), sends, totals)
 
 
-def replay_events(trace: RunTrace) -> Iterator[tuple[StepEvent, list[int]]]:
+def replay_events(trace: RunTrace) -> Iterator[tuple[tuple[int, EventKind, int], list[int]]]:
     """Yield each event with the buffer just after it, rebuilt from the event log.
 
-    The buffer holds arrival indices in FIFO order and is the replay's one
-    live list, not a copy: it changes when the next event is drawn.
-    Delivery must remove the current head; a mismatch means the trace
-    itself violates FIFO order and raises, as does an eviction or a
+    Each event is a plain ``(step, kind, arrival)`` tuple, drawn from the
+    log's columns. The buffer holds arrival indices in FIFO order and is
+    the replay's one live list, not a copy: it changes when the next event
+    is drawn. Delivery must remove the current head; a mismatch means the
+    trace itself violates FIFO order and raises, as does an eviction or a
     preemption of a packet that is not buffered.
     """
     buf: list[int] = []
-    for e in trace.events:
-        if e.kind is ADMITTED:
-            buf.append(e.arrival)
-        elif e.kind in (EVICTED, PREEMPTED):
+    for event in zip(*trace.log):
+        t, kind, i = event
+        if kind is ADMITTED:
+            buf.append(i)
+        elif kind is EVICTED or kind is PREEMPTED:
             try:
-                buf.remove(e.arrival)
+                buf.remove(i)
             except ValueError:
-                packet = trace.arrivals[e.arrival].id
-                message = f"unbuffered packet {packet} {e.kind.value} at step {e.step}"
+                packet = trace.arrivals[i].id
+                message = f"unbuffered packet {packet} {_KIND_TEXT[kind]} at step {t}"
                 raise ValueError(message) from None
-        elif e.kind is SENT:
-            if not buf or buf[0] != e.arrival:
-                packet = trace.arrivals[e.arrival].id
-                raise ValueError(f"non-FIFO send of {packet} at step {e.step}")
+        elif kind is SENT:
+            if not buf or buf[0] != i:
+                packet = trace.arrivals[i].id
+                raise ValueError(f"non-FIFO send of {packet} at step {t}")
             buf.pop(0)
-        yield e, buf
+        yield event, buf
 
 
 def replay_buffer_states(trace: RunTrace) -> list[tuple[StepEvent, tuple[int, ...]]]:
     """:func:`replay_events` with a snapshot of the buffer after every event."""
-    return [(e, tuple(buf)) for e, buf in replay_events(trace)]
+    return [(StepEvent(*event), tuple(buf)) for event, buf in replay_events(trace)]
 
 
 _IDLE_BLOCK = 4096  # idle lines per yielded chunk
@@ -211,12 +250,12 @@ def trace_lines(trace: RunTrace) -> Iterator[str]:
     """
     arrivals = trace.arrivals
     prev = 0
-    for e in trace.events:
-        if e.step > prev + 1:
-            for lo in range(prev + 1, e.step, _IDLE_BLOCK):
-                yield "".join([f"{t} idle -\n" for t in range(lo, min(lo + _IDLE_BLOCK, e.step))])
-        yield f"{e.step} {e.kind.value} {arrivals[e.arrival].id}\n"
-        prev = e.step
+    for step, kind, i in zip(*trace.log):
+        if step > prev + 1:
+            for lo in range(prev + 1, step, _IDLE_BLOCK):
+                yield "".join([f"{t} idle -\n" for t in range(lo, min(lo + _IDLE_BLOCK, step))])
+        yield f"{step} {_KIND_TEXT[kind]} {arrivals[i].id}\n"
+        prev = step
     yield f"total {format_rat(trace.totals)}\n"
 
 

@@ -631,6 +631,25 @@ def test_analyze_hashes_no_packet(monkeypatch):
     assert calls == 0
 
 
+def test_analyze_builds_no_step_event(monkeypatch):
+    # run logs its events in columns, and no layer of analyze asks for the view
+    calls = 0
+    real_new = StepEvent.__new__
+
+    def counted(cls, *args):
+        nonlocal calls
+        calls += 1
+        return real_new(cls, *args)
+
+    monkeypatch.setattr(StepEvent, "__new__", staticmethod(counted))
+    StepEvent(1, EventKind.SENT, 0)
+    assert calls == 1  # the counter is live
+    calls = 0
+    for seed in range(500):
+        analyze(random_instance(GenConfig(seed=seed)), BETA_REF)
+    assert calls == 0
+
+
 def test_analyze_builds_one_o_mask(monkeypatch):
     # run_ropt checks the optimum's indices once; the other layers reuse its mask
     calls = 0
@@ -694,7 +713,7 @@ def test_alpha_send_intervals_names_the_first_impure_step(interval, detail):
     assert check == ("alpha-send-intervals", "fail" if detail else "pass", detail)
 
 
-def test_non_fifo_trace_rejected():
+def test_non_fifo_trace_rejected(event_log):
     # a hand-built trace that sends the second packet while the first is
     # still at the head of the buffer
     inst = build_instance(2, Fraction(2), [(1, 0, "one"), (1, 1, "alpha")])
@@ -702,11 +721,13 @@ def test_non_fifo_trace_rejected():
     on = RunTrace(
         Policy.on(BETA_REF),
         inst.arrivals,
-        (
-            StepEvent(1, EventKind.ADMITTED, first),
-            StepEvent(1, EventKind.ADMITTED, second),
-            StepEvent(1, EventKind.SENT, second),
-            StepEvent(2, EventKind.SENT, first),
+        event_log(
+            [
+                (1, EventKind.ADMITTED, first),
+                (1, EventKind.ADMITTED, second),
+                (1, EventKind.SENT, second),
+                (2, EventKind.SENT, first),
+            ]
         ),
         {1: second, 2: first},
         Fraction(3),
@@ -745,7 +766,7 @@ def test_non_fifo_trace_rejected():
         ),
     ],
 )
-def test_ledger_rejects_hand_built_trace(specs, events, message):
+def test_ledger_rejects_hand_built_trace(specs, events, message, event_log):
     # traces `run` never produces, against a reference that sends nothing;
     # the first case defers two evictions out of key order, so the heap of
     # deferred evictions breaks a tie by key
@@ -754,7 +775,7 @@ def test_ledger_rejects_hand_built_trace(specs, events, message):
     on = RunTrace(
         Policy.on(BETA_REF),
         inst.arrivals,
-        tuple(StepEvent(t, EventKind(kind), index[i]) for t, kind, i in events),
+        event_log([(t, EventKind(kind), index[i]) for t, kind, i in events]),
         {},
         Fraction(0),
     )

@@ -426,10 +426,9 @@ def _literal_verify_ropt(inst, chosen, on, ropt):
 
     overlap = ""
     max_alpha = max_any = 0
-    for event, buf in replay_events(on):
-        if event.kind is not EventKind.SENT:
+    for (t, kind, _), buf in replay_events(on):
+        if kind is not EventKind.SENT:
             continue
-        t = event.step
         buffered = [on.arrivals[i] for i in buf]
         live = [z for z in buffered if z in o_set and send_time.get(z, t + 1) <= t]
         max_any = max(max_any, len(live))

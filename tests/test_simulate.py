@@ -175,6 +175,21 @@ class TestDeliverGreedy:
         ]
 
 
+class TestPolicy:
+    def test_on_keeps_a_fraction(self):
+        beta = Fraction(3284, 1000)
+        assert Policy.on(beta).beta is beta
+
+    @pytest.mark.parametrize("beta", [Fraction(0), Fraction(-1, 2), 0, -3])
+    def test_on_rejects_a_non_positive_beta(self, beta):
+        with pytest.raises(ValueError, match="^beta must be positive$"):
+            Policy.on(beta)
+
+    def test_on_converts_an_int(self):
+        beta = Policy.on(2).beta
+        assert type(beta) is Fraction and beta == 2
+
+
 class TestRun:
     def test_demo_threshold_trace(self):
         inst = demo_instance(Fraction(2))
@@ -194,8 +209,18 @@ class TestRun:
         inst = Instance(3, Fraction(2), ())
         for policy in (Policy.on(Fraction(2)), Policy.greedy()):
             trace = run(policy, inst)
+            assert trace.log == ([], [], [])
             assert trace.events == ()
             assert trace.totals == 0
+
+    def test_events_view_reads_the_log(self):
+        inst = demo_instance(Fraction(2))
+        for policy in (Policy.on(Fraction(2)), Policy.greedy()):
+            trace = run(policy, inst)
+            steps, kinds, arrivals = trace.log
+            assert len(steps) == len(kinds) == len(arrivals) > 0
+            assert trace.events == tuple(zip(*trace.log))
+            assert {type(e) for e in trace.events} == {StepEvent}
 
     def test_threshold_on_blocking_family(self):
         trace = run(Policy.on(Fraction(3284, 1000)), greedy_blocking(Fraction(10)))
@@ -245,18 +270,20 @@ class TestRun:
             (EventKind.PREEMPTED, "unbuffered packet 1.1 preempted at step 2"),
         ],
     )
-    def test_replay_rejects_dropping_an_unbuffered_packet(self, kind, message):
+    def test_replay_rejects_dropping_an_unbuffered_packet(self, kind, message, event_log):
         # a hand-built trace that drops 1.1 after it was already sent
         inst = build_instance(2, Fraction(2), [(1, 0, "one"), (1, 1, "one")])
         trace = RunTrace(
             GREEDY,
             inst.arrivals,
-            (
-                StepEvent(1, EventKind.ADMITTED, 0),
-                StepEvent(1, EventKind.ADMITTED, 1),
-                StepEvent(1, EventKind.SENT, 0),
-                StepEvent(2, EventKind.SENT, 1),
-                StepEvent(2, kind, 1),
+            event_log(
+                [
+                    (1, EventKind.ADMITTED, 0),
+                    (1, EventKind.ADMITTED, 1),
+                    (1, EventKind.SENT, 0),
+                    (2, EventKind.SENT, 1),
+                    (2, kind, 1),
+                ]
             ),
             {1: 0, 2: 1},
             Fraction(2),
