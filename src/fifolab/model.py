@@ -110,6 +110,24 @@ class Packet:
         return self.klass is _ALPHA
 
 
+_new_object = object.__new__
+_set_id, _set_key, _set_klass = Packet.id.__set__, Packet.key.__set__, Packet.klass.__set__
+
+
+def _new_packet(id: str, key: ArrivalKey, klass: PacketClass) -> Packet:
+    """``Packet(id, key, klass)`` without the frozen ``__init__``.
+
+    That ``__init__`` sets each field through ``object.__setattr__``; writing
+    the slots through their descriptors costs about half as much. The
+    result is an ordinary frozen ``Packet``.
+    """
+    p = _new_object(Packet)
+    _set_id(p, id)
+    _set_key(p, key)
+    _set_klass(p, klass)
+    return p
+
+
 def default_packet_id(key: ArrivalKey) -> str:
     """Readable id derived from the key: ``"5"`` for seq 0, else ``"5.1"``."""
     return str(key.step) if key.seq == 0 else f"{key.step}.{key.seq}"
@@ -119,7 +137,7 @@ def make_packet(step: int, seq: int, klass: PacketClass | str, id: str | None = 
     if isinstance(klass, str):
         klass = PacketClass(klass)
     key = ArrivalKey(step, seq)
-    return Packet(id if id is not None else default_packet_id(key), key, klass)
+    return _new_packet(id if id is not None else default_packet_id(key), key, klass)
 
 
 @dataclass(frozen=True)
@@ -222,40 +240,80 @@ def total_value(inst: Instance, indices: Iterable[int]) -> Rat:
 
 
 # ---------------------------------------------------------------------------
-# Instance text format
-#
-#   buffer <B>
-#   alpha <num>/<den>
-#   packet <step> <seq> <one|alpha>
-#
-# Integers are ASCII decimal digits; only alpha's numerator may carry a '-'.
-# '#' starts a comment. Directives may appear in any order except packet
-# lines, which must be ascending by (step, seq). Unknown directives are
-# rejected.
+# Instance text format: the grammar is in parse_instance's docstring.
+
+# class <-> text; a dict lookup costs a fraction of the Enum call PacketClass(text)
+_CLASS_OF_TEXT = {c.value: c for c in PacketClass}
+_TEXT_OF_CLASS = {c: text for text, c in _CLASS_OF_TEXT.items()}
 
 
 def format_instance(inst: Instance) -> str:
     lines = [f"buffer {inst.capacity}", f"alpha {format_rat(inst.alpha)}"]
+    text_of = _TEXT_OF_CLASS
     for p in inst.arrivals:
-        lines.append(f"packet {p.key.step} {p.key.seq} {p.klass.value}")
+        step, seq = p.key
+        lines.append(f"packet {step} {seq} {text_of[p.klass]}")
     return "\n".join(lines) + "\n"
 
 
 def parse_instance(text: str) -> Instance:
+    """Parse instance text into an :class:`Instance`.
+
+    Grammar: one directive per line; '#' starts a comment, blank lines are
+    skipped and any Unicode whitespace separates fields::
+
+        buffer <B>                     exactly once, B >= 1
+        alpha <num>/<den> | <num>      exactly once, value > 1
+        packet <step> <seq> one|alpha  step >= 1, seq >= 0
+
+    Directives may come in any order, but packet lines must be strictly
+    ascending by (step, seq); unknown directives are rejected. Integers are
+    ASCII decimal digits, and only alpha's numerator may carry a '-'.
+    Leading zeros are allowed and do not reach the packet id: ``packet 05
+    01 alpha`` gets key (5, 1) and id ``"5.1"``, as :func:`make_packet`
+    would. Each error is an :class:`InstanceParseError` naming the first
+    offending line (0 for a missing directive). A parsed instance is always
+    valid: :func:`validate_instance` finds nothing.
+    """
     capacity: int | None = None
     alpha: Rat | None = None
     packets: list[Packet] = []
+    last_key = (0, 0)  # below every parsed key, since step >= 1
+    class_of, new_key, new_packet = _CLASS_OF_TEXT, tuple.__new__, _new_packet
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         fields = line.split()
-        directive, args = fields[0], fields[1:]
-        if directive == "buffer":
+        directive = fields[0]
+        if directive == "packet":
+            if len(fields) != 4:
+                raise InstanceParseError(line_no, "packet takes: step seq one|alpha")
+            _, step_text, seq_text, klass_text = fields
+            klass = class_of.get(klass_text)
+            try:
+                # parse_int's rule, inline; int() still rejects too many digits
+                if not (
+                    step_text.isascii() and step_text.isdigit()
+                    and seq_text.isascii() and seq_text.isdigit()
+                    and klass is not None
+                ):
+                    raise ValueError
+                step, seq = int(step_text), int(seq_text)
+            except ValueError:
+                raise InstanceParseError(line_no, f"bad packet line: {line!r}") from None
+            if step < 1:
+                raise InstanceParseError(line_no, "packet key out of range")
+            key = new_key(ArrivalKey, (step, seq))
+            if key <= last_key:
+                raise InstanceParseError(line_no, "packets must be ascending by (step, seq)")
+            last_key = key
+            packets.append(new_packet(str(step) if seq == 0 else f"{step}.{seq}", key, klass))
+        elif directive == "buffer":
             if capacity is not None:
                 raise InstanceParseError(line_no, "duplicate buffer directive")
             try:
-                [size] = args
+                _, size = fields
                 capacity = parse_int(size)
             except ValueError:
                 capacity = 0
@@ -264,28 +322,14 @@ def parse_instance(text: str) -> Instance:
         elif directive == "alpha":
             if alpha is not None:
                 raise InstanceParseError(line_no, "duplicate alpha directive")
-            if len(args) != 1:
+            if len(fields) != 2:
                 raise InstanceParseError(line_no, "alpha takes one rational")
             try:
-                alpha = parse_rat(args[0])
+                alpha = parse_rat(fields[1])
             except ValueError as exc:
                 raise InstanceParseError(line_no, str(exc)) from None
             if alpha <= 1:
                 raise InstanceParseError(line_no, "alpha must exceed 1")
-        elif directive == "packet":
-            if len(args) != 3:
-                raise InstanceParseError(line_no, "packet takes: step seq one|alpha")
-            try:
-                step, seq = parse_int(args[0]), parse_int(args[1])
-                klass = PacketClass(args[2])
-            except ValueError:
-                raise InstanceParseError(line_no, f"bad packet line: {line!r}") from None
-            if step < 1:
-                raise InstanceParseError(line_no, "packet key out of range")
-            p = make_packet(step, seq, klass)
-            if packets and p.key <= packets[-1].key:
-                raise InstanceParseError(line_no, "packets must be ascending by (step, seq)")
-            packets.append(p)
         else:
             raise InstanceParseError(line_no, f"unknown directive {directive!r}")
     if capacity is None:

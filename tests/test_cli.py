@@ -405,6 +405,11 @@ _GOOD_LINES = {"buffer": "buffer 2", "alpha": "alpha 2/1", "packet": "packet 1 0
         ("packet 1 -1 one", "line 3: bad packet line: 'packet 1 -1 one'"),
         ("packet ١ 0 one", "line 3: bad packet line: 'packet ١ 0 one'"),
         ("packet 0 0 one", "line 3: packet key out of range"),
+        ("packet 1 0", "line 3: packet takes: step seq one|alpha"),
+        ("packet 1 0 one x", "line 3: packet takes: step seq one|alpha"),
+        ("packet 1 0 beta", "line 3: bad packet line: 'packet 1 0 beta'"),
+        ("packet 1 0 ONE", "line 3: bad packet line: 'packet 1 0 ONE'"),
+        ("packet 1 ١ one", "line 3: bad packet line: 'packet 1 ١ one'"),
     ],
     ids=[
         "buffer-underscore",
@@ -422,6 +427,11 @@ _GOOD_LINES = {"buffer": "buffer 2", "alpha": "alpha 2/1", "packet": "packet 1 0
         "packet-negative-seq",
         "packet-arabic-indic-digit",
         "packet-step-zero",
+        "packet-too-few-fields",
+        "packet-too-many-fields",
+        "packet-unknown-class",
+        "packet-uppercase-class",
+        "packet-arabic-indic-seq",
     ],
 )
 def test_malformed_integer_is_one_line_parse_error(bad_line, message, tmp_path, capsys):

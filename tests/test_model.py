@@ -21,7 +21,7 @@ from fifolab import (
     total_value,
     validate_instance,
 )
-from fifolab.model import arrival_indices, scaled_sum
+from fifolab.model import Packet, PacketClass, arrival_indices, scaled_sum
 from test_properties import instances
 
 
@@ -181,6 +181,36 @@ class TestTextFormat:
             with pytest.raises(InstanceParseError):
                 parse_instance(f"buffer {size}\nalpha 2/1\n")
 
+    def test_duplicate_key_rejected_at_its_line(self):
+        text = "buffer 1\nalpha 2/1\npacket 1 0 one\npacket 1 0 alpha\n"
+        with pytest.raises(InstanceParseError) as err:
+            parse_instance(text)
+        assert err.value.line_no == 4
+        assert str(err.value) == "line 4: packets must be ascending by (step, seq)"
+
+    def test_leading_zeros_normalise_key_and_id(self):
+        inst = parse_instance("buffer 1\nalpha 2/1\npacket 05 01 alpha\npacket 007 0 one\n")
+        assert [p.id for p in inst.arrivals] == ["5.1", "7"]
+        assert [p.key for p in inst.arrivals] == [ArrivalKey(5, 1), ArrivalKey(7, 0)]
+        assert inst == build_instance(1, Fraction(2), [(5, 1, "alpha"), (7, 0, "one")])
+
+    def test_tab_and_nbsp_separate_fields(self):
+        text = "buffer\t2\nalpha\u00a05/2\npacket\t1\u00a00 \t one\u00a0\n"
+        assert parse_instance(text) == build_instance(2, Fraction(5, 2), [(1, 0, "one")])
+
+    def test_crlf_line_ends(self):
+        text = "buffer 2\r\nalpha 5/2\r\npacket 1 0 one\r\npacket 1 1 alpha\r\n"
+        expected = build_instance(2, Fraction(5, 2), [(1, 0, "one"), (1, 1, "alpha")])
+        assert parse_instance(text) == expected
+        with pytest.raises(InstanceParseError) as err:
+            parse_instance(text + "packet 1 1 one\r\n")
+        assert err.value.line_no == 5
+
+    def test_trailing_comment_on_packet_line(self):
+        text = "buffer 2\nalpha 5/2\npacket 1 0 alpha # first\npacket 2 0 one#x y z\n"
+        expected = build_instance(2, Fraction(5, 2), [(1, 0, "alpha"), (2, 0, "one")])
+        assert parse_instance(text) == expected
+
     def test_parse_rat(self):
         assert parse_rat("10/4") == Fraction(5, 2)
         assert parse_rat("7") == 7
@@ -214,17 +244,30 @@ class TestIdentity:
         assert ArrivalKey(5) == ArrivalKey(5, 0)
 
     def test_fields_are_read_only(self):
-        key = ArrivalKey(3, 1)
-        packet = make_packet(3, 1, "alpha")
-        for target, field in ((key, "step"), (key, "seq"), (packet, "key"), (packet, "id")):
-            with pytest.raises(AttributeError):
-                setattr(target, field, 0)
+        [parsed] = parse_instance("buffer 1\nalpha 2/1\npacket 3 1 alpha\n").arrivals
+        for key in (ArrivalKey(3, 1), parsed.key):
+            for field in ("step", "seq"):
+                with pytest.raises(AttributeError):
+                    setattr(key, field, 0)
+        for packet in (make_packet(3, 1, "alpha"), parsed):
+            for field in ("id", "key", "klass"):
+                with pytest.raises(AttributeError):
+                    setattr(packet, field, 0)
+            assert not hasattr(packet, "__dict__")
 
     def test_reprs(self):
-        assert repr(ArrivalKey(3, 1)) == "ArrivalKey(step=3, seq=1)"
-        assert repr(make_packet(3, 1, "alpha")) == (
+        [parsed] = parse_instance("buffer 1\nalpha 2/1\npacket 3 1 alpha\n").arrivals
+        assert repr(ArrivalKey(3, 1)) == repr(parsed.key) == "ArrivalKey(step=3, seq=1)"
+        assert repr(make_packet(3, 1, "alpha")) == repr(parsed) == (
             "Packet(id='3.1', key=ArrivalKey(step=3, seq=1), klass=<PacketClass.ALPHA: 'alpha'>)"
         )
+        # the dataclass constructor builds the same packet as the parser's
+        direct = Packet("3.1", ArrivalKey(3, 1), PacketClass.ALPHA)
+        assert (direct, hash(direct), repr(direct)) == (parsed, hash(parsed), repr(parsed))
+
+    def test_make_packet_rejects_an_unknown_class(self):
+        with pytest.raises(ValueError, match="^'beta' is not a valid PacketClass$"):
+            make_packet(1, 0, "beta")
 
     def test_equality_still_compares_every_field(self):
         one, alpha = make_packet(1, 0, "one"), make_packet(1, 0, "alpha")

@@ -8,7 +8,7 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fifolab import (
     DEFAULT_BETA,
@@ -34,7 +34,20 @@ from fifolab import (
     verify_ropt,
 )
 from fifolab.analysis import SENT_BY_BOTH, CheckResult, ChargeRecord
-from fifolab.model import ZERO, Instance, Rat, build_instance, make_packet, require_valid
+from fifolab.model import (
+    ZERO,
+    Instance,
+    InstanceParseError,
+    Packet,
+    PacketClass,
+    Rat,
+    build_instance,
+    make_packet,
+    parse_int,
+    parse_rat,
+    require_valid,
+    validate_instance,
+)
 from fifolab.offline import _earliest_sends
 from fifolab.simulate import replay_buffer_states, replay_events
 from test_analysis import _random_feasible_subset, _stretched, value_of
@@ -893,3 +906,131 @@ def test_full_analysis_has_no_hard_failures(inst, beta):
 @given(instances())
 def test_instance_text_round_trip(inst):
     assert parse_instance(format_instance(inst)) == inst
+
+
+def _literal_parse_instance(text: str) -> Instance:
+    """The instance parser as first written: ``parse_int`` per integer, the
+    ``PacketClass`` Enum call per class and ``make_packet`` per packet."""
+    capacity: int | None = None
+    alpha: Rat | None = None
+    packets: list[Packet] = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        directive, args = fields[0], fields[1:]
+        if directive == "buffer":
+            if capacity is not None:
+                raise InstanceParseError(line_no, "duplicate buffer directive")
+            try:
+                [size] = args
+                capacity = parse_int(size)
+            except ValueError:
+                capacity = 0
+            if capacity < 1:
+                raise InstanceParseError(line_no, "buffer takes one positive integer")
+        elif directive == "alpha":
+            if alpha is not None:
+                raise InstanceParseError(line_no, "duplicate alpha directive")
+            if len(args) != 1:
+                raise InstanceParseError(line_no, "alpha takes one rational")
+            try:
+                alpha = parse_rat(args[0])
+            except ValueError as exc:
+                raise InstanceParseError(line_no, str(exc)) from None
+            if alpha <= 1:
+                raise InstanceParseError(line_no, "alpha must exceed 1")
+        elif directive == "packet":
+            if len(args) != 3:
+                raise InstanceParseError(line_no, "packet takes: step seq one|alpha")
+            try:
+                step, seq = parse_int(args[0]), parse_int(args[1])
+                klass = PacketClass(args[2])
+            except ValueError:
+                raise InstanceParseError(line_no, f"bad packet line: {line!r}") from None
+            if step < 1:
+                raise InstanceParseError(line_no, "packet key out of range")
+            p = make_packet(step, seq, klass)
+            if packets and p.key <= packets[-1].key:
+                raise InstanceParseError(line_no, "packets must be ascending by (step, seq)")
+            packets.append(p)
+        else:
+            raise InstanceParseError(line_no, f"unknown directive {directive!r}")
+    if capacity is None:
+        raise InstanceParseError(0, "missing buffer directive")
+    if alpha is None:
+        raise InstanceParseError(0, "missing alpha directive")
+    return Instance(capacity, alpha, tuple(packets))
+
+
+# whole-token replacements: non-ASCII digits, signs, separators, leading
+# zeros, class names in the wrong case, other directives' words, and one
+# integer longer than int() accepts by default
+_TOKENS = [
+    "١", "３", "²", "+1", "-1", "-0", "1_0", "0", "00", "01", "007", "1.5", "x",
+    "one", "alpha", "ONE", "Alpha", "beta", "packet", "buffer", "2/1", "-3/2", "1" * 4301,
+]
+# one character swapped into a token
+_CHARS = ["0", "9", "١", "３", "²", "_", "+", "-", "x"]
+_SEPARATORS = [" ", " ", "  ", "\t", "\u00a0", "\u2003", " \t\u3000"]
+_COMMENTS = ["", "", "#", " # note", "#packet 1 0 one"]
+_LINE_ENDS = ["\n", "\n", "\r\n", "\r", "\u2028", "\x85"]
+
+
+@st.composite
+def instance_texts(draw):
+    """``format_instance`` text of a drawn instance, with some lines mutated."""
+    lines = [line.split() for line in format_instance(draw(instances())).splitlines()]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        fields = lines[i]
+        op = draw(st.sampled_from(["char", "token", "zeros", "drop", "add", "swap", "copy"]))
+        j = draw(st.integers(0, len(fields) - 1)) if fields else 0
+        if op == "char" and fields:
+            k = draw(st.integers(0, len(fields[j]) - 1))
+            fields[j] = fields[j][:k] + draw(st.sampled_from(_CHARS)) + fields[j][k + 1 :]
+        elif op == "token" and fields:
+            fields[j] = draw(st.sampled_from(_TOKENS))
+        elif op == "zeros" and fields:
+            fields[j] = "0" * draw(st.integers(1, 3)) + fields[j]
+        elif op == "drop" and fields:
+            del fields[j]
+        elif op == "add":
+            fields.insert(j + 1, draw(st.sampled_from(_TOKENS)))
+        elif op == "swap":
+            k = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[k] = lines[k], lines[i]
+        elif op == "copy":
+            lines.insert(i, list(fields))
+    end = draw(st.sampled_from(_LINE_ENDS))
+    return "".join(
+        draw(st.sampled_from(_SEPARATORS)).join(fields) + draw(st.sampled_from(_COMMENTS)) + end
+        for fields in lines
+    )
+
+
+def _parse_outcome(parse, text):
+    """What `parse` makes of `text`: the instance and the types of its parts,
+    or the error's type, text and line number."""
+    try:
+        inst = parse(text)
+    except InstanceParseError as exc:
+        return type(exc), str(exc), exc.line_no
+    return inst, [(type(p), p.id, type(p.key), type(p.key.step), p.klass) for p in inst.arrivals]
+
+
+@given(instance_texts())
+@settings(max_examples=400, deadline=None)
+@example("buffer 1\nalpha 2/1\npacket 1 ١ one\n")
+@example("buffer 1\nalpha 2/1\npacket ３ 0 one\n")
+@example("buffer 1\nalpha 2/1\npacket ² 0 one\n")
+@example("buffer 1\nalpha 2/1\npacket 05 01 alpha\npacket 5 1 one\n")
+@example("buffer 1\nalpha 2/1\npacket 1 0 one one\npacket 1\n")
+@example("buffer 1\r\nalpha\t2/1\r\npacket\u00a01 0 ONE # x\r\n")
+@example("buffer 1\nalpha 2/1\npacket 1 " + "1" * 4301 + " one\n")
+def test_parser_matches_literal_oracle(text):
+    outcome = _parse_outcome(parse_instance, text)
+    assert outcome == _parse_outcome(_literal_parse_instance, text)
+    if isinstance(outcome[0], Instance):
+        assert validate_instance(outcome[0]) == []
