@@ -24,18 +24,20 @@ patched over, surfacing the run as a counterexample.
 
 No pass walks every step number or copies the buffer, and packets are
 arrival indices throughout: the policy's trace names them so, the
-optimum and every O-set arrive as indices, and :func:`run_ropt` builds
-the O-mask once and hands it to the other layers in its
-:class:`RoptTrace`, so no packet is hashed. The reference schedule jumps
-over the steps at which its buffer is empty. The reference checks do not
-replay the policy: an O-packet is in the policy's buffer at a send step
-t, with its chain live, exactly when the reference sent it by t and the
-policy had not yet sent or dropped it, so the backlog maxima and chain
-disjointness are sweeps over those intervals. Only the ledger replays
-the policy's events, reading its live buffer at rejections and
-preemptions; it and its check find where a run of alpha sends ends in
-one lookup. Records (checks, charges, chains) are named tuples, and the
-conservation check compares its sums as scaled integers.
+optimum and every O-set arrive as indices, :func:`run_ropt` builds the
+O-mask once and hands it to the other layers in its :class:`RoptTrace`,
+and the ledger's charges, chains and errors hold indices too. So no
+packet is hashed, and ids are looked up only to write text. The
+reference schedule jumps over the steps at which its buffer is empty.
+The reference checks do not replay the policy: an O-packet is in the
+policy's buffer at a send step t, with its chain live, exactly when the
+reference sent it by t and the policy had not yet sent or dropped it, so
+the backlog maxima and chain disjointness are sweeps over those
+intervals. Only the ledger replays the policy's events, reading its live
+buffer at rejections and preemptions; it and its check find where a run
+of alpha sends ends in one lookup. Records (checks, charges, chains) are
+named tuples, and the conservation check compares its sums as scaled
+integers.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from fractions import Fraction
 from itertools import accumulate, compress
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .model import Instance, Packet, Rat, ONE, arrival_indices, scaled_sum
+from .model import Instance, Packet, Rat, ONE, arrival_indices, format_rat, scaled_sum
 from .offline import OptResult, _earliest_sends, brute_force_opt, dp_opt, opt_containing
 from .simulate import (
     ADMITTED,
@@ -79,17 +81,12 @@ class LedgerError(RuntimeError):
 
     This is a falsification signal: the offending instance is a
     counterexample to the accounting argument (or exposes a simulator
-    bug) and must be surfaced, never patched over.
+    bug) and must be surfaced, never patched over. ``step`` and ``packet``
+    (an arrival index) locate it when one packet is at fault.
     """
 
-    def __init__(self, message: str, step: int | None = None, packet: Packet | None = None):
-        context = []
-        if step is not None:
-            context.append(f"step {step}")
-        if packet is not None:
-            context.append(f"packet {packet.id}")
-        suffix = f" ({', '.join(context)})" if context else ""
-        super().__init__(message + suffix)
+    def __init__(self, message: str, step: int | None = None, packet: int | None = None):
+        super().__init__(message)
         self.step = step
         self.packet = packet
 
@@ -179,14 +176,14 @@ class Chain(NamedTuple):
 
     ``steps`` ascend; at every step after the head, the policy sends the
     packet the reference sent one link earlier; at the head the policy's
-    send is outside O. ``owner`` is the packet whose reference-send step
-    ends the chain.
+    send is outside O. ``owner`` is the arrival index of the packet whose
+    reference-send step ends the chain; ``closing_charge`` is the arrival
+    index of the packet charged at its head, or None while it is open.
     """
 
-    owner: Packet
+    owner: int
     steps: tuple[int, ...]
-    status: str  # "open" | "closed"
-    closing_charge: Packet | None = None
+    closing_charge: int | None = None
 
     @property
     def head(self) -> int:
@@ -198,7 +195,9 @@ class Chain(NamedTuple):
 
 
 class ChargeRecord(NamedTuple):
-    packet: Packet
+    """A reference charge: O-packet ``packet`` (an arrival index) at ``step`` or on ``interval``."""
+
+    packet: int
     kind: str
     amount: Rat
     step: int | None = None
@@ -208,6 +207,9 @@ class ChargeRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class ChargeLedger:
+    """Every charge of one run, indexing into ``arrivals``, the instance's own tuple."""
+
+    arrivals: tuple[Packet, ...]
     on_charges: Mapping[int, Rat]
     ropt_charges: tuple[ChargeRecord, ...]
     chains: tuple[Chain, ...]
@@ -250,24 +252,26 @@ def build_ledger(inst: Instance, on: RunTrace, ropt: RoptTrace) -> ChargeLedger:
     }
 
     for t, i in on.sends.items():
-        p = arr[i]
-        value = on_charges[t] = alpha if p.is_alpha else ONE
+        value = on_charges[t] = alpha if arr[i].is_alpha else ONE
         if in_o[i]:
-            charges.append(ChargeRecord(p, SENT_BY_BOTH, value, step=t))
+            charges.append(ChargeRecord(i, SENT_BY_BOTH, value, step=t))
 
-    # the closing charge per chain owner's arrival index, None while its
-    # chain is open, in first-touch order: the order of the ledger's chains
-    closing: dict[int, Packet | None] = {}
+    # the closing charge per chain owner, None while its chain is open, in
+    # first-touch order: the order of the ledger's chains
+    closing: dict[int, int | None] = {}
     closed_heads: set[int] = set()
+
+    def fail(message: str, step: int, i: int) -> LedgerError:
+        return LedgerError(f"{message} (step {step}, packet {arr[i].id})", step, i)
 
     def head_of(owner: int) -> int:
         closing.setdefault(owner, None)
         return ropt.head[send_time[owner]]
 
-    def close_chain(owner: int, charged: Packet, kind: str, drop_step: int) -> None:
+    def close_chain(owner: int, charged: int, kind: str, drop_step: int) -> None:
         head = head_of(owner)
         if head in closed_heads:
-            raise LedgerError("chain head charged twice", step=head, packet=charged)
+            raise fail("chain head charged twice", head, charged)
         closed_heads.add(head)
         closing[owner] = charged
         if on.sends.get(head) is None:
@@ -295,54 +299,54 @@ def build_ledger(inst: Instance, on: RunTrace, ropt: RoptTrace) -> ChargeLedger:
     def reference_sends_before(step: int) -> None:
         while deferred and deferred[0][0] < step:
             _, i, drop_step = heapq.heappop(deferred)
-            close_chain(i, arr[i], EVICTED_ONE_CHAIN, drop_step=drop_step)
+            close_chain(i, i, EVICTED_ONE_CHAIN, drop_step=drop_step)
 
     for (t, kind, i), buf in replay_events(on):
         if deferred:
             reference_sends_before(t)
         if kind is SENT or kind is ADMITTED:
             continue
-        p = arr[i]
+        is_alpha = arr[i].is_alpha
         if kind is EVICTED and in_o[i]:
-            if p.is_alpha:
+            if is_alpha:
                 # the interval always includes the drop step itself, so
                 # the purity check can catch a non-alpha send there
                 end = alpha_run_end.get(t + 1, t)
                 charges.append(
-                    ChargeRecord(p, EVICTED_ALPHA_INTERVAL, alpha, interval=(t, end), drop_step=t)
+                    ChargeRecord(i, EVICTED_ALPHA_INTERVAL, alpha, interval=(t, end), drop_step=t)
                 )
             elif sent_before(i, t):
-                close_chain(i, p, EVICTED_ONE_CHAIN, drop_step=t)
+                close_chain(i, i, EVICTED_ONE_CHAIN, drop_step=t)
             else:
                 sent = send_time[i]
                 heapq.heappush(deferred, (math.inf if sent is None else sent, i, t))
                 diagnostics["deferred-evictions"] += 1
         elif kind is REJECTED and in_o[i]:
-            if p.is_alpha:
-                raise LedgerError("alpha packet self-rejected", step=t, packet=p)
+            if is_alpha:
+                raise fail("alpha packet self-rejected", t, i)
             if len(buf) != inst.capacity or not all(arr[q].is_alpha for q in buf):
-                raise LedgerError("rejection without a full all-alpha buffer", step=t, packet=p)
+                raise fail("rejection without a full all-alpha buffer", t, i)
             diagnostics["reject-context-non-o-packets"] += sum(1 for q in buf if not in_o[q])
             candidates = open_chain_candidates(buf, t)
             if not candidates:
-                raise LedgerError("no open chain for rejected packet", step=t, packet=p)
-            close_chain(candidates[0], p, REJECTED_ONE_CHAIN, drop_step=t)
+                raise fail("no open chain for rejected packet", t, i)
+            close_chain(candidates[0], i, REJECTED_ONE_CHAIN, drop_step=t)
         elif kind is PREEMPTED:
-            if p.is_alpha:
-                raise LedgerError("alpha packet preempted", step=t, packet=p)
+            if is_alpha:
+                raise fail("alpha packet preempted", t, i)
             if not in_o[i]:
                 continue
             # only 1-value packets leave in a preemption, so the live
             # buffer still holds the step's alpha context in order
             candidates = open_chain_candidates(buf, t)
             if candidates:
-                close_chain(candidates[0], p, PREEMPTED_OPEN_CHAIN, drop_step=t)
+                close_chain(candidates[0], i, PREEMPTED_OPEN_CHAIN, drop_step=t)
             else:
                 if any(sent_before(z, t) for z in buf if arr[z].is_alpha):
                     diagnostics["preempt-fallthrough-with-closed-chains"] += 1
                 h = sum(1 for q in buf if arr[q].is_alpha)
                 charges.append(
-                    ChargeRecord(p, PREEMPTED_INTERVAL, ONE, interval=(t, t + h - 1), drop_step=t)
+                    ChargeRecord(i, PREEMPTED_INTERVAL, ONE, interval=(t, t + h - 1), drop_step=t)
                 )
     reference_sends_before(ropt.last_step + 1)
 
@@ -350,11 +354,8 @@ def build_ledger(inst: Instance, on: RunTrace, ropt: RoptTrace) -> ChargeLedger:
         missing = ", ".join(sorted(arr[i].id for _, i, _ in deferred))
         raise LedgerError(f"evicted O-packets never sent by the reference: {missing}")
 
-    chains = tuple(
-        Chain(arr[owner], ropt.chain(owner), "open" if charged is None else "closed", charged)
-        for owner, charged in closing.items()
-    )
-    return ChargeLedger(on_charges, tuple(charges), chains, diagnostics)
+    chains = tuple(Chain(owner, ropt.chain(owner), charged) for owner, charged in closing.items())
+    return ChargeLedger(arr, on_charges, tuple(charges), chains, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -605,23 +606,21 @@ def verify_ledger(
             continue
         lo, hi = rec.interval
         if (end := alpha_run_end.get(lo, lo - 1)) < hi:
-            impure = f"interval [{lo}, {hi}] of {rec.packet.id}: step {end + 1} is not an alpha send"
+            impure = f"interval [{lo}, {hi}] of {arr[rec.packet].id}: step {end + 1} is not an alpha send"
             break
     checks.append(_result("alpha-send-intervals", not impure, impure))
 
     bad_head = ""
     null_heads = 0
     for chain in ledger.chains:
-        if chain.status != "closed":
+        if chain.closing_charge is None:
             continue
         q = on.sends.get(chain.head)
         if q is None:
             null_heads += 1
-        elif in_o[q]:
-            bad_head = f"head {chain.head} of {chain.owner.id}'s chain sends O-packet {arr[q].id}"
-            break
-        elif arr[q].is_alpha:
-            bad_head = f"head {chain.head} of {chain.owner.id}'s chain sends alpha packet {arr[q].id}"
+        elif in_o[q] or arr[q].is_alpha:
+            what = "O-packet" if in_o[q] else "alpha packet"
+            bad_head = f"head {chain.head} of {arr[chain.owner].id}'s chain sends {what} {arr[q].id}"
             break
     if bad_head:
         checks.append(CheckResult("chain-heads", CheckStatus.FAIL, bad_head))
@@ -636,7 +635,7 @@ def verify_ledger(
         rec.step for rec in ledger.ropt_charges if rec.kind in CHAIN_CHARGE_KINDS
     )
     duplicates = sorted(s for s, n in head_charges.items() if n > 1)
-    closed = sum(1 for chain in ledger.chains if chain.status == "closed")
+    closed = sum(1 for chain in ledger.chains if chain.closing_charge is not None)
     checks.append(
         _result(
             "single-closure",
@@ -768,21 +767,20 @@ def format_report(report: AnalysisReport) -> str:
 
 
 def format_ledger(ledger: ChargeLedger) -> str:
-    """Line-oriented ledger export, stable for golden-file comparison."""
-    lines = []
-    for t in sorted(ledger.on_charges):
-        lines.append(f"on {t} {ledger.on_charges[t].numerator}/{ledger.on_charges[t].denominator}")
-    def sort_key(rec: ChargeRecord):
-        anchor = rec.step if rec.step is not None else rec.interval[0]
-        return (anchor, rec.packet.key)
-    for rec in sorted(ledger.ropt_charges, key=sort_key):
+    """Line-oriented ledger export, stable for golden-file comparison.
+
+    Ids are looked up in ``ledger.arrivals`` per line. Charges sort by
+    (step or interval start, arrival index): key order, in a valid instance.
+    """
+    arr = ledger.arrivals
+    lines = [f"on {t} {format_rat(ledger.on_charges[t])}" for t in sorted(ledger.on_charges)]
+    def anchor(rec: ChargeRecord) -> tuple[int, int]:
+        return (rec.interval[0] if rec.step is None else rec.step, rec.packet)
+    for rec in sorted(ledger.ropt_charges, key=anchor):
         target = f"step {rec.step}" if rec.interval is None else f"interval {rec.interval[0]} {rec.interval[1]}"
-        lines.append(
-            f"ropt {rec.kind} {rec.packet.id} {rec.amount.numerator}/{rec.amount.denominator} {target}"
-        )
+        lines.append(f"ropt {rec.kind} {arr[rec.packet].id} {format_rat(rec.amount)} {target}")
     for chain in sorted(ledger.chains, key=lambda c: c.steps):
-        closing = chain.closing_charge.id if chain.closing_charge is not None else "-"
-        lines.append(
-            f"chain {chain.owner.id} {chain.status} {closing} " + " ".join(map(str, chain.steps))
-        )
+        status = "open" if chain.closing_charge is None else "closed"
+        closing = "-" if chain.closing_charge is None else arr[chain.closing_charge].id
+        lines.append(f"chain {arr[chain.owner].id} {status} {closing} " + " ".join(map(str, chain.steps)))
     return "\n".join(lines) + "\n"

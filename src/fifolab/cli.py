@@ -65,8 +65,9 @@ FUZZ_CSV_HEADER = [
 ]
 
 
-def decimal_str(value: Rat, places: int = 6) -> str:
-    """Exact fixed-point rendering (round half to even); no float rounding."""
+def decimal_str(value: Rat) -> str:
+    """Exact fixed-point rendering to six places (round half to even); no float rounding."""
+    places = 6
     scaled = value * 10**places
     whole, remainder = divmod(scaled.numerator, scaled.denominator)
     doubled = 2 * remainder

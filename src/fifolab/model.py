@@ -133,11 +133,11 @@ def default_packet_id(key: ArrivalKey) -> str:
     return str(key.step) if key.seq == 0 else f"{key.step}.{key.seq}"
 
 
-def make_packet(step: int, seq: int, klass: PacketClass | str, id: str | None = None) -> Packet:
+def make_packet(step: int, seq: int, klass: PacketClass | str) -> Packet:
     if isinstance(klass, str):
         klass = PacketClass(klass)
     key = ArrivalKey(step, seq)
-    return _new_packet(id if id is not None else default_packet_id(key), key, klass)
+    return _new_packet(default_packet_id(key), key, klass)
 
 
 @dataclass(frozen=True)

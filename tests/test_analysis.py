@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -19,11 +21,13 @@ from fifolab import (
     RunTrace,
     StepEvent,
     analyze,
+    brute_force_opt,
     build_instance,
     build_ledger,
     demo_instance,
     feasible,
     greedy_blocking,
+    opt_containing,
     random_instance,
     run,
     run_ropt,
@@ -190,16 +194,16 @@ class TestLedgerDemo:
         for rec in ledger.ropt_charges:
             by_kind.setdefault(rec.kind, []).append(rec)
 
-        sent_steps = {rec.packet.id: rec.step for rec in by_kind[SENT_BY_BOTH]}
+        sent_steps = {inst.arrivals[rec.packet].id: rec.step for rec in by_kind[SENT_BY_BOTH]}
         assert sent_steps == {"2": 2, "2.1": 3, "2.2": 4, "5.1": 5, "5.2": 6}
 
         [evicted] = by_kind[EVICTED_ALPHA_INTERVAL]
-        assert evicted.packet.id == "1.2"
+        assert inst.arrivals[evicted.packet].id == "1.2"
         assert evicted.interval == (2, 6)
         assert evicted.amount == 2
 
         [preempted] = by_kind[PREEMPTED_INTERVAL]
-        assert preempted.packet.id == "5"
+        assert inst.arrivals[preempted.packet].id == "5"
         assert preempted.interval == (5, 6)  # two preempting alpha packets
 
         assert ledger.chains == ()
@@ -243,11 +247,11 @@ class TestLedgerChainCharges:
         ropt = run_ropt(inst, chosen, on)
         ledger = build_ledger(inst, on, ropt)
         [rec] = [r for r in ledger.ropt_charges if r.kind == EVICTED_ONE_CHAIN]
-        assert rec.packet.id == "1.1"
+        assert inst.arrivals[rec.packet].id == "1.1"
         assert rec.step == 3
         assert rec.drop_step == 2
         [chain] = ledger.chains
-        assert chain.status == "closed" and chain.steps == (3,)
+        assert chain.closing_charge == rec.packet and chain.steps == (3,)
         assert verify_ledger(ledger, inst, on, ropt).ok
         assert ledger.diagnostics["deferred-evictions"] == 1
 
@@ -266,10 +270,10 @@ class TestLedgerChainCharges:
         ropt = run_ropt(inst, chosen, on)
         ledger = build_ledger(inst, on, ropt)
         [rec] = [r for r in ledger.ropt_charges if r.kind == REJECTED_ONE_CHAIN]
-        assert rec.packet.id == "2.1"
+        assert inst.arrivals[rec.packet].id == "2.1"
         assert rec.step == 1
         [chain] = ledger.chains
-        assert chain.owner.id == "1.1" and chain.status == "closed"
+        assert inst.arrivals[chain.owner].id == "1.1" and chain.closing_charge == rec.packet
         report = AnalysisReport(
             verify_ropt(inst, on, ropt).checks + verify_ledger(ledger, inst, on, ropt).checks
         )
@@ -290,11 +294,12 @@ class TestLedgerChainCharges:
         ropt = run_ropt(inst, chosen, on)
         ledger = build_ledger(inst, on, ropt)
         [rec] = [r for r in ledger.ropt_charges if r.kind == PREEMPTED_OPEN_CHAIN]
-        assert rec.packet.id == "1.2"
+        assert inst.arrivals[rec.packet].id == "1.2"
         assert rec.step == 2
         assert rec.drop_step == 3
         [chain] = ledger.chains
-        assert chain.owner.id == "1.3" and chain.steps == (2,) and chain.status == "closed"
+        assert inst.arrivals[chain.owner].id == "1.3" and chain.steps == (2,)
+        assert chain.closing_charge == rec.packet
         report = AnalysisReport(
             verify_ropt(inst, on, ropt).checks + verify_ledger(ledger, inst, on, ropt).checks
         )
@@ -523,6 +528,157 @@ def test_report_and_ledger_golden(make_instance, beta, report_text, ledger_text)
     assert format_ledger(result.ledger) == ledger_text
 
 
+# corpus seed 256 against an optimum other than the canonical one: a
+# preempted O-packet is charged at an open chain, which then grows to length 2
+PREEMPTED_CHAIN_LEDGER = """\
+on 1 1/1
+on 2 5/1
+on 3 1/1
+on 5 5/1
+on 6 1/1
+on 7 1/1
+on 8 5/1
+on 9 5/1
+on 10 5/1
+on 11 5/1
+ropt sent-by-both 1 1/1 step 1
+ropt sent-by-both 2 5/1 step 2
+ropt sent-by-both 3 1/1 step 3
+ropt sent-by-both 5 5/1 step 5
+ropt preempted-open-chain 8 1/1 step 6
+ropt sent-by-both 6 1/1 step 7
+ropt sent-by-both 7 5/1 step 8
+ropt sent-by-both 8.1 5/1 step 9
+ropt preempted-interval 9 1/1 interval 10 11
+ropt sent-by-both 9.1 5/1 step 10
+ropt preempted-interval 10 1/1 interval 10 11
+ropt sent-by-both 10.1 5/1 step 11
+chain 7 closed 8 6 7
+"""
+
+# corpus seed 400, likewise: a rejected O-packet closes a chain of length 6
+REJECTED_CHAIN_LEDGER = """\
+on 2 1/1
+on 3 1/1
+on 4 1/1
+on 5 1/1
+on 6 5/1
+on 7 5/1
+on 8 5/1
+on 9 5/1
+on 10 5/1
+on 11 5/1
+on 12 5/1
+ropt rejected-one-chain 8.1 1/1 step 2
+ropt sent-by-both 2.1 1/1 step 3
+ropt sent-by-both 3 1/1 step 4
+ropt sent-by-both 4 1/1 step 5
+ropt sent-by-both 5 5/1 step 6
+ropt sent-by-both 6.1 5/1 step 7
+ropt sent-by-both 7 5/1 step 8
+ropt sent-by-both 7.1 5/1 step 9
+ropt sent-by-both 8 5/1 step 10
+ropt sent-by-both 9 5/1 step 11
+ropt sent-by-both 10 5/1 step 12
+chain 7 closed 8.1 2 3 4 5 6 7
+"""
+
+
+@pytest.mark.parametrize(
+    "seed, o_ids, bound, ledger_text",
+    [
+        (256, "1 2 3 5 6 7 8 8.1 9 9.1 10 10.1", "3284/2071", PREEMPTED_CHAIN_LEDGER),
+        (400, "2.1 3 4 5 6.1 7 7.1 8 8.1 9 10", "2463/2071", REJECTED_CHAIN_LEDGER),
+    ],
+    ids=["preempted-open-chain", "rejected-one-chain"],
+)
+def test_fixed_optimum_ledger_golden(seed, o_ids, bound, ledger_text):
+    inst = random_instance(GenConfig(seed=seed))
+    chosen = sorted(by_ids(inst, *o_ids.split()))
+    assert total_value(inst, chosen) == brute_force_opt(inst).value
+    on = run(Policy.on(BETA_REF), inst)
+    ropt = run_ropt(inst, chosen, on)
+    ledger = build_ledger(inst, on, ropt)
+    report = AnalysisReport(
+        verify_ropt(inst, on, ropt).checks + verify_ledger(ledger, inst, on, ropt).checks
+    )
+    assert format_report(report) == (
+        "ropt-capacity         PASS\n"
+        "ropt-sends-all        PASS\n"
+        "send-precedence       PASS\n"
+        "chains-disjoint       PASS\n"
+        f"backlog-bound         PASS  max alpha backlog 1, max any 1, bound {bound}\n"
+        "charge-conservation   PASS\n"
+        "interval-exclusive    PASS\n"
+        "alpha-send-intervals  PASS\n"
+        "chain-heads           PASS\n"
+        "single-closure        PASS\n"
+    )
+    assert format_ledger(ledger) == ledger_text
+
+
+def _optima_containing(inst, required, canonical):
+    """Every feasible set that holds `required` and `canonical`'s count of each class.
+
+    Each is an optimum when `canonical` is one: all maximum-weight bases of
+    the transversal matroid of feasible sets have the same class counts.
+    """
+    arr = inst.arrivals
+    n_alpha = sum(arr[i].is_alpha for i in canonical)
+    free_alphas = [i for i, p in enumerate(arr) if p.is_alpha and i not in required]
+    ones = [i for i, p in enumerate(arr) if not p.is_alpha]
+    for extra in itertools.combinations(free_alphas, n_alpha - len(required)):
+        for picked in itertools.combinations(ones, len(canonical) - n_alpha):
+            chosen = sorted((*required, *extra, *picked))
+            if feasible(inst, chosen)[0]:
+                yield chosen
+
+
+def test_charging_argument_holds_on_every_optimum():
+    # The paper fixes any optimal O. analyze fixes the canonical one, and the
+    # ledger requires O to hold every alpha packet the policy delivered; so
+    # here O ranges over every optimum that holds them, not just the canonical.
+    optima = 0
+    kinds = Counter()
+    diagnostics = Counter()
+    lengths = Counter()
+    for seed in range(500):
+        inst = random_instance(GenConfig(seed=seed))
+        on = run(Policy.on(BETA_REF), inst)
+        required = sorted(i for i in on.sends.values() if inst.arrivals[i].is_alpha)
+        canonical = opt_containing(inst, required)
+        assert canonical.value == brute_force_opt(inst).value
+        for chosen in _optima_containing(inst, required, canonical.indices):
+            optima += 1
+            ropt = run_ropt(inst, chosen, on)
+            ledger = build_ledger(inst, on, ropt)  # raises LedgerError on a broken rule
+            checks = verify_ropt(inst, on, ropt).checks + verify_ledger(ledger, inst, on, ropt).checks
+            assert AnalysisReport(checks).ok, (seed, chosen)
+            kinds.update(rec.kind for rec in ledger.ropt_charges)
+            diagnostics.update(ledger.diagnostics)
+            lengths.update(len(chain.steps) for chain in ledger.chains)
+    assert optima == 1625
+    assert set(kinds) == {
+        SENT_BY_BOTH,
+        EVICTED_ALPHA_INTERVAL,
+        PREEMPTED_OPEN_CHAIN,
+        PREEMPTED_INTERVAL,
+        EVICTED_ONE_CHAIN,
+        REJECTED_ONE_CHAIN,
+    }
+    assert (kinds[PREEMPTED_OPEN_CHAIN], kinds[REJECTED_ONE_CHAIN]) == (3, 28)
+    # a rejection's all-alpha buffer never holds an alpha outside an optimum here
+    assert diagnostics == {
+        "deferred-evictions": 939,
+        "preempt-fallthrough-with-closed-chains": 1,
+        "reject-context-non-o-packets": 0,
+        "null-head-chains": 47,
+    }
+    assert sorted(lengths.items()) == [
+        (1, 1011), (2, 143), (3, 70), (4, 38), (5, 23), (6, 13), (7, 5), (8, 5)
+    ]
+
+
 def _stretched(inst, rng):
     """The same arrivals, each gap between arrival steps stretched 1x to 50x."""
     new_step = {}
@@ -581,8 +737,8 @@ def test_failure_paths_digest():
                 reached.update(c.name for c in checked.failures)
                 parts += [
                     format_ledger(ledger),
-                    " ".join(c.owner.id for c in ledger.chains),
-                    " ".join(f"{r.kind}:{r.packet.id}" for r in ledger.ropt_charges),
+                    " ".join(inst.arrivals[c.owner].id for c in ledger.chains),
+                    " ".join(f"{r.kind}:{inst.arrivals[r.packet].id}" for r in ledger.ropt_charges),
                     str(sorted(ledger.diagnostics.items())),
                     format_report(checked),
                 ]
@@ -629,6 +785,18 @@ def test_analyze_hashes_no_packet(monkeypatch):
     for seed in range(500):
         analyze(random_instance(GenConfig(seed=seed)), BETA_REF)
     assert calls == 0
+
+
+def test_ledger_names_packets_by_arrival_index():
+    # charges and chains hold indices into the instance's own arrivals
+    for seed in range(500):
+        inst = random_instance(GenConfig(seed=seed))
+        ledger = analyze(inst, BETA_REF).ledger
+        assert ledger.arrivals is inst.arrivals
+        assert all(type(rec.packet) is int for rec in ledger.ropt_charges)
+        for chain in ledger.chains:
+            assert type(chain.owner) is int
+            assert chain.closing_charge is None or type(chain.closing_charge) is int
 
 
 def test_analyze_builds_no_step_event(monkeypatch):
@@ -706,8 +874,8 @@ def test_alpha_send_intervals_names_the_first_impure_step(interval, detail):
     )
     on = run(Policy.on(BETA_REF), inst)
     assert list(on.sends.items()) == [(1, 0), (3, 1), (4, 2), (5, 3)]
-    record = ChargeRecord(inst.arrivals[0], EVICTED_ALPHA_INTERVAL, Fraction(2), interval=interval)
-    ledger = ChargeLedger({}, (record,), (), {})
+    record = ChargeRecord(0, EVICTED_ALPHA_INTERVAL, Fraction(2), interval=interval)
+    ledger = ChargeLedger(inst.arrivals, {}, (record,), (), {})
     ropt = RoptTrace([False] * 4, [None] * 4, 0, {}, {})
     check = verify_ledger(ledger, inst, on, ropt).check("alpha-send-intervals")
     assert check == ("alpha-send-intervals", "fail" if detail else "pass", detail)

@@ -39,7 +39,10 @@ class TestValidate:
         inst = Instance(
             2,
             Fraction(2),
-            (make_packet(1, 0, "one", id="a"), make_packet(1, 0, "alpha", id="b")),
+            (
+                Packet("a", ArrivalKey(1, 0), PacketClass.ONE),
+                Packet("b", ArrivalKey(1, 0), PacketClass.ALPHA),
+            ),
         )
         assert any("duplicate key" in v for v in validate_instance(inst))
 
@@ -271,7 +274,7 @@ class TestIdentity:
 
     def test_equality_still_compares_every_field(self):
         one, alpha = make_packet(1, 0, "one"), make_packet(1, 0, "alpha")
-        renamed = make_packet(1, 0, "one", id="x")
+        renamed = Packet("x", ArrivalKey(1, 0), PacketClass.ONE)
         assert one != alpha and one != renamed
         assert hash(one) == hash(alpha) == hash(renamed)
         assert len({one, alpha, renamed}) == 3

@@ -216,7 +216,7 @@ def test_integer_value_sums_match_fraction_sums(inst, alpha, beta):
     assert sum((r.amount for r in result.ledger.ropt_charges), ZERO) == fraction_sum(chosen)
     assert sum(result.ledger.on_charges.values(), ZERO) == result.on.totals
     # off-grid amounts on both sides make the check fail and print both sums
-    stray = ChargeRecord(make_packet(1, 0, "one"), SENT_BY_BOTH, Fraction(1, 11), step=1)
+    stray = ChargeRecord(0, SENT_BY_BOTH, Fraction(1, 11), step=1)
     tampered = replace(
         result.ledger,
         ropt_charges=result.ledger.ropt_charges + (stray,),
