@@ -34,7 +34,7 @@ class InstanceParseError(ValueError):
 
 
 class InvalidInstanceError(ValueError):
-    """An operation requiring a valid instance was given an invalid one."""
+    """An :class:`Instance` was built from values that break its invariants."""
 
     def __init__(self, violations: Sequence[str]):
         super().__init__("invalid instance: " + "; ".join(violations))
@@ -100,11 +100,6 @@ class Packet:
     key: ArrivalKey
     klass: PacketClass
 
-    def __hash__(self) -> int:
-        # equal packets have equal keys, and keys are unique within a valid
-        # instance, so the key alone is a consistent and cheap hash
-        return hash(self.key)
-
     @property
     def is_alpha(self) -> bool:
         return self.klass is _ALPHA
@@ -144,19 +139,29 @@ def make_packet(step: int, seq: int, klass: PacketClass | str) -> Packet:
 class Instance:
     """A full problem input: capacity, value ratio, and arrivals.
 
-    Construction does not validate; use :func:`validate_instance` (or the
-    strict text parser) before handing an instance to a simulator.
+    Valid by construction: ``__post_init__`` runs :func:`validate_instance`
+    and raises :class:`InvalidInstanceError` with every violation, so no
+    function that takes an instance checks it again.
     """
 
     capacity: int
     alpha: Rat
     arrivals: tuple[Packet, ...]
 
+    def __post_init__(self) -> None:
+        violations = validate_instance(self)
+        if violations:
+            raise InvalidInstanceError(violations)
+
 
 def build_instance(
     capacity: int, alpha: Rat, specs: Iterable[tuple[int, int, PacketClass | str]]
 ) -> Instance:
-    """Construct an instance from (step, seq, klass) triples, sorted by key."""
+    """Construct an instance from (step, seq, klass) triples, sorted by key.
+
+    Raises :class:`InvalidInstanceError`, as the constructor does, when two
+    triples share a key or a value is out of range.
+    """
     packets = sorted((make_packet(*spec) for spec in specs), key=lambda p: p.key)
     return Instance(capacity, Fraction(alpha), tuple(packets))
 
@@ -164,14 +169,15 @@ def build_instance(
 def validate_instance(inst: Instance) -> list[str]:
     """Check all instance invariants; an empty list means the instance is ok.
 
-    Violations are data for the caller, not exceptions: generators and
-    parsers use this as their final gate, and tests probe the boundary
-    cases directly.
+    :class:`Instance` calls this as it is built and raises on any
+    violation, so it always finds nothing in an instance that exists.
     """
     violations: list[str] = []
     if inst.capacity < 1:
         violations.append("capacity must be at least 1")
-    if not isinstance(inst.alpha, Fraction) or inst.alpha <= 1:
+    if not isinstance(inst.alpha, Fraction):
+        violations.append(f"alpha must be a Fraction, not {type(inst.alpha).__name__}")
+    elif inst.alpha <= 1:
         violations.append("alpha must exceed 1")
     seen_ids: set[str] = set()
     prev: Packet | None = None
@@ -188,12 +194,6 @@ def validate_instance(inst: Instance) -> list[str]:
         seen_ids.add(p.id)
         prev = p
     return violations
-
-
-def require_valid(inst: Instance) -> None:
-    violations = validate_instance(inst)
-    if violations:
-        raise InvalidInstanceError(violations)
 
 
 def value_sum(alpha: Rat, ones: int, alphas: int) -> Rat:
@@ -272,8 +272,8 @@ def parse_instance(text: str) -> Instance:
     Leading zeros are allowed and do not reach the packet id: ``packet 05
     01 alpha`` gets key (5, 1) and id ``"5.1"``, as :func:`make_packet`
     would. Each error is an :class:`InstanceParseError` naming the first
-    offending line (0 for a missing directive). A parsed instance is always
-    valid: :func:`validate_instance` finds nothing.
+    offending line (0 for a missing directive), so every text that passes
+    these checks also passes the :class:`Instance` constructor's.
     """
     capacity: int | None = None
     alpha: Rat | None = None

@@ -19,9 +19,9 @@ earliest-send pass then gives the optimum's schedule, and :func:`dp_opt`
 certifies its value with a tight bound, one integer pass per class. Every
 packet subset taken or returned is arrival indices: a required subset
 comes in as indices, and an optimum (:class:`OptResult`) goes out as its
-ascending indices and send steps, so no packet is hashed. Nothing here
-validates its instance; :func:`~fifolab.simulate.run` does, once per
-analysis. The step simulation, the exhaustive enumeration, the
+ascending indices and send steps, so no packet is hashed. An
+:class:`~fifolab.model.Instance` is valid by construction, so nothing
+here checks one. The step simulation, the exhaustive enumeration, the
 insertion greedy and the queue-length dynamic program survive only as
 test oracles.
 """

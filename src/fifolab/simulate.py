@@ -33,7 +33,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Mapping, NamedTuple
 
-from .model import Instance, Packet, Rat, format_rat, require_valid, value_sum
+from .model import Instance, Packet, Rat, format_rat, value_sum
 
 
 class EventKind(Enum):
@@ -133,7 +133,6 @@ def run(policy: Policy, inst: Instance) -> RunTrace:
     count, not the largest step number or the capacity: each event costs
     O(1), and finding the preempted set O(log B).
     """
-    require_valid(inst)
     arrivals = inst.arrivals
     preempts = policy.kind == "on"
     if preempts:

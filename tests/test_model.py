@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from fifolab import (
     ArrivalKey,
     Instance,
     InstanceParseError,
+    InvalidInstanceError,
     Policy,
     build_instance,
     demo_instance,
@@ -31,31 +33,45 @@ def by_ids(inst, *ids):
     return {index[i] for i in ids}
 
 
+def violations_of(build, *args, **kwargs):
+    """The violations the error from ``build(*args, **kwargs)`` names."""
+    with pytest.raises(InvalidInstanceError) as exc:
+        build(*args, **kwargs)
+    return exc.value.violations
+
+
 class TestValidate:
     def test_empty_instance_ok(self):
         assert validate_instance(Instance(1, Fraction(2), ())) == []
 
     def test_duplicate_key(self):
-        inst = Instance(
-            2,
-            Fraction(2),
-            (
-                Packet("a", ArrivalKey(1, 0), PacketClass.ONE),
-                Packet("b", ArrivalKey(1, 0), PacketClass.ALPHA),
-            ),
+        packets = (
+            Packet("a", ArrivalKey(1, 0), PacketClass.ONE),
+            Packet("b", ArrivalKey(1, 0), PacketClass.ALPHA),
         )
-        assert any("duplicate key" in v for v in validate_instance(inst))
+        assert any("duplicate key" in v for v in violations_of(Instance, 2, Fraction(2), packets))
 
     def test_alpha_must_exceed_one(self):
-        inst = Instance(1, Fraction(1), ())
-        assert any("alpha" in v for v in validate_instance(inst))
+        assert any("alpha" in v for v in violations_of(Instance, 1, Fraction(1), ()))
+
+    def test_alpha_must_be_a_fraction(self):
+        assert violations_of(Instance, 3, 2, ()) == ("alpha must be a Fraction, not int",)
 
     def test_out_of_order_arrivals(self):
-        inst = Instance(2, Fraction(2), (make_packet(2, 0, "one"), make_packet(1, 0, "one")))
-        assert any("out of order" in v for v in validate_instance(inst))
+        packets = (make_packet(2, 0, "one"), make_packet(1, 0, "one"))
+        assert any("out of order" in v for v in violations_of(Instance, 2, Fraction(2), packets))
 
     def test_capacity_positive(self):
-        assert any("capacity" in v for v in validate_instance(Instance(0, Fraction(2), ())))
+        assert any("capacity" in v for v in violations_of(Instance, 0, Fraction(2), ()))
+
+    def test_every_construction_path_checks(self):
+        # build_instance, dataclasses.replace and the fixtures all go through the constructor
+        specs = [(1, 0, "one"), (1, 0, "alpha")]
+        assert "duplicate key (1,0)" in violations_of(build_instance, 2, Fraction(2), specs)
+        assert violations_of(replace, demo_instance(Fraction(2)), capacity=0) == (
+            "capacity must be at least 1",
+        )
+        assert violations_of(demo_instance, Fraction(1)) == ("alpha must exceed 1",)
 
 
 class TestValues:
@@ -276,5 +292,4 @@ class TestIdentity:
         one, alpha = make_packet(1, 0, "one"), make_packet(1, 0, "alpha")
         renamed = Packet("x", ArrivalKey(1, 0), PacketClass.ONE)
         assert one != alpha and one != renamed
-        assert hash(one) == hash(alpha) == hash(renamed)
         assert len({one, alpha, renamed}) == 3

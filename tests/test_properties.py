@@ -45,7 +45,6 @@ from fifolab.model import (
     make_packet,
     parse_int,
     parse_rat,
-    require_valid,
     validate_instance,
 )
 from fifolab.offline import _earliest_sends
@@ -573,7 +572,6 @@ def _dp_oracle(inst: Instance) -> Rat:
     cross-checks :func:`dp_opt` and :func:`brute_force_opt`; its cost
     grows as n*B.
     """
-    require_valid(inst)
     states: dict[int, Rat] = {0: ZERO}
     prev_step: int | None = None
     for p in inst.arrivals:

@@ -5,6 +5,7 @@ import pytest
 from fifolab import (
     EventKind,
     Instance,
+    InvalidInstanceError,
     Policy,
     RunTrace,
     StepEvent,
@@ -69,9 +70,8 @@ class TestAdmit:
         assert lines[3:6] == ["1 evicted 1", "1 admitted 1.3", "1 sent 1.1"]
 
     def test_arrival_order_enforced(self):
-        bad = Instance(3, Fraction(2), (make_packet(1, 1, "one"), make_packet(1, 0, "one")))
-        with pytest.raises(ValueError):
-            run(GREEDY, bad)
+        with pytest.raises(InvalidInstanceError):
+            Instance(3, Fraction(2), (make_packet(1, 1, "one"), make_packet(1, 0, "one")))
 
 
 class TestEjectable:
@@ -230,9 +230,9 @@ class TestRun:
 
     def test_invalid_instance_rejected(self):
         out_of_order = (make_packet(2, 0, "one"), make_packet(1, 0, "one"))
-        for bad in (Instance(1, Fraction(1), ()), Instance(2, Fraction(2), out_of_order)):
-            with pytest.raises(ValueError):
-                run(Policy.greedy(), bad)
+        for args in ((1, Fraction(1), ()), (2, Fraction(2), out_of_order)):
+            with pytest.raises(InvalidInstanceError):
+                Instance(*args)
 
     def test_idle_step_between_bursts(self):
         lines = trace_lines(GREEDY, 2, 2, (1, 0, "one"), (1, 1, "one"), (5, 0, "one"))
