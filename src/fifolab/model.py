@@ -1,14 +1,15 @@
 """Domain model for two-valued FIFO packet buffering instances.
 
 A problem instance is a FIFO buffer of capacity ``B`` together with a
-sequence of packets, each worth 1 or ``alpha`` (``alpha > 1``), arriving
-at totally ordered ``(step, seq)`` keys. A packet subset crosses every
-function boundary as arrival indices, positions in the key-ordered
-arrivals, checked by :func:`arrival_indices`. Every quantity that decides
-algorithm behavior is exact: values cross every function boundary as
-:class:`fractions.Fraction`, and hot loops count in integers scaled by
-alpha's denominator, building one Fraction at the end. Floats never enter
-a comparison, so simulations are reproducible bit for bit.
+sequence of packets, each worth 1 or ``alpha`` (``alpha > 1``), arriving at
+totally ordered ``(step, seq)`` keys. A packet is its key and class; its id
+is rendered from the key. A packet subset crosses every function boundary as
+arrival indices, positions in the key-ordered arrivals, checked by
+:func:`arrival_indices`. Every quantity that decides algorithm behavior is
+exact: values cross every function boundary as :class:`fractions.Fraction`,
+and hot loops count in integers scaled by alpha's denominator, building one
+Fraction at the end. Floats never enter a comparison, so simulations are
+reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -96,9 +97,14 @@ class ArrivalKey(NamedTuple):
 
 @dataclass(frozen=True, slots=True)
 class Packet:
-    id: str
     key: ArrivalKey
     klass: PacketClass
+
+    @property
+    def id(self) -> str:
+        """Readable id rendered from the key: ``"5"`` for seq 0, else ``"5.1"``."""
+        step, seq = self.key
+        return str(step) if seq == 0 else f"{step}.{seq}"
 
     @property
     def is_alpha(self) -> bool:
@@ -106,33 +112,26 @@ class Packet:
 
 
 _new_object = object.__new__
-_set_id, _set_key, _set_klass = Packet.id.__set__, Packet.key.__set__, Packet.klass.__set__
+_set_key, _set_klass = Packet.key.__set__, Packet.klass.__set__
 
 
-def _new_packet(id: str, key: ArrivalKey, klass: PacketClass) -> Packet:
-    """``Packet(id, key, klass)`` without the frozen ``__init__``.
+def _new_packet(key: ArrivalKey, klass: PacketClass) -> Packet:
+    """``Packet(key, klass)`` without the frozen ``__init__``.
 
     That ``__init__`` sets each field through ``object.__setattr__``; writing
     the slots through their descriptors costs about half as much. The
     result is an ordinary frozen ``Packet``.
     """
     p = _new_object(Packet)
-    _set_id(p, id)
     _set_key(p, key)
     _set_klass(p, klass)
     return p
 
 
-def default_packet_id(key: ArrivalKey) -> str:
-    """Readable id derived from the key: ``"5"`` for seq 0, else ``"5.1"``."""
-    return str(key.step) if key.seq == 0 else f"{key.step}.{key.seq}"
-
-
 def make_packet(step: int, seq: int, klass: PacketClass | str) -> Packet:
     if isinstance(klass, str):
         klass = PacketClass(klass)
-    key = ArrivalKey(step, seq)
-    return _new_packet(default_packet_id(key), key, klass)
+    return _new_packet(ArrivalKey(step, seq), klass)
 
 
 @dataclass(frozen=True)
@@ -141,7 +140,8 @@ class Instance:
 
     Valid by construction: ``__post_init__`` runs :func:`validate_instance`
     and raises :class:`InvalidInstanceError` with every violation, so no
-    function that takes an instance checks it again.
+    function that takes an instance checks it again. Ascending keys make
+    the packets, and so their rendered ids, distinct.
     """
 
     capacity: int
@@ -179,19 +179,17 @@ def validate_instance(inst: Instance) -> list[str]:
         violations.append(f"alpha must be a Fraction, not {type(inst.alpha).__name__}")
     elif inst.alpha <= 1:
         violations.append("alpha must exceed 1")
-    seen_ids: set[str] = set()
     prev: Packet | None = None
     for p in inst.arrivals:
         if p.key.step < 1 or p.key.seq < 0:
             violations.append(f"packet {p.id}: key ({p.key.step},{p.key.seq}) out of range")
+        if not isinstance(p.klass, PacketClass):
+            violations.append(f"packet {p.id}: class must be a PacketClass, not {type(p.klass).__name__}")
         if prev is not None:
             if p.key == prev.key:
                 violations.append(f"duplicate key ({p.key.step},{p.key.seq})")
             elif p.key < prev.key:
                 violations.append(f"arrivals out of order at packet {p.id}")
-        if p.id in seen_ids:
-            violations.append(f"duplicate id {p.id!r}")
-        seen_ids.add(p.id)
         prev = p
     return violations
 
@@ -269,9 +267,9 @@ def parse_instance(text: str) -> Instance:
     Directives may come in any order, but packet lines must be strictly
     ascending by (step, seq); unknown directives are rejected. Integers are
     ASCII decimal digits, and only alpha's numerator may carry a '-'.
-    Leading zeros are allowed and do not reach the packet id: ``packet 05
-    01 alpha`` gets key (5, 1) and id ``"5.1"``, as :func:`make_packet`
-    would. Each error is an :class:`InstanceParseError` naming the first
+    Leading zeros are allowed and do not reach the id, which is rendered
+    from the key: ``packet 05 01 alpha`` gets key (5, 1) and id ``"5.1"``.
+    Each error is an :class:`InstanceParseError` naming the first
     offending line (0 for a missing directive), so every text that passes
     these checks also passes the :class:`Instance` constructor's.
     """
@@ -308,7 +306,7 @@ def parse_instance(text: str) -> Instance:
             if key <= last_key:
                 raise InstanceParseError(line_no, "packets must be ascending by (step, seq)")
             last_key = key
-            packets.append(new_packet(str(step) if seq == 0 else f"{step}.{seq}", key, klass))
+            packets.append(new_packet(key, klass))
         elif directive == "buffer":
             if capacity is not None:
                 raise InstanceParseError(line_no, "duplicate buffer directive")

@@ -247,13 +247,13 @@ def trace_lines(trace: RunTrace) -> Iterator[str]:
     chunks of at most ``_IDLE_BLOCK`` lines, so a writer's memory does not
     follow the largest step number.
     """
-    arrivals = trace.arrivals
+    ids = [p.id for p in trace.arrivals]
     prev = 0
     for step, kind, i in zip(*trace.log):
         if step > prev + 1:
             for lo in range(prev + 1, step, _IDLE_BLOCK):
                 yield "".join([f"{t} idle -\n" for t in range(lo, min(lo + _IDLE_BLOCK, step))])
-        yield f"{step} {_KIND_TEXT[kind]} {arrivals[i].id}\n"
+        yield f"{step} {_KIND_TEXT[kind]} {ids[i]}\n"
         prev = step
     yield f"total {format_rat(trace.totals)}\n"
 

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -45,11 +45,15 @@ class TestValidate:
         assert validate_instance(Instance(1, Fraction(2), ())) == []
 
     def test_duplicate_key(self):
-        packets = (
-            Packet("a", ArrivalKey(1, 0), PacketClass.ONE),
-            Packet("b", ArrivalKey(1, 0), PacketClass.ALPHA),
-        )
+        packets = (make_packet(1, 0, "one"), make_packet(1, 0, "alpha"))
         assert any("duplicate key" in v for v in violations_of(Instance, 2, Fraction(2), packets))
+
+    def test_class_must_be_a_packet_class(self):
+        # a class given as its text would be valued as 1 and break format_instance
+        packets = (Packet(ArrivalKey(1, 0), "alpha"),)
+        assert violations_of(Instance, 1, Fraction(2), packets) == (
+            "packet 1: class must be a PacketClass, not str",
+        )
 
     def test_alpha_must_exceed_one(self):
         assert any("alpha" in v for v in violations_of(Instance, 1, Fraction(1), ()))
@@ -269,19 +273,23 @@ class TestIdentity:
                 with pytest.raises(AttributeError):
                     setattr(key, field, 0)
         for packet in (make_packet(3, 1, "alpha"), parsed):
-            for field in ("id", "key", "klass"):
+            for field in ("key", "klass"):
                 with pytest.raises(AttributeError):
                     setattr(packet, field, 0)
+            # the frozen __setattr__ of a slots dataclass raises TypeError for a non-field
+            for derived in ("id", "is_alpha"):
+                with pytest.raises((AttributeError, TypeError)):
+                    setattr(packet, derived, 0)
             assert not hasattr(packet, "__dict__")
 
     def test_reprs(self):
         [parsed] = parse_instance("buffer 1\nalpha 2/1\npacket 3 1 alpha\n").arrivals
         assert repr(ArrivalKey(3, 1)) == repr(parsed.key) == "ArrivalKey(step=3, seq=1)"
         assert repr(make_packet(3, 1, "alpha")) == repr(parsed) == (
-            "Packet(id='3.1', key=ArrivalKey(step=3, seq=1), klass=<PacketClass.ALPHA: 'alpha'>)"
+            "Packet(key=ArrivalKey(step=3, seq=1), klass=<PacketClass.ALPHA: 'alpha'>)"
         )
         # the dataclass constructor builds the same packet as the parser's
-        direct = Packet("3.1", ArrivalKey(3, 1), PacketClass.ALPHA)
+        direct = Packet(ArrivalKey(3, 1), PacketClass.ALPHA)
         assert (direct, hash(direct), repr(direct)) == (parsed, hash(parsed), repr(parsed))
 
     def test_make_packet_rejects_an_unknown_class(self):
@@ -290,6 +298,15 @@ class TestIdentity:
 
     def test_equality_still_compares_every_field(self):
         one, alpha = make_packet(1, 0, "one"), make_packet(1, 0, "alpha")
-        renamed = Packet("x", ArrivalKey(1, 0), PacketClass.ONE)
-        assert one != alpha and one != renamed
-        assert len({one, alpha, renamed}) == 3
+        same = Packet(ArrivalKey(1, 0), PacketClass.ONE)
+        assert one == same and hash(one) == hash(same)
+        assert one != alpha
+        assert len({one, alpha, same}) == 2
+
+    @given(*[st.tuples(st.integers(1, 12), st.integers(0, 12))] * 2)
+    def test_id_is_rendered_from_the_key(self, a, b):
+        assert [f.name for f in fields(Packet)] == ["key", "klass"]
+        pa, pb = make_packet(*a, "one"), make_packet(*b, "alpha")
+        for (step, seq), packet in ((a, pa), (b, pb)):
+            assert packet.id == (str(step) if seq == 0 else f"{step}.{seq}")
+        assert (pa.id == pb.id) == (a == b)
