@@ -29,15 +29,16 @@ O-mask once and hands it to the other layers in its :class:`RoptTrace`,
 and the ledger's charges, chains and errors hold indices too. So no
 packet is hashed, and ids are looked up only to write text. The
 reference schedule jumps over the steps at which its buffer is empty.
-The reference checks do not replay the policy: an O-packet is in the
-policy's buffer at a send step t, with its chain live, exactly when the
-reference sent it by t and the policy had not yet sent or dropped it, so
-the backlog maxima and chain disjointness are sweeps over those
-intervals. Only the ledger replays the policy's events, reading its live
-buffer at rejections and preemptions; it and its check find where a run
-of alpha sends ends in one lookup. Records (checks, charges, chains) are
-named tuples, and the conservation check compares its sums as scaled
-integers.
+The reference checks and the ledger read the policy's buffer off one
+replay, :func:`~fifolab.simulate.replay_events`. The checks take from it
+the step each packet left: an O-packet is in the policy's buffer at a
+send step t, with its chain live, exactly when the reference sent it by
+t and the policy had not yet sent or dropped it, so the backlog maxima
+and chain disjointness are sweeps over those intervals. The ledger reads
+the replay's live alpha queue at rejections and preemptions; it and its
+check find where a run of alpha sends ends in one lookup. Records
+(checks, charges, chains) are named tuples, and the conservation check
+compares its sums as scaled integers.
 """
 
 from __future__ import annotations
@@ -235,7 +236,8 @@ def build_ledger(inst: Instance, on: RunTrace, ropt: RoptTrace) -> ChargeLedger:
     preemptions before the reference's own send of the step, because
     chain openness is stateful. A 1-value O-packet evicted before the
     reference has sent it gets its charge when that send happens; its
-    chain is built from that very step.
+    chain is built from that very step. Rejections and preemptions read
+    the live alpha queue of the policy's replay.
     """
     arr = inst.arrivals
     in_o = ropt.in_o
@@ -283,13 +285,9 @@ def build_ledger(inst: Instance, on: RunTrace, ropt: RoptTrace) -> ChargeLedger:
         sent = send_time[i]
         return sent is not None and sent < now
 
-    def open_chain_candidates(buffered: list[int], now: int) -> list[int]:
-        """Alpha packets in the policy's buffer whose chain exists and is open."""
-        return [
-            j
-            for j in buffered
-            if arr[j].is_alpha and sent_before(j, now) and head_of(j) not in closed_heads
-        ]
+    def open_chain_candidates(alphas: Iterable[int], now: int) -> list[int]:
+        """The policy's buffered alpha packets whose chain exists and is open."""
+        return [j for j in alphas if sent_before(j, now) and head_of(j) not in closed_heads]
 
     # deferred evictions by (reference send step or math.inf, arrival index);
     # each closes its chain once the policy's events of that step are through
@@ -301,7 +299,7 @@ def build_ledger(inst: Instance, on: RunTrace, ropt: RoptTrace) -> ChargeLedger:
             _, i, drop_step = heapq.heappop(deferred)
             close_chain(i, i, EVICTED_ONE_CHAIN, drop_step=drop_step)
 
-    for (t, kind, i), buf in replay_events(on):
+    for (t, kind, i), ones, alphas in replay_events(on):
         if deferred:
             reference_sends_before(t)
         if kind is SENT or kind is ADMITTED:
@@ -324,10 +322,10 @@ def build_ledger(inst: Instance, on: RunTrace, ropt: RoptTrace) -> ChargeLedger:
         elif kind is REJECTED and in_o[i]:
             if is_alpha:
                 raise fail("alpha packet self-rejected", t, i)
-            if len(buf) != inst.capacity or not all(arr[q].is_alpha for q in buf):
+            if ones or len(alphas) != inst.capacity:
                 raise fail("rejection without a full all-alpha buffer", t, i)
-            diagnostics["reject-context-non-o-packets"] += sum(1 for q in buf if not in_o[q])
-            candidates = open_chain_candidates(buf, t)
+            diagnostics["reject-context-non-o-packets"] += sum(1 for q in alphas if not in_o[q])
+            candidates = open_chain_candidates(alphas, t)
             if not candidates:
                 raise fail("no open chain for rejected packet", t, i)
             close_chain(candidates[0], i, REJECTED_ONE_CHAIN, drop_step=t)
@@ -337,14 +335,14 @@ def build_ledger(inst: Instance, on: RunTrace, ropt: RoptTrace) -> ChargeLedger:
             if not in_o[i]:
                 continue
             # only 1-value packets leave in a preemption, so the live
-            # buffer still holds the step's alpha context in order
-            candidates = open_chain_candidates(buf, t)
+            # alpha queue still holds the step's alpha context in order
+            candidates = open_chain_candidates(alphas, t)
             if candidates:
                 close_chain(candidates[0], i, PREEMPTED_OPEN_CHAIN, drop_step=t)
             else:
-                if any(sent_before(z, t) for z in buf if arr[z].is_alpha):
+                if any(sent_before(z, t) for z in alphas):
                     diagnostics["preempt-fallthrough-with-closed-chains"] += 1
-                h = sum(1 for q in buf if arr[q].is_alpha)
+                h = len(alphas)
                 charges.append(
                     ChargeRecord(i, PREEMPTED_INTERVAL, ONE, interval=(t, t + h - 1), drop_step=t)
                 )
@@ -410,9 +408,9 @@ def verify_ropt(inst: Instance, on: RunTrace, ropt: RoptTrace) -> AnalysisReport
     and the buffered-backlog diagnostic with both the alpha-only and
     any-value counts against the bound B*beta/(alpha+beta).
 
-    One pass over the policy's events finds when each packet left its
-    buffer, checking FIFO delivery on the way; the live chains at every
-    send step are then interval sweeps, not a replay of the buffer.
+    The replay of the policy's buffer gives the step at which each packet
+    left it; the live chains at every send step are then interval sweeps
+    over those departures.
     """
     arr = inst.arrivals
     in_o = ropt.in_o
@@ -451,26 +449,16 @@ def verify_ropt(inst: Instance, on: RunTrace, ropt: RoptTrace) -> AnalysisReport
     )
 
     # leave[i]: the step packet i left the policy's buffer, math.inf while
-    # it is still there at the end, None if it never entered. A queue of
-    # admissions checks FIFO delivery; departed packets leave its front lazily.
+    # it is still there at the end, None if it never entered
     leave: list[float | None] = [None] * len(arr)
-    admitted: deque[int] = deque()
     on_steps: list[int] = []  # the policy's send steps
-    for t, kind, i in zip(*on.log):
-        if kind is REJECTED:
-            continue
+    for (t, kind, i), _, _ in replay_events(on):
         if kind is ADMITTED:
             leave[i] = math.inf
-            admitted.append(i)
-            continue
-        if kind is SENT:
-            while admitted and leave[admitted[0]] < math.inf:
-                admitted.popleft()
-            if not admitted or admitted[0] != i:
-                raise ValueError(f"non-FIFO send of {arr[i].id} at step {t}")
-            admitted.popleft()
-            on_steps.append(t)
-        leave[i] = t
+        elif kind is not REJECTED:
+            leave[i] = t
+            if kind is SENT:
+                on_steps.append(t)
 
     # An O-packet z is in the policy's buffer just after its send at step t,
     # with the reference already through it, exactly when

@@ -33,7 +33,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Mapping, NamedTuple
 
-from .model import Instance, Packet, Rat, format_rat, value_sum
+from .model import _ALPHA, Instance, Packet, Rat, format_rat, value_sum
 
 
 class EventKind(Enum):
@@ -200,39 +200,44 @@ def run(policy: Policy, inst: Instance) -> RunTrace:
     return RunTrace(policy, arrivals, EventLog(steps, kinds, indices), sends, totals)
 
 
-def replay_events(trace: RunTrace) -> Iterator[tuple[tuple[int, EventKind, int], list[int]]]:
+def replay_events(trace: RunTrace) -> Iterator[tuple[tuple[int, EventKind, int], deque[int], deque[int]]]:
     """Yield each event with the buffer just after it, rebuilt from the event log.
 
     Each event is a plain ``(step, kind, arrival)`` tuple, drawn from the
-    log's columns. The buffer holds arrival indices in FIFO order and is
-    the replay's one live list, not a copy: it changes when the next event
-    is drawn. Delivery must remove the current head; a mismatch means the
-    trace itself violates FIFO order and raises, as does an eviction or a
-    preemption of a packet that is not buffered.
+    log's columns. The buffer is :func:`run`'s: ``ones`` and ``alphas``,
+    one queue of arrival indices per class, the replay's live deques, which
+    change when the next event is drawn. FIFO order is arrival order, so a
+    send must take the earlier of the two fronts, or the trace violates
+    FIFO order and raises. A drop removes its packet from its queue (the
+    front, in a trace of :func:`run`) and raises if it is not buffered.
     """
-    buf: list[int] = []
+    arrivals = trace.arrivals
+    ones: deque[int] = deque()
+    alphas: deque[int] = deque()
     for event in zip(*trace.log):
         t, kind, i = event
+        if arrivals[i].klass is _ALPHA:
+            queue, other = alphas, ones
+        else:
+            queue, other = ones, alphas
         if kind is ADMITTED:
-            buf.append(i)
-        elif kind is EVICTED or kind is PREEMPTED:
-            try:
-                buf.remove(i)
-            except ValueError:
-                packet = trace.arrivals[i].id
-                message = f"unbuffered packet {packet} {_KIND_TEXT[kind]} at step {t}"
-                raise ValueError(message) from None
+            queue.append(i)
         elif kind is SENT:
-            if not buf or buf[0] != i:
-                packet = trace.arrivals[i].id
-                raise ValueError(f"non-FIFO send of {packet} at step {t}")
-            buf.pop(0)
-        yield event, buf
+            if not queue or queue[0] != i or (other and other[0] < i):
+                raise ValueError(f"non-FIFO send of {arrivals[i].id} at step {t}")
+            queue.popleft()
+        elif kind is not REJECTED:
+            try:
+                queue.remove(i)
+            except ValueError:
+                message = f"unbuffered packet {arrivals[i].id} {_KIND_TEXT[kind]} at step {t}"
+                raise ValueError(message) from None
+        yield event, ones, alphas
 
 
 def replay_buffer_states(trace: RunTrace) -> list[tuple[StepEvent, tuple[int, ...]]]:
-    """:func:`replay_events` with a snapshot of the buffer after every event."""
-    return [(StepEvent(*event), tuple(buf)) for event, buf in replay_events(trace)]
+    """:func:`replay_events` with a snapshot after every event: both queues merged in key order."""
+    return [(StepEvent(*e), tuple(sorted(ones + alphas))) for e, ones, alphas in replay_events(trace)]
 
 
 _IDLE_BLOCK = 4096  # idle lines per yielded chunk

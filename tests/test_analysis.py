@@ -51,6 +51,7 @@ from fifolab.analysis import (
 )
 from fifolab.cli import experiment_row
 from fifolab.model import ONE, Packet, make_packet
+from fifolab.simulate import replay_events
 
 BETA_REF = Fraction(3284, 1000)
 
@@ -128,13 +129,18 @@ class TestVerifyRopt:
         report = verify_ropt(inst, on, run_ropt(inst, set(), on))
         assert report.ok
 
-    def test_checks_without_replaying_the_policy(self, monkeypatch):
-        def no_replay(trace):
-            raise AssertionError("verify_ropt replayed the policy's buffer")
+    def test_checks_and_ledger_replay_the_policy_once_each(self, monkeypatch):
+        replayed = []
 
-        monkeypatch.setattr(analysis_module, "replay_events", no_replay)
+        def counting_replay(trace):
+            replayed.append(trace)
+            return replay_events(trace)
+
+        monkeypatch.setattr(analysis_module, "replay_events", counting_replay)
         inst, on, chosen = demo_setup()
-        report = verify_ropt(inst, on, run_ropt(inst, chosen, on))
+        ropt = run_ropt(inst, chosen, on)
+        report = verify_ropt(inst, on, ropt)
+        assert len(replayed) == 1 and replayed[0] is on
         assert [c.name for c in report.checks] == [
             "ropt-capacity",
             "ropt-sends-all",
@@ -143,6 +149,8 @@ class TestVerifyRopt:
             "backlog-bound",
         ]
         assert report.ok
+        build_ledger(inst, on, ropt)
+        assert len(replayed) == 2 and replayed[1] is on
 
     def test_backlog_diagnostic_reports_counts(self):
         inst, on, chosen = demo_setup()
@@ -926,6 +934,32 @@ def test_non_fifo_trace_rejected(event_log):
         verify_ropt(inst, on, ropt)
     with pytest.raises(ValueError, match="non-FIFO send of 1.1 at step 1"):
         build_ledger(inst, on, ropt)
+
+
+def test_drop_of_an_unbuffered_packet_rejected(event_log):
+    # a hand-built trace that evicts 1.1 after it was already sent: the
+    # reference checks and the ledger agree that it is no valid trace
+    inst = build_instance(2, Fraction(2), [(1, 0, "one"), (1, 1, "one")])
+    on = RunTrace(
+        Policy.greedy(),
+        inst.arrivals,
+        event_log(
+            [
+                (1, EventKind.ADMITTED, 0),
+                (1, EventKind.ADMITTED, 1),
+                (1, EventKind.SENT, 0),
+                (2, EventKind.SENT, 1),
+                (2, EventKind.EVICTED, 1),
+            ]
+        ),
+        {1: 0, 2: 1},
+        Fraction(2),
+    )
+    ropt = run_ropt(inst, range(2), on)
+    for check in (verify_ropt, build_ledger):
+        with pytest.raises(ValueError) as exc:
+            check(inst, on, ropt)
+        assert str(exc.value) == "unbuffered packet 1.1 evicted at step 2"
 
 
 @pytest.mark.parametrize(

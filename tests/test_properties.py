@@ -3,7 +3,7 @@
 import random
 import time
 from bisect import insort
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -15,6 +15,7 @@ from fifolab import (
     AnalysisReport,
     CheckStatus,
     EventKind,
+    EventLog,
     GenConfig,
     Policy,
     StepEvent,
@@ -48,6 +49,7 @@ from fifolab.model import (
     validate_instance,
 )
 from fifolab.offline import _earliest_sends
+import fifolab.simulate as simulate_module
 from fifolab.simulate import replay_buffer_states, replay_events
 from test_analysis import _random_feasible_subset, _stretched, value_of
 
@@ -256,6 +258,101 @@ def test_trace_invariants(inst, beta, use_greedy):
     assert run(policy, inst) == trace
 
 
+def _literal_replay(trace):
+    """Literal replay oracle: the buffer as one list in admission order.
+
+    Yields each event with a tuple snapshot of the buffer after it. A drop
+    removes its packet wherever it is in the list, and a send must take
+    the list's front; otherwise it raises the replay's own error text.
+    """
+    buf = []
+    for t, kind, i in zip(*trace.log):
+        if kind is EventKind.ADMITTED:
+            buf.append(i)
+        elif kind is EventKind.EVICTED or kind is EventKind.PREEMPTED:
+            try:
+                buf.remove(i)
+            except ValueError:
+                packet = trace.arrivals[i].id
+                raise ValueError(f"unbuffered packet {packet} {kind.value} at step {t}") from None
+        elif kind is EventKind.SENT:
+            if not buf or buf[0] != i:
+                raise ValueError(f"non-FIFO send of {trace.arrivals[i].id} at step {t}")
+            buf.pop(0)
+        yield StepEvent(t, kind, i), tuple(buf)
+
+
+def _replay_outcome(replay, trace):
+    """A replay's snapshots, or the text of the ValueError it raised."""
+    try:
+        return list(replay(trace))
+    except ValueError as exc:
+        return str(exc)
+
+
+DROP_KINDS = frozenset({EventKind.EVICTED, EventKind.PREEMPTED})
+
+
+@given(instances(), st.sampled_from(BETAS), st.data())
+def test_replay_matches_literal_list_replay(inst, beta, data):
+    for policy in (Policy.greedy(), Policy.on(beta)):
+        trace = run(policy, inst)
+        assert replay_buffer_states(trace) == list(_literal_replay(trace))
+
+        # a corrupted log, with its admissions still in arrival order: one
+        # other event deleted, or one drop repeated later on
+        kinds = trace.log.kinds
+        others = [k for k, kind in enumerate(kinds) if kind is not EventKind.ADMITTED]
+        if not others:
+            continue
+        k = data.draw(st.sampled_from(others))
+        columns = [list(column) for column in trace.log]
+        if kinds[k] in DROP_KINDS and data.draw(st.booleans()):
+            at = data.draw(st.integers(k + 1, len(kinds)))
+            for column in columns:
+                column.insert(at, column[k])
+        else:
+            for column in columns:
+                del column[k]
+        corrupted = replace(trace, log=EventLog(*columns))
+        outcome = _replay_outcome(replay_buffer_states, corrupted)
+        assert outcome == _replay_outcome(_literal_replay, corrupted)
+
+
+def test_replay_matches_literal_list_replay_when_dense():
+    for capacity in (16, 256):
+        inst = _overloaded(capacity, 2000, seed=capacity)
+        for policy in (Policy.greedy(), Policy.on(DEFAULT_BETA)):
+            trace = run(policy, inst)
+            assert replay_buffer_states(trace) == list(_literal_replay(trace))
+
+
+def test_replay_drops_only_at_a_queue_front(monkeypatch):
+    # deque.remove is O(1) only at the front, and every drop of a run trace
+    # leaves from the front of its class queue
+    removed = []
+
+    class FrontOnlyDeque(deque):
+        def remove(self, value):
+            assert self[0] == value, (value, list(self))
+            removed.append(value)
+            super().remove(value)
+
+    monkeypatch.setattr(simulate_module, "deque", FrontOnlyDeque)
+    cases = [random_instance(GenConfig(capacity_max=6, max_burst=4, seed=s)) for s in range(50)]
+    cases.append(_ten_thousand_arrivals(1000, max_burst=5))
+    drops = Counter()
+    for inst in cases:
+        for policy in (Policy.greedy(), Policy.on(DEFAULT_BETA)):
+            for (_, kind, i), _, _ in replay_events(run(policy, inst)):
+                if kind in DROP_KINDS:
+                    drops[kind, inst.arrivals[i].is_alpha] += 1
+    # the traces drop packets of both classes, and preempt
+    assert drops[EventKind.EVICTED, False] and drops[EventKind.EVICTED, True]
+    assert drops[EventKind.PREEMPTED, False]
+    assert len(removed) == drops.total()
+
+
 @given(instances(), st.sampled_from(BETAS))
 def test_threshold_policy_preemption_rules(inst, beta):
     trace = run(Policy.on(beta), inst)
@@ -438,7 +535,7 @@ def _literal_verify_ropt(inst, chosen, on, ropt):
 
     overlap = ""
     max_alpha = max_any = 0
-    for (t, kind, _), buf in replay_events(on):
+    for (t, kind, _), buf in _literal_replay(on):
         if kind is not EventKind.SENT:
             continue
         buffered = [on.arrivals[i] for i in buf]
@@ -816,20 +913,26 @@ def test_analysis_cost_does_not_grow_with_capacity():
         _assert_analysis_cost_flat_in_capacity(max_burst)
 
 
+def _ten_thousand_arrivals(capacity, max_burst):
+    """n = 10^4 overloaded arrivals at alpha = 2, seed 1."""
+    cfg = GenConfig(
+        capacity_min=capacity,
+        capacity_max=capacity,
+        horizon=7000,
+        max_burst=max_burst,
+        max_packets=10000,
+        alpha_choices=(Fraction(2),),
+        seed=1,
+    )
+    inst = random_instance(cfg)
+    assert len(inst.arrivals) == 10000
+    return inst
+
+
 def _assert_analysis_cost_flat_in_capacity(max_burst):
     best = {}
     for capacity in (16, 1000):
-        cfg = GenConfig(
-            capacity_min=capacity,
-            capacity_max=capacity,
-            horizon=7000,
-            max_burst=max_burst,
-            max_packets=10000,
-            alpha_choices=(Fraction(2),),
-            seed=1,
-        )
-        inst = random_instance(cfg)
-        assert len(inst.arrivals) == 10000
+        inst = _ten_thousand_arrivals(capacity, max_burst)
         times = []
         for _ in range(3):
             start = time.perf_counter()
