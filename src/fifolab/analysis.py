@@ -26,8 +26,9 @@ No pass walks every step number or copies the buffer, and packets are
 arrival indices throughout: the policy's trace names them so, the
 optimum and every O-set arrive as indices, :func:`run_ropt` builds the
 O-mask once and hands it to the other layers in its :class:`RoptTrace`,
-and the ledger's charges, chains and errors hold indices too. So no
-packet is hashed, and ids are looked up only to write text. The
+and the ledger's charges, chains and errors hold indices too. Steps and
+classes are read off the instance's columns, and ids are rendered only
+to write text. The
 reference schedule jumps over the steps at which its buffer is empty.
 The reference checks and the ledger read the policy's buffer off one
 replay, :func:`~fifolab.simulate.replay_events`. The checks take from it
@@ -52,7 +53,7 @@ from fractions import Fraction
 from itertools import accumulate, compress
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .model import Instance, Packet, Rat, ONE, arrival_indices, format_rat, scaled_sum
+from .model import Instance, Rat, ONE, arrival_indices, format_rat, packet_id, scaled_sum
 from .offline import OptResult, _earliest_sends, brute_force_opt, dp_opt, opt_containing
 from .simulate import (
     ADMITTED,
@@ -139,18 +140,18 @@ def run_ropt(inst: Instance, o_indices: Iterable[int], on: RunTrace) -> RoptTrac
     steps and chooses which packet goes at each. An index outside the
     arrivals raises ValueError.
     """
-    arr = inst.arrivals
+    n = len(inst.steps)
     o_idx = arrival_indices(inst, o_indices)
-    in_o = [False] * len(arr)
+    in_o = [False] * n
     for i in o_idx:
         in_o[i] = True
-    schedule = _earliest_sends([arr[i].key.step for i in o_idx], inst.capacity)
+    schedule = _earliest_sends([inst.steps[i] for i in o_idx], inst.capacity)
     if schedule is None:
         raise ValueError("chosen packet set is not deliverable offline")
     # pending: the unsent O-packets in key order, so the buffer is its
     # released part; packets mirrored out of key order leave the front lazily
     pending = deque(o_idx)
-    send_time: list[int | None] = [None] * len(arr)
+    send_time: list[int | None] = [None] * n
     link: dict[int, int | None] = {}
     head: dict[int, int] = {}
     t = 0
@@ -208,9 +209,9 @@ class ChargeRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class ChargeLedger:
-    """Every charge of one run, indexing into ``arrivals``, the instance's own tuple."""
+    """Every charge of one run; its arrival indices are rows of ``instance``'s columns."""
 
-    arrivals: tuple[Packet, ...]
+    instance: Instance
     on_charges: Mapping[int, Rat]
     ropt_charges: tuple[ChargeRecord, ...]
     chains: tuple[Chain, ...]
@@ -219,10 +220,10 @@ class ChargeLedger:
 
 def _alpha_run_ends(inst: Instance, on: RunTrace) -> dict[int, int]:
     """Map each step that sends an alpha packet to the last step of its run of alpha sends."""
-    arr = inst.arrivals
+    flags = inst.is_alpha
     ends: dict[int, int] = {}
     for t, i in reversed(on.sends.items()):
-        if arr[i].is_alpha:
+        if flags[i]:
             ends[t] = ends.get(t + 1, t)
     return ends
 
@@ -239,7 +240,7 @@ def build_ledger(inst: Instance, on: RunTrace, ropt: RoptTrace) -> ChargeLedger:
     chain is built from that very step. Rejections and preemptions read
     the live alpha queue of the policy's replay.
     """
-    arr = inst.arrivals
+    flags = inst.is_alpha
     in_o = ropt.in_o
     alpha = inst.alpha
     send_time = ropt.send_time
@@ -254,7 +255,7 @@ def build_ledger(inst: Instance, on: RunTrace, ropt: RoptTrace) -> ChargeLedger:
     }
 
     for t, i in on.sends.items():
-        value = on_charges[t] = alpha if arr[i].is_alpha else ONE
+        value = on_charges[t] = alpha if flags[i] else ONE
         if in_o[i]:
             charges.append(ChargeRecord(i, SENT_BY_BOTH, value, step=t))
 
@@ -264,7 +265,7 @@ def build_ledger(inst: Instance, on: RunTrace, ropt: RoptTrace) -> ChargeLedger:
     closed_heads: set[int] = set()
 
     def fail(message: str, step: int, i: int) -> LedgerError:
-        return LedgerError(f"{message} (step {step}, packet {arr[i].id})", step, i)
+        return LedgerError(f"{message} (step {step}, packet {inst.arrivals[i].id})", step, i)
 
     def head_of(owner: int) -> int:
         closing.setdefault(owner, None)
@@ -304,7 +305,7 @@ def build_ledger(inst: Instance, on: RunTrace, ropt: RoptTrace) -> ChargeLedger:
             reference_sends_before(t)
         if kind is SENT or kind is ADMITTED:
             continue
-        is_alpha = arr[i].is_alpha
+        is_alpha = flags[i]
         if kind is EVICTED and in_o[i]:
             if is_alpha:
                 # the interval always includes the drop step itself, so
@@ -349,11 +350,11 @@ def build_ledger(inst: Instance, on: RunTrace, ropt: RoptTrace) -> ChargeLedger:
     reference_sends_before(ropt.last_step + 1)
 
     if deferred:
-        missing = ", ".join(sorted(arr[i].id for _, i, _ in deferred))
+        missing = ", ".join(sorted(inst.arrivals[i].id for _, i, _ in deferred))
         raise LedgerError(f"evicted O-packets never sent by the reference: {missing}")
 
     chains = tuple(Chain(owner, ropt.chain(owner), charged) for owner, charged in closing.items())
-    return ChargeLedger(arr, on_charges, tuple(charges), chains, diagnostics)
+    return ChargeLedger(inst, on_charges, tuple(charges), chains, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +413,6 @@ def verify_ropt(inst: Instance, on: RunTrace, ropt: RoptTrace) -> AnalysisReport
     left it; the live chains at every send step are then interval sweeps
     over those departures.
     """
-    arr = inst.arrivals
     in_o = ropt.in_o
     o_idx = [i for i, member in enumerate(in_o) if member]
     send_time = ropt.send_time
@@ -423,15 +423,15 @@ def verify_ropt(inst: Instance, on: RunTrace, ropt: RoptTrace) -> AnalysisReport
     ropt_steps = sorted([t for t in send_time if t is not None])
     capacity_breach = ""
     for k, i in enumerate(o_idx, start=1):
-        step = arr[i].key.step
+        step = inst.steps[i]
         occupancy = k - bisect_left(ropt_steps, step)
         if occupancy > inst.capacity:
-            capacity_breach = f"occupancy {occupancy} at step {step} accepting {arr[i].id}"
+            capacity_breach = f"occupancy {occupancy} at step {step} accepting {inst.arrivals[i].id}"
             break
     checks.append(_result("ropt-capacity", not capacity_breach, capacity_breach))
 
-    missing = sorted([arr[i].id for i in o_idx if send_time[i] is None])
-    extra = sorted([arr[i].id for i, t in enumerate(send_time) if t is not None and not in_o[i]])
+    missing = sorted([inst.arrivals[i].id for i in o_idx if send_time[i] is None])
+    extra = sorted([inst.arrivals[i].id for i, t in enumerate(send_time) if t is not None and not in_o[i]])
     checks.append(
         _result(
             "ropt-sends-all",
@@ -443,14 +443,14 @@ def verify_ropt(inst: Instance, on: RunTrace, ropt: RoptTrace) -> AnalysisReport
     late = []
     for t, i in on.sends.items():
         if in_o[i] and (send_time[i] is None or send_time[i] > t):
-            late.append((t, arr[i].id))
+            late.append((t, inst.arrivals[i].id))
     checks.append(
         _result("send-precedence", not late, f"reference later than policy at {late}" if late else "")
     )
 
     # leave[i]: the step packet i left the policy's buffer, math.inf while
     # it is still there at the end, None if it never entered
-    leave: list[float | None] = [None] * len(arr)
+    leave: list[float | None] = [None] * len(in_o)
     on_steps: list[int] = []  # the policy's send steps
     for (t, kind, i), _, _ in replay_events(on):
         if kind is ADMITTED:
@@ -476,7 +476,7 @@ def verify_ropt(inst: Instance, on: RunTrace, ropt: RoptTrace) -> AnalysisReport
         if lo < hi:
             any_diff[lo] += 1
             any_diff[hi] -= 1
-            if arr[i].is_alpha:
+            if inst.is_alpha[i]:
                 alpha_diff[lo] += 1
                 alpha_diff[hi] -= 1
             spans.append((lo, hi, i))
@@ -510,6 +510,7 @@ def verify_ropt(inst: Instance, on: RunTrace, ropt: RoptTrace) -> AnalysisReport
                 head = ropt.head[send_time[i]]
                 owner = owners.setdefault(head, i)
                 if owner != i:
+                    arr = inst.arrivals
                     overlap = f"step {head} shared by chains of {arr[owner].id} and {arr[i].id} at t={t}"
                     break
     checks.append(_result("chains-disjoint", not overlap, overlap))
@@ -545,7 +546,6 @@ def verify_ledger(
     policy sends a 1-value non-O packet there, idle heads reported as
     warnings); and single closure per head.
     """
-    arr = inst.arrivals
     in_o = ropt.in_o
     checks: list[CheckResult] = []
 
@@ -553,7 +553,7 @@ def verify_ledger(
     ropt_num, ropt_den = scaled_sum([rec.amount for rec in ledger.ropt_charges])
     on_num, on_den = scaled_sum(ledger.on_charges.values())
     a, b = inst.alpha.as_integer_ratio()
-    o_alphas = sum([p.is_alpha for p in compress(arr, in_o)])
+    o_alphas = sum(compress(inst.is_alpha, in_o))
     expected = (sum(in_o) - o_alphas) * b + o_alphas * a  # over b
     delivered, delivered_den = on.totals.as_integer_ratio()
     conserved = ropt_num * b == expected * ropt_den and on_num * delivered_den == delivered * on_den
@@ -594,7 +594,8 @@ def verify_ledger(
             continue
         lo, hi = rec.interval
         if (end := alpha_run_end.get(lo, lo - 1)) < hi:
-            impure = f"interval [{lo}, {hi}] of {arr[rec.packet].id}: step {end + 1} is not an alpha send"
+            packet = inst.arrivals[rec.packet].id
+            impure = f"interval [{lo}, {hi}] of {packet}: step {end + 1} is not an alpha send"
             break
     checks.append(_result("alpha-send-intervals", not impure, impure))
 
@@ -606,8 +607,9 @@ def verify_ledger(
         q = on.sends.get(chain.head)
         if q is None:
             null_heads += 1
-        elif in_o[q] or arr[q].is_alpha:
+        elif in_o[q] or inst.is_alpha[q]:
             what = "O-packet" if in_o[q] else "alpha packet"
+            arr = inst.arrivals
             bad_head = f"head {chain.head} of {arr[chain.owner].id}'s chain sends {what} {arr[q].id}"
             break
     if bad_head:
@@ -692,8 +694,8 @@ def analyze(inst: Instance, beta: Rat) -> InstanceAnalysis:
     """
     on = run(Policy.on(beta), inst)
     exhaustive = brute_force_opt(inst)
-    arr = inst.arrivals
-    alpha_sends = [i for i in on.sends.values() if arr[i].is_alpha]
+    flags = inst.is_alpha
+    alpha_sends = [i for i in on.sends.values() if flags[i]]
     # The greedy seeded with S = alpha_sends offers the free packets in the
     # unseeded greedy's order. If its optimum G contains S, the seeded one
     # keeps each packet of G (G is feasible) and drops each other packet
@@ -757,18 +759,18 @@ def format_report(report: AnalysisReport) -> str:
 def format_ledger(ledger: ChargeLedger) -> str:
     """Line-oriented ledger export, stable for golden-file comparison.
 
-    Ids are looked up in ``ledger.arrivals`` per line. Charges sort by
-    (step or interval start, arrival index): key order, in a valid instance.
+    Ids are rendered from the instance's columns. Charges sort by (step or
+    interval start, arrival index): key order, in a valid instance.
     """
-    arr = ledger.arrivals
+    ids = list(map(packet_id, ledger.instance.steps, ledger.instance.seqs))
     lines = [f"on {t} {format_rat(ledger.on_charges[t])}" for t in sorted(ledger.on_charges)]
     def anchor(rec: ChargeRecord) -> tuple[int, int]:
         return (rec.interval[0] if rec.step is None else rec.step, rec.packet)
     for rec in sorted(ledger.ropt_charges, key=anchor):
         target = f"step {rec.step}" if rec.interval is None else f"interval {rec.interval[0]} {rec.interval[1]}"
-        lines.append(f"ropt {rec.kind} {arr[rec.packet].id} {format_rat(rec.amount)} {target}")
+        lines.append(f"ropt {rec.kind} {ids[rec.packet]} {format_rat(rec.amount)} {target}")
     for chain in sorted(ledger.chains, key=lambda c: c.steps):
         status = "open" if chain.closing_charge is None else "closed"
-        closing = "-" if chain.closing_charge is None else arr[chain.closing_charge].id
-        lines.append(f"chain {arr[chain.owner].id} {status} {closing} " + " ".join(map(str, chain.steps)))
+        closing = "-" if chain.closing_charge is None else ids[chain.closing_charge]
+        lines.append(f"chain {ids[chain.owner]} {status} {closing} " + " ".join(map(str, chain.steps)))
     return "\n".join(lines) + "\n"

@@ -35,6 +35,7 @@ from .model import (
     Rat,
     format_instance,
     format_rat,
+    packet_id,
     parse_instance,
     parse_int,
     parse_rat,
@@ -146,7 +147,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_opt(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
     result = brute_force_opt(inst)
-    ids = " ".join(inst.arrivals[i].id for i in result.indices)
+    ids = " ".join(packet_id(inst.steps[i], inst.seqs[i]) for i in result.indices)
     sys.stdout.write(f"value {format_rat(result.value)}\nsubset {ids}\n")
     return EXIT_OK
 
@@ -283,7 +284,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     policy = _policy_from_args(args)
-    inst, report = adversarial_search(policy, fuzz_config(args), args.budget)
+    inst, report = adversarial_search(policy, fuzz_config(args), args.budget, args.beta)
     _write_out([format_instance(inst)], args.out)
     ratio = format_rat(report.ratio) if report.ratio is not None else "inf"
     sys.stdout.write(

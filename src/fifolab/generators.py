@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .analysis import RatioReport, policy_ratio
-from .model import Instance, PacketClass, Rat, build_instance
+from .model import Instance, Rat, build_instance
 from .simulate import Policy
 from .theory import DEFAULT_BETA
 
@@ -102,49 +102,48 @@ def _mutate(inst: Instance, cfg: GenConfig, rng: random.Random, cap: int) -> Ins
     """One local edit: insert/delete a packet, flip a class, move a step,
     or swap alpha within the configured choices. Always yields a valid
     instance (seq numbers are reassigned after the edit)."""
-    pool = [(p.key.step, p.klass) for p in inst.arrivals]
+    pool = list(zip(inst.steps, inst.is_alpha))  # (step, alpha flag)
     alpha = inst.alpha
     moves = ["insert", "flip", "shift", "delete", "alpha"]
     kind = rng.choice(moves)
     if kind == "insert" and len(pool) < cap:
-        klass = (
-            PacketClass.ALPHA
-            if rng.randrange(cfg.alpha_weight.denominator) < cfg.alpha_weight.numerator
-            else PacketClass.ONE
-        )
-        pool.append((rng.randint(1, cfg.horizon), klass))
+        flag = rng.randrange(cfg.alpha_weight.denominator) < cfg.alpha_weight.numerator
+        pool.append((rng.randint(1, cfg.horizon), flag))
     elif kind == "delete" and pool:
         pool.pop(rng.randrange(len(pool)))
     elif kind == "flip" and pool:
         i = rng.randrange(len(pool))
-        step, klass = pool[i]
-        flipped = PacketClass.ONE if klass is PacketClass.ALPHA else PacketClass.ALPHA
-        pool[i] = (step, flipped)
+        step, flag = pool[i]
+        pool[i] = (step, not flag)
     elif kind == "shift" and pool:
         i = rng.randrange(len(pool))
-        step, klass = pool[i]
+        step, flag = pool[i]
         step = min(cfg.horizon, max(1, step + rng.choice([-2, -1, 1, 2])))
-        pool[i] = (step, klass)
+        pool[i] = (step, flag)
     elif kind == "alpha":
         alpha = rng.choice(cfg.alpha_choices)
     pool.sort(key=lambda item: item[0])
     seqs: dict[int, int] = {}
     specs = []
-    for step, klass in pool:
+    for step, flag in pool:
         seq = seqs.get(step, 0)
         seqs[step] = seq + 1
-        specs.append((step, seq, klass))
+        specs.append((step, seq, "alpha" if flag else "one"))
     return build_instance(inst.capacity, alpha, specs)
 
 
-def adversarial_search(policy: Policy, cfg: GenConfig, budget: int) -> tuple[Instance, RatioReport]:
+def adversarial_search(
+    policy: Policy, cfg: GenConfig, budget: int, beta: Rat = DEFAULT_BETA
+) -> tuple[Instance, RatioReport]:
     """Hill-climb on the optimum-to-policy ratio; deterministic in (cfg, budget).
 
     Restart points begin with the structured families above (so their
     known ratios are floors on the result) and continue with seeded
     random instances; each climb applies local mutations and keeps
     strict improvements, restarting after a stagnation streak. Every
-    candidate has at most `cfg.max_packets` packets.
+    candidate has at most `cfg.max_packets` packets. Reports carry the
+    threshold policy's bound at the policy's own beta, or at `beta` for a
+    policy without one.
     """
     if budget < 1:
         raise ValueError("budget must be positive")
@@ -152,7 +151,7 @@ def adversarial_search(policy: Policy, cfg: GenConfig, budget: int) -> tuple[Ins
     if max_packets is None:
         raise ValueError("the search needs a packet cap (max_packets)")
     rng = random.Random(cfg.seed)
-    reference_beta = policy.beta if policy.beta is not None else DEFAULT_BETA
+    reference_beta = policy.beta if policy.beta is not None else beta
     restarts = [greedy_blocking(a) for a in cfg.alpha_choices]
     restarts += [demo_instance(a) for a in cfg.alpha_choices]
 
@@ -172,7 +171,7 @@ def adversarial_search(policy: Policy, cfg: GenConfig, budget: int) -> tuple[Ins
                 candidate = random_instance(replace(cfg, seed=rng.getrandbits(63)))
         else:
             candidate = _mutate(current, cfg, rng, max_packets)
-        if len(candidate.arrivals) > max_packets:
+        if len(candidate.steps) > max_packets:
             continue  # a restart instance can exceed the cap; retry free of charge
         report = policy_ratio(policy, candidate, reference_beta)
         evaluations += 1

@@ -2,14 +2,15 @@
 
 A problem instance is a FIFO buffer of capacity ``B`` together with a
 sequence of packets, each worth 1 or ``alpha`` (``alpha > 1``), arriving at
-totally ordered ``(step, seq)`` keys. A packet is its key and class; its id
-is rendered from the key. A packet subset crosses every function boundary as
-arrival indices, positions in the key-ordered arrivals, checked by
-:func:`arrival_indices`. Every quantity that decides algorithm behavior is
-exact: values cross every function boundary as :class:`fractions.Fraction`,
-and hot loops count in integers scaled by alpha's denominator, building one
-Fraction at the end. Floats never enter a comparison, so simulations are
-reproducible bit for bit.
+totally ordered ``(step, seq)`` keys. An instance holds its packets as
+three parallel columns in key order, with no object per packet; a
+:class:`Packet` is a view of one row, its id rendered by :func:`packet_id`.
+A packet subset crosses every function boundary as arrival indices, row
+numbers checked by :func:`arrival_indices`. Every quantity that decides
+algorithm behavior is exact: values cross every function boundary as
+:class:`fractions.Fraction`, and hot loops count in integers scaled by
+alpha's denominator, building one Fraction at the end. Floats never enter
+a comparison, so simulations are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 Rat = Fraction
@@ -102,73 +104,69 @@ class Packet:
 
     @property
     def id(self) -> str:
-        """Readable id rendered from the key: ``"5"`` for seq 0, else ``"5.1"``."""
-        step, seq = self.key
-        return str(step) if seq == 0 else f"{step}.{seq}"
+        return packet_id(*self.key)
 
     @property
     def is_alpha(self) -> bool:
         return self.klass is _ALPHA
 
 
-_new_object = object.__new__
-_set_key, _set_klass = Packet.key.__set__, Packet.klass.__set__
-
-
-def _new_packet(key: ArrivalKey, klass: PacketClass) -> Packet:
-    """``Packet(key, klass)`` without the frozen ``__init__``.
-
-    That ``__init__`` sets each field through ``object.__setattr__``; writing
-    the slots through their descriptors costs about half as much. The
-    result is an ordinary frozen ``Packet``.
-    """
-    p = _new_object(Packet)
-    _set_key(p, key)
-    _set_klass(p, klass)
-    return p
+def packet_id(step: int, seq: int) -> str:
+    """Readable id of the packet at key (step, seq): ``"5"`` for seq 0, else ``"5.1"``."""
+    return str(step) if seq == 0 else f"{step}.{seq}"
 
 
 def make_packet(step: int, seq: int, klass: PacketClass | str) -> Packet:
-    if isinstance(klass, str):
-        klass = PacketClass(klass)
-    return _new_packet(ArrivalKey(step, seq), klass)
+    return Packet(ArrivalKey(step, seq), PacketClass(klass))
 
 
 @dataclass(frozen=True)
 class Instance:
-    """A full problem input: capacity, value ratio, and arrivals.
+    """A full problem input: capacity, value ratio, and the packets as columns.
 
-    Valid by construction: ``__post_init__`` runs :func:`validate_instance`
-    and raises :class:`InvalidInstanceError` with every violation, so no
-    function that takes an instance checks it again. Ascending keys make
-    the packets, and so their rendered ids, distinct.
+    Packet ``i`` has key ``(steps[i], seqs[i])`` and is worth alpha if
+    ``is_alpha[i]``, else 1. Valid by construction: ``__post_init__`` runs
+    :func:`validate_instance` and raises :class:`InvalidInstanceError` with
+    every violation, so no function that takes an instance checks it again.
+    Ascending keys make the packets, and so their rendered ids, distinct.
     """
 
     capacity: int
     alpha: Rat
-    arrivals: tuple[Packet, ...]
+    steps: tuple[int, ...]
+    seqs: tuple[int, ...]
+    is_alpha: tuple[bool, ...]
 
     def __post_init__(self) -> None:
         violations = validate_instance(self)
         if violations:
             raise InvalidInstanceError(violations)
 
+    @cached_property
+    def arrivals(self) -> tuple[Packet, ...]:
+        """The packets as :class:`Packet` objects in key order, built on first read."""
+        classes = (PacketClass.ONE, _ALPHA)
+        rows = zip(self.steps, self.seqs, self.is_alpha)
+        return tuple([Packet(ArrivalKey(step, seq), classes[flag]) for step, seq, flag in rows])
+
 
 def build_instance(
     capacity: int, alpha: Rat, specs: Iterable[tuple[int, int, PacketClass | str]]
 ) -> Instance:
-    """Construct an instance from (step, seq, klass) triples, sorted by key.
+    """Construct an instance's columns from (step, seq, klass) triples, sorted by key.
 
     Raises :class:`InvalidInstanceError`, as the constructor does, when two
     triples share a key or a value is out of range.
     """
-    packets = sorted((make_packet(*spec) for spec in specs), key=lambda p: p.key)
-    return Instance(capacity, Fraction(alpha), tuple(packets))
+    rows = sorted(specs, key=lambda spec: spec[:2])
+    steps, seqs, classes = zip(*rows) if rows else ((), (), ())
+    return Instance(capacity, Fraction(alpha), steps, seqs, tuple([PacketClass(c) is _ALPHA for c in classes]))
 
 
 def validate_instance(inst: Instance) -> list[str]:
     """Check all instance invariants; an empty list means the instance is ok.
 
+    One pass over the columns checks each key, flag and the key order.
     :class:`Instance` calls this as it is built and raises on any
     violation, so it always finds nothing in an instance that exists.
     """
@@ -179,18 +177,22 @@ def validate_instance(inst: Instance) -> list[str]:
         violations.append(f"alpha must be a Fraction, not {type(inst.alpha).__name__}")
     elif inst.alpha <= 1:
         violations.append("alpha must exceed 1")
-    prev: Packet | None = None
-    for p in inst.arrivals:
-        if p.key.step < 1 or p.key.seq < 0:
-            violations.append(f"packet {p.id}: key ({p.key.step},{p.key.seq}) out of range")
-        if not isinstance(p.klass, PacketClass):
-            violations.append(f"packet {p.id}: class must be a PacketClass, not {type(p.klass).__name__}")
-        if prev is not None:
-            if p.key == prev.key:
-                violations.append(f"duplicate key ({p.key.step},{p.key.seq})")
-            elif p.key < prev.key:
-                violations.append(f"arrivals out of order at packet {p.id}")
-        prev = p
+    steps, seqs, flags = inst.steps, inst.seqs, inst.is_alpha
+    if not len(steps) == len(seqs) == len(flags):
+        lengths = f"{len(steps)} steps, {len(seqs)} seqs, {len(flags)} is_alpha"
+        return violations + [f"column lengths differ: {lengths}"]
+    prev_step, prev_seq = -math.inf, 0  # below every step, so the first key is in order
+    for step, seq, flag in zip(steps, seqs, flags):
+        if step < 1 or seq < 0:
+            violations.append(f"packet {packet_id(step, seq)}: key ({step},{seq}) out of range")
+        if type(flag) is not bool:
+            kind = type(flag).__name__
+            violations.append(f"packet {packet_id(step, seq)}: is_alpha must be a bool, not {kind}")
+        if step == prev_step and seq == prev_seq:
+            violations.append(f"duplicate key ({step},{seq})")
+        elif step < prev_step or (step == prev_step and seq < prev_seq):
+            violations.append(f"arrivals out of order at packet {packet_id(step, seq)}")
+        prev_step, prev_seq = step, seq
     return violations
 
 
@@ -222,40 +224,39 @@ def scaled_sum(values: Iterable[Rat]) -> tuple[int, int]:
 
 
 def arrival_indices(inst: Instance, indices: Iterable[int]) -> list[int]:
-    """`indices` ascending, each once; ValueError for one outside ``range(len(inst.arrivals))``."""
+    """`indices` ascending, each once; ValueError for one outside ``range(len(inst.steps))``."""
     idxs = sorted(set(indices))
     for i in idxs[:1] + idxs[-1:]:  # the least and the greatest
-        if not 0 <= i < len(inst.arrivals):
-            raise ValueError(f"arrival index {i} out of range for {len(inst.arrivals)} arrivals")
+        if not 0 <= i < len(inst.steps):
+            raise ValueError(f"arrival index {i} out of range for {len(inst.steps)} arrivals")
     return idxs
 
 
 def total_value(inst: Instance, indices: Iterable[int]) -> Rat:
     """Exact value of the arrivals at `indices`, each counted once."""
     idxs = arrival_indices(inst, indices)
-    alphas = sum([inst.arrivals[i].is_alpha for i in idxs])
+    alphas = sum([inst.is_alpha[i] for i in idxs])
     return value_sum(inst.alpha, len(idxs) - alphas, alphas)
 
 
 # ---------------------------------------------------------------------------
 # Instance text format: the grammar is in parse_instance's docstring.
 
-# class <-> text; a dict lookup costs a fraction of the Enum call PacketClass(text)
-_CLASS_OF_TEXT = {c.value: c for c in PacketClass}
-_TEXT_OF_CLASS = {c: text for text, c in _CLASS_OF_TEXT.items()}
+# class text -> alpha flag; a dict lookup costs a fraction of the Enum call PacketClass(text)
+_FLAG_OF_TEXT = {c.value: c is _ALPHA for c in PacketClass}
+_TEXT_OF_FLAG = (PacketClass.ONE.value, _ALPHA.value)
 
 
 def format_instance(inst: Instance) -> str:
     lines = [f"buffer {inst.capacity}", f"alpha {format_rat(inst.alpha)}"]
-    text_of = _TEXT_OF_CLASS
-    for p in inst.arrivals:
-        step, seq = p.key
-        lines.append(f"packet {step} {seq} {text_of[p.klass]}")
+    text_of = _TEXT_OF_FLAG
+    for step, seq, flag in zip(inst.steps, inst.seqs, inst.is_alpha):
+        lines.append(f"packet {step} {seq} {text_of[flag]}")
     return "\n".join(lines) + "\n"
 
 
 def parse_instance(text: str) -> Instance:
-    """Parse instance text into an :class:`Instance`.
+    """Parse instance text into an :class:`Instance`, one column entry per packet line.
 
     Grammar: one directive per line; '#' starts a comment, blank lines are
     skipped and any Unicode whitespace separates fields::
@@ -275,9 +276,9 @@ def parse_instance(text: str) -> Instance:
     """
     capacity: int | None = None
     alpha: Rat | None = None
-    packets: list[Packet] = []
+    steps, seqs, flags = [], [], []  # the columns, one entry per packet line
     last_key = (0, 0)  # below every parsed key, since step >= 1
-    class_of, new_key, new_packet = _CLASS_OF_TEXT, tuple.__new__, _new_packet
+    flag_of = _FLAG_OF_TEXT
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -288,13 +289,13 @@ def parse_instance(text: str) -> Instance:
             if len(fields) != 4:
                 raise InstanceParseError(line_no, "packet takes: step seq one|alpha")
             _, step_text, seq_text, klass_text = fields
-            klass = class_of.get(klass_text)
+            flag = flag_of.get(klass_text)
             try:
                 # parse_int's rule, inline; int() still rejects too many digits
                 if not (
                     step_text.isascii() and step_text.isdigit()
                     and seq_text.isascii() and seq_text.isdigit()
-                    and klass is not None
+                    and flag is not None
                 ):
                     raise ValueError
                 step, seq = int(step_text), int(seq_text)
@@ -302,11 +303,13 @@ def parse_instance(text: str) -> Instance:
                 raise InstanceParseError(line_no, f"bad packet line: {line!r}") from None
             if step < 1:
                 raise InstanceParseError(line_no, "packet key out of range")
-            key = new_key(ArrivalKey, (step, seq))
+            key = (step, seq)
             if key <= last_key:
                 raise InstanceParseError(line_no, "packets must be ascending by (step, seq)")
             last_key = key
-            packets.append(new_packet(key, klass))
+            steps.append(step)
+            seqs.append(seq)
+            flags.append(flag)
         elif directive == "buffer":
             if capacity is not None:
                 raise InstanceParseError(line_no, "duplicate buffer directive")
@@ -334,4 +337,4 @@ def parse_instance(text: str) -> Instance:
         raise InstanceParseError(0, "missing buffer directive")
     if alpha is None:
         raise InstanceParseError(0, "missing alpha directive")
-    return Instance(capacity, alpha, tuple(packets))
+    return Instance(capacity, alpha, tuple(steps), tuple(seqs), tuple(flags))

@@ -29,6 +29,7 @@ test oracles.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, NamedTuple, Sequence
 
 from .model import Instance, Rat, arrival_indices, value_sum
@@ -49,7 +50,7 @@ class OptResult(NamedTuple):
 def feasible(inst: Instance, indices: Iterable[int]) -> tuple[bool, dict[int, int] | None]:
     """Can the arrivals at `indices` all be delivered? Returns their earliest send steps."""
     kept = arrival_indices(inst, indices)
-    sends = _earliest_sends([inst.arrivals[i].key.step for i in kept], inst.capacity)
+    sends = _earliest_sends([inst.steps[i] for i in kept], inst.capacity)
     if sends is None:
         return False, None
     return True, dict(zip(kept, sends))
@@ -81,11 +82,9 @@ def _best_subset(inst: Instance, required: Iterable[int]) -> OptResult | None:
     the set feasible. Key order makes the result, among the optima, the one
     with the greatest indicator vector over arrivals (earliest preferred).
     """
-    arr = inst.arrivals
-    n = len(arr)
+    steps, alpha = inst.steps, inst.is_alpha
+    n = len(steps)
     idxs = arrival_indices(inst, required)
-    steps = [p.key.step for p in arr]
-    alpha = [p.is_alpha for p in arr]
 
     def sends_of(chosen: Iterable[int]) -> list[int] | None:
         return _earliest_sends([steps[i] for i in chosen], inst.capacity)
@@ -165,12 +164,11 @@ def dp_opt(inst: Instance) -> Rat:
     is attained (Konig's theorem), so a feasible set reaching it is optimal.
     """
     a, b = inst.alpha.numerator, inst.alpha.denominator
-    steps = [p.key.step for p in inst.arrivals]
-    alpha_steps = [p.key.step for p in inst.arrivals if p.is_alpha]
-    return Fraction((a - b) * _cover(alpha_steps, inst.capacity) + b * _cover(steps, inst.capacity), b)
+    alpha_steps = compress(inst.steps, inst.is_alpha)
+    return Fraction((a - b) * _cover(alpha_steps, inst.capacity) + b * _cover(inst.steps, inst.capacity), b)
 
 
-def _cover(steps: Sequence[int], capacity: int) -> int:
+def _cover(steps: Iterable[int], capacity: int) -> int:
     """Least cost of covering ascending `steps` by disjoint windows of release steps.
 
     A packet left out costs 1 and a window [l, r] costs r - l + capacity. `low` is the

@@ -16,12 +16,12 @@ and the packet sent at each step, so downstream analysis can replay the
 buffer event by event without re-running policy logic. The events are
 stored in columns, an :class:`EventLog` of three parallel lists (step,
 kind, arrival), so the run builds no object per event; a trace names
-each packet by its arrival index, its position in the instance's
-arrivals, and carries those arrivals. The run's two queues hold the same
-indices, which ascend in key order, so the head and the preempted set
-are found by comparing integers. Idle steps are not stored: they are
-exactly the event-free steps before the last event, which the run jumps
-over and :func:`trace_lines` writes back.
+each packet by its arrival index, its row in the instance's columns, and
+carries the instance. The run's two queues hold the same indices, which
+ascend in key order, so the head and the preempted set are found by
+comparing integers. Idle steps are not stored: they are exactly the
+event-free steps before the last event, which the run jumps over and
+:func:`trace_lines` writes back.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Mapping, NamedTuple
 
-from .model import _ALPHA, Instance, Packet, Rat, format_rat, value_sum
+from .model import Instance, Rat, format_rat, packet_id, value_sum
 
 
 class EventKind(Enum):
@@ -60,8 +60,8 @@ _KIND_TEXT = {kind: kind.value for kind in EventKind}
 class StepEvent(NamedTuple):
     """One packet event of a run, as :attr:`RunTrace.events` shows it.
 
-    ``arrival`` is the packet's arrival index: the packet is
-    ``trace.arrivals[arrival]``.
+    ``arrival`` is the packet's arrival index, its row in
+    ``trace.instance``'s columns.
     """
 
     step: int
@@ -85,14 +85,22 @@ class Policy:
     kind: str  # "on" | "greedy"
     beta: Rat | None = None
 
+    def __post_init__(self) -> None:
+        # a Fraction is signed by its numerator: comparing one goes through
+        # Python-level Fraction methods
+        if self.kind == "greedy":
+            if self.beta is not None:
+                raise ValueError("greedy takes no beta")
+        elif self.kind != "on":
+            raise ValueError(f"unknown policy kind {self.kind!r}")
+        elif type(self.beta) is not Fraction:
+            raise ValueError(f"beta must be a Fraction, not {type(self.beta).__name__}")
+        elif self.beta.numerator <= 0:
+            raise ValueError("beta must be positive")
+
     @classmethod
     def on(cls, beta: Rat) -> "Policy":
-        # a Fraction is kept as is and signed by its numerator: comparing
-        # or rebuilding one goes through Python-level Fraction methods
-        fraction = type(beta) is Fraction
-        if not (beta.numerator > 0 if fraction else beta > 0):
-            raise ValueError("beta must be positive")
-        return cls("on", beta if fraction else Fraction(beta))
+        return cls("on", beta if type(beta) is Fraction else Fraction(beta))
 
     @classmethod
     def greedy(cls) -> "Policy":
@@ -108,12 +116,12 @@ class Policy:
 class RunTrace:
     """A policy's run: its event log, its sends and the value it delivered.
 
-    ``arrivals`` is the instance's own arrivals tuple, which the log's
-    and the sends' arrival indices point into.
+    ``instance`` is the instance run, whose columns the log's and the
+    sends' arrival indices point into.
     """
 
     policy: Policy
-    arrivals: tuple[Packet, ...]
+    instance: Instance
     log: EventLog
     sends: Mapping[int, int]  # step -> arrival index sent, in send order
     totals: Rat
@@ -133,7 +141,7 @@ def run(policy: Policy, inst: Instance) -> RunTrace:
     count, not the largest step number or the capacity: each event costs
     O(1), and finding the preempted set O(log B).
     """
-    arrivals = inst.arrivals
+    release, flags = inst.steps, inst.is_alpha
     preempts = policy.kind == "on"
     if preempts:
         # alpha * |A| >= beta * |D|, cross-multiplied over both denominators
@@ -149,13 +157,13 @@ def run(policy: Policy, inst: Instance) -> RunTrace:
     alpha_sends = 0
     i = 0
     t = 0
-    while i < len(arrivals) or ones or alphas:
+    while i < len(release) or ones or alphas:
         if not (ones or alphas):
-            t = arrivals[i].key.step
-        while i < len(arrivals) and arrivals[i].key.step == t:
+            t = release[i]
+        while i < len(release) and release[i] == t:
             a = i
             i += 1
-            is_alpha = arrivals[a].is_alpha
+            is_alpha = flags[a]
             if len(ones) + len(alphas) == inst.capacity:
                 # overflow: the earliest buffered 1-value packet goes; with
                 # none, a 1-value arrival is rejected and an alpha evicts the head
@@ -197,7 +205,7 @@ def run(policy: Policy, inst: Instance) -> RunTrace:
         t += 1
 
     totals = value_sum(inst.alpha, len(sends) - alpha_sends, alpha_sends)
-    return RunTrace(policy, arrivals, EventLog(steps, kinds, indices), sends, totals)
+    return RunTrace(policy, inst, EventLog(steps, kinds, indices), sends, totals)
 
 
 def replay_events(trace: RunTrace) -> Iterator[tuple[tuple[int, EventKind, int], deque[int], deque[int]]]:
@@ -211,12 +219,12 @@ def replay_events(trace: RunTrace) -> Iterator[tuple[tuple[int, EventKind, int],
     FIFO order and raises. A drop removes its packet from its queue (the
     front, in a trace of :func:`run`) and raises if it is not buffered.
     """
-    arrivals = trace.arrivals
+    flags = trace.instance.is_alpha
     ones: deque[int] = deque()
     alphas: deque[int] = deque()
     for event in zip(*trace.log):
         t, kind, i = event
-        if arrivals[i].klass is _ALPHA:
+        if flags[i]:
             queue, other = alphas, ones
         else:
             queue, other = ones, alphas
@@ -224,13 +232,13 @@ def replay_events(trace: RunTrace) -> Iterator[tuple[tuple[int, EventKind, int],
             queue.append(i)
         elif kind is SENT:
             if not queue or queue[0] != i or (other and other[0] < i):
-                raise ValueError(f"non-FIFO send of {arrivals[i].id} at step {t}")
+                raise ValueError(f"non-FIFO send of {trace.instance.arrivals[i].id} at step {t}")
             queue.popleft()
         elif kind is not REJECTED:
             try:
                 queue.remove(i)
             except ValueError:
-                message = f"unbuffered packet {arrivals[i].id} {_KIND_TEXT[kind]} at step {t}"
+                message = f"unbuffered packet {trace.instance.arrivals[i].id} {_KIND_TEXT[kind]} at step {t}"
                 raise ValueError(message) from None
         yield event, ones, alphas
 
@@ -252,7 +260,7 @@ def trace_lines(trace: RunTrace) -> Iterator[str]:
     chunks of at most ``_IDLE_BLOCK`` lines, so a writer's memory does not
     follow the largest step number.
     """
-    ids = [p.id for p in trace.arrivals]
+    ids = list(map(packet_id, trace.instance.steps, trace.instance.seqs))
     prev = 0
     for step, kind, i in zip(*trace.log):
         if step > prev + 1:

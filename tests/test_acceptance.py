@@ -176,7 +176,7 @@ def test_criterion_7_optimum_contains_delivered_alphas():
     for i in range(1000):
         inst = random_instance(replace(CORPUS_CFG, seed=BASE_SEED + i))
         trace = run(Policy.on(BETA), inst)
-        alpha_sends = [i for i in trace.sends.values() if trace.arrivals[i].is_alpha]
+        alpha_sends = [i for i in trace.sends.values() if trace.instance.arrivals[i].is_alpha]
         constrained = opt_containing(inst, alpha_sends)
         if constrained is None or constrained.value != brute_force_opt(inst).value:
             violations.append(BASE_SEED + i)

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import random
@@ -26,8 +27,11 @@ from fifolab import (
     build_ledger,
     demo_instance,
     feasible,
+    format_instance,
+    format_trace,
     greedy_blocking,
     opt_containing,
+    parse_instance,
     random_instance,
     run,
     run_ropt,
@@ -50,7 +54,7 @@ from fifolab.analysis import (
     format_report,
 )
 from fifolab.cli import experiment_row
-from fifolab.model import ONE, Packet, make_packet
+from fifolab.model import ONE, Packet
 from fifolab.simulate import replay_events
 
 BETA_REF = Fraction(3284, 1000)
@@ -333,7 +337,7 @@ class TestArrivalIndex:
             inst = random_instance(GenConfig(seed=seed))
             result = analyze(inst, BETA_REF)
             on = run(Policy.on(BETA_REF), inst)
-            assert on.arrivals is inst.arrivals and on == result.on
+            assert on.instance is inst and on == result.on
             ropt = run_ropt(inst, result.optimum.indices, on)
             checks = verify_ropt(inst, on, ropt).checks
             ledger = build_ledger(inst, on, ropt)
@@ -813,12 +817,54 @@ def test_analyze_hashes_no_packet(monkeypatch):
     assert calls == 0
 
 
+def _live_packets():
+    return sum(1 for obj in gc.get_objects() if type(obj) is Packet)
+
+
+def _windows(inst, size=14):
+    """Each consecutive `size`-packet slice of `inst`, shifted to start at step 1."""
+    rows = list(zip(inst.steps, inst.seqs, inst.is_alpha))
+    for lo in range(0, len(rows) - size + 1, size):
+        shift = rows[lo][0] - 1
+        specs = [(s - shift, q, "alpha" if a else "one") for s, q, a in rows[lo : lo + size]]
+        yield build_instance(inst.capacity, inst.alpha, specs)
+
+
+def test_parse_and_analyze_build_no_object_per_packet():
+    # an instance is its columns: parsing, both runs, the trace export, analyze
+    # and the report and ledger exports build no Packet and never ask for the view
+    dense_cfg = GenConfig(
+        capacity_min=16, capacity_max=16, horizon=1400, max_burst=3,
+        max_packets=None, alpha_choices=(Fraction(2),), seed=1,
+    )
+    sources = [random_instance(dense_cfg)] + [random_instance(GenConfig(seed=s)) for s in range(100)]
+    gc.collect()
+    before = _live_packets()
+    parsed = [parse_instance(format_instance(inst)) for inst in sources]
+    analyzed = parsed[1:] + list(_windows(sources[0]))
+    held = []  # every result stays alive while the packets are counted
+    for inst in parsed:
+        for policy in (Policy.on(BETA_REF), Policy.greedy()):
+            trace = run(policy, inst)
+            held += [trace, format_trace(trace)]
+    for inst in analyzed:
+        result = analyze(inst, BETA_REF)
+        held += [result, format_report(result.report)]
+        if result.ledger is not None:
+            held.append(format_ledger(result.ledger))
+    assert len(analyzed) > 200
+    assert all("arrivals" not in vars(inst) for inst in sources + parsed + analyzed)
+    assert _live_packets() <= before
+    sources[0].arrivals
+    assert _live_packets() >= before + len(sources[0].steps)  # the counter is live
+
+
 def test_ledger_names_packets_by_arrival_index():
     # charges and chains hold indices into the instance's own arrivals
     for seed in range(500):
         inst = random_instance(GenConfig(seed=seed))
         ledger = analyze(inst, BETA_REF).ledger
-        assert ledger.arrivals is inst.arrivals
+        assert ledger.instance is inst
         assert all(type(rec.packet) is int for rec in ledger.ropt_charges)
         for chain in ledger.chains:
             assert type(chain.owner) is int
@@ -881,7 +927,7 @@ def test_analyze_validates_once(monkeypatch):
         analyze(inst, BETA_REF)
         assert calls == 0
     with pytest.raises(InvalidInstanceError, match="arrivals out of order at packet 1"):
-        Instance(2, Fraction(2), (make_packet(2, 0, "one"), make_packet(1, 0, "one")))
+        Instance(2, Fraction(2), (2, 1), (0, 0), (False, False))
     assert calls == 1
 
 
@@ -903,7 +949,7 @@ def test_alpha_send_intervals_names_the_first_impure_step(interval, detail):
     on = run(Policy.on(BETA_REF), inst)
     assert list(on.sends.items()) == [(1, 0), (3, 1), (4, 2), (5, 3)]
     record = ChargeRecord(0, EVICTED_ALPHA_INTERVAL, Fraction(2), interval=interval)
-    ledger = ChargeLedger(inst.arrivals, {}, (record,), (), {})
+    ledger = ChargeLedger(inst, {}, (record,), (), {})
     ropt = RoptTrace([False] * 4, [None] * 4, 0, {}, {})
     check = verify_ledger(ledger, inst, on, ropt).check("alpha-send-intervals")
     assert check == ("alpha-send-intervals", "fail" if detail else "pass", detail)
@@ -916,7 +962,7 @@ def test_non_fifo_trace_rejected(event_log):
     first, second = 0, 1
     on = RunTrace(
         Policy.on(BETA_REF),
-        inst.arrivals,
+        inst,
         event_log(
             [
                 (1, EventKind.ADMITTED, first),
@@ -942,7 +988,7 @@ def test_drop_of_an_unbuffered_packet_rejected(event_log):
     inst = build_instance(2, Fraction(2), [(1, 0, "one"), (1, 1, "one")])
     on = RunTrace(
         Policy.greedy(),
-        inst.arrivals,
+        inst,
         event_log(
             [
                 (1, EventKind.ADMITTED, 0),
@@ -996,7 +1042,7 @@ def test_ledger_rejects_hand_built_trace(specs, events, message, event_log):
     index = {p.id: i for i, p in enumerate(inst.arrivals)}
     on = RunTrace(
         Policy.on(BETA_REF),
-        inst.arrivals,
+        inst,
         event_log([(t, EventKind(kind), index[i]) for t, kind, i in events]),
         {},
         Fraction(0),

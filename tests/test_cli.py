@@ -8,7 +8,14 @@ from pathlib import Path
 import pytest
 
 import fifolab
-from fifolab import demo_instance, format_instance, greedy_blocking
+from fifolab import (
+    competitive_bound,
+    demo_instance,
+    format_instance,
+    format_rat,
+    greedy_blocking,
+    parse_instance,
+)
 from fifolab.cli import decimal_str, main
 
 
@@ -211,6 +218,15 @@ class TestSearchAndGen:
         assert rc == 0
         out = capsys.readouterr().out
         assert "# ratio" in out
+
+    def test_search_reports_the_bound_at_the_given_beta(self, capsys):
+        # a greedy search has no threshold of its own, so --beta sets the bound
+        argv = ["search", "--policy", "greedy", "--beta", "2", "--budget", "20", "--seed", "1"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        inst = parse_instance(out)  # the summary line is a comment
+        bound = competitive_bound(inst.alpha, Fraction(2)).bound
+        assert out.splitlines()[-1].split()[3:5] == ["bound", format_rat(bound)]
 
     def test_search_past_twenty_packets(self):
         done = run_cli_process(

@@ -42,31 +42,36 @@ def violations_of(build, *args, **kwargs):
 
 class TestValidate:
     def test_empty_instance_ok(self):
-        assert validate_instance(Instance(1, Fraction(2), ())) == []
+        assert validate_instance(Instance(1, Fraction(2), (), (), ())) == []
 
     def test_duplicate_key(self):
-        packets = (make_packet(1, 0, "one"), make_packet(1, 0, "alpha"))
-        assert any("duplicate key" in v for v in violations_of(Instance, 2, Fraction(2), packets))
+        columns = ((1, 1), (0, 0), (False, True))
+        assert any("duplicate key" in v for v in violations_of(Instance, 2, Fraction(2), *columns))
 
     def test_class_must_be_a_packet_class(self):
-        # a class given as its text would be valued as 1 and break format_instance
-        packets = (Packet(ArrivalKey(1, 0), "alpha"),)
-        assert violations_of(Instance, 1, Fraction(2), packets) == (
-            "packet 1: class must be a PacketClass, not str",
+        # a class given as its text would be truthy, so valued as alpha
+        assert violations_of(Instance, 1, Fraction(2), (1,), (0,), ("alpha",)) == (
+            "packet 1: is_alpha must be a bool, not str",
+        )
+
+    def test_column_lengths_must_agree(self):
+        assert violations_of(Instance, 0, Fraction(2), (1, 2), (0,), (True,)) == (
+            "capacity must be at least 1",
+            "column lengths differ: 2 steps, 1 seqs, 1 is_alpha",
         )
 
     def test_alpha_must_exceed_one(self):
-        assert any("alpha" in v for v in violations_of(Instance, 1, Fraction(1), ()))
+        assert any("alpha" in v for v in violations_of(Instance, 1, Fraction(1), (), (), ()))
 
     def test_alpha_must_be_a_fraction(self):
-        assert violations_of(Instance, 3, 2, ()) == ("alpha must be a Fraction, not int",)
+        assert violations_of(Instance, 3, 2, (), (), ()) == ("alpha must be a Fraction, not int",)
 
     def test_out_of_order_arrivals(self):
-        packets = (make_packet(2, 0, "one"), make_packet(1, 0, "one"))
-        assert any("out of order" in v for v in violations_of(Instance, 2, Fraction(2), packets))
+        columns = ((2, 1), (0, 0), (False, False))
+        assert any("out of order" in v for v in violations_of(Instance, 2, Fraction(2), *columns))
 
     def test_capacity_positive(self):
-        assert any("capacity" in v for v in violations_of(Instance, 0, Fraction(2), ()))
+        assert any("capacity" in v for v in violations_of(Instance, 0, Fraction(2), (), (), ()))
 
     def test_every_construction_path_checks(self):
         # build_instance, dataclasses.replace and the fixtures all go through the constructor

@@ -39,6 +39,7 @@ from fifolab.model import (
     ZERO,
     Instance,
     InstanceParseError,
+    InvalidInstanceError,
     Packet,
     PacketClass,
     Rat,
@@ -92,20 +93,20 @@ def fates(trace):
     for e in trace.events:
         if e.kind in TERMINAL_KINDS:
             if e.arrival in out:
-                raise ValueError(f"packet {trace.arrivals[e.arrival].id} classified twice")
+                raise ValueError(f"packet {trace.instance.arrivals[e.arrival].id} classified twice")
             out[e.arrival] = e
     return out
 
 
 def sent_packets(trace):
     """The packets a trace sends, in send order."""
-    return [trace.arrivals[i] for i in trace.sends.values()]
+    return [trace.instance.arrivals[i] for i in trace.sends.values()]
 
 
 def sent_at(trace, step):
     """The packet a trace sends at `step`, or None."""
     i = trace.sends.get(step)
-    return None if i is None else trace.arrivals[i]
+    return None if i is None else trace.instance.arrivals[i]
 
 
 def _literal_run(policy, inst):
@@ -273,11 +274,11 @@ def _literal_replay(trace):
             try:
                 buf.remove(i)
             except ValueError:
-                packet = trace.arrivals[i].id
+                packet = trace.instance.arrivals[i].id
                 raise ValueError(f"unbuffered packet {packet} {kind.value} at step {t}") from None
         elif kind is EventKind.SENT:
             if not buf or buf[0] != i:
-                raise ValueError(f"non-FIFO send of {trace.arrivals[i].id} at step {t}")
+                raise ValueError(f"non-FIFO send of {trace.instance.arrivals[i].id} at step {t}")
             buf.pop(0)
         yield StepEvent(t, kind, i), tuple(buf)
 
@@ -356,7 +357,7 @@ def test_replay_drops_only_at_a_queue_front(monkeypatch):
 @given(instances(), st.sampled_from(BETAS))
 def test_threshold_policy_preemption_rules(inst, beta):
     trace = run(Policy.on(beta), inst)
-    arr = trace.arrivals
+    arr = trace.instance.arrivals
     states = replay_buffer_states(trace)
 
     # no alpha packet is ever preempted
@@ -528,7 +529,7 @@ def _literal_verify_ropt(inst, chosen, on, ropt):
     detail = f"missing={missing} extra={extra}" if missing or extra else ""
     checks.append(CheckResult("ropt-sends-all", "fail" if detail else "pass", detail))
 
-    sends = [(t, on.arrivals[i]) for t, i in on.sends.items()]
+    sends = [(t, on.instance.arrivals[i]) for t, i in on.sends.items()]
     late = [(t, p.id) for t, p in sends if p in o_set and send_time.get(p, t + 1) > t]
     detail = f"reference later than policy at {late}" if late else ""
     checks.append(CheckResult("send-precedence", "fail" if late else "pass", detail))
@@ -538,7 +539,7 @@ def _literal_verify_ropt(inst, chosen, on, ropt):
     for (t, kind, _), buf in _literal_replay(on):
         if kind is not EventKind.SENT:
             continue
-        buffered = [on.arrivals[i] for i in buf]
+        buffered = [on.instance.arrivals[i] for i in buf]
         live = [z for z in buffered if z in o_set and send_time.get(z, t + 1) <= t]
         max_any = max(max_any, len(live))
         max_alpha = max(max_alpha, sum(1 for z in live if z.is_alpha))
@@ -1009,6 +1010,61 @@ def test_instance_text_round_trip(inst):
     assert parse_instance(format_instance(inst)) == inst
 
 
+def _literal_validate(capacity, alpha, packets):
+    """Instance validation as first written, one :class:`Packet` at a time."""
+    violations = []
+    if capacity < 1:
+        violations.append("capacity must be at least 1")
+    if not isinstance(alpha, Fraction):
+        violations.append(f"alpha must be a Fraction, not {type(alpha).__name__}")
+    elif alpha <= 1:
+        violations.append("alpha must exceed 1")
+    prev = None
+    for p in packets:
+        if p.key.step < 1 or p.key.seq < 0:
+            violations.append(f"packet {p.id}: key ({p.key.step},{p.key.seq}) out of range")
+        if not isinstance(p.klass, PacketClass):
+            violations.append(f"packet {p.id}: is_alpha must be a bool, not {type(p.klass).__name__}")
+        if prev is not None:
+            if p.key == prev.key:
+                violations.append(f"duplicate key ({p.key.step},{p.key.seq})")
+            elif p.key < prev.key:
+                violations.append(f"arrivals out of order at packet {p.id}")
+        prev = p
+    return violations
+
+
+@st.composite
+def columns(draw):
+    """Equal-length step, seq and alpha-flag columns, valid or not."""
+    n = draw(st.integers(0, 8))
+    return tuple(
+        tuple(draw(st.lists(values, min_size=n, max_size=n)))
+        for values in (st.integers(-1, 6), st.integers(-1, 3), st.booleans())
+    )
+
+
+@given(st.integers(0, 2), st.sampled_from([Fraction(1), Fraction(2), 2]), columns())
+@example(1, Fraction(2), ((2, 1, 1, 0), (0, 3, 3, -1), (True, False, True, False)))
+def test_validation_matches_literal_oracle(capacity, alpha, cols):
+    try:
+        Instance(capacity, alpha, *cols)
+    except InvalidInstanceError as exc:
+        found = list(exc.violations)
+    else:
+        found = []
+    packets = [make_packet(s, q, "alpha" if a else "one") for s, q, a in zip(*cols)]
+    assert found == _literal_validate(capacity, alpha, packets)
+
+
+@given(instances())
+def test_arrivals_view_reads_the_columns(inst):
+    # the text round trip over the same instances is test_instance_text_round_trip
+    rows = zip(inst.steps, inst.seqs, inst.is_alpha)
+    assert inst.arrivals == tuple(make_packet(s, q, "alpha" if a else "one") for s, q, a in rows)
+    assert type(inst.arrivals) is tuple and inst.arrivals is inst.arrivals
+
+
 def _literal_parse_instance(text: str) -> Instance:
     """The instance parser as first written: ``parse_int`` per integer, the
     ``PacketClass`` Enum call per class and ``make_packet`` per packet."""
@@ -1062,7 +1118,13 @@ def _literal_parse_instance(text: str) -> Instance:
         raise InstanceParseError(0, "missing buffer directive")
     if alpha is None:
         raise InstanceParseError(0, "missing alpha directive")
-    return Instance(capacity, alpha, tuple(packets))
+    return Instance(
+        capacity,
+        alpha,
+        tuple(p.key.step for p in packets),
+        tuple(p.key.seq for p in packets),
+        tuple(p.is_alpha for p in packets),
+    )
 
 
 # whole-token replacements: non-ASCII digits, signs, separators, leading

@@ -13,7 +13,6 @@ from fifolab import (
     demo_instance,
     format_trace,
     greedy_blocking,
-    make_packet,
     run,
 )
 from fifolab.simulate import replay_buffer_states
@@ -32,7 +31,7 @@ def trace_lines(policy, capacity, alpha, *specs):
 
 def sent_ids(trace):
     """Ids of the packets a trace sends, in send order."""
-    return [trace.arrivals[i].id for i in trace.sends.values()]
+    return [trace.instance.arrivals[i].id for i in trace.sends.values()]
 
 
 def admitted(step, *ids):
@@ -71,7 +70,7 @@ class TestAdmit:
 
     def test_arrival_order_enforced(self):
         with pytest.raises(InvalidInstanceError):
-            Instance(3, Fraction(2), (make_packet(1, 1, "one"), make_packet(1, 0, "one")))
+            Instance(3, Fraction(2), (1, 1), (1, 0), (False, False))
 
 
 class TestEjectable:
@@ -151,10 +150,10 @@ class TestDeliverOn:
             kinds = [e.kind for e in first_step]
             if preempts:
                 assert kinds == [EventKind.PREEMPTED] * n + [EventKind.SENT]
-                assert trace.arrivals[first_step[-1].arrival].is_alpha
+                assert trace.instance.arrivals[first_step[-1].arrival].is_alpha
             else:
                 assert kinds == [EventKind.SENT]
-                assert not trace.arrivals[first_step[-1].arrival].is_alpha
+                assert not trace.instance.arrivals[first_step[-1].arrival].is_alpha
 
 
 class TestDeliverGreedy:
@@ -190,6 +189,23 @@ class TestPolicy:
         assert type(beta) is Fraction and beta == 2
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("bogus",), "unknown policy kind 'bogus'"),
+        (("on",), "beta must be a Fraction, not NoneType"),
+        (("on", 2), "beta must be a Fraction, not int"),
+        (("on", Fraction(-1)), "beta must be positive"),
+        (("greedy", Fraction(2)), "greedy takes no beta"),
+    ],
+    ids=["unknown-kind", "on-without-beta", "on-int-beta", "on-negative-beta", "greedy-with-beta"],
+)
+def test_policy_is_valid_by_construction(args, message):
+    with pytest.raises(ValueError) as exc:
+        Policy(*args)
+    assert str(exc.value) == message
+
+
 class TestRun:
     def test_demo_threshold_trace(self):
         inst = demo_instance(Fraction(2))
@@ -206,7 +222,7 @@ class TestRun:
         assert trace.totals == 12
 
     def test_empty_instance_has_no_events(self):
-        inst = Instance(3, Fraction(2), ())
+        inst = Instance(3, Fraction(2), (), (), ())
         for policy in (Policy.on(Fraction(2)), Policy.greedy()):
             trace = run(policy, inst)
             assert trace.log == ([], [], [])
@@ -226,11 +242,11 @@ class TestRun:
         trace = run(Policy.on(Fraction(3284, 1000)), greedy_blocking(Fraction(10)))
         assert trace.totals == 30
         preempted = [e.arrival for e in trace.events if e.kind is EventKind.PREEMPTED]
-        assert [trace.arrivals[i].id for i in preempted] == ["1"]
+        assert [trace.instance.arrivals[i].id for i in preempted] == ["1"]
 
     def test_invalid_instance_rejected(self):
-        out_of_order = (make_packet(2, 0, "one"), make_packet(1, 0, "one"))
-        for args in ((1, Fraction(1), ()), (2, Fraction(2), out_of_order)):
+        out_of_order = ((2, 1), (0, 0), (False, False))
+        for args in ((1, Fraction(1), (), (), ()), (2, Fraction(2), *out_of_order)):
             with pytest.raises(InvalidInstanceError):
                 Instance(*args)
 
@@ -261,7 +277,7 @@ class TestRun:
     def test_trace_shares_the_instance_arrivals(self):
         inst = demo_instance(Fraction(2))
         for policy in (Policy.on(Fraction(2)), Policy.greedy()):
-            assert run(policy, inst).arrivals is inst.arrivals
+            assert run(policy, inst).instance is inst
 
     @pytest.mark.parametrize(
         "kind, message",
@@ -275,7 +291,7 @@ class TestRun:
         inst = build_instance(2, Fraction(2), [(1, 0, "one"), (1, 1, "one")])
         trace = RunTrace(
             GREEDY,
-            inst.arrivals,
+            inst,
             event_log(
                 [
                     (1, EventKind.ADMITTED, 0),
