@@ -218,6 +218,11 @@ class ChargeLedger:
     diagnostics: Mapping[str, int]
 
 
+def _id(inst: Instance, i: int) -> str:
+    """The id of arrival `i`, rendered for a failure text."""
+    return packet_id(inst.steps[i], inst.seqs[i])
+
+
 def _alpha_run_ends(inst: Instance, on: RunTrace) -> dict[int, int]:
     """Map each step that sends an alpha packet to the last step of its run of alpha sends."""
     flags = inst.is_alpha
@@ -265,7 +270,7 @@ def build_ledger(inst: Instance, on: RunTrace, ropt: RoptTrace) -> ChargeLedger:
     closed_heads: set[int] = set()
 
     def fail(message: str, step: int, i: int) -> LedgerError:
-        return LedgerError(f"{message} (step {step}, packet {inst.arrivals[i].id})", step, i)
+        return LedgerError(f"{message} (step {step}, packet {_id(inst, i)})", step, i)
 
     def head_of(owner: int) -> int:
         closing.setdefault(owner, None)
@@ -350,7 +355,7 @@ def build_ledger(inst: Instance, on: RunTrace, ropt: RoptTrace) -> ChargeLedger:
     reference_sends_before(ropt.last_step + 1)
 
     if deferred:
-        missing = ", ".join(sorted(inst.arrivals[i].id for _, i, _ in deferred))
+        missing = ", ".join(sorted(_id(inst, i) for _, i, _ in deferred))
         raise LedgerError(f"evicted O-packets never sent by the reference: {missing}")
 
     chains = tuple(Chain(owner, ropt.chain(owner), charged) for owner, charged in closing.items())
@@ -426,12 +431,12 @@ def verify_ropt(inst: Instance, on: RunTrace, ropt: RoptTrace) -> AnalysisReport
         step = inst.steps[i]
         occupancy = k - bisect_left(ropt_steps, step)
         if occupancy > inst.capacity:
-            capacity_breach = f"occupancy {occupancy} at step {step} accepting {inst.arrivals[i].id}"
+            capacity_breach = f"occupancy {occupancy} at step {step} accepting {_id(inst, i)}"
             break
     checks.append(_result("ropt-capacity", not capacity_breach, capacity_breach))
 
-    missing = sorted([inst.arrivals[i].id for i in o_idx if send_time[i] is None])
-    extra = sorted([inst.arrivals[i].id for i, t in enumerate(send_time) if t is not None and not in_o[i]])
+    missing = sorted([_id(inst, i) for i in o_idx if send_time[i] is None])
+    extra = sorted([_id(inst, i) for i, t in enumerate(send_time) if t is not None and not in_o[i]])
     checks.append(
         _result(
             "ropt-sends-all",
@@ -443,7 +448,7 @@ def verify_ropt(inst: Instance, on: RunTrace, ropt: RoptTrace) -> AnalysisReport
     late = []
     for t, i in on.sends.items():
         if in_o[i] and (send_time[i] is None or send_time[i] > t):
-            late.append((t, inst.arrivals[i].id))
+            late.append((t, _id(inst, i)))
     checks.append(
         _result("send-precedence", not late, f"reference later than policy at {late}" if late else "")
     )
@@ -510,8 +515,7 @@ def verify_ropt(inst: Instance, on: RunTrace, ropt: RoptTrace) -> AnalysisReport
                 head = ropt.head[send_time[i]]
                 owner = owners.setdefault(head, i)
                 if owner != i:
-                    arr = inst.arrivals
-                    overlap = f"step {head} shared by chains of {arr[owner].id} and {arr[i].id} at t={t}"
+                    overlap = f"step {head} shared by chains of {_id(inst, owner)} and {_id(inst, i)} at t={t}"
                     break
     checks.append(_result("chains-disjoint", not overlap, overlap))
 
@@ -594,7 +598,7 @@ def verify_ledger(
             continue
         lo, hi = rec.interval
         if (end := alpha_run_end.get(lo, lo - 1)) < hi:
-            packet = inst.arrivals[rec.packet].id
+            packet = _id(inst, rec.packet)
             impure = f"interval [{lo}, {hi}] of {packet}: step {end + 1} is not an alpha send"
             break
     checks.append(_result("alpha-send-intervals", not impure, impure))
@@ -609,8 +613,7 @@ def verify_ledger(
             null_heads += 1
         elif in_o[q] or inst.is_alpha[q]:
             what = "O-packet" if in_o[q] else "alpha packet"
-            arr = inst.arrivals
-            bad_head = f"head {chain.head} of {arr[chain.owner].id}'s chain sends {what} {arr[q].id}"
+            bad_head = f"head {chain.head} of {_id(inst, chain.owner)}'s chain sends {what} {_id(inst, q)}"
             break
     if bad_head:
         checks.append(CheckResult("chain-heads", CheckStatus.FAIL, bad_head))

@@ -277,13 +277,18 @@ def parse_instance(text: str) -> Instance:
     capacity: int | None = None
     alpha: Rat | None = None
     steps, seqs, flags = [], [], []  # the columns, one entry per packet line
-    last_key = (0, 0)  # below every parsed key, since step >= 1
+    last_step, last_seq = 0, 0  # below every parsed key, since step >= 1
     flag_of = _FLAG_OF_TEXT
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    lines = text.splitlines()
+    # a comment and a non-ASCII character are each looked for once in the
+    # whole text, not on every line; split() needs no strip() first
+    if "#" in text:
+        lines = [raw.split("#", 1)[0] for raw in lines]
+    any_non_ascii = not text.isascii()
+    for line_no, line in enumerate(lines, start=1):
         fields = line.split()
+        if not fields:
+            continue
         directive = fields[0]
         if directive == "packet":
             if len(fields) != 4:
@@ -292,21 +297,20 @@ def parse_instance(text: str) -> Instance:
             flag = flag_of.get(klass_text)
             try:
                 # parse_int's rule, inline; int() still rejects too many digits
-                if not (
-                    step_text.isascii() and step_text.isdigit()
-                    and seq_text.isascii() and seq_text.isdigit()
-                    and flag is not None
+                if flag is None or not (step_text.isdigit() and seq_text.isdigit()) or (
+                    any_non_ascii and not (step_text.isascii() and seq_text.isascii())
                 ):
                     raise ValueError
                 step, seq = int(step_text), int(seq_text)
             except ValueError:
-                raise InstanceParseError(line_no, f"bad packet line: {line!r}") from None
-            if step < 1:
-                raise InstanceParseError(line_no, "packet key out of range")
-            key = (step, seq)
-            if key <= last_key:
-                raise InstanceParseError(line_no, "packets must be ascending by (step, seq)")
-            last_key = key
+                raise InstanceParseError(line_no, f"bad packet line: {line.strip()!r}") from None
+            if step <= last_step:
+                # last_step starts at 0, so a step below 1 lands here too
+                if step < 1:
+                    raise InstanceParseError(line_no, "packet key out of range")
+                if step < last_step or seq <= last_seq:
+                    raise InstanceParseError(line_no, "packets must be ascending by (step, seq)")
+            last_step, last_seq = step, seq
             steps.append(step)
             seqs.append(seq)
             flags.append(flag)

@@ -53,10 +53,6 @@ PREEMPTED = EventKind.PREEMPTED
 SENT = EventKind.SENT
 
 
-# the text each event kind exports as: ``kind.value`` is a Python-level property
-_KIND_TEXT = {kind: kind.value for kind in EventKind}
-
-
 class StepEvent(NamedTuple):
     """One packet event of a run, as :attr:`RunTrace.events` shows it.
 
@@ -150,21 +146,26 @@ def run(policy: Policy, inst: Instance) -> RunTrace:
     # the queues hold arrival indices, which ascend in key order
     ones: deque[int] = deque()
     alphas: deque[int] = deque()
+    size = 0  # len(ones) + len(alphas), kept as a count
+    capacity = inst.capacity
     steps: list[int] = []
     kinds: list[EventKind] = []
     indices: list[int] = []
+    # bound once: each event appends one entry to each column
+    add_step, add_kind, add_index = steps.append, kinds.append, indices.append
     sends: dict[int, int] = {}
     alpha_sends = 0
+    n = len(release)
     i = 0
     t = 0
-    while i < len(release) or ones or alphas:
-        if not (ones or alphas):
+    while i < n or size:
+        if not size:
             t = release[i]
-        while i < len(release) and release[i] == t:
+        while i < n and release[i] == t:
             a = i
             i += 1
             is_alpha = flags[a]
-            if len(ones) + len(alphas) == inst.capacity:
+            if size == capacity:
                 # overflow: the earliest buffered 1-value packet goes; with
                 # none, a 1-value arrival is rejected and an alpha evicts the head
                 if ones:
@@ -172,25 +173,28 @@ def run(policy: Policy, inst: Instance) -> RunTrace:
                 elif is_alpha:
                     victim = alphas.popleft()
                 else:
-                    steps.append(t)
-                    kinds.append(REJECTED)
-                    indices.append(a)
+                    add_step(t)
+                    add_kind(REJECTED)
+                    add_index(a)
                     continue
-                steps.append(t)
-                kinds.append(EVICTED)
-                indices.append(victim)
+                add_step(t)
+                add_kind(EVICTED)
+                add_index(victim)
+            else:
+                size += 1
             (alphas if is_alpha else ones).append(a)
-            steps.append(t)
-            kinds.append(ADMITTED)
-            indices.append(a)
+            add_step(t)
+            add_kind(ADMITTED)
+            add_index(a)
         if preempts and ones and alphas and ones[0] < alphas[0]:
             # D: the 1-value packets ahead of the last buffered alpha
             doomed = bisect_left(ones, alphas[-1])
             if alpha_weight * len(alphas) >= beta_weight * doomed:
+                size -= doomed
                 for _ in range(doomed):
-                    steps.append(t)
-                    kinds.append(PREEMPTED)
-                    indices.append(ones.popleft())
+                    add_step(t)
+                    add_kind(PREEMPTED)
+                    add_index(ones.popleft())
         # the head is the earlier front, never missing: an arrival into an
         # empty buffer is admitted, and a preemption keeps every alpha packet
         if not ones or (alphas and alphas[0] < ones[0]):
@@ -198,9 +202,10 @@ def run(policy: Policy, inst: Instance) -> RunTrace:
             alpha_sends += 1
         else:
             sent = ones.popleft()
-        steps.append(t)
-        kinds.append(SENT)
-        indices.append(sent)
+        size -= 1
+        add_step(t)
+        add_kind(SENT)
+        add_index(sent)
         sends[t] = sent
         t += 1
 
@@ -219,7 +224,8 @@ def replay_events(trace: RunTrace) -> Iterator[tuple[tuple[int, EventKind, int],
     FIFO order and raises. A drop removes its packet from its queue (the
     front, in a trace of :func:`run`) and raises if it is not buffered.
     """
-    flags = trace.instance.is_alpha
+    inst = trace.instance
+    flags = inst.is_alpha
     ones: deque[int] = deque()
     alphas: deque[int] = deque()
     for event in zip(*trace.log):
@@ -232,14 +238,14 @@ def replay_events(trace: RunTrace) -> Iterator[tuple[tuple[int, EventKind, int],
             queue.append(i)
         elif kind is SENT:
             if not queue or queue[0] != i or (other and other[0] < i):
-                raise ValueError(f"non-FIFO send of {trace.instance.arrivals[i].id} at step {t}")
+                raise ValueError(f"non-FIFO send of {packet_id(inst.steps[i], inst.seqs[i])} at step {t}")
             queue.popleft()
         elif kind is not REJECTED:
             try:
                 queue.remove(i)
             except ValueError:
-                message = f"unbuffered packet {trace.instance.arrivals[i].id} {_KIND_TEXT[kind]} at step {t}"
-                raise ValueError(message) from None
+                packet = packet_id(inst.steps[i], inst.seqs[i])
+                raise ValueError(f"unbuffered packet {packet} {kind.value} at step {t}") from None
         yield event, ones, alphas
 
 
@@ -256,19 +262,30 @@ def trace_lines(trace: RunTrace) -> Iterator[str]:
 
     A step before the last event with no event of its own had an empty
     buffer (a step with a non-empty buffer sends), so it gets a
-    ``<step> idle -`` line. Yields newline-terminated lines, idle runs in
-    chunks of at most ``_IDLE_BLOCK`` lines, so a writer's memory does not
-    follow the largest step number.
+    ``<step> idle -`` line. Each yielded chunk is a run of
+    newline-terminated lines of one sort: all the event lines between two
+    idle gaps as one string (the last such run ends with the total line),
+    or at most ``_IDLE_BLOCK`` idle lines, so a writer's memory does not
+    follow the largest step number. The gaps are read off ``trace.sends``:
+    in a trace of :func:`run` every step with an event sends.
     """
-    ids = list(map(packet_id, trace.instance.steps, trace.instance.seqs))
+    inst, log = trace.instance, trace.log
+    ids = list(map(packet_id, inst.steps, inst.seqs))
+    # kind._value_ is the member's own attribute; kind.value is a Python-level property
+    lines = [f"{step} {kind._value_} {ids[i]}\n" for step, kind, i in zip(*log)]
+    lines.append(f"total {format_rat(trace.totals)}\n")
+    start = 0  # the first event line not yet yielded
     prev = 0
-    for step, kind, i in zip(*trace.log):
+    for step in trace.sends:
         if step > prev + 1:
+            end = bisect_left(log.steps, step, start)
+            if end > start:
+                yield "".join(lines[start:end])
             for lo in range(prev + 1, step, _IDLE_BLOCK):
                 yield "".join([f"{t} idle -\n" for t in range(lo, min(lo + _IDLE_BLOCK, step))])
-        yield f"{step} {_KIND_TEXT[kind]} {ids[i]}\n"
+            start = end
         prev = step
-    yield f"total {format_rat(trace.totals)}\n"
+    yield "".join(lines[start:])
 
 
 def format_trace(trace: RunTrace) -> str:

@@ -54,7 +54,7 @@ from fifolab.analysis import (
     format_report,
 )
 from fifolab.cli import experiment_row
-from fifolab.model import ONE, Packet
+from fifolab.model import ONE, Packet, packet_id
 from fifolab.simulate import replay_events
 
 BETA_REF = Fraction(3284, 1000)
@@ -647,6 +647,54 @@ def test_ledger_on_seed_3452_optimum():
     assert verify_ledger(ledger, inst, on, ropt).ok
 
 
+# ROADMAP item 2's two minimal reproducers, shrunk from corpus seed 400 at
+# max_burst 3 (the chain closed by a preemption) and seed 261 at max_burst 4
+# (the chain closed by a rejection)
+SHRUNK_LEDGER_FAILURES = [
+    pytest.param(
+        3,
+        Fraction(5),
+        [(1, 0, "one"), (1, 1, "one"), (2, 0, "one"), (2, 1, "one"), (3, 0, "one"),
+         (4, 0, "alpha"), (5, 0, "alpha"), (6, 0, "one"), (6, 1, "alpha"), (6, 2, "one")],
+        "1 1.1 3 4 5 6 6.1 6.2",
+        "chain head charged twice (step 4, packet 6)",
+        id="preemption-first",
+    ),
+    pytest.param(
+        4,
+        Fraction(3, 2),
+        [(1, 0, "one"), (1, 1, "one"), (2, 0, "one"), (2, 1, "alpha"), (2, 2, "alpha"),
+         (3, 0, "one"), (4, 0, "alpha"), (4, 1, "alpha"), (4, 2, "one")],
+        "1 2.1 2.2 3 4 4.1 4.2",
+        "chain head charged twice (step 2, packet 3)",
+        id="rejection-first",
+    ),
+]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=LedgerError,
+    reason="ROADMAP item 2 falsification candidates: build_ledger charges a chain head "
+    "twice on these optima; flip this test once the item is settled",
+)
+@pytest.mark.parametrize("capacity, alpha, specs, o_ids, message", SHRUNK_LEDGER_FAILURES)
+def test_ledger_on_shrunk_optimum(capacity, alpha, specs, o_ids, message):
+    inst = build_instance(capacity, alpha, specs)
+    chosen = sorted(by_ids(inst, *o_ids.split()))
+    assert total_value(inst, chosen) == brute_force_opt(inst).value
+    on = run(Policy.on(BETA_REF), inst)
+    assert {i for i in on.sends.values() if inst.is_alpha[i]} <= set(chosen)
+    ropt = run_ropt(inst, chosen, on)
+    assert verify_ropt(inst, on, ropt).ok
+    try:
+        ledger = build_ledger(inst, on, ropt)
+    except LedgerError as exc:
+        assert str(exc) == message
+        raise
+    assert verify_ledger(ledger, inst, on, ropt).ok
+
+
 def _optima_containing(inst, required, canonical):
     """Every feasible set that holds `required` and `canonical`'s count of each class.
 
@@ -980,6 +1028,7 @@ def test_non_fifo_trace_rejected(event_log):
         verify_ropt(inst, on, ropt)
     with pytest.raises(ValueError, match="non-FIFO send of 1.1 at step 1"):
         build_ledger(inst, on, ropt)
+    assert "arrivals" not in vars(inst)  # the texts name packets from the columns
 
 
 def test_drop_of_an_unbuffered_packet_rejected(event_log):
@@ -1039,7 +1088,7 @@ def test_ledger_rejects_hand_built_trace(specs, events, message, event_log):
     # the first case defers two evictions out of key order, so the heap of
     # deferred evictions breaks a tie by key
     inst = build_instance(2, Fraction(2), specs)
-    index = {p.id: i for i, p in enumerate(inst.arrivals)}
+    index = {packet_id(step, seq): i for i, (step, seq) in enumerate(zip(inst.steps, inst.seqs))}
     on = RunTrace(
         Policy.on(BETA_REF),
         inst,
@@ -1051,3 +1100,4 @@ def test_ledger_rejects_hand_built_trace(specs, events, message, event_log):
     with pytest.raises(LedgerError) as exc:
         build_ledger(inst, on, RoptTrace(every_packet_in_o, [None] * len(specs), 0, {}, {}))
     assert str(exc.value) == message
+    assert "arrivals" not in vars(inst)  # the texts name packets from the columns

@@ -60,6 +60,20 @@ class TestSimulate:
         out = capsys.readouterr().out
         assert out.endswith("total 11/1\n")
 
+    @pytest.mark.parametrize(
+        "args", [["--policy", "on", "--beta", "2/1"], ["--policy", "greedy"], ["--beta", "0"]]
+    )
+    def test_module_entry_point_matches_main(self, args, tmp_path, capsys):
+        # `python -m fifolab` runs from a checkout, with src on the path only
+        argv = ["simulate", write_demo(tmp_path), *args]
+        env = dict(os.environ, PYTHONPATH=str(Path(fifolab.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "fifolab", *argv], capture_output=True, env=env, timeout=10
+        )
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (done.returncode, done.stdout, done.stderr) == (code, out.encode(), err.encode())
+
     def test_greedy_on_empty(self, tmp_path, capsys):
         path = tmp_path / "empty.txt"
         path.write_text("buffer 2\nalpha 2/1\n")

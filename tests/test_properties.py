@@ -8,6 +8,7 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fifolab import (
@@ -44,14 +45,16 @@ from fifolab.model import (
     PacketClass,
     Rat,
     build_instance,
+    format_rat,
     make_packet,
+    packet_id,
     parse_int,
     parse_rat,
     validate_instance,
 )
 from fifolab.offline import _earliest_sends
 import fifolab.simulate as simulate_module
-from fifolab.simulate import replay_buffer_states, replay_events
+from fifolab.simulate import replay_buffer_states, replay_events, trace_lines
 from test_analysis import _random_feasible_subset, _stretched, value_of
 
 ALPHAS = [Fraction(3, 2), Fraction(2), Fraction(5), Fraction(10), Fraction(10, 3)]
@@ -193,6 +196,75 @@ def test_run_matches_literal_oracle_on_corpus():
         inst = random_instance(GenConfig(seed=seed))
         for policy in (Policy.on(Fraction(3284, 1000)), Policy.on(Fraction(1)), Policy.greedy()):
             _assert_run_matches_oracle(policy, inst)
+
+
+def _literal_trace_lines(trace):
+    """The trace export as first written: one f-string per event line, the
+    kind's text looked up per event, idle runs in ``_IDLE_BLOCK`` chunks."""
+    ids = [packet_id(step, seq) for step, seq in zip(trace.instance.steps, trace.instance.seqs)]
+    block = simulate_module._IDLE_BLOCK
+    prev = 0
+    for step, kind, i in zip(*trace.log):
+        if step > prev + 1:
+            for lo in range(prev + 1, step, block):
+                yield "".join([f"{t} idle -\n" for t in range(lo, min(lo + block, step))])
+        yield f"{step} {kind.value} {ids[i]}\n"
+        prev = step
+    yield f"total {format_rat(trace.totals)}\n"
+
+
+def _is_idle(chunk):
+    return chunk.endswith(" idle -\n")
+
+
+def _assert_export_matches_literal_loop(inst):
+    for policy in (Policy.on(DEFAULT_BETA), Policy.greedy()):
+        trace = run(policy, inst)
+        expected = list(_literal_trace_lines(trace))
+        chunks = list(trace_lines(trace))
+        assert format_trace(trace) == "".join(chunks) == "".join(expected)
+        # idle lines keep their chunks; no chunk mixes idle and event lines
+        assert list(filter(_is_idle, chunks)) == list(filter(_is_idle, expected))
+        assert not any(" idle -\n" in chunk for chunk in chunks if not _is_idle(chunk))
+
+
+def test_trace_export_matches_literal_loop_on_corpus():
+    for seed in range(2000):
+        _assert_export_matches_literal_loop(random_instance(GenConfig(seed=seed)))
+
+
+def test_trace_export_matches_literal_loop_when_dense():
+    # the benchmark's two dense instances at its seed 0: about 1.5 arrivals per step at alpha 2
+    for seed, capacity in enumerate((16, 256)):
+        cfg = GenConfig(
+            capacity_min=capacity,
+            capacity_max=capacity,
+            horizon=1400,
+            max_burst=3,
+            max_packets=None,
+            alpha_choices=(Fraction(2),),
+            seed=seed,
+        )
+        inst = random_instance(cfg)
+        assert len(inst.steps) > 2000
+        assert parse_instance(format_instance(inst)) == inst
+        _assert_export_matches_literal_loop(inst)
+
+
+@pytest.mark.parametrize(
+    "specs",
+    [
+        [(3, 0, "one"), (3, 1, "alpha")],  # first arrival after step 1
+        [(1, 0, "one"), (3, 0, "alpha")],  # a one-step gap
+        [(1, 0, "one"), (1, 1, "one"), (1, 2, "alpha"), (5, 0, "one")],  # a gap after a drain
+        [(1, 0, "alpha"), (2 * simulate_module._IDLE_BLOCK + 7, 0, "one")],  # a gap over two blocks
+        [(98, 0, "one"), (98, 1, "one"), (99, 0, "alpha"), (101, 0, "one"), (101, 1, "alpha")],
+        [(9_998, 0, "one"), (9_999, 0, "one"), (9_999, 1, "alpha"), (10_000, 0, "one")],
+        [(1, 0, "one"), (1, 1, "one"), (1, 2, "one"), (3, 0, "alpha"), (9_999, 0, "one")],
+    ],
+)
+def test_trace_export_matches_literal_loop_across_gaps(specs):
+    _assert_export_matches_literal_loop(build_instance(2, Fraction(2), specs))
 
 
 FRACTIONAL_ALPHAS = [Fraction(7, 3), Fraction(3284, 1000), Fraction(10, 3)]
