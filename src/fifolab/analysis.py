@@ -31,14 +31,17 @@ classes are read off the instance's columns, and ids are rendered only
 to write text. The
 reference schedule jumps over the steps at which its buffer is empty.
 The reference checks and the ledger read the policy's buffer off one
-replay, :func:`~fifolab.simulate.replay_events`. The checks take from it
-the step each packet left: an O-packet is in the policy's buffer at a
-send step t, with its chain live, exactly when the reference sent it by
-t and the policy had not yet sent or dropped it, so the backlog maxima
-and chain disjointness are sweeps over those intervals. The ledger reads
-the replay's live alpha queue at rejections and preemptions; it and its
-check find where a run of alpha sends ends in one lookup. Records
-(checks, charges, chains) are named tuples, and the conservation check
+drain of :func:`~fifolab.simulate.replay_events`, kept on the trace as
+:attr:`~fifolab.simulate.RunTrace.departures`, so :func:`analyze`
+replays the policy once. The checks take from it the step each packet
+left: an O-packet is in the policy's buffer at a send step t, with its
+chain live, exactly when the reference sent it by t and the policy had
+not yet sent or dropped it, so the backlog maxima and chain disjointness
+are sweeps over those intervals. The ledger walks only the drain's drops
+and reads the alpha queue recorded at rejections and preemptions; it
+and its check share the trace's map of where each run of alpha sends
+ends. Records (checks, charges, chains) are named tuples, and the
+conservation check counts the charge amounts that are alpha or 1 and
 compares its sums as scaled integers.
 """
 
@@ -53,19 +56,9 @@ from fractions import Fraction
 from itertools import accumulate, compress
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .model import Instance, Rat, ONE, arrival_indices, format_rat, packet_id, scaled_sum
+from .model import Instance, Rat, ONE, arrival_indices, format_rat, packet_id, packet_ids, scaled_sum
 from .offline import OptResult, _earliest_sends, brute_force_opt, dp_opt, opt_containing
-from .simulate import (
-    ADMITTED,
-    EVICTED,
-    PREEMPTED,
-    REJECTED,
-    SENT,
-    Policy,
-    RunTrace,
-    replay_events,
-    run,
-)
+from .simulate import EVICTED, PREEMPTED, REJECTED, Policy, RunTrace, run
 from .theory import BoundBreakdown, competitive_bound
 
 SENT_BY_BOTH = "sent-by-both"
@@ -223,16 +216,6 @@ def _id(inst: Instance, i: int) -> str:
     return packet_id(inst.steps[i], inst.seqs[i])
 
 
-def _alpha_run_ends(inst: Instance, on: RunTrace) -> dict[int, int]:
-    """Map each step that sends an alpha packet to the last step of its run of alpha sends."""
-    flags = inst.is_alpha
-    ends: dict[int, int] = {}
-    for t, i in reversed(on.sends.items()):
-        if flags[i]:
-            ends[t] = ends.get(t + 1, t)
-    return ends
-
-
 def build_ledger(inst: Instance, on: RunTrace, ropt: RoptTrace) -> ChargeLedger:
     """Materialize the charging scheme over concrete traces.
 
@@ -242,8 +225,8 @@ def build_ledger(inst: Instance, on: RunTrace, ropt: RoptTrace) -> ChargeLedger:
     preemptions before the reference's own send of the step, because
     chain openness is stateful. A 1-value O-packet evicted before the
     reference has sent it gets its charge when that send happens; its
-    chain is built from that very step. Rejections and preemptions read
-    the live alpha queue of the policy's replay.
+    chain is built from that very step. The drops and, at rejections and
+    preemptions, the policy's alpha queue come from ``on.departures``.
     """
     flags = inst.is_alpha
     in_o = ropt.in_o
@@ -298,18 +281,19 @@ def build_ledger(inst: Instance, on: RunTrace, ropt: RoptTrace) -> ChargeLedger:
     # deferred evictions by (reference send step or math.inf, arrival index);
     # each closes its chain once the policy's events of that step are through
     deferred: list[tuple[float, int, int]] = []
-    alpha_run_end = _alpha_run_ends(inst, on)
+    alpha_run_end = on.alpha_run_ends
 
     def reference_sends_before(step: int) -> None:
         while deferred and deferred[0][0] < step:
             _, i, drop_step = heapq.heappop(deferred)
             close_chain(i, i, EVICTED_ONE_CHAIN, drop_step=drop_step)
 
-    for (t, kind, i), ones, alphas in replay_events(on):
+    # only drops push deferred evictions, and a drop pops every one sent
+    # before its step, so popping at drops alone keeps the order of charges
+    departures = on.departures
+    for t, kind, i, ones_buffered, lo, hi in departures.drops:
         if deferred:
             reference_sends_before(t)
-        if kind is SENT or kind is ADMITTED:
-            continue
         is_alpha = flags[i]
         if kind is EVICTED and in_o[i]:
             if is_alpha:
@@ -328,8 +312,9 @@ def build_ledger(inst: Instance, on: RunTrace, ropt: RoptTrace) -> ChargeLedger:
         elif kind is REJECTED and in_o[i]:
             if is_alpha:
                 raise fail("alpha packet self-rejected", t, i)
-            if ones or len(alphas) != inst.capacity:
+            if ones_buffered or hi - lo != inst.capacity:
                 raise fail("rejection without a full all-alpha buffer", t, i)
+            alphas = departures.alphas[lo:hi]
             diagnostics["reject-context-non-o-packets"] += sum(1 for q in alphas if not in_o[q])
             candidates = open_chain_candidates(alphas, t)
             if not candidates:
@@ -340,8 +325,9 @@ def build_ledger(inst: Instance, on: RunTrace, ropt: RoptTrace) -> ChargeLedger:
                 raise fail("alpha packet preempted", t, i)
             if not in_o[i]:
                 continue
-            # only 1-value packets leave in a preemption, so the live
-            # alpha queue still holds the step's alpha context in order
+            # only 1-value packets leave in a preemption, so the alpha
+            # queue still holds the step's alpha context in order
+            alphas = departures.alphas[lo:hi]
             candidates = open_chain_candidates(alphas, t)
             if candidates:
                 close_chain(candidates[0], i, PREEMPTED_OPEN_CHAIN, drop_step=t)
@@ -414,9 +400,9 @@ def verify_ropt(inst: Instance, on: RunTrace, ropt: RoptTrace) -> AnalysisReport
     and the buffered-backlog diagnostic with both the alpha-only and
     any-value counts against the bound B*beta/(alpha+beta).
 
-    The replay of the policy's buffer gives the step at which each packet
-    left it; the live chains at every send step are then interval sweeps
-    over those departures.
+    The replay of the policy's buffer (``on.departures``) gives the step
+    at which each packet left it; the live chains at every send step are
+    then interval sweeps over those departures.
     """
     in_o = ropt.in_o
     o_idx = [i for i, member in enumerate(in_o) if member]
@@ -453,17 +439,8 @@ def verify_ropt(inst: Instance, on: RunTrace, ropt: RoptTrace) -> AnalysisReport
         _result("send-precedence", not late, f"reference later than policy at {late}" if late else "")
     )
 
-    # leave[i]: the step packet i left the policy's buffer, math.inf while
-    # it is still there at the end, None if it never entered
-    leave: list[float | None] = [None] * len(in_o)
-    on_steps: list[int] = []  # the policy's send steps
-    for (t, kind, i), _, _ in replay_events(on):
-        if kind is ADMITTED:
-            leave[i] = math.inf
-        elif kind is not REJECTED:
-            leave[i] = t
-            if kind is SENT:
-                on_steps.append(t)
+    # leave[i]: the step packet i left the policy's buffer (see Departures)
+    leave, on_steps = on.departures.left, on.departures.send_steps
 
     # An O-packet z is in the policy's buffer just after its send at step t,
     # with the reference already through it, exactly when
@@ -539,6 +516,27 @@ def verify_ropt(inst: Instance, on: RunTrace, ropt: RoptTrace) -> AnalysisReport
     return AnalysisReport(tuple(checks))
 
 
+def _charge_sum(amounts: Iterable[Rat], alpha: Rat) -> tuple[int, int]:
+    """Exact sum of charge amounts as an unreduced (numerator, denominator) pair.
+
+    The ledger's amounts are the very objects ``alpha`` and ONE, so those
+    are counted by identity; any other amount goes through
+    :func:`~fifolab.model.scaled_sum`.
+    """
+    alphas = ones = 0
+    other = []
+    for v in amounts:
+        if v is alpha:
+            alphas += 1
+        elif v is ONE:
+            ones += 1
+        else:
+            other.append(v)
+    a, b = alpha.as_integer_ratio()
+    num, den = scaled_sum(other)
+    return (alphas * a + ones * b) * den + num * b, b * den
+
+
 def verify_ledger(
     ledger: ChargeLedger, inst: Instance, on: RunTrace, ropt: RoptTrace
 ) -> AnalysisReport:
@@ -554,8 +552,8 @@ def verify_ledger(
     checks: list[CheckResult] = []
 
     # both sides as integer ratios, compared cross-multiplied
-    ropt_num, ropt_den = scaled_sum([rec.amount for rec in ledger.ropt_charges])
-    on_num, on_den = scaled_sum(ledger.on_charges.values())
+    ropt_num, ropt_den = _charge_sum([rec.amount for rec in ledger.ropt_charges], inst.alpha)
+    on_num, on_den = _charge_sum(ledger.on_charges.values(), inst.alpha)
     a, b = inst.alpha.as_integer_ratio()
     o_alphas = sum(compress(inst.is_alpha, in_o))
     expected = (sum(in_o) - o_alphas) * b + o_alphas * a  # over b
@@ -591,7 +589,7 @@ def verify_ledger(
     checks.append(_result("interval-exclusive", not exclusivity_breach, exclusivity_breach))
 
     # the first step of [lo, hi] that is no alpha send follows the run of alpha sends from lo
-    alpha_run_end = _alpha_run_ends(inst, on)
+    alpha_run_end = on.alpha_run_ends
     impure = ""
     for rec in ledger.ropt_charges:
         if rec.interval is None:
@@ -624,15 +622,15 @@ def verify_ledger(
     else:
         checks.append(CheckResult("chain-heads", CheckStatus.PASS))
 
-    head_charges = Counter(
-        rec.step for rec in ledger.ropt_charges if rec.kind in CHAIN_CHARGE_KINDS
-    )
-    duplicates = sorted(s for s, n in head_charges.items() if n > 1)
+    head_steps = [rec.step for rec in ledger.ropt_charges if rec.kind in CHAIN_CHARGE_KINDS]
+    duplicates = []
+    if len(set(head_steps)) < len(head_steps):
+        duplicates = sorted(s for s, n in Counter(head_steps).items() if n > 1)
     closed = sum(1 for chain in ledger.chains if chain.closing_charge is not None)
     checks.append(
         _result(
             "single-closure",
-            not duplicates and closed == head_charges.total(),
+            not duplicates and closed == len(head_steps),
             f"duplicated head charges at {duplicates}" if duplicates else "",
         )
     )
@@ -765,7 +763,7 @@ def format_ledger(ledger: ChargeLedger) -> str:
     Ids are rendered from the instance's columns. Charges sort by (step or
     interval start, arrival index): key order, in a valid instance.
     """
-    ids = list(map(packet_id, ledger.instance.steps, ledger.instance.seqs))
+    ids = packet_ids(ledger.instance.steps, ledger.instance.seqs)
     lines = [f"on {t} {format_rat(ledger.on_charges[t])}" for t in sorted(ledger.on_charges)]
     def anchor(rec: ChargeRecord) -> tuple[int, int]:
         return (rec.interval[0] if rec.step is None else rec.step, rec.packet)

@@ -116,6 +116,11 @@ def packet_id(step: int, seq: int) -> str:
     return str(step) if seq == 0 else f"{step}.{seq}"
 
 
+def packet_ids(steps: Iterable[int], seqs: Iterable[int]) -> list[str]:
+    """:func:`packet_id` of each row of two key columns, with no call per row."""
+    return [str(step) if seq == 0 else f"{step}.{seq}" for step, seq in zip(steps, seqs)]
+
+
 def make_packet(step: int, seq: int, klass: PacketClass | str) -> Packet:
     return Packet(ArrivalKey(step, seq), PacketClass(klass))
 

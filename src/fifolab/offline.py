@@ -16,7 +16,8 @@ one; adding a packet at step s lifts F at every step from s on, so the
 greedy tests each offered packet with a suffix maximum and a running
 minimum of F, and runs each of its two phases in linear time. The
 earliest-send pass then gives the optimum's schedule, and :func:`dp_opt`
-certifies its value with a tight bound, one integer pass per class. Every
+certifies its value with a tight bound, one integer pass per class that
+makes two comparisons and no call per packet. Every
 packet subset taken or returned is arrival indices: a required subset
 comes in as indices, and an optimum (:class:`OptResult`) goes out as its
 ascending indices and send steps, so no packet is hashed. An
@@ -161,7 +162,8 @@ def dp_opt(inst: Instance) -> Rat:
     A schedule sends the packets released in steps [l, r] within [l, r + B - 1],
     so :func:`_cover` bounds |S & X| for a packet set X and every feasible S, and
     value(S) <= (alpha - 1) * cover(alpha packets) + cover(all packets). The bound
-    is attained (Konig's theorem), so a feasible set reaching it is optimal.
+    is attained (Konig's theorem), so a feasible set reaching it is optimal. Each
+    pass compares integers and calls no builtin per packet.
     """
     a, b = inst.alpha.numerator, inst.alpha.denominator
     alpha_steps = compress(inst.steps, inst.is_alpha)
@@ -171,11 +173,18 @@ def dp_opt(inst: Instance) -> Rat:
 def _cover(steps: Iterable[int], capacity: int) -> int:
     """Least cost of covering ascending `steps` by disjoint windows of release steps.
 
-    A packet left out costs 1 and a window [l, r] costs r - l + capacity. `low` is the
-    least (cover before l) - l so far; its start, a window from step 0, never wins (steps start at 1).
+    A packet left out costs 1 and a window [l, r] costs r - l + capacity. `base` is the
+    least (cover before l) - l + capacity so far, so a window ending at `step` costs
+    base + step; its start, a window from step 0, never wins (steps start at 1). Each
+    packet takes two integer comparisons and no call.
     """
-    cover = low = 0
+    cover = 0
+    base = capacity
     for step in steps:
-        low = min(low, cover - step)
-        cover = min(cover + 1, low + step + capacity)
+        if cover + capacity - step < base:
+            base = cover + capacity - step
+        if base + step <= cover:
+            cover = base + step
+        else:
+            cover += 1
     return cover

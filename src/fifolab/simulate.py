@@ -26,14 +26,16 @@ event-free steps before the last event, which the run jumps over and
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Mapping, NamedTuple
 
-from .model import Instance, Rat, format_rat, packet_id, value_sum
+from .model import Instance, Rat, format_rat, packet_id, packet_ids, value_sum
 
 
 class EventKind(Enum):
@@ -108,6 +110,27 @@ class Policy:
         return "greedy"
 
 
+class Departures(NamedTuple):
+    """What the analysis reads off one replay of a trace's buffer (:func:`replay_events`).
+
+    ``left[i]`` is the step at which arrival ``i`` left the buffer,
+    ``math.inf`` while it is still there at the end, None if it never
+    entered. ``send_steps`` are the steps of the log's sends, in order.
+    ``drops`` lists the evictions, rejections and preemptions in event
+    order as ``(step, kind, arrival, ones_buffered, lo, hi)``: just after
+    the drop, whether a 1-value packet was buffered, and the alpha queue
+    as ``alphas[lo:hi]``. While every alpha packet leaves from the front
+    of the alpha queue, as in a trace of :func:`run`, ``alphas`` lists the
+    admitted alpha packets in order, so a window costs O(1) to record;
+    after the first that does not, each drop appends a copy of the queue.
+    """
+
+    left: list[float | None]
+    send_steps: list[int]
+    drops: list[tuple[int, EventKind, int, bool, int, int]]
+    alphas: list[int]
+
+
 @dataclass(frozen=True)
 class RunTrace:
     """A policy's run: its event log, its sends and the value it delivered.
@@ -126,6 +149,53 @@ class RunTrace:
     def events(self) -> tuple[StepEvent, ...]:
         """The log as one :class:`StepEvent` per event, built on each read."""
         return tuple(map(StepEvent, *self.log))
+
+    @cached_property
+    def departures(self) -> Departures:
+        """One drain of :func:`replay_events`, kept on first read.
+
+        A trace that the replay rejects raises its ValueError on every read.
+        """
+        flags = self.instance.is_alpha
+        left: list[float | None] = [None] * len(flags)
+        send_steps: list[int] = []
+        drops: list[tuple[int, EventKind, int, bool, int, int]] = []
+        alphas: list[int] = []
+        # while every alpha packet left from the front, the alpha queue is
+        # the last len(alpha_queue) entries of alphas
+        in_order = True
+        for (t, kind, i), ones, alpha_queue in replay_events(self):
+            if kind is ADMITTED:
+                left[i] = math.inf
+                if flags[i]:
+                    alphas.append(i)
+            elif kind is SENT:
+                # the replay checked that a send takes the front of its queue
+                left[i] = t
+                send_steps.append(t)
+            else:
+                hi = len(alphas)
+                lo = hi - len(alpha_queue)
+                if kind is not REJECTED:
+                    left[i] = t
+                    if in_order and flags[i]:
+                        in_order = alphas[lo - 1] == i  # the entry just before the queue
+                if not in_order:
+                    lo = len(alphas)
+                    alphas += alpha_queue
+                    hi = len(alphas)
+                drops.append((t, kind, i, bool(ones), lo, hi))
+        return Departures(left, send_steps, drops, alphas)
+
+    @cached_property
+    def alpha_run_ends(self) -> dict[int, int]:
+        """Map each step that sends an alpha packet to the last step of its run of alpha sends."""
+        flags = self.instance.is_alpha
+        ends: dict[int, int] = {}
+        for t, i in reversed(self.sends.items()):
+            if flags[i]:
+                ends[t] = ends.get(t + 1, t)
+        return ends
 
 
 def run(policy: Policy, inst: Instance) -> RunTrace:
@@ -270,7 +340,7 @@ def trace_lines(trace: RunTrace) -> Iterator[str]:
     in a trace of :func:`run` every step with an event sends.
     """
     inst, log = trace.instance, trace.log
-    ids = list(map(packet_id, inst.steps, inst.seqs))
+    ids = packet_ids(inst.steps, inst.seqs)
     # kind._value_ is the member's own attribute; kind.value is a Python-level property
     lines = [f"{step} {kind._value_} {ids[i]}\n" for step, kind, i in zip(*log)]
     lines.append(f"total {format_rat(trace.totals)}\n")

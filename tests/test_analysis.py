@@ -41,6 +41,7 @@ from fifolab import (
 )
 import fifolab.analysis as analysis_module
 import fifolab.model as model_module
+import fifolab.simulate as simulate_module
 from fifolab.analysis import (
     EVICTED_ALPHA_INTERVAL,
     EVICTED_ONE_CHAIN,
@@ -133,18 +134,18 @@ class TestVerifyRopt:
         report = verify_ropt(inst, on, run_ropt(inst, set(), on))
         assert report.ok
 
-    def test_checks_and_ledger_replay_the_policy_once_each(self, monkeypatch):
-        replayed = []
+    def test_checks_and_ledger_share_one_replay(self, monkeypatch):
+        drained = []
 
         def counting_replay(trace):
-            replayed.append(trace)
-            return replay_events(trace)
+            drained.append(trace)
+            yield from replay_events(trace)
 
-        monkeypatch.setattr(analysis_module, "replay_events", counting_replay)
+        monkeypatch.setattr(simulate_module, "replay_events", counting_replay)
         inst, on, chosen = demo_setup()
         ropt = run_ropt(inst, chosen, on)
         report = verify_ropt(inst, on, ropt)
-        assert len(replayed) == 1 and replayed[0] is on
+        assert drained == [on]
         assert [c.name for c in report.checks] == [
             "ropt-capacity",
             "ropt-sends-all",
@@ -153,8 +154,14 @@ class TestVerifyRopt:
             "backlog-bound",
         ]
         assert report.ok
-        build_ledger(inst, on, ropt)
-        assert len(replayed) == 2 and replayed[1] is on
+        verify_ledger(build_ledger(inst, on, ropt), inst, on, ropt)
+        assert drained == [on]
+        # analyze drains the policy's replay exactly once, to the end
+        for seed in range(300):
+            drained.clear()
+            result = analyze(random_instance(GenConfig(seed=seed)), BETA_REF)
+            assert drained == [result.on]
+        assert result.ledger is not None  # the last analysis reached the ledger
 
     def test_backlog_diagnostic_reports_counts(self):
         inst, on, chosen = demo_setup()
@@ -844,6 +851,38 @@ def test_corpus_analyze_digest():
         row = ",".join(experiment_row(seed, inst, result))
         digest.update(f"{format_report(result.report)}{ledger}{row}\n".encode())
     assert digest.hexdigest() == CORPUS_ANALYZE_DIGEST
+
+
+def _large_config(capacity, horizon, alpha, seed, max_packets=None):
+    return GenConfig(
+        capacity_min=capacity, capacity_max=capacity, horizon=horizon, max_burst=3,
+        max_packets=max_packets, alpha_choices=(alpha,), seed=seed,
+    )
+
+
+# sha256 of the check table and the ledger export (or the LedgerError text) of
+# analyze on whole large instances; a different digest is a change of behaviour
+@pytest.mark.parametrize(
+    "cfg, digest",
+    [
+        # the benchmark's dense instances, n about 2,100
+        (_large_config(16, 1400, Fraction(2), 0), "af4ba0f148a382d8e0d398bfddb2a3f083a33aee6b96b5c3255505569600c7b5"),
+        (_large_config(256, 1400, Fraction(2), 1), "2c31f06b2a9f1d3ad4ea7922f477a0fe22c1539b4cc35b9edf1ec4c120934c24"),
+        # n = 10^4, B = 10^3; at alpha 5 the policy preempts, so the ledger
+        # reads the policy's alpha queue at about 1,600 preemptions of O-packets
+        (
+            _large_config(1000, 6897, Fraction(5), 1, max_packets=10_000),
+            "2fa14008f5153229f99687ea73494fdd230f742cd8b7b0d5dcc10e9479f61bd2",
+        ),
+    ],
+    ids=["dense-B16", "dense-B256", "n1e4-B1000"],
+)
+def test_analyze_digest_at_scale(cfg, digest):
+    inst = random_instance(cfg)
+    result = analyze(inst, BETA_REF)
+    ledger = "-\n" if result.ledger is None else format_ledger(result.ledger)
+    text = format_report(result.report) + ledger
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_analyze_hashes_no_packet(monkeypatch):

@@ -7,12 +7,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SPARSE_SEED_0_DIGEST = "6b6e8d6fbbc5df5d94c2c59000d6c42961d2fb329e2f9701d579ffcaad56c2cf"
+DENSE_SEED_0_DIGEST = "fb252b17075084f0fcd0eb50a2184465af953d92450de5f539a1bac3d507fb89"
 
 
-def test_sparse_workload_runs_clean():
+def _run_clean(workload, digest):
     # a fresh process with a deadline: a renamed public name fails here, not in the benchmark
     done = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "sparse", "--seed", "0", "--seconds", "1"],
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "0", "--seconds", "1"],
         cwd=ROOT,
         capture_output=True,
         text=True,
@@ -24,4 +25,13 @@ def test_sparse_workload_runs_clean():
     assert result["correct"] is True
     assert result["failed"] == 0
     # the hash of every trace, optimum, report and ledger the run produced
-    assert json.loads(info_line)["info"]["digest"] == SPARSE_SEED_0_DIGEST
+    assert json.loads(info_line)["info"]["digest"] == digest
+
+
+def test_sparse_workload_runs_clean():
+    _run_clean("sparse", SPARSE_SEED_0_DIGEST)
+
+
+def test_dense_workload_runs_clean():
+    # dense runs analyze on the 14-packet windows of both of its instances
+    _run_clean("dense", DENSE_SEED_0_DIGEST)

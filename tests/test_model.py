@@ -6,6 +6,7 @@ from hypothesis import example, given, strategies as st
 
 from fifolab import (
     ArrivalKey,
+    GenConfig,
     Instance,
     InstanceParseError,
     InvalidInstanceError,
@@ -18,12 +19,13 @@ from fifolab import (
     opt_containing,
     parse_instance,
     parse_rat,
+    random_instance,
     run,
     run_ropt,
     total_value,
     validate_instance,
 )
-from fifolab.model import Packet, PacketClass, arrival_indices, scaled_sum
+from fifolab.model import Packet, PacketClass, arrival_indices, packet_id, packet_ids, scaled_sum
 from test_properties import instances
 
 
@@ -315,3 +317,19 @@ class TestIdentity:
         for (step, seq), packet in ((a, pa), (b, pb)):
             assert packet.id == (str(step) if seq == 0 else f"{step}.{seq}")
         assert (pa.id == pb.id) == (a == b)
+
+    def test_packet_ids_render_each_row_as_packet_id(self):
+        dense = GenConfig(
+            capacity_min=16, capacity_max=16, horizon=1400, max_burst=3,
+            max_packets=None, alpha_choices=(Fraction(2),), seed=0,
+        )
+        sources = [random_instance(dense)] + [random_instance(GenConfig(seed=s)) for s in range(200)]
+        # seq 0, multi-digit steps and seqs, and a seq longer than its step
+        edge = build_instance(3, Fraction(2), [(1, 0, "one"), (1, 10, "one"), (123, 0, "alpha"),
+                                               (123, 45, "one"), (7, 1234, "alpha")])
+        for inst in sources + [edge]:
+            ids = packet_ids(inst.steps, inst.seqs)
+            assert ids == [packet_id(step, seq) for step, seq in zip(inst.steps, inst.seqs)]
+        assert ids == ["1", "1.10", "7.1234", "123", "123.45"]
+        assert any(seq == 0 for seq in sources[0].seqs) and any(seq > 0 for seq in sources[0].seqs)
+        assert packet_ids((), ()) == []

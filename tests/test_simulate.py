@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
 
 from fifolab import (
     EventKind,
+    GenConfig,
     Instance,
     InvalidInstanceError,
     Policy,
@@ -13,9 +15,10 @@ from fifolab import (
     demo_instance,
     format_trace,
     greedy_blocking,
+    random_instance,
     run,
 )
-from fifolab.simulate import replay_buffer_states
+from fifolab.simulate import replay_buffer_states, replay_events
 
 GREEDY = Policy.greedy()
 
@@ -336,3 +339,73 @@ total 11/1
 def test_trace_export_golden():
     trace = run(Policy.on(Fraction(2)), demo_instance(Fraction(2)))
     assert format_trace(trace) == EXPECTED_DEMO_TRACE
+
+
+def _departures_from_the_replay(trace):
+    """What ``trace.departures`` holds, read off a literal walk of ``replay_events``."""
+    left = [None] * len(trace.instance.steps)
+    send_steps, drops = [], []
+    for (t, kind, i), ones, alphas in replay_events(trace):
+        if kind is EventKind.ADMITTED:
+            left[i] = math.inf
+        elif kind is not EventKind.REJECTED:
+            left[i] = t
+        if kind is EventKind.SENT:
+            send_steps.append(t)
+        elif kind is not EventKind.ADMITTED:
+            drops.append((t, kind, i, bool(ones), list(alphas)))
+    return left, send_steps, drops
+
+
+def _departures_read(trace):
+    d = trace.departures
+    return d.left, d.send_steps, [(t, k, i, ones, d.alphas[lo:hi]) for t, k, i, ones, lo, hi in d.drops]
+
+
+@pytest.mark.parametrize("policy", [Policy.on(Fraction(3284, 1000)), GREEDY], ids=["on", "greedy"])
+def test_departures_match_the_replay(policy):
+    # corpus instances, and B = 64 bursts that reject and preempt against a full alpha queue
+    sources = [random_instance(GenConfig(seed=seed)) for seed in range(300)]
+    for seed, alpha in enumerate((Fraction(3, 2), Fraction(5))):
+        sources.append(random_instance(GenConfig(
+            capacity_min=64, capacity_max=64, horizon=300, max_burst=5,
+            max_packets=None, alpha_choices=(alpha,), seed=seed,
+        )))
+    kinds = set()
+    for inst in sources:
+        trace = run(policy, inst)
+        assert _departures_read(trace) == _departures_from_the_replay(trace)
+        assert trace.departures is trace.departures  # drained once
+        kinds.update(drop[1] for drop in trace.departures.drops)
+    expected = {EventKind.EVICTED, EventKind.REJECTED}
+    if policy.kind == "on":
+        expected.add(EventKind.PREEMPTED)
+    assert kinds == expected
+
+
+def test_departures_copy_the_alpha_queue_once_it_leaves_out_of_order(event_log):
+    # a hand-built trace that evicts the second buffered alpha packet, then
+    # rejects and preempts: the alpha queue is no longer a run of admissions
+    inst = build_instance(
+        3, Fraction(2), [(1, 0, "alpha"), (1, 1, "alpha"), (1, 2, "one"), (1, 3, "alpha"), (1, 4, "one")]
+    )
+    trace = RunTrace(
+        on(2),
+        inst,
+        event_log(
+            [
+                (1, EventKind.ADMITTED, 0),
+                (1, EventKind.ADMITTED, 1),
+                (1, EventKind.ADMITTED, 2),
+                (1, EventKind.EVICTED, 1),
+                (1, EventKind.ADMITTED, 3),
+                (1, EventKind.REJECTED, 4),
+                (1, EventKind.PREEMPTED, 2),
+                (1, EventKind.SENT, 0),
+            ]
+        ),
+        {1: 0},
+        Fraction(2),
+    )
+    assert _departures_read(trace) == _departures_from_the_replay(trace)
+    assert [alphas for *_, alphas in _departures_read(trace)[2]] == [[0], [0, 3], [0, 3]]
