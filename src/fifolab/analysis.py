@@ -40,9 +40,15 @@ not yet sent or dropped it, so the backlog maxima and chain disjointness
 are sweeps over those intervals. The ledger walks only the drain's drops
 and reads the alpha queue recorded at rejections and preemptions; it
 and its check share the trace's map of where each run of alpha sends
-ends. Records (checks, charges, chains) are named tuples, and the
-conservation check counts the charge amounts that are alpha or 1 and
-compares its sums as scaled integers.
+ends. Records (checks, charges, chains) are named tuples, and a passing
+check without a detail is one shared record per check name. The
+reference checks make one pass over O, and the ledger checks one pass
+over the reference's charges. The conservation check counts the charge
+amounts that are alpha or 1 and compares its sums as scaled integers;
+the ratio report tests ``ratio <= bound`` by cross-multiplying integer
+numerators and denominators, and reads the bound from
+:func:`~fifolab.theory.competitive_bound`'s memo, which is keyed on
+integers, so no step of :func:`analyze` hashes a Fraction.
 """
 
 from __future__ import annotations
@@ -53,6 +59,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, compress
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -233,19 +240,17 @@ def build_ledger(inst: Instance, on: RunTrace, ropt: RoptTrace) -> ChargeLedger:
     alpha = inst.alpha
     send_time = ropt.send_time
 
-    on_charges: dict[int, Rat] = {}
-    charges: list[ChargeRecord] = []
+    values = (ONE, alpha)  # indexed by the alpha flag
+    on_charges: dict[int, Rat] = {t: values[flags[i]] for t, i in on.sends.items()}
+    charges = [
+        ChargeRecord(i, SENT_BY_BOTH, values[flags[i]], t) for t, i in on.sends.items() if in_o[i]
+    ]
     diagnostics = {
         "deferred-evictions": 0,
         "preempt-fallthrough-with-closed-chains": 0,
         "reject-context-non-o-packets": 0,
         "null-head-chains": 0,
     }
-
-    for t, i in on.sends.items():
-        value = on_charges[t] = alpha if flags[i] else ONE
-        if in_o[i]:
-            charges.append(ChargeRecord(i, SENT_BY_BOTH, value, step=t))
 
     # the closing charge per chain owner, None while its chain is open, in
     # first-touch order: the order of the ledger's chains
@@ -281,7 +286,6 @@ def build_ledger(inst: Instance, on: RunTrace, ropt: RoptTrace) -> ChargeLedger:
     # deferred evictions by (reference send step or math.inf, arrival index);
     # each closes its chain once the policy's events of that step are through
     deferred: list[tuple[float, int, int]] = []
-    alpha_run_end = on.alpha_run_ends
 
     def reference_sends_before(step: int) -> None:
         while deferred and deferred[0][0] < step:
@@ -299,7 +303,7 @@ def build_ledger(inst: Instance, on: RunTrace, ropt: RoptTrace) -> ChargeLedger:
             if is_alpha:
                 # the interval always includes the drop step itself, so
                 # the purity check can catch a non-alpha send there
-                end = alpha_run_end.get(t + 1, t)
+                end = on.alpha_run_ends.get(t + 1, t)
                 charges.append(
                     ChargeRecord(i, EVICTED_ALPHA_INTERVAL, alpha, interval=(t, end), drop_step=t)
                 )
@@ -387,8 +391,19 @@ class AnalysisReport:
         return not self.failures
 
 
+_PASS, _FAIL = CheckStatus.PASS, CheckStatus.FAIL  # bound once: each check reads one
+
+
+@lru_cache(maxsize=None)
+def _passed(name: str) -> CheckResult:
+    """The passing result of check `name` with no detail: one record per name, built once."""
+    return CheckResult(name, _PASS)
+
+
 def _result(name: str, ok: bool, detail: str = "") -> CheckResult:
-    return CheckResult(name, CheckStatus.PASS if ok else CheckStatus.FAIL, detail)
+    if ok and not detail:
+        return _passed(name)
+    return CheckResult(name, _PASS if ok else _FAIL, detail)
 
 
 def verify_ropt(inst: Instance, on: RunTrace, ropt: RoptTrace) -> AnalysisReport:
@@ -405,31 +420,50 @@ def verify_ropt(inst: Instance, on: RunTrace, ropt: RoptTrace) -> AnalysisReport
     then interval sweeps over those departures.
     """
     in_o = ropt.in_o
-    o_idx = [i for i, member in enumerate(in_o) if member]
+    o_idx = list(compress(range(len(in_o)), in_o))
     send_time = ropt.send_time
+    steps, flags, capacity = inst.steps, inst.is_alpha, inst.capacity
+    # leave[i]: the step packet i left the policy's buffer (see Departures)
+    leave, on_steps = on.departures.left, on.departures.send_steps
     checks: list[CheckResult] = []
 
-    # the reference accepts O-packets in key order and, by then, has sent
-    # one packet at each send step before the acceptance step
+    # One pass over O. The reference accepts O-packets in key order and, by
+    # then, has sent one packet at each of its send steps before the
+    # acceptance step, so `before` only grows. An O-packet z is in the
+    # policy's buffer just after its send at step t, with the reference
+    # already through it, exactly when send_time(z) <= t < leave(z):
+    # positions [lo, hi) of on_steps, empty when z left by send_time(z), as
+    # a packet both send at one step does. Each such packet owns a live
+    # chain, and their count is the backlog.
     ropt_steps = sorted([t for t in send_time if t is not None])
     capacity_breach = ""
+    before = unsent = 0
+    spans: list[tuple[int, int, int]] = []  # (lo, hi, arrival index)
     for k, i in enumerate(o_idx, start=1):
-        step = inst.steps[i]
-        occupancy = k - bisect_left(ropt_steps, step)
-        if occupancy > inst.capacity:
-            capacity_breach = f"occupancy {occupancy} at step {step} accepting {_id(inst, i)}"
-            break
+        step = steps[i]
+        before = bisect_left(ropt_steps, step, before)
+        if k - before > capacity and not capacity_breach:
+            capacity_breach = f"occupancy {k - before} at step {step} accepting {_id(inst, i)}"
+        sent = send_time[i]
+        if sent is None:
+            unsent += 1
+            continue
+        left = leave[i]
+        if left is None or left <= sent:
+            continue
+        lo = bisect_left(on_steps, sent)
+        hi = bisect_left(on_steps, left, lo)
+        if lo < hi:
+            spans.append((lo, hi, i))
     checks.append(_result("ropt-capacity", not capacity_breach, capacity_breach))
 
-    missing = sorted([_id(inst, i) for i in o_idx if send_time[i] is None])
-    extra = sorted([_id(inst, i) for i, t in enumerate(send_time) if t is not None and not in_o[i]])
-    checks.append(
-        _result(
-            "ropt-sends-all",
-            not missing and not extra,
-            f"missing={missing} extra={extra}" if missing or extra else "",
-        )
-    )
+    # sends outside O: every send minus those of the O-packets
+    if unsent or len(send_time) - send_time.count(None) != len(o_idx) - unsent:
+        missing = sorted([_id(inst, i) for i in o_idx if send_time[i] is None])
+        extra = sorted([_id(inst, i) for i, t in enumerate(send_time) if t is not None and not in_o[i]])
+        checks.append(_result("ropt-sends-all", False, f"missing={missing} extra={extra}"))
+    else:
+        checks.append(_passed("ropt-sends-all"))
 
     late = []
     for t, i in on.sends.items():
@@ -439,31 +473,18 @@ def verify_ropt(inst: Instance, on: RunTrace, ropt: RoptTrace) -> AnalysisReport
         _result("send-precedence", not late, f"reference later than policy at {late}" if late else "")
     )
 
-    # leave[i]: the step packet i left the policy's buffer (see Departures)
-    leave, on_steps = on.departures.left, on.departures.send_steps
-
-    # An O-packet z is in the policy's buffer just after its send at step t,
-    # with the reference already through it, exactly when
-    # send_time(z) <= t < leave(z): positions [lo, hi) of on_steps.
-    # Each such packet owns a live chain, and their count is the backlog.
-    any_diff = [0] * (len(on_steps) + 1)
-    alpha_diff = [0] * (len(on_steps) + 1)
-    spans: list[tuple[int, int, int]] = []  # (lo, hi, arrival index)
-    for i in o_idx:
-        sent, left = send_time[i], leave[i]
-        if sent is None or left is None:
-            continue
-        lo = bisect_left(on_steps, sent)
-        hi = bisect_left(on_steps, left, lo)
-        if lo < hi:
+    max_any = max_alpha = 0
+    if spans:
+        any_diff = [0] * (len(on_steps) + 1)
+        alpha_diff = [0] * (len(on_steps) + 1)
+        for lo, hi, i in spans:
             any_diff[lo] += 1
             any_diff[hi] -= 1
-            if inst.is_alpha[i]:
+            if flags[i]:
                 alpha_diff[lo] += 1
                 alpha_diff[hi] -= 1
-            spans.append((lo, hi, i))
-    max_any = max(accumulate(any_diff))
-    max_alpha = max(accumulate(alpha_diff))
+        max_any = max(accumulate(any_diff))
+        max_alpha = max(accumulate(alpha_diff))
 
     # Chains that share any step share their head, the first step of each,
     # so live chains overlap where two spans with one head overlap. In a
@@ -546,13 +567,30 @@ def verify_ledger(
     contain only alpha sends); exclusivity (no alpha-eviction charge
     drops inside a preemption interval); closed-chain head shape (the
     policy sends a 1-value non-O packet there, idle heads reported as
-    warnings); and single closure per head.
+    warnings); and single closure per head. One pass over the reference's
+    charges sorts out what each check reads.
     """
     in_o = ropt.in_o
     checks: list[CheckResult] = []
+    amounts: list[Rat] = []
+    eviction_drops: list[int] = []  # ascending: the ledger records alpha evictions in event order
+    preemptions: list[tuple[int, int]] = []
+    intervals: list[ChargeRecord] = []
+    head_steps: list[int] = []
+    for rec in ledger.ropt_charges:
+        amounts.append(rec.amount)
+        if rec.interval is not None:
+            intervals.append(rec)
+        kind = rec.kind
+        if kind == EVICTED_ALPHA_INTERVAL:
+            eviction_drops.append(rec.drop_step)
+        elif kind == PREEMPTED_INTERVAL:
+            preemptions.append(rec.interval)
+        elif kind in CHAIN_CHARGE_KINDS:
+            head_steps.append(rec.step)
 
     # both sides as integer ratios, compared cross-multiplied
-    ropt_num, ropt_den = _charge_sum([rec.amount for rec in ledger.ropt_charges], inst.alpha)
+    ropt_num, ropt_den = _charge_sum(amounts, inst.alpha)
     on_num, on_den = _charge_sum(ledger.on_charges.values(), inst.alpha)
     a, b = inst.alpha.as_integer_ratio()
     o_alphas = sum(compress(inst.is_alpha, in_o))
@@ -571,62 +609,53 @@ def verify_ledger(
         )
     )
 
-    # ascending: the ledger records alpha evictions in event order
-    eviction_drops = [
-        rec.drop_step for rec in ledger.ropt_charges if rec.kind == EVICTED_ALPHA_INTERVAL
-    ]
     exclusivity_breach = ""
-    for rec in ledger.ropt_charges:
-        if rec.kind != PREEMPTED_INTERVAL:
-            continue
-        lo, hi = rec.interval
-        inside = eviction_drops[bisect_left(eviction_drops, lo) : bisect_right(eviction_drops, hi)]
-        if inside:
-            exclusivity_breach = (
-                f"alpha evictions at {inside} inside preemption interval [{lo}, {hi}]"
-            )
-            break
+    if eviction_drops:
+        for lo, hi in preemptions:
+            inside = eviction_drops[bisect_left(eviction_drops, lo) : bisect_right(eviction_drops, hi)]
+            if inside:
+                exclusivity_breach = (
+                    f"alpha evictions at {inside} inside preemption interval [{lo}, {hi}]"
+                )
+                break
     checks.append(_result("interval-exclusive", not exclusivity_breach, exclusivity_breach))
 
-    # the first step of [lo, hi] that is no alpha send follows the run of alpha sends from lo
-    alpha_run_end = on.alpha_run_ends
+    # the first step of [lo, hi] that is no alpha send follows the run of
+    # alpha sends from lo; a run with no interval charge never builds the map
     impure = ""
-    for rec in ledger.ropt_charges:
-        if rec.interval is None:
-            continue
+    for rec in intervals:
         lo, hi = rec.interval
-        if (end := alpha_run_end.get(lo, lo - 1)) < hi:
+        if (end := on.alpha_run_ends.get(lo, lo - 1)) < hi:
             packet = _id(inst, rec.packet)
             impure = f"interval [{lo}, {hi}] of {packet}: step {end + 1} is not an alpha send"
             break
     checks.append(_result("alpha-send-intervals", not impure, impure))
 
     bad_head = ""
-    null_heads = 0
+    null_heads = closed = 0
     for chain in ledger.chains:
         if chain.closing_charge is None:
             continue
-        q = on.sends.get(chain.head)
+        closed += 1
+        head = chain.steps[0]
+        q = on.sends.get(head)
         if q is None:
             null_heads += 1
-        elif in_o[q] or inst.is_alpha[q]:
+        elif (in_o[q] or inst.is_alpha[q]) and not bad_head:
             what = "O-packet" if in_o[q] else "alpha packet"
-            bad_head = f"head {chain.head} of {_id(inst, chain.owner)}'s chain sends {what} {_id(inst, q)}"
-            break
+            bad_head = f"head {head} of {_id(inst, chain.owner)}'s chain sends {what} {_id(inst, q)}"
     if bad_head:
-        checks.append(CheckResult("chain-heads", CheckStatus.FAIL, bad_head))
+        checks.append(CheckResult("chain-heads", _FAIL, bad_head))
     elif null_heads:
         checks.append(
             CheckResult("chain-heads", CheckStatus.WARN, f"{null_heads} closed chain head(s) on idle steps")
         )
     else:
-        checks.append(CheckResult("chain-heads", CheckStatus.PASS))
+        checks.append(_passed("chain-heads"))
 
-    head_steps = [rec.step for rec in ledger.ropt_charges if rec.kind in CHAIN_CHARGE_KINDS]
     duplicates = []
     if len(set(head_steps)) < len(head_steps):
         duplicates = sorted(s for s, n in Counter(head_steps).items() if n > 1)
-    closed = sum(1 for chain in ledger.chains if chain.closing_charge is not None)
     checks.append(
         _result(
             "single-closure",
@@ -655,14 +684,20 @@ class RatioReport:
 def _make_ratio(
     policy: Policy, policy_value: Rat, opt_value: Rat, alpha: Rat, beta: Rat
 ) -> RatioReport:
-    if opt_value == 0:
-        ratio: Rat | None = Fraction(1)
-    elif policy_value == 0:
-        ratio = None
-    else:
-        ratio = opt_value / policy_value
+    # opt/policy <= bound, cross-multiplied over the three positive denominators
     bound = competitive_bound(alpha, beta)
-    within = ratio is not None and ratio <= bound.bound
+    bound_num, bound_den = bound.bound.as_integer_ratio()
+    opt_num, opt_den = opt_value.as_integer_ratio()
+    policy_num, policy_den = policy_value.as_integer_ratio()
+    if not opt_num:
+        ratio: Rat | None = Fraction(1)
+        within = bound_den <= bound_num
+    elif not policy_num:
+        ratio = None
+        within = False
+    else:
+        ratio = Fraction(opt_num * policy_den, opt_den * policy_num)
+        within = opt_num * policy_den * bound_den <= bound_num * opt_den * policy_num
     return RatioReport(policy, policy_value, opt_value, ratio, bound, within)
 
 
@@ -708,17 +743,18 @@ def analyze(inst: Instance, beta: Rat) -> InstanceAnalysis:
     if optimum is None:
         raise RuntimeError("delivered alpha packets must form a deliverable set")
     dp_value = dp_opt(inst)
+    # the details print each value; two Fractions, always in lowest terms,
+    # are equal exactly when their texts are
+    best = str(exhaustive.value)
+    constrained = best if optimum is exhaustive else str(optimum.value)
+    dp_text = str(dp_value)
     checks = [
         _result(
             "optimum-contains-alpha-sends",
-            optimum.value == exhaustive.value,
-            f"constrained {optimum.value} vs unconstrained {exhaustive.value}",
+            constrained == best,
+            f"constrained {constrained} vs unconstrained {best}",
         ),
-        _result(
-            "oracle-agreement",
-            dp_value == exhaustive.value,
-            f"dp {dp_value} vs exhaustive {exhaustive.value}",
-        ),
+        _result("oracle-agreement", dp_text == best, f"dp {dp_text} vs exhaustive {best}"),
     ]
     ropt = run_ropt(inst, optimum.indices, on)
     checks += verify_ropt(inst, on, ropt).checks
@@ -730,7 +766,7 @@ def analyze(inst: Instance, beta: Rat) -> InstanceAnalysis:
         ledger = None
         checks.append(CheckResult("charging-complete", CheckStatus.FAIL, str(exc)))
     else:
-        checks.append(CheckResult("charging-complete", CheckStatus.PASS))
+        checks.append(_passed("charging-complete"))
         checks += verify_ledger(ledger, inst, on, ropt).checks
 
     ratio = _make_ratio(on.policy, on.totals, exhaustive.value, inst.alpha, beta)

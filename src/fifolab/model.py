@@ -165,18 +165,26 @@ def build_instance(
     """
     rows = sorted(specs, key=lambda spec: spec[:2])
     steps, seqs, classes = zip(*rows) if rows else ((), (), ())
-    return Instance(capacity, Fraction(alpha), steps, seqs, tuple([PacketClass(c) is _ALPHA for c in classes]))
+    # a class text is a dict lookup; a member, or a value that is neither
+    # (which raises there), takes the Enum call
+    flag_of = _FLAG_OF_TEXT
+    flags = [flag_of[c] if type(c) is str and c in flag_of else PacketClass(c) is _ALPHA for c in classes]
+    return Instance(capacity, Fraction(alpha), steps, seqs, tuple(flags))
 
 
 def validate_instance(inst: Instance) -> list[str]:
     """Check all instance invariants; an empty list means the instance is ok.
 
     One pass over the columns checks each key, flag and the key order.
+    The capacity, steps and seqs must be ints (a bool is not one here);
+    a packet whose key is not is left out of the order check.
     :class:`Instance` calls this as it is built and raises on any
     violation, so it always finds nothing in an instance that exists.
     """
     violations: list[str] = []
-    if inst.capacity < 1:
+    if type(inst.capacity) is not int:
+        violations.append(f"capacity must be an int, not {type(inst.capacity).__name__}")
+    elif inst.capacity < 1:
         violations.append("capacity must be at least 1")
     if not isinstance(inst.alpha, Fraction):
         violations.append(f"alpha must be a Fraction, not {type(inst.alpha).__name__}")
@@ -188,15 +196,22 @@ def validate_instance(inst: Instance) -> list[str]:
         return violations + [f"column lengths differ: {lengths}"]
     prev_step, prev_seq = -math.inf, 0  # below every step, so the first key is in order
     for step, seq, flag in zip(steps, seqs, flags):
-        if step < 1 or seq < 0:
+        int_key = type(step) is int and type(seq) is int
+        if not int_key:
+            kinds = f"{type(step).__name__} and {type(seq).__name__}"
+            violations.append(f"packet {packet_id(step, seq)}: step and seq must be ints, not {kinds}")
+        elif step < 1 or seq < 0:
             violations.append(f"packet {packet_id(step, seq)}: key ({step},{seq}) out of range")
         if type(flag) is not bool:
             kind = type(flag).__name__
             violations.append(f"packet {packet_id(step, seq)}: is_alpha must be a bool, not {kind}")
-        if step == prev_step and seq == prev_seq:
-            violations.append(f"duplicate key ({step},{seq})")
-        elif step < prev_step or (step == prev_step and seq < prev_seq):
-            violations.append(f"arrivals out of order at packet {packet_id(step, seq)}")
+        if not int_key:
+            continue
+        if step <= prev_step:  # not past the previous key's step: compare the seqs
+            if step < prev_step or seq < prev_seq:
+                violations.append(f"arrivals out of order at packet {packet_id(step, seq)}")
+            elif seq == prev_seq:
+                violations.append(f"duplicate key ({step},{seq})")
         prev_step, prev_seq = step, seq
     return violations
 
@@ -206,7 +221,8 @@ def value_sum(alpha: Rat, ones: int, alphas: int) -> Rat:
 
     Counts in integers scaled by alpha's denominator and builds one Fraction.
     """
-    return Fraction(ones * alpha.denominator + alphas * alpha.numerator, alpha.denominator)
+    a, b = alpha.as_integer_ratio()
+    return Fraction(ones * b + alphas * a, b)
 
 
 def scaled_sum(values: Iterable[Rat]) -> tuple[int, int]:
@@ -231,9 +247,9 @@ def scaled_sum(values: Iterable[Rat]) -> tuple[int, int]:
 def arrival_indices(inst: Instance, indices: Iterable[int]) -> list[int]:
     """`indices` ascending, each once; ValueError for one outside ``range(len(inst.steps))``."""
     idxs = sorted(set(indices))
-    for i in idxs[:1] + idxs[-1:]:  # the least and the greatest
-        if not 0 <= i < len(inst.steps):
-            raise ValueError(f"arrival index {i} out of range for {len(inst.steps)} arrivals")
+    if idxs and not (0 <= idxs[0] and idxs[-1] < len(inst.steps)):
+        i = idxs[0] if idxs[0] < 0 else idxs[-1]  # the least, if it is out of range
+        raise ValueError(f"arrival index {i} out of range for {len(inst.steps)} arrivals")
     return idxs
 
 

@@ -57,7 +57,7 @@ def feasible(inst: Instance, indices: Iterable[int]) -> tuple[bool, dict[int, in
     return True, dict(zip(kept, sends))
 
 
-def _earliest_sends(steps: Sequence[int], capacity: int) -> list[int] | None:
+def _earliest_sends(steps: Iterable[int], capacity: int) -> list[int] | None:
     """Send step of each kept packet, from their release steps in key order.
 
     Each packet goes at its release or one step after the previous send,
@@ -82,30 +82,30 @@ def _best_subset(inst: Instance, required: Iterable[int]) -> OptResult | None:
     the free 1-value packets, each in key order, and keeps each that leaves
     the set feasible. Key order makes the result, among the optima, the one
     with the greatest indicator vector over arrivals (earliest preferred).
+    When every packet fits, that is the whole instance, and the one
+    earliest-send pass that shows it is also the optimum's schedule.
     """
-    steps, alpha = inst.steps, inst.is_alpha
+    steps, alpha, capacity = inst.steps, inst.is_alpha, inst.capacity
     n = len(steps)
     idxs = arrival_indices(inst, required)
-
-    def sends_of(chosen: Iterable[int]) -> list[int] | None:
-        return _earliest_sends([steps[i] for i in chosen], inst.capacity)
-
-    if sends_of(idxs) is None:
+    if idxs and _earliest_sends([steps[i] for i in idxs], capacity) is None:
         return None
-    if sends_of(range(n)) is not None:
-        idxs = list(range(n))
+    sends = _earliest_sends(steps, capacity)
+    if sends is not None:
+        kept_idxs = tuple(range(n))
+        alphas = sum(alpha)
     else:
         kept = [False] * n
         for i in idxs:
             kept[i] = True
-        _keep_fitting(steps, kept, alpha, inst.capacity)
-        _keep_fitting(steps, kept, [not a for a in alpha], inst.capacity)
-        idxs = [i for i in range(n) if kept[i]]
-    sends = sends_of(idxs)
-    if sends is None:
-        raise RuntimeError("internal error: optimizer returned an infeasible subset")
-    alphas = sum([alpha[i] for i in idxs])
-    return OptResult(value_sum(inst.alpha, len(idxs) - alphas, alphas), tuple(idxs), tuple(sends))
+        _keep_fitting(steps, kept, alpha, capacity)
+        _keep_fitting(steps, kept, [not a for a in alpha], capacity)
+        kept_idxs = tuple(compress(range(n), kept))
+        sends = _earliest_sends(compress(steps, kept), capacity)
+        if sends is None:
+            raise RuntimeError("internal error: optimizer returned an infeasible subset")
+        alphas = sum(compress(alpha, kept))
+    return OptResult(value_sum(inst.alpha, len(kept_idxs) - alphas, alphas), kept_idxs, tuple(sends))
 
 
 def _keep_fitting(
@@ -165,7 +165,7 @@ def dp_opt(inst: Instance) -> Rat:
     is attained (Konig's theorem), so a feasible set reaching it is optimal. Each
     pass compares integers and calls no builtin per packet.
     """
-    a, b = inst.alpha.numerator, inst.alpha.denominator
+    a, b = inst.alpha.as_integer_ratio()
     alpha_steps = compress(inst.steps, inst.is_alpha)
     return Fraction((a - b) * _cover(alpha_steps, inst.capacity) + b * _cover(inst.steps, inst.capacity), b)
 

@@ -32,7 +32,6 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterator, Mapping, NamedTuple
 
 from .model import Instance, Rat, format_rat, packet_id, packet_ids, value_sum
@@ -131,6 +130,26 @@ class Departures(NamedTuple):
     alphas: list[int]
 
 
+class _cached:
+    """:func:`functools.cached_property`, less the lock it takes before Python 3.12.
+
+    The first read computes the value and stores it in the instance's
+    ``__dict__``, where every later read finds it without calling this
+    descriptor. A computation that raises stores nothing.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class RunTrace:
     """A policy's run: its event log, its sends and the value it delivered.
@@ -150,13 +169,14 @@ class RunTrace:
         """The log as one :class:`StepEvent` per event, built on each read."""
         return tuple(map(StepEvent, *self.log))
 
-    @cached_property
+    @_cached
     def departures(self) -> Departures:
         """One drain of :func:`replay_events`, kept on first read.
 
         A trace that the replay rejects raises its ValueError on every read.
         """
         flags = self.instance.is_alpha
+        inf = math.inf
         left: list[float | None] = [None] * len(flags)
         send_steps: list[int] = []
         drops: list[tuple[int, EventKind, int, bool, int, int]] = []
@@ -166,7 +186,7 @@ class RunTrace:
         in_order = True
         for (t, kind, i), ones, alpha_queue in replay_events(self):
             if kind is ADMITTED:
-                left[i] = math.inf
+                left[i] = inf
                 if flags[i]:
                     alphas.append(i)
             elif kind is SENT:
@@ -187,7 +207,7 @@ class RunTrace:
                 drops.append((t, kind, i, bool(ones), lo, hi))
         return Departures(left, send_steps, drops, alphas)
 
-    @cached_property
+    @_cached
     def alpha_run_ends(self) -> dict[int, int]:
         """Map each step that sends an alpha packet to the last step of its run of alpha sends."""
         flags = self.instance.is_alpha
@@ -211,8 +231,9 @@ def run(policy: Policy, inst: Instance) -> RunTrace:
     preempts = policy.kind == "on"
     if preempts:
         # alpha * |A| >= beta * |D|, cross-multiplied over both denominators
-        alpha_weight = inst.alpha.numerator * policy.beta.denominator
-        beta_weight = policy.beta.numerator * inst.alpha.denominator
+        alpha_num, alpha_den = inst.alpha.as_integer_ratio()
+        beta_num, beta_den = policy.beta.as_integer_ratio()
+        alpha_weight, beta_weight = alpha_num * beta_den, beta_num * alpha_den
     # the queues hold arrival indices, which ascend in key order
     ones: deque[int] = deque()
     alphas: deque[int] = deque()

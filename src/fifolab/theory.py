@@ -8,6 +8,10 @@ alpha exactly when the quadratic alpha^2 - beta (beta - 1) alpha +
 beta^2 + beta stays positive, i.e. while the cubic
 beta^3 - 2 beta^2 - 3 beta - 4 is negative; the best threshold sits at
 that cubic's positive root (about 3.2844, giving a ratio near 1.3045).
+
+The bounds are memoised on the four integers of alpha's and beta's
+numerators and denominators, so a lookup hashes no Fraction, and
+:func:`optimal_beta` bisects on dyadic rationals held as integers.
 """
 
 from __future__ import annotations
@@ -30,13 +34,8 @@ class BoundBreakdown:
     bound: Rat
 
 
-@lru_cache(maxsize=1024)
-def competitive_bound(alpha: Rat, beta: Rat) -> BoundBreakdown:
-    """Exact evaluation of both regime terms and their maximum, memoised.
-
-    Both arguments are taken as Fractions, so the terms are exact for int
-    arguments too.
-    """
+def _evaluate(alpha: Rat, beta: Rat) -> BoundBreakdown:
+    """Exact evaluation of both regime terms and their maximum, unmemoised."""
     alpha, beta = Fraction(alpha), Fraction(beta)
     if alpha <= 1:
         raise ValueError("alpha must exceed 1")
@@ -45,6 +44,30 @@ def competitive_bound(alpha: Rat, beta: Rat) -> BoundBreakdown:
     first = (1 + beta) / beta
     second = (alpha * alpha + 2 * alpha * beta) / (alpha * alpha + alpha * beta + beta)
     return BoundBreakdown(first, second, max(first, second))
+
+
+@lru_cache(maxsize=1024)
+def _bound_of_ratios(a: int, b: int, c: int, d: int) -> BoundBreakdown:
+    return _evaluate(Fraction(a, b), Fraction(c, d))
+
+
+def competitive_bound(alpha: Rat, beta: Rat) -> BoundBreakdown:
+    """Exact evaluation of both regime terms and their maximum, memoised.
+
+    Both arguments are taken as Fractions, so the terms are exact for int
+    arguments too. The memo is keyed on alpha = a/b and beta = c/d as the
+    integers (a, b, c, d), so equal arguments share an entry whatever
+    their type, and a lookup hashes four ints.
+    """
+    a, b = (alpha if type(alpha) is Fraction else Fraction(alpha)).as_integer_ratio()
+    c, d = (beta if type(beta) is Fraction else Fraction(beta)).as_integer_ratio()
+    return _bound_of_ratios(a, b, c, d)
+
+
+# the memo's controls, and the unmemoised evaluation, as lru_cache exposes them
+competitive_bound.cache_info = _bound_of_ratios.cache_info
+competitive_bound.cache_clear = _bound_of_ratios.cache_clear
+competitive_bound.__wrapped__ = _evaluate
 
 
 def stability_condition(alpha: Rat, beta: Rat) -> bool:
@@ -74,16 +97,20 @@ def discriminant_sign(beta: Rat) -> int:
 def optimal_beta(tol: Rat) -> Rat:
     """Largest threshold (within tol) whose discriminant is non-positive.
 
-    Exact-rational bisection on [3, 4]; the returned value beta* has
-    (1 + beta*) / beta* within tol-resolution of the minimal ratio.
+    Exact bisection on [3, 4]; the returned value beta* has
+    (1 + beta*) / beta* within tol-resolution of the minimal ratio. After
+    k halvings the bracket is [3 + m/2^k, 3 + (m+1)/2^k], so the loop
+    keeps the integers m and k: the midpoint b/d, with d = 2^(k+1), is
+    tested by the sign of b^3 - 2 b^2 d - 3 b d^2 - 4 d^3 (d's powers are
+    shifts), and the loop stops once 1/2^k <= tol. No step reduces a
+    fraction.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    lo, hi = Fraction(3), Fraction(4)
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if discriminant_sign(mid) <= 0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    tol_num, tol_den = tol.as_integer_ratio()
+    m = k = 0
+    while tol_num << k < tol_den:
+        k += 1  # the midpoint is b / 2^k
+        b = (3 << k) + 2 * m + 1
+        m = 2 * m + (((b - (2 << k)) * b - (3 << 2 * k)) * b <= 1 << 3 * k + 2)
+    return Fraction((3 << k) + m, 1 << k)

@@ -904,6 +904,26 @@ def test_analyze_hashes_no_packet(monkeypatch):
     assert calls == 0
 
 
+def test_analyze_hashes_no_fraction(monkeypatch):
+    # the bound memo is keyed on integers, and no lookup inside analyze goes by a value
+    calls = 0
+    real_hash = Fraction.__hash__
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        return real_hash(self)
+
+    instances = [random_instance(GenConfig(seed=seed)) for seed in range(200)]
+    monkeypatch.setattr(Fraction, "__hash__", counted)
+    hash(Fraction(1, 3))
+    assert calls == 1  # the counter is live
+    calls = 0
+    for inst in instances:
+        analyze(inst, BETA_REF)
+    assert calls == 0
+
+
 def _live_packets():
     return sum(1 for obj in gc.get_objects() if type(obj) is Packet)
 

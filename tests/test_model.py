@@ -56,6 +56,28 @@ class TestValidate:
             "packet 1: is_alpha must be a bool, not str",
         )
 
+    def test_capacity_step_and_seq_must_be_ints(self):
+        # at capacity 2.5 the policy never sees a full buffer and delivers all
+        # four packets, while the optimum keeps three: the policy would beat it
+        specs = [(1, s, "one") for s in range(4)]
+        assert violations_of(build_instance, 2.5, Fraction(2), specs) == (
+            "capacity must be an int, not float",
+        )
+        assert violations_of(Instance, True, Fraction(2), (), (), ()) == (
+            "capacity must be an int, not bool",
+        )
+        assert violations_of(Instance, 1, Fraction(2), (1, 1.5), (0, 0), (False, True)) == (
+            "packet 1.5: step and seq must be ints, not float and int",
+        )
+        assert violations_of(Instance, 1, Fraction(2), (1, 2), (0, False), (True, True)) == (
+            "packet 2: step and seq must be ints, not int and bool",
+        )
+        # a key that is no number is reported, not compared
+        assert violations_of(Instance, 1, Fraction(2), ("3", 2), (0, 0), (True, 1)) == (
+            "packet 3: step and seq must be ints, not str and int",
+            "packet 2: is_alpha must be a bool, not int",
+        )
+
     def test_column_lengths_must_agree(self):
         assert violations_of(Instance, 0, Fraction(2), (1, 2), (0,), (True,)) == (
             "capacity must be at least 1",

@@ -22,6 +22,7 @@ from fifolab import (
     StepEvent,
     analyze,
     brute_force_opt,
+    competitive_bound,
     dp_opt,
     feasible,
     format_trace,
@@ -35,7 +36,7 @@ from fifolab import (
     verify_ledger,
     verify_ropt,
 )
-from fifolab.analysis import SENT_BY_BOTH, CheckResult, ChargeRecord
+from fifolab.analysis import SENT_BY_BOTH, CheckResult, ChargeRecord, _make_ratio
 from fifolab.model import (
     ZERO,
     Instance,
@@ -303,6 +304,43 @@ def test_integer_value_sums_match_fraction_sums(inst, alpha, beta):
     assert check.detail == (
         f"reference charges {ropt_total} vs optimum value {fraction_sum(chosen)}; "
         f"policy charges {on_total} vs delivered {fraction_sum(sent_packets(result.on))}"
+    )
+
+
+VALUES = st.fractions(min_value=0, max_value=60, max_denominator=12)
+
+
+@given(
+    policy_value=VALUES,
+    opt_value=VALUES,
+    alpha=st.fractions(min_value=Fraction(13, 12), max_value=12, max_denominator=12),
+    beta=st.fractions(min_value=Fraction(1, 12), max_value=8, max_denominator=1000).filter(bool),
+    tie=st.booleans(),
+)
+# (policy value, opt value, alpha, beta, tie)
+@example(Fraction(0), Fraction(0), Fraction(2), Fraction(2), False)  # both 0: ratio 1
+@example(Fraction(0), Fraction(5, 2), Fraction(5, 2), Fraction(2), False)  # ratio None
+@example(Fraction(3), Fraction(0), Fraction(2), Fraction(2), False)  # opt 0: ratio 1
+@example(Fraction(2), Fraction(3), Fraction(2), Fraction(2), False)  # ratio 3/2 == bound 3/2
+@example(Fraction(7, 3), Fraction(0), Fraction(7, 3), DEFAULT_BETA, True)  # tie at a fractional alpha
+def test_integer_ratio_test_matches_fraction_reference(policy_value, opt_value, alpha, beta, tie):
+    bound = competitive_bound(alpha, beta).bound
+    if tie:
+        opt_value = bound * policy_value  # ratio == bound exactly, or both values 0
+    if opt_value == 0:
+        ratio = Fraction(1)
+    elif policy_value == 0:
+        ratio = None
+    else:
+        ratio = opt_value / policy_value
+    report = _make_ratio(Policy.on(beta), policy_value, opt_value, alpha, beta)
+    assert report.ratio == ratio
+    assert type(report.ratio) is (Fraction if ratio is not None else type(None))
+    assert report.within_bound == (ratio is not None and ratio <= bound)
+    if tie and policy_value:
+        assert report.ratio == bound and report.within_bound
+    assert (report.policy_value, report.opt_value, report.bound) == (
+        policy_value, opt_value, competitive_bound(alpha, beta)
     )
 
 
@@ -1085,7 +1123,9 @@ def test_instance_text_round_trip(inst):
 def _literal_validate(capacity, alpha, packets):
     """Instance validation as first written, one :class:`Packet` at a time."""
     violations = []
-    if capacity < 1:
+    if not isinstance(capacity, int) or isinstance(capacity, bool):
+        violations.append(f"capacity must be an int, not {type(capacity).__name__}")
+    elif capacity < 1:
         violations.append("capacity must be at least 1")
     if not isinstance(alpha, Fraction):
         violations.append(f"alpha must be a Fraction, not {type(alpha).__name__}")
@@ -1093,10 +1133,16 @@ def _literal_validate(capacity, alpha, packets):
         violations.append("alpha must exceed 1")
     prev = None
     for p in packets:
-        if p.key.step < 1 or p.key.seq < 0:
+        key_types = {type(p.key.step), type(p.key.seq)}
+        if key_types != {int}:
+            kinds = f"{type(p.key.step).__name__} and {type(p.key.seq).__name__}"
+            violations.append(f"packet {p.id}: step and seq must be ints, not {kinds}")
+        elif p.key.step < 1 or p.key.seq < 0:
             violations.append(f"packet {p.id}: key ({p.key.step},{p.key.seq}) out of range")
         if not isinstance(p.klass, PacketClass):
             violations.append(f"packet {p.id}: is_alpha must be a bool, not {type(p.klass).__name__}")
+        if key_types != {int}:
+            continue  # a key that is not two ints takes no part in the order
         if prev is not None:
             if p.key == prev.key:
                 violations.append(f"duplicate key ({p.key.step},{p.key.seq})")
@@ -1110,14 +1156,25 @@ def _literal_validate(capacity, alpha, packets):
 def columns(draw):
     """Equal-length step, seq and alpha-flag columns, valid or not."""
     n = draw(st.integers(0, 8))
+    # now and then a key that is a float or a bool, which are not ints here
+    odd = st.sampled_from([1.5, 2.0, True, False])
     return tuple(
         tuple(draw(st.lists(values, min_size=n, max_size=n)))
-        for values in (st.integers(-1, 6), st.integers(-1, 3), st.booleans())
+        for values in (
+            st.integers(-1, 6) | odd,
+            st.integers(-1, 3) | odd,
+            st.booleans(),
+        )
     )
 
 
-@given(st.integers(0, 2), st.sampled_from([Fraction(1), Fraction(2), 2]), columns())
+@given(
+    st.integers(0, 2) | st.sampled_from([2.5, True]),
+    st.sampled_from([Fraction(1), Fraction(2), 2]),
+    columns(),
+)
 @example(1, Fraction(2), ((2, 1, 1, 0), (0, 3, 3, -1), (True, False, True, False)))
+@example(2.5, Fraction(2), ((1, 1.5, 2), (0, True, 0), (True, False, True)))
 def test_validation_matches_literal_oracle(capacity, alpha, cols):
     try:
         Instance(capacity, alpha, *cols)

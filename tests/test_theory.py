@@ -126,6 +126,45 @@ class TestOptimalBeta:
         assert discriminant_sign(beta + 2 * tol) > 0
 
 
+def _fraction_bisection(tol):
+    """The literal bisection: halve [3, 4] in Fractions until it is no wider than tol."""
+    lo, hi = Fraction(3), Fraction(4)
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        if discriminant_sign(mid) <= 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+class TestOptimalBetaOracle:
+    @pytest.mark.parametrize(
+        "tol",
+        [
+            Fraction(1),
+            Fraction(2, 3),
+            Fraction(1, 3),
+            Fraction(7, 10**30),
+            Fraction(1, 10**6),
+            Fraction(1, 10**50),
+            Fraction(1, 2),  # 1/2^k itself: the bracket may shrink to exactly tol
+            Fraction(1, 2**40),
+            Fraction(5),
+            2,
+        ],
+    )
+    def test_dyadic_bisection_matches_fraction_bisection(self, tol):
+        beta = optimal_beta(tol)
+        assert beta == _fraction_bisection(tol)
+        assert type(beta) is Fraction
+
+    def test_non_positive_tolerance_rejected(self):
+        for tol in (Fraction(0), Fraction(-1, 3), 0):
+            with pytest.raises(ValueError):
+                optimal_beta(tol)
+
+
 class TestRegimeShape:
     def test_first_term_decreasing_second_increasing_in_beta(self):
         betas = [Fraction(i, 4) for i in range(2, 24)]
