@@ -28,7 +28,10 @@ optimum and every O-set arrive as indices, :func:`run_ropt` builds the
 O-mask once and hands it to the other layers in its :class:`RoptTrace`,
 and the ledger's charges, chains and errors hold indices too. Steps and
 classes are read off the instance's columns, and ids are rendered only
-to write text. The
+to write text. Each stage takes the one record the stage before it built
+and reads the run and its instance off it: :func:`run_ropt` the policy's
+trace, :func:`verify_ropt` and :func:`build_ledger` the :class:`RoptTrace`,
+:func:`verify_ledger` the :class:`ChargeLedger`. The
 reference schedule jumps over the steps at which its buffer is empty.
 The reference checks and the ledger read the policy's buffer off one
 drain of :func:`~fifolab.simulate.replay_events`, kept on the trace as
@@ -101,8 +104,9 @@ class LedgerError(RuntimeError):
 class RoptTrace:
     """The relaxed reference schedule: the step at which it sends each O-packet.
 
-    ``in_o`` is the O-mask and ``send_time`` the send step, both indexed
-    like the instance's arrivals; ``send_time`` is None for a packet the
+    ``on`` is the policy's trace it mirrors. ``in_o`` is the O-mask and
+    ``send_time`` the send step, both indexed like the arrivals of
+    ``on.instance``; ``send_time`` is None for a packet the
     reference never sends. ``last_step`` is its final send step (0 when
     O is empty). Every step that sends nothing has an empty reference buffer.
 
@@ -113,6 +117,7 @@ class RoptTrace:
     share a step exactly when they share a head.
     """
 
+    on: RunTrace
     in_o: Sequence[bool]
     send_time: Sequence[int | None]
     last_step: int
@@ -127,8 +132,8 @@ class RoptTrace:
         return tuple(reversed(steps))
 
 
-def run_ropt(inst: Instance, o_indices: Iterable[int], on: RunTrace) -> RoptTrace:
-    """Replay the reference schedule for O = the arrivals at `o_indices`.
+def run_ropt(on: RunTrace, o_indices: Iterable[int]) -> RoptTrace:
+    """Replay the reference schedule for O = the arrivals at `o_indices` against the run `on`.
 
     Accepts every O-packet at its arrival step; then, if the policy's
     send of the step is an O-packet still buffered here, mirrors it,
@@ -140,6 +145,7 @@ def run_ropt(inst: Instance, o_indices: Iterable[int], on: RunTrace) -> RoptTrac
     steps and chooses which packet goes at each. An index outside the
     arrivals raises ValueError.
     """
+    inst = on.instance
     n = len(inst.steps)
     o_idx = arrival_indices(inst, o_indices)
     in_o = [False] * n
@@ -166,7 +172,7 @@ def run_ropt(inst: Instance, o_indices: Iterable[int], on: RunTrace) -> RoptTrac
             # a policy-sent O-packet left here earlier, at a non-mirroring step
             prev = link[t] = None if m is None else send_time[m]
             head[t] = t if prev is None else head[prev]
-    return RoptTrace(in_o, send_time, t, link, head)
+    return RoptTrace(on, in_o, send_time, t, link, head)
 
 
 # ---------------------------------------------------------------------------
@@ -187,10 +193,6 @@ class Chain(NamedTuple):
     steps: tuple[int, ...]
     closing_charge: int | None = None
 
-    @property
-    def head(self) -> int:
-        return self.steps[0]
-
 
 # ---------------------------------------------------------------------------
 # Charge ledger
@@ -209,9 +211,9 @@ class ChargeRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class ChargeLedger:
-    """Every charge of one run; its arrival indices are rows of ``instance``'s columns."""
+    """Every charge of one run; its arrival indices are rows of ``ropt.on.instance``'s columns."""
 
-    instance: Instance
+    ropt: RoptTrace
     on_charges: Mapping[int, Rat]
     ropt_charges: tuple[ChargeRecord, ...]
     chains: tuple[Chain, ...]
@@ -223,7 +225,7 @@ def _id(inst: Instance, i: int) -> str:
     return packet_id(inst.steps[i], inst.seqs[i])
 
 
-def build_ledger(inst: Instance, on: RunTrace, ropt: RoptTrace) -> ChargeLedger:
+def build_ledger(ropt: RoptTrace) -> ChargeLedger:
     """Materialize the charging scheme over concrete traces.
 
     Point charges for packets the policy sends; for dropped O-packets,
@@ -233,8 +235,9 @@ def build_ledger(inst: Instance, on: RunTrace, ropt: RoptTrace) -> ChargeLedger:
     chain openness is stateful. A 1-value O-packet evicted before the
     reference has sent it gets its charge when that send happens; its
     chain is built from that very step. The drops and, at rejections and
-    preemptions, the policy's alpha queue come from ``on.departures``.
+    preemptions, the policy's alpha queue come from ``ropt.on.departures``.
     """
+    on, inst = ropt.on, ropt.on.instance
     flags = inst.is_alpha
     in_o = ropt.in_o
     alpha = inst.alpha
@@ -349,7 +352,7 @@ def build_ledger(inst: Instance, on: RunTrace, ropt: RoptTrace) -> ChargeLedger:
         raise LedgerError(f"evicted O-packets never sent by the reference: {missing}")
 
     chains = tuple(Chain(owner, ropt.chain(owner), charged) for owner, charged in closing.items())
-    return ChargeLedger(inst, on_charges, tuple(charges), chains, diagnostics)
+    return ChargeLedger(ropt, on_charges, tuple(charges), chains, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +409,8 @@ def _result(name: str, ok: bool, detail: str = "") -> CheckResult:
     return CheckResult(name, _PASS if ok else _FAIL, detail)
 
 
-def verify_ropt(inst: Instance, on: RunTrace, ropt: RoptTrace) -> AnalysisReport:
-    """Structural checks on the reference schedule against the policy trace.
+def verify_ropt(ropt: RoptTrace) -> AnalysisReport:
+    """Structural checks on the reference schedule against the policy trace ``ropt.on``.
 
     Capacity safety at every acceptance instant, completeness (every
     O-packet sent exactly once), send precedence (the reference is never
@@ -419,12 +422,13 @@ def verify_ropt(inst: Instance, on: RunTrace, ropt: RoptTrace) -> AnalysisReport
     at which each packet left it; the live chains at every send step are
     then interval sweeps over those departures.
     """
+    on, inst = ropt.on, ropt.on.instance
     in_o = ropt.in_o
     o_idx = list(compress(range(len(in_o)), in_o))
     send_time = ropt.send_time
     steps, flags, capacity = inst.steps, inst.is_alpha, inst.capacity
     # leave[i]: the step packet i left the policy's buffer (see Departures)
-    leave, on_steps = on.departures.left, on.departures.send_steps
+    leave, on_steps = on.departures.left, list(on.sends)
     checks: list[CheckResult] = []
 
     # One pass over O. The reference accepts O-packets in key order and, by
@@ -558,9 +562,7 @@ def _charge_sum(amounts: Iterable[Rat], alpha: Rat) -> tuple[int, int]:
     return (alphas * a + ones * b) * den + num * b, b * den
 
 
-def verify_ledger(
-    ledger: ChargeLedger, inst: Instance, on: RunTrace, ropt: RoptTrace
-) -> AnalysisReport:
+def verify_ledger(ledger: ChargeLedger) -> AnalysisReport:
     """Accounting checks over a built ledger.
 
     Exact conservation on both sides; interval purity (charged intervals
@@ -570,7 +572,8 @@ def verify_ledger(
     warnings); and single closure per head. One pass over the reference's
     charges sorts out what each check reads.
     """
-    in_o = ropt.in_o
+    on, inst = ledger.ropt.on, ledger.ropt.on.instance
+    in_o = ledger.ropt.in_o
     checks: list[CheckResult] = []
     amounts: list[Rat] = []
     eviction_drops: list[int] = []  # ascending: the ledger records alpha evictions in event order
@@ -653,16 +656,13 @@ def verify_ledger(
     else:
         checks.append(_passed("chain-heads"))
 
-    duplicates = []
+    closure = ""
     if len(set(head_steps)) < len(head_steps):
         duplicates = sorted(s for s, n in Counter(head_steps).items() if n > 1)
-    checks.append(
-        _result(
-            "single-closure",
-            not duplicates and closed == len(head_steps),
-            f"duplicated head charges at {duplicates}" if duplicates else "",
-        )
-    )
+        closure = f"duplicated head charges at {duplicates}"
+    elif closed != len(head_steps):
+        closure = f"{closed} closed chains vs {len(head_steps)} chain-head charges"
+    checks.append(_result("single-closure", not closure, closure))
 
     return AnalysisReport(tuple(checks))
 
@@ -756,18 +756,18 @@ def analyze(inst: Instance, beta: Rat) -> InstanceAnalysis:
         ),
         _result("oracle-agreement", dp_text == best, f"dp {dp_text} vs exhaustive {best}"),
     ]
-    ropt = run_ropt(inst, optimum.indices, on)
-    checks += verify_ropt(inst, on, ropt).checks
+    ropt = run_ropt(on, optimum.indices)
+    checks += verify_ropt(ropt).checks
 
     ledger: ChargeLedger | None
     try:
-        ledger = build_ledger(inst, on, ropt)
+        ledger = build_ledger(ropt)
     except LedgerError as exc:
         ledger = None
         checks.append(CheckResult("charging-complete", CheckStatus.FAIL, str(exc)))
     else:
         checks.append(_passed("charging-complete"))
-        checks += verify_ledger(ledger, inst, on, ropt).checks
+        checks += verify_ledger(ledger).checks
 
     ratio = _make_ratio(on.policy, on.totals, exhaustive.value, inst.alpha, beta)
     checks.append(
@@ -799,7 +799,7 @@ def format_ledger(ledger: ChargeLedger) -> str:
     Ids are rendered from the instance's columns. Charges sort by (step or
     interval start, arrival index): key order, in a valid instance.
     """
-    ids = packet_ids(ledger.instance.steps, ledger.instance.seqs)
+    ids = packet_ids(ledger.ropt.on.instance.steps, ledger.ropt.on.instance.seqs)
     lines = [f"on {t} {format_rat(ledger.on_charges[t])}" for t in sorted(ledger.on_charges)]
     def anchor(rec: ChargeRecord) -> tuple[int, int]:
         return (rec.interval[0] if rec.step is None else rec.step, rec.packet)

@@ -227,8 +227,8 @@ def fuzz_config(args: argparse.Namespace) -> GenConfig:
         raise UsageError(str(exc)) from None
 
 
-def experiment_row(seed: int, inst: Instance, result: InstanceAnalysis) -> list[str]:
-    ratio = result.ratio
+def experiment_row(seed: int, result: InstanceAnalysis) -> list[str]:
+    inst, ratio = result.instance, result.ratio
     return [
         str(seed),
         str(inst.capacity),
@@ -258,7 +258,7 @@ def fuzz_rows(cfg: GenConfig, count: int, base_seed: int, beta: Rat) -> tuple[st
         seed = base_seed + i
         inst = random_instance(replace(cfg, seed=seed))
         result = analyze(inst, beta)
-        writer.writerow(experiment_row(seed, inst, result))
+        writer.writerow(experiment_row(seed, result))
         if result.ratio.ratio is not None and result.ratio.ratio > worst:
             worst = result.ratio.ratio
         if not result.report.ok:

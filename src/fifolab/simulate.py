@@ -114,9 +114,9 @@ class Departures(NamedTuple):
 
     ``left[i]`` is the step at which arrival ``i`` left the buffer,
     ``math.inf`` while it is still there at the end, None if it never
-    entered. ``send_steps`` are the steps of the log's sends, in order.
-    ``drops`` lists the evictions, rejections and preemptions in event
-    order as ``(step, kind, arrival, ones_buffered, lo, hi)``: just after
+    entered; the send steps are the trace's ``sends``. ``drops`` lists
+    the evictions, rejections and preemptions in event order as
+    ``(step, kind, arrival, ones_buffered, lo, hi)``: just after
     the drop, whether a 1-value packet was buffered, and the alpha queue
     as ``alphas[lo:hi]``. While every alpha packet leaves from the front
     of the alpha queue, as in a trace of :func:`run`, ``alphas`` lists the
@@ -125,7 +125,6 @@ class Departures(NamedTuple):
     """
 
     left: list[float | None]
-    send_steps: list[int]
     drops: list[tuple[int, EventKind, int, bool, int, int]]
     alphas: list[int]
 
@@ -178,7 +177,6 @@ class RunTrace:
         flags = self.instance.is_alpha
         inf = math.inf
         left: list[float | None] = [None] * len(flags)
-        send_steps: list[int] = []
         drops: list[tuple[int, EventKind, int, bool, int, int]] = []
         alphas: list[int] = []
         # while every alpha packet left from the front, the alpha queue is
@@ -192,7 +190,6 @@ class RunTrace:
             elif kind is SENT:
                 # the replay checked that a send takes the front of its queue
                 left[i] = t
-                send_steps.append(t)
             else:
                 hi = len(alphas)
                 lo = hi - len(alpha_queue)
@@ -205,7 +202,7 @@ class RunTrace:
                     alphas += alpha_queue
                     hi = len(alphas)
                 drops.append((t, kind, i, bool(ones), lo, hi))
-        return Departures(left, send_steps, drops, alphas)
+        return Departures(left, drops, alphas)
 
     @_cached
     def alpha_run_ends(self) -> dict[int, int]:

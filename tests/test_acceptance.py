@@ -63,7 +63,7 @@ def gate() -> GateResults:
         inst = random_instance(replace(CORPUS_CFG, seed=seed))
         assert len(inst.arrivals) <= 14
         result = analyze(inst, BETA)
-        writer.writerow(experiment_row(seed, inst, result))
+        writer.writerow(experiment_row(seed, result))
         ratio = result.ratio.ratio
         if ratio is not None and ratio > results.max_ratio:
             results.max_ratio = ratio

@@ -92,7 +92,7 @@ def demo_setup(alpha=Fraction(2)):
 class TestRunRopt:
     def test_demo_reference_runs_ahead_on_the_lost_alpha(self):
         inst, on, chosen = demo_setup()
-        ropt = run_ropt(inst, chosen, on)
+        ropt = run_ropt(on, chosen)
         times = {p.id: t for p, t in send_times(inst, ropt).items()}
         # the policy spends step 1 on a 1-value packet; the reference
         # sends the alpha packet the policy will lose to eviction
@@ -102,14 +102,14 @@ class TestRunRopt:
 
     def test_empty_chosen_set_never_sends(self):
         inst, on, _ = demo_setup()
-        ropt = run_ropt(inst, set(), on)
+        ropt = run_ropt(on, set())
         assert ropt.in_o == [False] * len(inst.arrivals)
         assert ropt.send_time == [None] * len(inst.arrivals)
 
     def test_mirrors_when_policy_matches_optimum(self):
         inst = build_instance(2, Fraction(2), [(1, 0, "alpha"), (1, 1, "alpha")])
         on = run(Policy.on(BETA_REF), inst)
-        ropt = run_ropt(inst, range(2), on)
+        ropt = run_ropt(on, range(2))
         assert ropt.in_o == [True, True]
         assert {t: i for i, t in enumerate(ropt.send_time) if t is not None} == on.sends
         assert ropt.last_step == 2
@@ -118,20 +118,20 @@ class TestRunRopt:
         inst = greedy_blocking(Fraction(10))
         on = run(Policy.on(BETA_REF), inst)
         with pytest.raises(ValueError):
-            run_ropt(inst, range(len(inst.arrivals)), on)
+            run_ropt(on, range(len(inst.arrivals)))
 
 
 class TestVerifyRopt:
     def test_demo_all_pass(self):
         inst, on, chosen = demo_setup()
-        report = verify_ropt(inst, on, run_ropt(inst, chosen, on))
+        report = verify_ropt(run_ropt(on, chosen))
         assert report.ok
         for name in ("ropt-capacity", "ropt-sends-all", "send-precedence", "chains-disjoint"):
             assert report.check(name).status == CheckStatus.PASS
 
     def test_empty_chosen_set_vacuous(self):
         inst, on, _ = demo_setup()
-        report = verify_ropt(inst, on, run_ropt(inst, set(), on))
+        report = verify_ropt(run_ropt(on, set()))
         assert report.ok
 
     def test_checks_and_ledger_share_one_replay(self, monkeypatch):
@@ -143,8 +143,8 @@ class TestVerifyRopt:
 
         monkeypatch.setattr(simulate_module, "replay_events", counting_replay)
         inst, on, chosen = demo_setup()
-        ropt = run_ropt(inst, chosen, on)
-        report = verify_ropt(inst, on, ropt)
+        ropt = run_ropt(on, chosen)
+        report = verify_ropt(ropt)
         assert drained == [on]
         assert [c.name for c in report.checks] == [
             "ropt-capacity",
@@ -154,7 +154,7 @@ class TestVerifyRopt:
             "backlog-bound",
         ]
         assert report.ok
-        verify_ledger(build_ledger(inst, on, ropt), inst, on, ropt)
+        verify_ledger(build_ledger(ropt))
         assert drained == [on]
         # analyze drains the policy's replay exactly once, to the end
         for seed in range(300):
@@ -165,7 +165,7 @@ class TestVerifyRopt:
 
     def test_backlog_diagnostic_reports_counts(self):
         inst, on, chosen = demo_setup()
-        report = verify_ropt(inst, on, run_ropt(inst, chosen, on))
+        report = verify_ropt(run_ropt(on, chosen))
         check = report.check("backlog-bound")
         assert check.status == CheckStatus.PASS
         assert "max alpha backlog 1" in check.detail
@@ -183,7 +183,7 @@ class TestChains:
         on = run(Policy.on(BETA_REF), inst)
         assert sent_ids(inst, on) == ["1", "2", "2.1"]
         chosen = by_ids(inst, "1", "1.1", "2")
-        ropt = run_ropt(inst, chosen, on)
+        ropt = run_ropt(on, chosen)
         [owner] = by_ids(inst, "1.1")
         assert ropt.chain(owner) == (3,)
 
@@ -198,7 +198,7 @@ class TestChains:
         )
         on = run(Policy.on(BETA_REF), inst)
         chosen = by_ids(inst, "1.2", "1.3", "3")
-        ropt = run_ropt(inst, chosen, on)
+        ropt = run_ropt(on, chosen)
         [owner] = by_ids(inst, "3")
         assert ropt.chain(owner) == (2, 3)
 
@@ -206,8 +206,8 @@ class TestChains:
 class TestLedgerDemo:
     def test_charges(self):
         inst, on, chosen = demo_setup()
-        ropt = run_ropt(inst, chosen, on)
-        ledger = build_ledger(inst, on, ropt)
+        ropt = run_ropt(on, chosen)
+        ledger = build_ledger(ropt)
 
         by_kind = {}
         for rec in ledger.ropt_charges:
@@ -229,16 +229,16 @@ class TestLedgerDemo:
 
     def test_conservation(self):
         inst, on, chosen = demo_setup()
-        ropt = run_ropt(inst, chosen, on)
-        ledger = build_ledger(inst, on, ropt)
+        ropt = run_ropt(on, chosen)
+        ledger = build_ledger(ropt)
         assert sum(rec.amount for rec in ledger.ropt_charges) == total_value(inst, chosen) == 13
         assert sum(ledger.on_charges.values(), Fraction(0)) == on.totals == 11
 
     def test_verify_passes(self):
         inst, on, chosen = demo_setup()
-        ropt = run_ropt(inst, chosen, on)
-        ledger = build_ledger(inst, on, ropt)
-        report = verify_ledger(ledger, inst, on, ropt)
+        ropt = run_ropt(on, chosen)
+        ledger = build_ledger(ropt)
+        report = verify_ledger(ledger)
         assert report.ok
         assert report.check("interval-exclusive").status == CheckStatus.PASS
 
@@ -246,12 +246,12 @@ class TestLedgerDemo:
         # alpha evictions just before, at both ends of, and just after the
         # preemption interval [5, 6], recorded in step order as the ledger does
         inst, on, chosen = demo_setup()
-        ropt = run_ropt(inst, chosen, on)
-        ledger = build_ledger(inst, on, ropt)
+        ropt = run_ropt(on, chosen)
+        ledger = build_ledger(ropt)
         [evicted] = [r for r in ledger.ropt_charges if r.kind == EVICTED_ALPHA_INTERVAL]
         drops = tuple(evicted._replace(drop_step=d) for d in (4, 5, 6, 7))
         tampered = replace(ledger, ropt_charges=ledger.ropt_charges + drops)
-        check = verify_ledger(tampered, inst, on, ropt).check("interval-exclusive")
+        check = verify_ledger(tampered).check("interval-exclusive")
         assert check.status == CheckStatus.FAIL
         assert check.detail == "alpha evictions at [5, 6] inside preemption interval [5, 6]"
 
@@ -263,15 +263,15 @@ class TestLedgerChainCharges:
         )
         on = run(Policy.on(BETA_REF), inst)
         chosen = by_ids(inst, "1", "1.1", "2")
-        ropt = run_ropt(inst, chosen, on)
-        ledger = build_ledger(inst, on, ropt)
+        ropt = run_ropt(on, chosen)
+        ledger = build_ledger(ropt)
         [rec] = [r for r in ledger.ropt_charges if r.kind == EVICTED_ONE_CHAIN]
         assert inst.arrivals[rec.packet].id == "1.1"
         assert rec.step == 3
         assert rec.drop_step == 2
         [chain] = ledger.chains
         assert chain.closing_charge == rec.packet and chain.steps == (3,)
-        assert verify_ledger(ledger, inst, on, ropt).ok
+        assert verify_ledger(ledger).ok
         assert ledger.diagnostics["deferred-evictions"] == 1
 
     def test_rejection_charged_at_open_chain_head(self):
@@ -286,15 +286,15 @@ class TestLedgerChainCharges:
         chosen = by_ids(inst, "1.1", "2", "2.1")
         assert total_value(inst, chosen) == 5
         assert feasible(inst, chosen)[0]
-        ropt = run_ropt(inst, chosen, on)
-        ledger = build_ledger(inst, on, ropt)
+        ropt = run_ropt(on, chosen)
+        ledger = build_ledger(ropt)
         [rec] = [r for r in ledger.ropt_charges if r.kind == REJECTED_ONE_CHAIN]
         assert inst.arrivals[rec.packet].id == "2.1"
         assert rec.step == 1
         [chain] = ledger.chains
         assert inst.arrivals[chain.owner].id == "1.1" and chain.closing_charge == rec.packet
         report = AnalysisReport(
-            verify_ropt(inst, on, ropt).checks + verify_ledger(ledger, inst, on, ropt).checks
+            verify_ropt(ropt).checks + verify_ledger(ledger).checks
         )
         assert report.ok
 
@@ -310,8 +310,8 @@ class TestLedgerChainCharges:
         on = run(Policy.on(BETA_REF), inst)
         assert sent_ids(inst, on) == ["1", "1.1", "1.3", "3"]
         chosen = by_ids(inst, "1.2", "1.3", "3")
-        ropt = run_ropt(inst, chosen, on)
-        ledger = build_ledger(inst, on, ropt)
+        ropt = run_ropt(on, chosen)
+        ledger = build_ledger(ropt)
         [rec] = [r for r in ledger.ropt_charges if r.kind == PREEMPTED_OPEN_CHAIN]
         assert inst.arrivals[rec.packet].id == "1.2"
         assert rec.step == 2
@@ -320,20 +320,23 @@ class TestLedgerChainCharges:
         assert inst.arrivals[chain.owner].id == "1.3" and chain.steps == (2,)
         assert chain.closing_charge == rec.packet
         report = AnalysisReport(
-            verify_ropt(inst, on, ropt).checks + verify_ledger(ledger, inst, on, ropt).checks
+            verify_ropt(ropt).checks + verify_ledger(ledger).checks
         )
         assert report.ok
         assert sum(r.amount for r in ledger.ropt_charges) == total_value(inst, chosen)
         # a second charge at the same head breaks single closure
         tampered = replace(ledger, ropt_charges=ledger.ropt_charges + (rec._replace(drop_step=4),))
-        check = verify_ledger(tampered, inst, on, ropt).check("single-closure")
+        check = verify_ledger(tampered).check("single-closure")
         assert check == ("single-closure", "fail", "duplicated head charges at [2]")
+        # a head charge whose chain the ledger does not list breaks it too
+        check = verify_ledger(replace(ledger, chains=())).check("single-closure")
+        assert check == ("single-closure", "fail", "0 closed chains vs 1 chain-head charges")
 
     def test_policy_matching_optimum_needs_no_chains(self):
         inst = build_instance(2, Fraction(2), [(1, 0, "alpha"), (2, 0, "one")])
         on = run(Policy.on(BETA_REF), inst)
-        ropt = run_ropt(inst, range(2), on)
-        ledger = build_ledger(inst, on, ropt)
+        ropt = run_ropt(on, range(2))
+        ledger = build_ledger(ropt)
         assert all(rec.kind == SENT_BY_BOTH for rec in ledger.ropt_charges)
         assert ledger.chains == ()
 
@@ -345,10 +348,10 @@ class TestArrivalIndex:
             result = analyze(inst, BETA_REF)
             on = run(Policy.on(BETA_REF), inst)
             assert on.instance is inst and on == result.on
-            ropt = run_ropt(inst, result.optimum.indices, on)
-            checks = verify_ropt(inst, on, ropt).checks
-            ledger = build_ledger(inst, on, ropt)
-            checks += verify_ledger(ledger, inst, on, ropt).checks
+            ropt = run_ropt(on, result.optimum.indices)
+            checks = verify_ropt(ropt).checks
+            ledger = build_ledger(ropt)
+            checks += verify_ledger(ledger).checks
             assert ropt == result.ropt and ledger == result.ledger
             assert set(checks) <= set(result.report.checks)
 
@@ -616,10 +619,10 @@ def test_fixed_optimum_ledger_golden(seed, o_ids, bound, ledger_text):
     chosen = sorted(by_ids(inst, *o_ids.split()))
     assert total_value(inst, chosen) == brute_force_opt(inst).value
     on = run(Policy.on(BETA_REF), inst)
-    ropt = run_ropt(inst, chosen, on)
-    ledger = build_ledger(inst, on, ropt)
+    ropt = run_ropt(on, chosen)
+    ledger = build_ledger(ropt)
     report = AnalysisReport(
-        verify_ropt(inst, on, ropt).checks + verify_ledger(ledger, inst, on, ropt).checks
+        verify_ropt(ropt).checks + verify_ledger(ledger).checks
     )
     assert format_report(report) == (
         "ropt-capacity         PASS\n"
@@ -648,10 +651,10 @@ def test_ledger_on_seed_3452_optimum():
     assert total_value(inst, chosen) == brute_force_opt(inst).value == 36
     on = run(Policy.on(BETA_REF), inst)
     assert {i for i in on.sends.values() if inst.arrivals[i].is_alpha} <= set(chosen)
-    ropt = run_ropt(inst, chosen, on)
-    assert verify_ropt(inst, on, ropt).ok
-    ledger = build_ledger(inst, on, ropt)
-    assert verify_ledger(ledger, inst, on, ropt).ok
+    ropt = run_ropt(on, chosen)
+    assert verify_ropt(ropt).ok
+    ledger = build_ledger(ropt)
+    assert verify_ledger(ledger).ok
 
 
 # ROADMAP item 2's two minimal reproducers, shrunk from corpus seed 400 at
@@ -692,14 +695,14 @@ def test_ledger_on_shrunk_optimum(capacity, alpha, specs, o_ids, message):
     assert total_value(inst, chosen) == brute_force_opt(inst).value
     on = run(Policy.on(BETA_REF), inst)
     assert {i for i in on.sends.values() if inst.is_alpha[i]} <= set(chosen)
-    ropt = run_ropt(inst, chosen, on)
-    assert verify_ropt(inst, on, ropt).ok
+    ropt = run_ropt(on, chosen)
+    assert verify_ropt(ropt).ok
     try:
-        ledger = build_ledger(inst, on, ropt)
+        ledger = build_ledger(ropt)
     except LedgerError as exc:
         assert str(exc) == message
         raise
-    assert verify_ledger(ledger, inst, on, ropt).ok
+    assert verify_ledger(ledger).ok
 
 
 def _optima_containing(inst, required, canonical):
@@ -735,9 +738,9 @@ def test_charging_argument_holds_on_every_optimum():
         assert canonical.value == brute_force_opt(inst).value
         for chosen in _optima_containing(inst, required, canonical.indices):
             optima += 1
-            ropt = run_ropt(inst, chosen, on)
-            ledger = build_ledger(inst, on, ropt)  # raises LedgerError on a broken rule
-            checks = verify_ropt(inst, on, ropt).checks + verify_ledger(ledger, inst, on, ropt).checks
+            ropt = run_ropt(on, chosen)
+            ledger = build_ledger(ropt)  # raises LedgerError on a broken rule
+            checks = verify_ropt(ropt).checks + verify_ledger(ledger).checks
             assert AnalysisReport(checks).ok, (seed, chosen)
             kinds.update(rec.kind for rec in ledger.ropt_charges)
             diagnostics.update(ledger.diagnostics)
@@ -807,18 +810,18 @@ def test_failure_paths_digest():
         for beta in (BETA_REF, Fraction(1, 2), Fraction(6)):
             on = run(Policy.on(beta), inst)
             chosen = _random_feasible_subset(inst, rng)
-            ropt = run_ropt(inst, chosen, on)
+            ropt = run_ropt(on, chosen)
             sends = sorted((t, p.id) for p, t in send_times(inst, ropt).items())
-            report = verify_ropt(inst, on, ropt)
+            report = verify_ropt(ropt)
             parts = [f"{seed} {beta} {sends} {ropt.last_step}", format_report(report)]
             reached.update(c.name for c in report.failures)
             try:
-                ledger = build_ledger(inst, on, ropt)
+                ledger = build_ledger(ropt)
             except LedgerError as exc:
                 parts.append(str(exc))
                 reached.add(str(exc).split(" (")[0])
             else:
-                checked = verify_ledger(ledger, inst, on, ropt)
+                checked = verify_ledger(ledger)
                 reached.update(c.name for c in checked.failures)
                 parts += [
                     format_ledger(ledger),
@@ -848,7 +851,7 @@ def test_corpus_analyze_digest():
         inst = random_instance(GenConfig(seed=seed))
         result = analyze(inst, BETA_REF)
         ledger = "-\n" if result.ledger is None else format_ledger(result.ledger)
-        row = ",".join(experiment_row(seed, inst, result))
+        row = ",".join(experiment_row(seed, result))
         digest.update(f"{format_report(result.report)}{ledger}{row}\n".encode())
     assert digest.hexdigest() == CORPUS_ANALYZE_DIGEST
 
@@ -971,11 +974,26 @@ def test_ledger_names_packets_by_arrival_index():
     for seed in range(500):
         inst = random_instance(GenConfig(seed=seed))
         ledger = analyze(inst, BETA_REF).ledger
-        assert ledger.instance is inst
+        assert ledger.ropt.on.instance is inst
         assert all(type(rec.packet) is int for rec in ledger.ropt_charges)
         for chain in ledger.chains:
             assert type(chain.owner) is int
             assert chain.closing_charge is None or type(chain.closing_charge) is int
+
+
+def test_analyze_links_each_record_to_the_one_before():
+    # each stage reads the run off the record it was handed, so the checks
+    # rerun on analyze's own records are exactly the ones in its report
+    for seed in range(200):
+        result = analyze(random_instance(GenConfig(seed=seed)), BETA_REF)
+        assert result.ropt.on is result.on
+        assert result.ledger.ropt is result.ropt
+        assert result.ledger.ropt.on.instance is result.instance
+        ropt_checks = verify_ropt(result.ropt).checks
+        ledger_checks = verify_ledger(result.ledger).checks
+        # the two optimum checks, the reference's, charging-complete, the ledger's, ratio-bound
+        assert result.report.checks[2 : 2 + len(ropt_checks)] == ropt_checks
+        assert result.report.checks[-1 - len(ledger_checks) : -1] == ledger_checks
 
 
 def test_analyze_builds_no_step_event(monkeypatch):
@@ -1056,9 +1074,9 @@ def test_alpha_send_intervals_names_the_first_impure_step(interval, detail):
     on = run(Policy.on(BETA_REF), inst)
     assert list(on.sends.items()) == [(1, 0), (3, 1), (4, 2), (5, 3)]
     record = ChargeRecord(0, EVICTED_ALPHA_INTERVAL, Fraction(2), interval=interval)
-    ledger = ChargeLedger(inst, {}, (record,), (), {})
-    ropt = RoptTrace([False] * 4, [None] * 4, 0, {}, {})
-    check = verify_ledger(ledger, inst, on, ropt).check("alpha-send-intervals")
+    ropt = RoptTrace(on, [False] * 4, [None] * 4, 0, {}, {})
+    ledger = ChargeLedger(ropt, {}, (record,), (), {})
+    check = verify_ledger(ledger).check("alpha-send-intervals")
     assert check == ("alpha-send-intervals", "fail" if detail else "pass", detail)
 
 
@@ -1081,12 +1099,12 @@ def test_non_fifo_trace_rejected(event_log):
         {1: second, 2: first},
         Fraction(3),
     )
-    ropt = run_ropt(inst, range(2), on)
+    ropt = run_ropt(on, range(2))
     assert ropt.in_o == [True, True]
     with pytest.raises(ValueError, match="non-FIFO send of 1.1 at step 1"):
-        verify_ropt(inst, on, ropt)
+        verify_ropt(ropt)
     with pytest.raises(ValueError, match="non-FIFO send of 1.1 at step 1"):
-        build_ledger(inst, on, ropt)
+        build_ledger(ropt)
     assert "arrivals" not in vars(inst)  # the texts name packets from the columns
 
 
@@ -1109,10 +1127,10 @@ def test_drop_of_an_unbuffered_packet_rejected(event_log):
         {1: 0, 2: 1},
         Fraction(2),
     )
-    ropt = run_ropt(inst, range(2), on)
+    ropt = run_ropt(on, range(2))
     for check in (verify_ropt, build_ledger):
         with pytest.raises(ValueError) as exc:
-            check(inst, on, ropt)
+            check(ropt)
         assert str(exc.value) == "unbuffered packet 1.1 evicted at step 2"
 
 
@@ -1157,6 +1175,6 @@ def test_ledger_rejects_hand_built_trace(specs, events, message, event_log):
     )
     every_packet_in_o = [True] * len(specs)
     with pytest.raises(LedgerError) as exc:
-        build_ledger(inst, on, RoptTrace(every_packet_in_o, [None] * len(specs), 0, {}, {}))
+        build_ledger(RoptTrace(on, every_packet_in_o, [None] * len(specs), 0, {}, {}))
     assert str(exc.value) == message
     assert "arrivals" not in vars(inst)  # the texts name packets from the columns

@@ -8,6 +8,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SPARSE_SEED_0_DIGEST = "6b6e8d6fbbc5df5d94c2c59000d6c42961d2fb329e2f9701d579ffcaad56c2cf"
 DENSE_SEED_0_DIGEST = "fb252b17075084f0fcd0eb50a2184465af953d92450de5f539a1bac3d507fb89"
+CORPUS_SEED_0_DIGEST = "33cbabc1e7cd97144cbd7a4c3d44e8f30944df7359df8eaa6aebc43c104fca8b"
 
 
 def _run_clean(workload, digest):
@@ -35,3 +36,8 @@ def test_sparse_workload_runs_clean():
 def test_dense_workload_runs_clean():
     # dense runs analyze on the 14-packet windows of both of its instances
     _run_clean("dense", DENSE_SEED_0_DIGEST)
+
+
+def test_corpus_workload_runs_clean():
+    # corpus runs analyze and format_ledger on every one of its instances
+    _run_clean("corpus", CORPUS_SEED_0_DIGEST)

@@ -155,7 +155,7 @@ INDEX_TAKERS = {
     "total_value": lambda inst, on, idxs: total_value(inst, idxs),
     "feasible": lambda inst, on, idxs: feasible(inst, idxs),
     "opt_containing": lambda inst, on, idxs: opt_containing(inst, idxs),
-    "run_ropt": lambda inst, on, idxs: run_ropt(inst, idxs, on),
+    "run_ropt": lambda inst, on, idxs: run_ropt(on, idxs),
 }
 
 

@@ -297,7 +297,7 @@ def test_integer_value_sums_match_fraction_sums(inst, alpha, beta):
         ropt_charges=result.ledger.ropt_charges + (stray,),
         on_charges={**result.ledger.on_charges, 0: Fraction(2, 13)},
     )
-    check = verify_ledger(tampered, inst, result.on, result.ropt).check("charge-conservation")
+    check = verify_ledger(tampered).check("charge-conservation")
     ropt_total = sum((r.amount for r in tampered.ropt_charges), ZERO)
     on_total = sum(tampered.on_charges.values(), ZERO)
     assert check.status == "fail"
@@ -593,7 +593,7 @@ def test_run_ropt_matches_literal_oracle(inst, beta, data):
             chosen.add(i)
     for policy in (Policy.greedy(), Policy.on(beta)):
         on = run(policy, inst)
-        _assert_ropt_matches_oracle(inst, chosen, on, run_ropt(inst, chosen, on))
+        _assert_ropt_matches_oracle(inst, chosen, on, run_ropt(on, chosen))
 
 
 def test_run_ropt_matches_literal_oracle_on_corpus():
@@ -611,7 +611,7 @@ def test_run_ropt_matches_literal_oracle_on_corpus_random_o_sets():
         chosen = _random_feasible_subset(inst, rng)
         for policy in (Policy.greedy(), Policy.on(DEFAULT_BETA)):
             on = run(policy, inst)
-            _assert_ropt_matches_oracle(inst, chosen, on, run_ropt(inst, chosen, on))
+            _assert_ropt_matches_oracle(inst, chosen, on, run_ropt(on, chosen))
 
 
 def _literal_verify_ropt(inst, chosen, on, ropt):
@@ -673,8 +673,8 @@ def _literal_verify_ropt(inst, chosen, on, ropt):
 
 
 def _assert_verify_ropt_matches_oracle(inst, chosen, on, ropt=None):
-    ropt = run_ropt(inst, chosen, on) if ropt is None else ropt
-    report = verify_ropt(inst, on, ropt)
+    ropt = run_ropt(on, chosen) if ropt is None else ropt
+    report = verify_ropt(ropt)
     assert report == _literal_verify_ropt(inst, chosen, on, ropt)
     return report
 
@@ -709,7 +709,7 @@ def test_verify_ropt_matches_literal_oracle_on_failure_paths():
         for beta in (DEFAULT_BETA, Fraction(1, 2), Fraction(6)):
             on = run(Policy.on(beta), inst)
             chosen = _random_feasible_subset(inst, rng)
-            ropt = run_ropt(inst, chosen, on)
+            ropt = run_ropt(on, chosen)
             merged = replace(ropt, head=dict.fromkeys(ropt.head, 0))
             fewer = set(list(chosen)[1:])
             everything = range(len(inst.arrivals))

@@ -344,22 +344,20 @@ def test_trace_export_golden():
 def _departures_from_the_replay(trace):
     """What ``trace.departures`` holds, read off a literal walk of ``replay_events``."""
     left = [None] * len(trace.instance.steps)
-    send_steps, drops = [], []
+    drops = []
     for (t, kind, i), ones, alphas in replay_events(trace):
         if kind is EventKind.ADMITTED:
             left[i] = math.inf
         elif kind is not EventKind.REJECTED:
             left[i] = t
-        if kind is EventKind.SENT:
-            send_steps.append(t)
-        elif kind is not EventKind.ADMITTED:
+        if kind not in (EventKind.SENT, EventKind.ADMITTED):
             drops.append((t, kind, i, bool(ones), list(alphas)))
-    return left, send_steps, drops
+    return left, drops
 
 
 def _departures_read(trace):
     d = trace.departures
-    return d.left, d.send_steps, [(t, k, i, ones, d.alphas[lo:hi]) for t, k, i, ones, lo, hi in d.drops]
+    return d.left, [(t, k, i, ones, d.alphas[lo:hi]) for t, k, i, ones, lo, hi in d.drops]
 
 
 @pytest.mark.parametrize("policy", [Policy.on(Fraction(3284, 1000)), GREEDY], ids=["on", "greedy"])
@@ -408,4 +406,4 @@ def test_departures_copy_the_alpha_queue_once_it_leaves_out_of_order(event_log):
         Fraction(2),
     )
     assert _departures_read(trace) == _departures_from_the_replay(trace)
-    assert [alphas for *_, alphas in _departures_read(trace)[2]] == [[0], [0, 3], [0, 3]]
+    assert [alphas for *_, alphas in _departures_read(trace)[1]] == [[0], [0, 3], [0, 3]]
