@@ -23,35 +23,35 @@ A claim that fails to apply raises :class:`LedgerError` instead of being
 patched over, surfacing the run as a counterexample.
 
 No pass walks every step number or copies the buffer, and packets are
-arrival indices throughout: the policy's trace names them so, the
-optimum and every O-set arrive as indices, :func:`run_ropt` builds the
-O-mask once and hands it to the other layers in its :class:`RoptTrace`,
-and the ledger's charges, chains and errors hold indices too. Steps and
-classes are read off the instance's columns, and ids are rendered only
-to write text. Each stage takes the one record the stage before it built
-and reads the run and its instance off it: :func:`run_ropt` the policy's
-trace, :func:`verify_ropt` and :func:`build_ledger` the :class:`RoptTrace`,
-:func:`verify_ledger` the :class:`ChargeLedger`. The
-reference schedule jumps over the steps at which its buffer is empty.
-The reference checks and the ledger read the policy's buffer off one
-drain of :func:`~fifolab.simulate.replay_events`, kept on the trace as
-:attr:`~fifolab.simulate.RunTrace.departures`, so :func:`analyze`
-replays the policy once. The checks take from it the step each packet
-left: an O-packet is in the policy's buffer at a send step t, with its
-chain live, exactly when the reference sent it by t and the policy had
-not yet sent or dropped it, so the backlog maxima and chain disjointness
-are sweeps over those intervals. The ledger walks only the drain's drops
-and reads the alpha queue recorded at rejections and preemptions; it
-and its check share the trace's map of where each run of alpha sends
-ends. Records (checks, charges, chains) are named tuples, and a passing
-check without a detail is one shared record per check name. The
-reference checks make one pass over O, and the ledger checks one pass
-over the reference's charges. The conservation check counts the charge
-amounts that are alpha or 1 and compares its sums as scaled integers;
-the ratio report tests ``ratio <= bound`` by cross-multiplying integer
-numerators and denominators, and reads the bound from
-:func:`~fifolab.theory.competitive_bound`'s memo, which is keyed on
-integers, so no step of :func:`analyze` hashes a Fraction.
+arrival indices throughout; steps and classes are read off the instance's
+columns, and ids are rendered only to write text. Each stage takes the one
+record the stage before it built and reads what that stage computed off
+it: :func:`run_ropt` takes the policy's trace and O as the
+:class:`~fifolab.offline.OptResult` the optimizer or
+:func:`~fifolab.offline.feasible` built, with its earliest-send schedule,
+and keeps both and the O-mask on its :class:`RoptTrace`; :func:`verify_ropt`
+and :func:`build_ledger` take that, :func:`verify_ledger` the
+:class:`ChargeLedger`. The reference schedule jumps over the steps at which
+its buffer is empty. The reference checks and the ledger read the policy's
+buffer off one drain of :func:`~fifolab.simulate.replay_events`, kept on
+the trace as :attr:`~fifolab.simulate.RunTrace.departures`, so
+:func:`analyze` replays the policy once. The checks take from it the step
+each packet left: an O-packet is in the policy's buffer at a send step t,
+with its chain live, exactly when the reference sent it by t and the
+policy had not yet sent or dropped it, so the backlog maxima and chain
+disjointness are sweeps over those intervals. The ledger walks only the
+drain's drops and reads the alpha queue recorded at rejections and
+preemptions; it and its check share the trace's map of where each run of
+alpha sends ends. Records (checks, charges, chains) are named tuples; the
+ones built on every call skip NamedTuple's Python-level constructor, and a
+passing check without a detail is one shared record per check name. The
+reference checks make one pass over O, and the ledger checks one pass over
+the reference's charges. The conservation check counts the charge amounts
+that are alpha or 1 and compares its sums with O's value as scaled
+integers; the ratio report tests ``ratio <= bound`` by cross-multiplying
+integer numerators and denominators. The bounds, like
+:meth:`~fifolab.simulate.Policy.on`, come from memos keyed on integers, so
+no step of :func:`analyze` hashes a Fraction.
 """
 
 from __future__ import annotations
@@ -63,11 +63,11 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, compress
+from itertools import accumulate
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .model import Instance, Rat, ONE, arrival_indices, format_rat, packet_id, packet_ids, scaled_sum
-from .offline import OptResult, _earliest_sends, brute_force_opt, dp_opt, opt_containing
+from .model import Instance, Rat, ONE, format_rat, packet_id, packet_ids, scaled_sum
+from .offline import OptResult, brute_force_opt, dp_opt, opt_containing
 from .simulate import EVICTED, PREEMPTED, REJECTED, Policy, RunTrace, run
 from .theory import BoundBreakdown, competitive_bound
 
@@ -104,11 +104,11 @@ class LedgerError(RuntimeError):
 class RoptTrace:
     """The relaxed reference schedule: the step at which it sends each O-packet.
 
-    ``on`` is the policy's trace it mirrors. ``in_o`` is the O-mask and
+    ``on`` is the policy's trace it mirrors, and ``kept`` is O, whose
+    ``sends`` are the reference's send steps. ``in_o`` is the O-mask and
     ``send_time`` the send step, both indexed like the arrivals of
-    ``on.instance``; ``send_time`` is None for a packet the
-    reference never sends. ``last_step`` is its final send step (0 when
-    O is empty). Every step that sends nothing has an empty reference buffer.
+    ``on.instance``; ``send_time`` is None for a packet the reference
+    never sends. Every step that sends nothing has an empty reference buffer.
 
     ``link`` maps each send step that does not mirror the policy to the
     step at which the reference sent the policy's packet, or to None (a
@@ -118,9 +118,9 @@ class RoptTrace:
     """
 
     on: RunTrace
+    kept: OptResult
     in_o: Sequence[bool]
     send_time: Sequence[int | None]
-    last_step: int
     link: Mapping[int, int | None]
     head: Mapping[int, int]
 
@@ -132,36 +132,30 @@ class RoptTrace:
         return tuple(reversed(steps))
 
 
-def run_ropt(on: RunTrace, o_indices: Iterable[int]) -> RoptTrace:
-    """Replay the reference schedule for O = the arrivals at `o_indices` against the run `on`.
+def run_ropt(on: RunTrace, kept: OptResult) -> RoptTrace:
+    """Replay the reference schedule for O = `kept` against the run `on`.
 
     Accepts every O-packet at its arrival step; then, if the policy's
     send of the step is an O-packet still buffered here, mirrors it,
     otherwise sends the earliest buffered packet. Runs until the buffer
     drains, which may outlast the policy's own trace. The reference sends
     whenever its buffer is non-empty, so it is busy at exactly the steps
-    of O's earliest-send schedule from
-    :func:`~fifolab.offline._earliest_sends`; the loop visits only those
-    steps and chooses which packet goes at each. An index outside the
-    arrivals raises ValueError.
+    of O's earliest-send schedule, ``kept.sends``; the loop visits only
+    those steps and chooses which packet goes at each. `kept` is taken as
+    the optimizer or :func:`~fifolab.offline.feasible` built it, which
+    checked its indices and its deliverability.
     """
-    inst = on.instance
-    n = len(inst.steps)
-    o_idx = arrival_indices(inst, o_indices)
+    n = len(on.instance.steps)
     in_o = [False] * n
-    for i in o_idx:
+    for i in kept.indices:
         in_o[i] = True
-    schedule = _earliest_sends([inst.steps[i] for i in o_idx], inst.capacity)
-    if schedule is None:
-        raise ValueError("chosen packet set is not deliverable offline")
     # pending: the unsent O-packets in key order, so the buffer is its
     # released part; packets mirrored out of key order leave the front lazily
-    pending = deque(o_idx)
+    pending = deque(kept.indices)
     send_time: list[int | None] = [None] * n
     link: dict[int, int | None] = {}
     head: dict[int, int] = {}
-    t = 0
-    for t in schedule:
+    for t in kept.sends:
         while send_time[pending[0]] is not None:
             pending.popleft()
         m = on.sends.get(t)
@@ -172,7 +166,7 @@ def run_ropt(on: RunTrace, o_indices: Iterable[int]) -> RoptTrace:
             # a policy-sent O-packet left here earlier, at a non-mirroring step
             prev = link[t] = None if m is None else send_time[m]
             head[t] = t if prev is None else head[prev]
-    return RoptTrace(on, in_o, send_time, t, link, head)
+    return RoptTrace(on, kept, in_o, send_time, link, head)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +240,8 @@ def build_ledger(ropt: RoptTrace) -> ChargeLedger:
     values = (ONE, alpha)  # indexed by the alpha flag
     on_charges: dict[int, Rat] = {t: values[flags[i]] for t, i in on.sends.items()}
     charges = [
-        ChargeRecord(i, SENT_BY_BOTH, values[flags[i]], t) for t, i in on.sends.items() if in_o[i]
+        _new(ChargeRecord, (i, SENT_BY_BOTH, values[flags[i]], t, None, None))
+        for t, i in on.sends.items() if in_o[i]
     ]
     diagnostics = {
         "deferred-evictions": 0,
@@ -345,7 +340,7 @@ def build_ledger(ropt: RoptTrace) -> ChargeLedger:
                 charges.append(
                     ChargeRecord(i, PREEMPTED_INTERVAL, ONE, interval=(t, t + h - 1), drop_step=t)
                 )
-    reference_sends_before(ropt.last_step + 1)
+    reference_sends_before(math.inf)
 
     if deferred:
         missing = ", ".join(sorted(_id(inst, i) for _, i, _ in deferred))
@@ -395,6 +390,7 @@ class AnalysisReport:
 
 
 _PASS, _FAIL = CheckStatus.PASS, CheckStatus.FAIL  # bound once: each check reads one
+_new = tuple.__new__  # a named tuple from all its fields, without NamedTuple's Python-level __new__
 
 
 @lru_cache(maxsize=None)
@@ -406,7 +402,15 @@ def _passed(name: str) -> CheckResult:
 def _result(name: str, ok: bool, detail: str = "") -> CheckResult:
     if ok and not detail:
         return _passed(name)
-    return CheckResult(name, _PASS if ok else _FAIL, detail)
+    return _new(CheckResult, (name, _PASS if ok else _FAIL, detail))
+
+
+@lru_cache(maxsize=1024)
+def _backlog_bound(capacity: int, a: int, b: int, c: int, d: int) -> tuple[int, int, str]:
+    """B*beta/(alpha+beta) at alpha = a/b, beta = c/d: B*c*b, a*d + c*b, and its text as a Fraction's."""
+    scaled, den = capacity * c * b, a * d + c * b
+    g = math.gcd(scaled, den)
+    return scaled, den, f"{scaled // g}" if den == g else f"{scaled // g}/{den // g}"
 
 
 def verify_ropt(ropt: RoptTrace) -> AnalysisReport:
@@ -420,11 +424,12 @@ def verify_ropt(ropt: RoptTrace) -> AnalysisReport:
 
     The replay of the policy's buffer (``on.departures``) gives the step
     at which each packet left it; the live chains at every send step are
-    then interval sweeps over those departures.
+    then interval sweeps over those departures. O's indices and its
+    ascending send steps are read off ``ropt.kept``.
     """
     on, inst = ropt.on, ropt.on.instance
     in_o = ropt.in_o
-    o_idx = list(compress(range(len(in_o)), in_o))
+    o_idx, ropt_steps = ropt.kept.indices, ropt.kept.sends
     send_time = ropt.send_time
     steps, flags, capacity = inst.steps, inst.is_alpha, inst.capacity
     # leave[i]: the step packet i left the policy's buffer (see Departures)
@@ -439,7 +444,6 @@ def verify_ropt(ropt: RoptTrace) -> AnalysisReport:
     # positions [lo, hi) of on_steps, empty when z left by send_time(z), as
     # a packet both send at one step does. Each such packet owns a live
     # chain, and their count is the backlog.
-    ropt_steps = sorted([t for t in send_time if t is not None])
     capacity_breach = ""
     before = unsent = 0
     spans: list[tuple[int, int, int]] = []  # (lo, hi, arrival index)
@@ -522,30 +526,20 @@ def verify_ropt(ropt: RoptTrace) -> AnalysisReport:
     checks.append(_result("chains-disjoint", not overlap, overlap))
 
     if on.policy.kind == "on":
-        # B*beta/(alpha+beta) with alpha = a/b and beta = c/d is B*c*b / (a*d + c*b)
         a, b = inst.alpha.as_integer_ratio()
-        c, d = on.policy.beta.as_integer_ratio()
-        scaled, den = inst.capacity * c * b, a * d + c * b
-        strict_ok = max_alpha * den < scaled
-        g = math.gcd(scaled, den)  # the bound in lowest terms, as str(Fraction) writes it
-        bound = f"{scaled // g}" if den == g else f"{scaled // g}/{den // g}"
+        scaled, den, bound = _backlog_bound(capacity, a, b, *on.policy.beta.as_integer_ratio())
         detail = f"max alpha backlog {max_alpha}, max any {max_any}, bound {bound}"
-        checks.append(
-            CheckResult(
-                "backlog-bound",
-                CheckStatus.PASS if strict_ok else CheckStatus.WARN,
-                detail,
-            )
-        )
+        status = _PASS if max_alpha * den < scaled else CheckStatus.WARN
+        checks.append(_new(CheckResult, ("backlog-bound", status, detail)))
 
     return AnalysisReport(tuple(checks))
 
 
-def _charge_sum(amounts: Iterable[Rat], alpha: Rat) -> tuple[int, int]:
+def _charge_sum(amounts: Iterable[Rat], alpha: Rat, a: int, b: int) -> tuple[int, int]:
     """Exact sum of charge amounts as an unreduced (numerator, denominator) pair.
 
-    The ledger's amounts are the very objects ``alpha`` and ONE, so those
-    are counted by identity; any other amount goes through
+    The ledger's amounts are the very objects ``alpha`` (= a/b) and ONE, so
+    those are counted by identity; any other amount goes through
     :func:`~fifolab.model.scaled_sum`.
     """
     alphas = ones = 0
@@ -557,7 +551,6 @@ def _charge_sum(amounts: Iterable[Rat], alpha: Rat) -> tuple[int, int]:
             ones += 1
         else:
             other.append(v)
-    a, b = alpha.as_integer_ratio()
     num, den = scaled_sum(other)
     return (alphas * a + ones * b) * den + num * b, b * den
 
@@ -592,21 +585,21 @@ def verify_ledger(ledger: ChargeLedger) -> AnalysisReport:
         elif kind in CHAIN_CHARGE_KINDS:
             head_steps.append(rec.step)
 
-    # both sides as integer ratios, compared cross-multiplied
-    ropt_num, ropt_den = _charge_sum(amounts, inst.alpha)
-    on_num, on_den = _charge_sum(ledger.on_charges.values(), inst.alpha)
+    # both sides as integer ratios, compared cross-multiplied, against the
+    # value O's builder summed and the policy's total
     a, b = inst.alpha.as_integer_ratio()
-    o_alphas = sum(compress(inst.is_alpha, in_o))
-    expected = (sum(in_o) - o_alphas) * b + o_alphas * a  # over b
+    ropt_num, ropt_den = _charge_sum(amounts, inst.alpha, a, b)
+    on_num, on_den = _charge_sum(ledger.on_charges.values(), inst.alpha, a, b)
+    o_num, o_den = ledger.ropt.kept.value.as_integer_ratio()
     delivered, delivered_den = on.totals.as_integer_ratio()
-    conserved = ropt_num * b == expected * ropt_den and on_num * delivered_den == delivered * on_den
+    conserved = ropt_num * o_den == o_num * ropt_den and on_num * delivered_den == delivered * on_den
     checks.append(
         _result(
             "charge-conservation",
             conserved,
             "" if conserved else (
                 f"reference charges {Fraction(ropt_num, ropt_den)} "
-                f"vs optimum value {Fraction(expected, b)}; "
+                f"vs optimum value {ledger.ropt.kept.value}; "
                 f"policy charges {Fraction(on_num, on_den)} vs delivered {on.totals}"
             ),
         )
@@ -681,9 +674,7 @@ class RatioReport:
     within_bound: bool
 
 
-def _make_ratio(
-    policy: Policy, policy_value: Rat, opt_value: Rat, alpha: Rat, beta: Rat
-) -> RatioReport:
+def _make_ratio(policy: Policy, policy_value: Rat, opt_value: Rat, alpha: Rat, beta: Rat) -> RatioReport:
     # opt/policy <= bound, cross-multiplied over the three positive denominators
     bound = competitive_bound(alpha, beta)
     bound_num, bound_den = bound.bound.as_integer_ratio()
@@ -713,8 +704,7 @@ class InstanceAnalysis:
     instance: Instance
     beta: Rat
     on: RunTrace
-    optimum: OptResult
-    ropt: RoptTrace
+    ropt: RoptTrace  # its ``kept`` is the canonical optimum
     ledger: ChargeLedger | None
     report: AnalysisReport
     ratio: RatioReport
@@ -756,7 +746,7 @@ def analyze(inst: Instance, beta: Rat) -> InstanceAnalysis:
         ),
         _result("oracle-agreement", dp_text == best, f"dp {dp_text} vs exhaustive {best}"),
     ]
-    ropt = run_ropt(on, optimum.indices)
+    ropt = run_ropt(on, optimum)
     checks += verify_ropt(ropt).checks
 
     ledger: ChargeLedger | None
@@ -770,15 +760,10 @@ def analyze(inst: Instance, beta: Rat) -> InstanceAnalysis:
         checks += verify_ledger(ledger).checks
 
     ratio = _make_ratio(on.policy, on.totals, exhaustive.value, inst.alpha, beta)
-    checks.append(
-        _result(
-            "ratio-bound",
-            ratio.within_bound,
-            f"ratio {ratio.ratio} vs bound {ratio.bound.bound}",
-        )
-    )
+    detail = f"ratio {ratio.ratio} vs bound {ratio.bound.bound}"
+    checks.append(_result("ratio-bound", ratio.within_bound, detail))
     report = AnalysisReport(tuple(checks))
-    return InstanceAnalysis(inst, beta, on, optimum, ropt, ledger, report, ratio)
+    return InstanceAnalysis(inst, beta, on, ropt, ledger, report, ratio)
 
 
 def format_report(report: AnalysisReport) -> str:

@@ -19,8 +19,10 @@ earliest-send pass then gives the optimum's schedule, and :func:`dp_opt`
 certifies its value with a tight bound, one integer pass per class that
 makes two comparisons and no call per packet. Every
 packet subset taken or returned is arrival indices: a required subset
-comes in as indices, and an optimum (:class:`OptResult`) goes out as its
-ascending indices and send steps, so no packet is hashed. An
+comes in as indices, and a deliverable set (:class:`OptResult`) goes out
+as its value, ascending indices and earliest send steps, so no packet is
+hashed. :func:`feasible` is the one way to schedule an arbitrary set, and
+its result is what :func:`~fifolab.analysis.run_ropt` takes. An
 :class:`~fifolab.model.Instance` is valid by construction, so nothing
 here checks one. The step simulation, the exhaustive enumeration, the
 insertion greedy and the queue-length dynamic program survive only as
@@ -37,7 +39,7 @@ from .model import Instance, Rat, arrival_indices, value_sum
 
 
 class OptResult(NamedTuple):
-    """An optimum by arrival index.
+    """A deliverable packet set by arrival index: an optimum, or any set :func:`feasible` schedules.
 
     ``indices`` ascend, so they list the packets in key order; ``sends``
     gives the step at which the earliest-send schedule sends each.
@@ -48,13 +50,14 @@ class OptResult(NamedTuple):
     sends: tuple[int, ...]
 
 
-def feasible(inst: Instance, indices: Iterable[int]) -> tuple[bool, dict[int, int] | None]:
-    """Can the arrivals at `indices` all be delivered? Returns their earliest send steps."""
+def feasible(inst: Instance, indices: Iterable[int]) -> OptResult | None:
+    """The arrivals at `indices`, their value and earliest send steps; None if not all can be delivered."""
     kept = arrival_indices(inst, indices)
     sends = _earliest_sends([inst.steps[i] for i in kept], inst.capacity)
     if sends is None:
-        return False, None
-    return True, dict(zip(kept, sends))
+        return None
+    alphas = sum([inst.is_alpha[i] for i in kept])
+    return OptResult(value_sum(inst.alpha, len(kept) - alphas, alphas), tuple(kept), tuple(sends))
 
 
 def _earliest_sends(steps: Iterable[int], capacity: int) -> list[int] | None:

@@ -97,7 +97,14 @@ class Policy:
 
     @classmethod
     def on(cls, beta: Rat) -> "Policy":
-        return cls("on", beta if type(beta) is Fraction else Fraction(beta))
+        """The threshold policy at `beta`, kept if a Fraction; memoised on its ratio, never on a failure."""
+        beta = beta if type(beta) is Fraction else Fraction(beta)
+        policy = _ON_POLICIES.get(key := beta.as_integer_ratio())
+        if policy is None or policy.beta is not beta:
+            if len(_ON_POLICIES) >= 1024:
+                _ON_POLICIES.clear()
+            policy = _ON_POLICIES[key] = cls("on", beta)
+        return policy
 
     @classmethod
     def greedy(cls) -> "Policy":
@@ -107,6 +114,9 @@ class Policy:
         if self.kind == "on":
             return f"on(beta={format_rat(self.beta)})"
         return "greedy"
+
+
+_ON_POLICIES: dict[tuple[int, int], Policy] = {}  # Policy.on's memo
 
 
 class Departures(NamedTuple):

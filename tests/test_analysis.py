@@ -41,6 +41,7 @@ from fifolab import (
 )
 import fifolab.analysis as analysis_module
 import fifolab.model as model_module
+import fifolab.offline as offline_module
 import fifolab.simulate as simulate_module
 from fifolab.analysis import (
     EVICTED_ALPHA_INTERVAL,
@@ -92,46 +93,45 @@ def demo_setup(alpha=Fraction(2)):
 class TestRunRopt:
     def test_demo_reference_runs_ahead_on_the_lost_alpha(self):
         inst, on, chosen = demo_setup()
-        ropt = run_ropt(on, chosen)
+        ropt = run_ropt(on, feasible(inst, chosen))
         times = {p.id: t for p, t in send_times(inst, ropt).items()}
         # the policy spends step 1 on a 1-value packet; the reference
         # sends the alpha packet the policy will lose to eviction
         assert times["1.2"] == 1
         assert times == {"1.2": 1, "2": 2, "2.1": 3, "2.2": 4, "5.1": 5, "5.2": 6, "5": 7}
-        assert ropt.last_step == 7
+        assert ropt.kept.sends[-1] == 7  # the last step the reference sends
 
     def test_empty_chosen_set_never_sends(self):
         inst, on, _ = demo_setup()
-        ropt = run_ropt(on, set())
+        ropt = run_ropt(on, feasible(inst, set()))
         assert ropt.in_o == [False] * len(inst.arrivals)
         assert ropt.send_time == [None] * len(inst.arrivals)
 
     def test_mirrors_when_policy_matches_optimum(self):
         inst = build_instance(2, Fraction(2), [(1, 0, "alpha"), (1, 1, "alpha")])
         on = run(Policy.on(BETA_REF), inst)
-        ropt = run_ropt(on, range(2))
+        ropt = run_ropt(on, feasible(inst, range(2)))
         assert ropt.in_o == [True, True]
         assert {t: i for i, t in enumerate(ropt.send_time) if t is not None} == on.sends
-        assert ropt.last_step == 2
+        assert ropt.kept.sends == (1, 2)
 
     def test_infeasible_chosen_set_rejected(self):
+        # feasible schedules a set for run_ropt, and has none for this one
         inst = greedy_blocking(Fraction(10))
-        on = run(Policy.on(BETA_REF), inst)
-        with pytest.raises(ValueError):
-            run_ropt(on, range(len(inst.arrivals)))
+        assert feasible(inst, range(len(inst.arrivals))) is None
 
 
 class TestVerifyRopt:
     def test_demo_all_pass(self):
         inst, on, chosen = demo_setup()
-        report = verify_ropt(run_ropt(on, chosen))
+        report = verify_ropt(run_ropt(on, feasible(inst, chosen)))
         assert report.ok
         for name in ("ropt-capacity", "ropt-sends-all", "send-precedence", "chains-disjoint"):
             assert report.check(name).status == CheckStatus.PASS
 
     def test_empty_chosen_set_vacuous(self):
         inst, on, _ = demo_setup()
-        report = verify_ropt(run_ropt(on, set()))
+        report = verify_ropt(run_ropt(on, feasible(inst, set())))
         assert report.ok
 
     def test_checks_and_ledger_share_one_replay(self, monkeypatch):
@@ -143,7 +143,7 @@ class TestVerifyRopt:
 
         monkeypatch.setattr(simulate_module, "replay_events", counting_replay)
         inst, on, chosen = demo_setup()
-        ropt = run_ropt(on, chosen)
+        ropt = run_ropt(on, feasible(inst, chosen))
         report = verify_ropt(ropt)
         assert drained == [on]
         assert [c.name for c in report.checks] == [
@@ -165,7 +165,7 @@ class TestVerifyRopt:
 
     def test_backlog_diagnostic_reports_counts(self):
         inst, on, chosen = demo_setup()
-        report = verify_ropt(run_ropt(on, chosen))
+        report = verify_ropt(run_ropt(on, feasible(inst, chosen)))
         check = report.check("backlog-bound")
         assert check.status == CheckStatus.PASS
         assert "max alpha backlog 1" in check.detail
@@ -183,7 +183,7 @@ class TestChains:
         on = run(Policy.on(BETA_REF), inst)
         assert sent_ids(inst, on) == ["1", "2", "2.1"]
         chosen = by_ids(inst, "1", "1.1", "2")
-        ropt = run_ropt(on, chosen)
+        ropt = run_ropt(on, feasible(inst, chosen))
         [owner] = by_ids(inst, "1.1")
         assert ropt.chain(owner) == (3,)
 
@@ -198,7 +198,7 @@ class TestChains:
         )
         on = run(Policy.on(BETA_REF), inst)
         chosen = by_ids(inst, "1.2", "1.3", "3")
-        ropt = run_ropt(on, chosen)
+        ropt = run_ropt(on, feasible(inst, chosen))
         [owner] = by_ids(inst, "3")
         assert ropt.chain(owner) == (2, 3)
 
@@ -206,7 +206,7 @@ class TestChains:
 class TestLedgerDemo:
     def test_charges(self):
         inst, on, chosen = demo_setup()
-        ropt = run_ropt(on, chosen)
+        ropt = run_ropt(on, feasible(inst, chosen))
         ledger = build_ledger(ropt)
 
         by_kind = {}
@@ -229,14 +229,14 @@ class TestLedgerDemo:
 
     def test_conservation(self):
         inst, on, chosen = demo_setup()
-        ropt = run_ropt(on, chosen)
+        ropt = run_ropt(on, feasible(inst, chosen))
         ledger = build_ledger(ropt)
         assert sum(rec.amount for rec in ledger.ropt_charges) == total_value(inst, chosen) == 13
         assert sum(ledger.on_charges.values(), Fraction(0)) == on.totals == 11
 
     def test_verify_passes(self):
         inst, on, chosen = demo_setup()
-        ropt = run_ropt(on, chosen)
+        ropt = run_ropt(on, feasible(inst, chosen))
         ledger = build_ledger(ropt)
         report = verify_ledger(ledger)
         assert report.ok
@@ -246,7 +246,7 @@ class TestLedgerDemo:
         # alpha evictions just before, at both ends of, and just after the
         # preemption interval [5, 6], recorded in step order as the ledger does
         inst, on, chosen = demo_setup()
-        ropt = run_ropt(on, chosen)
+        ropt = run_ropt(on, feasible(inst, chosen))
         ledger = build_ledger(ropt)
         [evicted] = [r for r in ledger.ropt_charges if r.kind == EVICTED_ALPHA_INTERVAL]
         drops = tuple(evicted._replace(drop_step=d) for d in (4, 5, 6, 7))
@@ -263,7 +263,7 @@ class TestLedgerChainCharges:
         )
         on = run(Policy.on(BETA_REF), inst)
         chosen = by_ids(inst, "1", "1.1", "2")
-        ropt = run_ropt(on, chosen)
+        ropt = run_ropt(on, feasible(inst, chosen))
         ledger = build_ledger(ropt)
         [rec] = [r for r in ledger.ropt_charges if r.kind == EVICTED_ONE_CHAIN]
         assert inst.arrivals[rec.packet].id == "1.1"
@@ -285,8 +285,8 @@ class TestLedgerChainCharges:
         assert sent_ids(inst, on) == ["1", "1.1", "2"]
         chosen = by_ids(inst, "1.1", "2", "2.1")
         assert total_value(inst, chosen) == 5
-        assert feasible(inst, chosen)[0]
-        ropt = run_ropt(on, chosen)
+        assert feasible(inst, chosen) is not None
+        ropt = run_ropt(on, feasible(inst, chosen))
         ledger = build_ledger(ropt)
         [rec] = [r for r in ledger.ropt_charges if r.kind == REJECTED_ONE_CHAIN]
         assert inst.arrivals[rec.packet].id == "2.1"
@@ -310,7 +310,7 @@ class TestLedgerChainCharges:
         on = run(Policy.on(BETA_REF), inst)
         assert sent_ids(inst, on) == ["1", "1.1", "1.3", "3"]
         chosen = by_ids(inst, "1.2", "1.3", "3")
-        ropt = run_ropt(on, chosen)
+        ropt = run_ropt(on, feasible(inst, chosen))
         ledger = build_ledger(ropt)
         [rec] = [r for r in ledger.ropt_charges if r.kind == PREEMPTED_OPEN_CHAIN]
         assert inst.arrivals[rec.packet].id == "1.2"
@@ -335,7 +335,7 @@ class TestLedgerChainCharges:
     def test_policy_matching_optimum_needs_no_chains(self):
         inst = build_instance(2, Fraction(2), [(1, 0, "alpha"), (2, 0, "one")])
         on = run(Policy.on(BETA_REF), inst)
-        ropt = run_ropt(on, range(2))
+        ropt = run_ropt(on, feasible(inst, range(2)))
         ledger = build_ledger(ropt)
         assert all(rec.kind == SENT_BY_BOTH for rec in ledger.ropt_charges)
         assert ledger.chains == ()
@@ -348,7 +348,7 @@ class TestArrivalIndex:
             result = analyze(inst, BETA_REF)
             on = run(Policy.on(BETA_REF), inst)
             assert on.instance is inst and on == result.on
-            ropt = run_ropt(on, result.optimum.indices)
+            ropt = run_ropt(on, result.ropt.kept)
             checks = verify_ropt(ropt).checks
             ledger = build_ledger(ropt)
             checks += verify_ledger(ledger).checks
@@ -619,7 +619,7 @@ def test_fixed_optimum_ledger_golden(seed, o_ids, bound, ledger_text):
     chosen = sorted(by_ids(inst, *o_ids.split()))
     assert total_value(inst, chosen) == brute_force_opt(inst).value
     on = run(Policy.on(BETA_REF), inst)
-    ropt = run_ropt(on, chosen)
+    ropt = run_ropt(on, feasible(inst, chosen))
     ledger = build_ledger(ropt)
     report = AnalysisReport(
         verify_ropt(ropt).checks + verify_ledger(ledger).checks
@@ -651,7 +651,7 @@ def test_ledger_on_seed_3452_optimum():
     assert total_value(inst, chosen) == brute_force_opt(inst).value == 36
     on = run(Policy.on(BETA_REF), inst)
     assert {i for i in on.sends.values() if inst.arrivals[i].is_alpha} <= set(chosen)
-    ropt = run_ropt(on, chosen)
+    ropt = run_ropt(on, feasible(inst, chosen))
     assert verify_ropt(ropt).ok
     ledger = build_ledger(ropt)
     assert verify_ledger(ledger).ok
@@ -695,7 +695,7 @@ def test_ledger_on_shrunk_optimum(capacity, alpha, specs, o_ids, message):
     assert total_value(inst, chosen) == brute_force_opt(inst).value
     on = run(Policy.on(BETA_REF), inst)
     assert {i for i in on.sends.values() if inst.is_alpha[i]} <= set(chosen)
-    ropt = run_ropt(on, chosen)
+    ropt = run_ropt(on, feasible(inst, chosen))
     assert verify_ropt(ropt).ok
     try:
         ledger = build_ledger(ropt)
@@ -718,7 +718,7 @@ def _optima_containing(inst, required, canonical):
     for extra in itertools.combinations(free_alphas, n_alpha - len(required)):
         for picked in itertools.combinations(ones, len(canonical) - n_alpha):
             chosen = sorted((*required, *extra, *picked))
-            if feasible(inst, chosen)[0]:
+            if feasible(inst, chosen) is not None:
                 yield chosen
 
 
@@ -738,7 +738,7 @@ def test_charging_argument_holds_on_every_optimum():
         assert canonical.value == brute_force_opt(inst).value
         for chosen in _optima_containing(inst, required, canonical.indices):
             optima += 1
-            ropt = run_ropt(on, chosen)
+            ropt = run_ropt(on, feasible(inst, chosen))
             ledger = build_ledger(ropt)  # raises LedgerError on a broken rule
             checks = verify_ropt(ropt).checks + verify_ledger(ledger).checks
             assert AnalysisReport(checks).ok, (seed, chosen)
@@ -788,7 +788,7 @@ def _random_feasible_subset(inst, rng):
     n = len(inst.arrivals)
     chosen = set()
     for i in rng.sample(range(n), n):
-        if rng.randrange(10) and feasible(inst, chosen | {i})[0]:
+        if rng.randrange(10) and feasible(inst, chosen | {i}) is not None:
             chosen.add(i)
     return chosen
 
@@ -810,10 +810,11 @@ def test_failure_paths_digest():
         for beta in (BETA_REF, Fraction(1, 2), Fraction(6)):
             on = run(Policy.on(beta), inst)
             chosen = _random_feasible_subset(inst, rng)
-            ropt = run_ropt(on, chosen)
+            ropt = run_ropt(on, feasible(inst, chosen))
             sends = sorted((t, p.id) for p, t in send_times(inst, ropt).items())
             report = verify_ropt(ropt)
-            parts = [f"{seed} {beta} {sends} {ropt.last_step}", format_report(report)]
+            last_step = ropt.kept.sends[-1] if ropt.kept.sends else 0
+            parts = [f"{seed} {beta} {sends} {last_step}", format_report(report)]
             reached.update(c.name for c in report.failures)
             try:
                 ledger = build_ledger(ropt)
@@ -927,6 +928,18 @@ def test_analyze_hashes_no_fraction(monkeypatch):
     assert calls == 0
 
 
+@pytest.mark.parametrize("beta", [Fraction(0), Fraction(-3, 2), 0, -0.5])
+def test_analyze_rejects_an_invalid_beta_on_every_call(beta):
+    # Policy.on memoises its policies on beta's integer ratio; a beta that
+    # fails the policy's check is never stored, so it raises every time
+    inst = random_instance(GenConfig(seed=0))
+    for _ in range(3):
+        with pytest.raises(ValueError, match="beta must be positive"):
+            analyze(inst, beta)
+    valid = Fraction(3, 2)
+    assert Policy.on(valid) is Policy.on(valid) == Policy("on", valid)
+
+
 def _live_packets():
     return sum(1 for obj in gc.get_objects() if type(obj) is Packet)
 
@@ -1016,21 +1029,41 @@ def test_analyze_builds_no_step_event(monkeypatch):
 
 
 def test_analyze_builds_one_o_mask(monkeypatch):
-    # run_ropt checks the optimum's indices once; the other layers reuse its mask
-    calls = 0
-    real_indices = analysis_module.arrival_indices
+    # run_ropt takes O's ascending indices and earliest sends from the
+    # optimizer's OptResult as they are: it neither sorts the indices again
+    # nor reruns the earliest-send pass, and the mask it builds is the one
+    # the other layers read
+    inside_run_ropt = False
+    calls = Counter()
 
-    def counted(inst, indices):
-        nonlocal calls
-        calls += 1
-        return real_indices(inst, indices)
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name, inside_run_ropt] += 1
+            return real(*args)
 
-    monkeypatch.setattr(analysis_module, "arrival_indices", counted)
+        return wrapper
+
+    for module in (model_module, offline_module, analysis_module):
+        for name in ("arrival_indices", "_earliest_sends"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    real_run_ropt = analysis_module.run_ropt
+
+    def traced(on, kept):
+        nonlocal inside_run_ropt
+        inside_run_ropt = True
+        try:
+            return real_run_ropt(on, kept)
+        finally:
+            inside_run_ropt = False
+
+    monkeypatch.setattr(analysis_module, "run_ropt", traced)
     for seed in range(500):
-        calls = 0
         result = analyze(random_instance(GenConfig(seed=seed)), BETA_REF)
-        assert calls == 1
-        assert len(result.optimum.indices) == sum(result.ropt.in_o)
+        assert len(result.ropt.kept.indices) == sum(result.ropt.in_o)
+    # the counters are live: the optimizer makes both calls on every analyze
+    assert calls["arrival_indices", False] >= 500 and calls["_earliest_sends", False] >= 500
+    assert calls["arrival_indices", True] == calls["_earliest_sends", True] == 0
 
 
 def test_analyze_validates_once(monkeypatch):
@@ -1074,7 +1107,7 @@ def test_alpha_send_intervals_names_the_first_impure_step(interval, detail):
     on = run(Policy.on(BETA_REF), inst)
     assert list(on.sends.items()) == [(1, 0), (3, 1), (4, 2), (5, 3)]
     record = ChargeRecord(0, EVICTED_ALPHA_INTERVAL, Fraction(2), interval=interval)
-    ropt = RoptTrace(on, [False] * 4, [None] * 4, 0, {}, {})
+    ropt = RoptTrace(on, feasible(inst, ()), [False] * 4, [None] * 4, {}, {})
     ledger = ChargeLedger(ropt, {}, (record,), (), {})
     check = verify_ledger(ledger).check("alpha-send-intervals")
     assert check == ("alpha-send-intervals", "fail" if detail else "pass", detail)
@@ -1099,7 +1132,7 @@ def test_non_fifo_trace_rejected(event_log):
         {1: second, 2: first},
         Fraction(3),
     )
-    ropt = run_ropt(on, range(2))
+    ropt = run_ropt(on, feasible(inst, range(2)))
     assert ropt.in_o == [True, True]
     with pytest.raises(ValueError, match="non-FIFO send of 1.1 at step 1"):
         verify_ropt(ropt)
@@ -1127,7 +1160,7 @@ def test_drop_of_an_unbuffered_packet_rejected(event_log):
         {1: 0, 2: 1},
         Fraction(2),
     )
-    ropt = run_ropt(on, range(2))
+    ropt = run_ropt(on, feasible(inst, range(2)))
     for check in (verify_ropt, build_ledger):
         with pytest.raises(ValueError) as exc:
             check(ropt)
@@ -1174,7 +1207,8 @@ def test_ledger_rejects_hand_built_trace(specs, events, message, event_log):
         Fraction(0),
     )
     every_packet_in_o = [True] * len(specs)
+    sends_nothing = OptResult(total_value(inst, range(len(specs))), tuple(range(len(specs))), ())
     with pytest.raises(LedgerError) as exc:
-        build_ledger(RoptTrace(on, every_packet_in_o, [None] * len(specs), 0, {}, {}))
+        build_ledger(RoptTrace(on, sends_nothing, every_packet_in_o, [None] * len(specs), {}, {}))
     assert str(exc.value) == message
     assert "arrivals" not in vars(inst)  # the texts name packets from the columns

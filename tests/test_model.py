@@ -155,7 +155,8 @@ INDEX_TAKERS = {
     "total_value": lambda inst, on, idxs: total_value(inst, idxs),
     "feasible": lambda inst, on, idxs: feasible(inst, idxs),
     "opt_containing": lambda inst, on, idxs: opt_containing(inst, idxs),
-    "run_ropt": lambda inst, on, idxs: run_ropt(on, idxs),
+    # run_ropt takes its O-set as feasible schedules it, which checks the indices
+    "run_ropt": lambda inst, on, idxs: run_ropt(on, feasible(inst, idxs)),
 }
 
 

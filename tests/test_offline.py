@@ -27,21 +27,19 @@ def ids_of(inst, indices):
 
 class TestFeasible:
     def test_empty_subset(self):
-        ok, schedule = feasible(demo_instance(Fraction(2)), set())
-        assert ok and schedule == {}
+        assert feasible(demo_instance(Fraction(2)), set()) == (0, (), ())
 
     def test_demo_optimal_set_sends_in_seven_steps(self):
         inst = demo_instance(Fraction(2))
         chosen = by_ids(inst, "1.2", "2", "2.1", "2.2", "5", "5.1", "5.2")
-        ok, schedule = feasible(inst, chosen)
-        assert ok
+        schedule = feasible(inst, chosen)
+        assert schedule.value == 13  # 6 * alpha + 1
         expected = {"1.2": 1, "2": 2, "2.1": 3, "2.2": 4, "5": 5, "5.1": 6, "5.2": 7}
-        assert {inst.arrivals[i].id: t for i, t in schedule.items()} == expected
+        assert dict(zip(ids_of(inst, schedule.indices), schedule.sends)) == expected
 
     def test_blocking_family_cannot_keep_everything(self):
         inst = greedy_blocking(Fraction(10))
-        ok, schedule = feasible(inst, range(len(inst.arrivals)))
-        assert not ok and schedule is None
+        assert feasible(inst, range(len(inst.arrivals))) is None
 
     def test_long_idle_gap(self):
         # a backlog of two at step 1, then nothing for 10^4 steps
@@ -49,9 +47,9 @@ class TestFeasible:
         inst = build_instance(
             2, Fraction(2), [(1, 0, "one"), (1, 1, "alpha"), (1 + gap, 0, "one"), (1 + gap, 1, "one")]
         )
-        ok, schedule = feasible(inst, range(4))
-        assert ok
-        assert list(schedule.items()) == [(0, 1), (1, 2), (2, 1 + gap), (3, 2 + gap)]
+        schedule = feasible(inst, range(4))
+        assert schedule.indices == (0, 1, 2, 3)
+        assert schedule.sends == (1, 2, 1 + gap, 2 + gap)
 
 
 class TestBruteForce:
@@ -80,8 +78,7 @@ class TestBruteForce:
         inst = demo_instance(Fraction(5))
         result = brute_force_opt(inst)
         assert list(result.indices) == sorted(set(result.indices))
-        ok, schedule = feasible(inst, result.indices)
-        assert ok and tuple(schedule) == result.indices and tuple(schedule.values()) == result.sends
+        assert feasible(inst, result.indices) == result
 
 
 class TestDp:

@@ -286,7 +286,7 @@ def test_integer_value_sums_match_fraction_sums(inst, alpha, beta):
     assert total_value(inst, range(1, n, 2)) == fraction_sum(inst.arrivals[1::2])
 
     result = analyze(inst, beta)
-    chosen = [inst.arrivals[i] for i in result.optimum.indices]
+    chosen = [inst.arrivals[i] for i in result.ropt.kept.indices]
     assert result.report.check("charge-conservation").status == "pass"
     assert sum((r.amount for r in result.ledger.ropt_charges), ZERO) == fraction_sum(chosen)
     assert sum(result.ledger.on_charges.values(), ZERO) == result.on.totals
@@ -575,10 +575,11 @@ def _assert_chains_match_oracle(inst, chosen, on, ropt):
 def _assert_ropt_matches_oracle(inst, chosen, on, ropt):
     send_time, last_step = _literal_run_ropt(inst, chosen, on)
     assert _send_times(inst, ropt) == send_time
-    assert ropt.last_step == last_step
-    # the reference is busy at exactly the steps of O's earliest-send schedule
-    ok, schedule = feasible(inst, chosen)
-    assert ok and sorted(send_time.values()) == list(schedule.values())
+    assert (ropt.kept.sends[-1] if ropt.kept.sends else 0) == last_step
+    # the reference is busy at exactly the steps of O's earliest-send
+    # schedule, which the trace keeps and the checks bisect
+    assert list(ropt.kept.sends) == sorted(send_time.values())
+    assert ropt.kept == feasible(inst, chosen)
     _assert_chains_match_oracle(inst, chosen, on, ropt)
 
 
@@ -589,17 +590,17 @@ def test_run_ropt_matches_literal_oracle(inst, beta, data):
     mask = data.draw(st.integers(0, 2**n - 1)) if n else 0
     chosen = set()
     for i in range(n):
-        if mask >> i & 1 and feasible(inst, chosen | {i})[0]:
+        if mask >> i & 1 and feasible(inst, chosen | {i}) is not None:
             chosen.add(i)
     for policy in (Policy.greedy(), Policy.on(beta)):
         on = run(policy, inst)
-        _assert_ropt_matches_oracle(inst, chosen, on, run_ropt(on, chosen))
+        _assert_ropt_matches_oracle(inst, chosen, on, run_ropt(on, feasible(inst, chosen)))
 
 
 def test_run_ropt_matches_literal_oracle_on_corpus():
     for seed in range(2000):
         result = analyze(random_instance(GenConfig(seed=seed)), DEFAULT_BETA)
-        _assert_ropt_matches_oracle(result.instance, result.optimum.indices, result.on, result.ropt)
+        _assert_ropt_matches_oracle(result.instance, result.ropt.kept.indices, result.on, result.ropt)
 
 
 def test_run_ropt_matches_literal_oracle_on_corpus_random_o_sets():
@@ -611,7 +612,7 @@ def test_run_ropt_matches_literal_oracle_on_corpus_random_o_sets():
         chosen = _random_feasible_subset(inst, rng)
         for policy in (Policy.greedy(), Policy.on(DEFAULT_BETA)):
             on = run(policy, inst)
-            _assert_ropt_matches_oracle(inst, chosen, on, run_ropt(on, chosen))
+            _assert_ropt_matches_oracle(inst, chosen, on, run_ropt(on, feasible(inst, chosen)))
 
 
 def _literal_verify_ropt(inst, chosen, on, ropt):
@@ -673,7 +674,7 @@ def _literal_verify_ropt(inst, chosen, on, ropt):
 
 
 def _assert_verify_ropt_matches_oracle(inst, chosen, on, ropt=None):
-    ropt = run_ropt(on, chosen) if ropt is None else ropt
+    ropt = run_ropt(on, feasible(inst, chosen)) if ropt is None else ropt
     report = verify_ropt(ropt)
     assert report == _literal_verify_ropt(inst, chosen, on, ropt)
     return report
@@ -685,7 +686,7 @@ def test_verify_ropt_matches_literal_oracle(inst, beta, data):
     mask = data.draw(st.integers(0, 2**n - 1)) if n else 0
     chosen = set()
     for i in range(n):
-        if mask >> i & 1 and feasible(inst, chosen | {i})[0]:
+        if mask >> i & 1 and feasible(inst, chosen | {i}) is not None:
             chosen.add(i)
     for policy in (Policy.greedy(), Policy.on(beta)):
         _assert_verify_ropt_matches_oracle(inst, chosen, run(policy, inst))
@@ -694,7 +695,7 @@ def test_verify_ropt_matches_literal_oracle(inst, beta, data):
 def test_verify_ropt_matches_literal_oracle_on_corpus():
     for seed in range(2000):
         result = analyze(random_instance(GenConfig(seed=seed)), DEFAULT_BETA)
-        _assert_verify_ropt_matches_oracle(result.instance, result.optimum.indices, result.on, result.ropt)
+        _assert_verify_ropt_matches_oracle(result.instance, result.ropt.kept.indices, result.on, result.ropt)
 
 
 def test_verify_ropt_matches_literal_oracle_on_failure_paths():
@@ -709,13 +710,14 @@ def test_verify_ropt_matches_literal_oracle_on_failure_paths():
         for beta in (DEFAULT_BETA, Fraction(1, 2), Fraction(6)):
             on = run(Policy.on(beta), inst)
             chosen = _random_feasible_subset(inst, rng)
-            ropt = run_ropt(on, chosen)
+            ropt = run_ropt(on, feasible(inst, chosen))
             merged = replace(ropt, head=dict.fromkeys(ropt.head, 0))
             fewer = set(list(chosen)[1:])
             everything = range(len(inst.arrivals))
             for o_set, trace in ((chosen, ropt), (chosen, merged), (everything, ropt), (fewer, ropt)):
                 # the reference built for `chosen`, checked as if O were `o_set`
-                trace = replace(trace, in_o=[i in o_set for i in everything])
+                kept = trace.kept._replace(indices=tuple(sorted(o_set)))
+                trace = replace(trace, kept=kept, in_o=[i in o_set for i in everything])
                 report = _assert_verify_ropt_matches_oracle(inst, o_set, on, trace)
                 failed.update(c.name for c in report.checks if c.status != CheckStatus.PASS)
     names = {"ropt-capacity", "ropt-sends-all", "send-precedence", "chains-disjoint", "backlog-bound"}
@@ -765,12 +767,13 @@ def test_feasible_matches_step_simulation(inst, data):
     n = len(inst.arrivals)
     mask = data.draw(st.integers(0, 2**n - 1)) if n else 0
     chosen = [i for i in range(n) if mask >> i & 1]
-    ok, schedule = feasible(inst, chosen)
+    result = feasible(inst, chosen)
     expected_ok, expected_schedule = _simulate_feasible(inst, chosen)
-    assert ok == expected_ok
-    assert schedule == expected_schedule
-    if ok:
-        assert list(schedule) == list(expected_schedule)  # send order too
+    assert (result is not None) == expected_ok
+    if result is not None:
+        # send order too
+        assert list(zip(result.indices, result.sends)) == list(expected_schedule.items())
+        assert result.value == total_value(inst, chosen)
 
 
 def _dp_oracle(inst: Instance) -> Rat:
@@ -1003,7 +1006,7 @@ def test_opt_containing_returns_the_optimum_that_contains_its_requirement():
             if set(best.indices).issuperset(required):
                 contained += 1
                 assert opt_containing(inst, required) == best
-        assert analyze(inst, DEFAULT_BETA).optimum == opt_containing(inst, delivered)
+        assert analyze(inst, DEFAULT_BETA).ropt.kept == opt_containing(inst, delivered)
     assert contained > 500
 
 
@@ -1088,7 +1091,7 @@ def test_earliest_send_is_a_complete_feasibility_test(inst):
     n = len(inst.arrivals)
     for mask in range(2**n):
         chosen = {i for i in range(n) if mask >> i & 1}
-        assert feasible(inst, chosen)[0] == _schedule_exists(inst, chosen)
+        assert (feasible(inst, chosen) is not None) == _schedule_exists(inst, chosen)
 
 
 @given(instances(max_packets=8), st.data())
