@@ -15,7 +15,10 @@ account: the policy is charged at each of its send steps; O-packets the
 policy also sends are charged to the reference at those same steps; and
 each O-packet the policy dropped is charged either at the head of a
 chain (which is then closed, one charge per head) or as a lump on an
-interval of consecutive alpha sends. Every structural claim the
+interval of consecutive alpha sends. Only the drop charges are decided,
+so the ledger stores only them and the chains; the per-send charges are
+the policy's sends, read off ``ropt.on.sends`` and the O-mask, and every
+charge is worth its packet's value. Every structural claim the
 accounting relies on is rechecked on the concrete traces: reference
 capacity and completeness, send precedence, chain disjointness, head
 shape, interval purity, exclusivity, and exact conservation of value.
@@ -46,8 +49,8 @@ alpha sends ends. Records (checks, charges, chains) are named tuples; the
 ones built on every call skip NamedTuple's Python-level constructor, and a
 passing check without a detail is one shared record per check name. The
 reference checks make one pass over O, and the ledger checks one pass over
-the reference's charges. The conservation check counts the charge amounts
-that are alpha or 1 and compares its sums with O's value as scaled
+the drop charges. The conservation check counts O's policy-sent packets and
+the drop charges by class and compares the sum with O's value as scaled
 integers; the ratio report tests ``ratio <= bound`` by cross-multiplying
 integer numerators and denominators. The bounds, like
 :meth:`~fifolab.simulate.Policy.on`, come from memos keyed on integers, so
@@ -66,7 +69,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .model import Instance, Rat, ONE, format_rat, packet_id, packet_ids, scaled_sum
+from .model import Instance, Rat, ONE, format_rat, packet_id, packet_ids
 from .offline import OptResult, brute_force_opt, dp_opt, opt_containing
 from .simulate import EVICTED, PREEMPTED, REJECTED, Policy, RunTrace, run
 from .theory import BoundBreakdown, competitive_bound
@@ -193,11 +196,16 @@ class Chain(NamedTuple):
 
 
 class ChargeRecord(NamedTuple):
-    """A reference charge: O-packet ``packet`` (an arrival index) at ``step`` or on ``interval``."""
+    """A drop charge: O-packet ``packet`` (an arrival index) at ``step`` or on ``interval``.
+
+    The policy dropped the packet at ``drop_step``. The charge is worth the
+    packet's value, alpha only for an evicted alpha packet, which is charged
+    on an interval of alpha sends: :func:`build_ledger` raises on a rejected
+    or preempted one.
+    """
 
     packet: int
     kind: str
-    amount: Rat
     step: int | None = None
     interval: tuple[int, int] | None = None
     drop_step: int | None = None
@@ -205,11 +213,16 @@ class ChargeRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class ChargeLedger:
-    """Every charge of one run; its arrival indices are rows of ``ropt.on.instance``'s columns."""
+    """The decided charges of one run: its drop charges and chains.
+
+    The per-send charges are not stored: the policy is charged at each step
+    of ``ropt.on.sends``, and the reference at the same step for each of
+    those packets in O (``ropt.in_o``). Arrival indices are rows of
+    ``ropt.on.instance``'s columns.
+    """
 
     ropt: RoptTrace
-    on_charges: Mapping[int, Rat]
-    ropt_charges: tuple[ChargeRecord, ...]
+    drop_charges: tuple[ChargeRecord, ...]
     chains: tuple[Chain, ...]
     diagnostics: Mapping[str, int]
 
@@ -222,27 +235,22 @@ def _id(inst: Instance, i: int) -> str:
 def build_ledger(ropt: RoptTrace) -> ChargeLedger:
     """Materialize the charging scheme over concrete traces.
 
-    Point charges for packets the policy sends; for dropped O-packets,
-    chain-head charges (closing the chain) or interval lumps. Drop
-    events are processed chronologically, arrival-phase drops before
-    preemptions before the reference's own send of the step, because
-    chain openness is stateful. A 1-value O-packet evicted before the
-    reference has sent it gets its charge when that send happens; its
-    chain is built from that very step. The drops and, at rejections and
-    preemptions, the policy's alpha queue come from ``ropt.on.departures``.
+    Charges each dropped O-packet at a chain head (closing the chain) or
+    as a lump on an interval; the charges at the policy's sends are those
+    sends and are not recorded. Drop events are processed chronologically,
+    arrival-phase drops before preemptions before the reference's own send
+    of the step, because chain openness is stateful. A 1-value O-packet
+    evicted before the reference has sent it gets its charge when that send
+    happens; its chain is built from that very step. The drops and, at
+    rejections and preemptions, the policy's alpha queue come from
+    ``ropt.on.departures``.
     """
     on, inst = ropt.on, ropt.on.instance
     flags = inst.is_alpha
     in_o = ropt.in_o
-    alpha = inst.alpha
     send_time = ropt.send_time
 
-    values = (ONE, alpha)  # indexed by the alpha flag
-    on_charges: dict[int, Rat] = {t: values[flags[i]] for t, i in on.sends.items()}
-    charges = [
-        _new(ChargeRecord, (i, SENT_BY_BOTH, values[flags[i]], t, None, None))
-        for t, i in on.sends.items() if in_o[i]
-    ]
+    charges: list[ChargeRecord] = []
     diagnostics = {
         "deferred-evictions": 0,
         "preempt-fallthrough-with-closed-chains": 0,
@@ -270,7 +278,7 @@ def build_ledger(ropt: RoptTrace) -> ChargeLedger:
         closing[owner] = charged
         if on.sends.get(head) is None:
             diagnostics["null-head-chains"] += 1
-        charges.append(ChargeRecord(charged, kind, ONE, step=head, drop_step=drop_step))
+        charges.append(ChargeRecord(charged, kind, step=head, drop_step=drop_step))
 
     def sent_before(i: int, now: int) -> bool:
         """Has the reference sent arrival `i` before step `now`?"""
@@ -302,9 +310,7 @@ def build_ledger(ropt: RoptTrace) -> ChargeLedger:
                 # the interval always includes the drop step itself, so
                 # the purity check can catch a non-alpha send there
                 end = on.alpha_run_ends.get(t + 1, t)
-                charges.append(
-                    ChargeRecord(i, EVICTED_ALPHA_INTERVAL, alpha, interval=(t, end), drop_step=t)
-                )
+                charges.append(ChargeRecord(i, EVICTED_ALPHA_INTERVAL, interval=(t, end), drop_step=t))
             elif sent_before(i, t):
                 close_chain(i, i, EVICTED_ONE_CHAIN, drop_step=t)
             else:
@@ -337,9 +343,7 @@ def build_ledger(ropt: RoptTrace) -> ChargeLedger:
                 if any(sent_before(z, t) for z in alphas):
                     diagnostics["preempt-fallthrough-with-closed-chains"] += 1
                 h = len(alphas)
-                charges.append(
-                    ChargeRecord(i, PREEMPTED_INTERVAL, ONE, interval=(t, t + h - 1), drop_step=t)
-                )
+                charges.append(ChargeRecord(i, PREEMPTED_INTERVAL, interval=(t, t + h - 1), drop_step=t))
     reference_sends_before(math.inf)
 
     if deferred:
@@ -347,7 +351,7 @@ def build_ledger(ropt: RoptTrace) -> ChargeLedger:
         raise LedgerError(f"evicted O-packets never sent by the reference: {missing}")
 
     chains = tuple(Chain(owner, ropt.chain(owner), charged) for owner, charged in closing.items())
-    return ChargeLedger(ropt, on_charges, tuple(charges), chains, diagnostics)
+    return ChargeLedger(ropt, tuple(charges), chains, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -535,46 +539,29 @@ def verify_ropt(ropt: RoptTrace) -> AnalysisReport:
     return AnalysisReport(tuple(checks))
 
 
-def _charge_sum(amounts: Iterable[Rat], alpha: Rat, a: int, b: int) -> tuple[int, int]:
-    """Exact sum of charge amounts as an unreduced (numerator, denominator) pair.
-
-    The ledger's amounts are the very objects ``alpha`` (= a/b) and ONE, so
-    those are counted by identity; any other amount goes through
-    :func:`~fifolab.model.scaled_sum`.
-    """
-    alphas = ones = 0
-    other = []
-    for v in amounts:
-        if v is alpha:
-            alphas += 1
-        elif v is ONE:
-            ones += 1
-        else:
-            other.append(v)
-    num, den = scaled_sum(other)
-    return (alphas * a + ones * b) * den + num * b, b * den
-
-
 def verify_ledger(ledger: ChargeLedger) -> AnalysisReport:
     """Accounting checks over a built ledger.
 
-    Exact conservation on both sides; interval purity (charged intervals
-    contain only alpha sends); exclusivity (no alpha-eviction charge
-    drops inside a preemption interval); closed-chain head shape (the
-    policy sends a 1-value non-O packet there, idle heads reported as
-    warnings); and single closure per head. One pass over the reference's
-    charges sorts out what each check reads.
+    Exact conservation on the reference's side (the policy's holds by
+    construction: ``on.totals`` is summed from the very sends the policy is
+    charged at); interval purity (charged intervals contain only alpha
+    sends); exclusivity (no alpha-eviction charge drops inside a preemption
+    interval); closed-chain head shape (the policy sends a 1-value non-O
+    packet there, idle heads reported as warnings); and single closure per
+    head. One pass over the drop charges sorts out what each check reads.
     """
     on, inst = ledger.ropt.on, ledger.ropt.on.instance
-    in_o = ledger.ropt.in_o
+    in_o, flags = ledger.ropt.in_o, inst.is_alpha
     checks: list[CheckResult] = []
-    amounts: list[Rat] = []
+    # the reference's charges by class: the O-packets the policy sent, then the drops
+    sent = [flags[i] for i in on.sends.values() if in_o[i]]
+    alphas, charged = sum(sent), len(sent) + len(ledger.drop_charges)
     eviction_drops: list[int] = []  # ascending: the ledger records alpha evictions in event order
     preemptions: list[tuple[int, int]] = []
     intervals: list[ChargeRecord] = []
     head_steps: list[int] = []
-    for rec in ledger.ropt_charges:
-        amounts.append(rec.amount)
+    for rec in ledger.drop_charges:
+        alphas += flags[rec.packet]
         if rec.interval is not None:
             intervals.append(rec)
         kind = rec.kind
@@ -585,25 +572,15 @@ def verify_ledger(ledger: ChargeLedger) -> AnalysisReport:
         elif kind in CHAIN_CHARGE_KINDS:
             head_steps.append(rec.step)
 
-    # both sides as integer ratios, compared cross-multiplied, against the
-    # value O's builder summed and the policy's total
+    # scaled by alpha = a/b's denominator and cross-multiplied against the
+    # value O's builder summed
     a, b = inst.alpha.as_integer_ratio()
-    ropt_num, ropt_den = _charge_sum(amounts, inst.alpha, a, b)
-    on_num, on_den = _charge_sum(ledger.on_charges.values(), inst.alpha, a, b)
-    o_num, o_den = ledger.ropt.kept.value.as_integer_ratio()
-    delivered, delivered_den = on.totals.as_integer_ratio()
-    conserved = ropt_num * o_den == o_num * ropt_den and on_num * delivered_den == delivered * on_den
-    checks.append(
-        _result(
-            "charge-conservation",
-            conserved,
-            "" if conserved else (
-                f"reference charges {Fraction(ropt_num, ropt_den)} "
-                f"vs optimum value {ledger.ropt.kept.value}; "
-                f"policy charges {Fraction(on_num, on_den)} vs delivered {on.totals}"
-            ),
-        )
-    )
+    scaled = alphas * a + (charged - alphas) * b
+    value = ledger.ropt.kept.value
+    o_num, o_den = value.as_integer_ratio()
+    conserved = scaled * o_den == o_num * b
+    detail = "" if conserved else f"reference charges {Fraction(scaled, b)} vs optimum value {value}"
+    checks.append(_result("charge-conservation", conserved, detail))
 
     exclusivity_breach = ""
     if eviction_drops:
@@ -703,8 +680,7 @@ def policy_ratio(policy: Policy, inst: Instance, reference_beta: Rat) -> RatioRe
 class InstanceAnalysis:
     instance: Instance
     beta: Rat
-    on: RunTrace
-    ropt: RoptTrace  # its ``kept`` is the canonical optimum
+    ropt: RoptTrace  # its ``on`` is the policy's run, its ``kept`` the canonical optimum
     ledger: ChargeLedger | None
     report: AnalysisReport
     ratio: RatioReport
@@ -763,7 +739,7 @@ def analyze(inst: Instance, beta: Rat) -> InstanceAnalysis:
     detail = f"ratio {ratio.ratio} vs bound {ratio.bound.bound}"
     checks.append(_result("ratio-bound", ratio.within_bound, detail))
     report = AnalysisReport(tuple(checks))
-    return InstanceAnalysis(inst, beta, on, ropt, ledger, report, ratio)
+    return InstanceAnalysis(inst, beta, ropt, ledger, report, ratio)
 
 
 def format_report(report: AnalysisReport) -> str:
@@ -781,16 +757,29 @@ def format_report(report: AnalysisReport) -> str:
 def format_ledger(ledger: ChargeLedger) -> str:
     """Line-oriented ledger export, stable for golden-file comparison.
 
-    Ids are rendered from the instance's columns. Charges sort by (step or
-    interval start, arrival index): key order, in a valid instance.
+    Ids are rendered from the instance's columns. The per-send lines come
+    from the policy's sends: one ``on`` line per send, and a ``sent-by-both``
+    charge for each sent O-packet. Charges sort by (step or interval start,
+    arrival index): key order, in a valid instance.
     """
-    ids = packet_ids(ledger.ropt.on.instance.steps, ledger.ropt.on.instance.seqs)
-    lines = [f"on {t} {format_rat(ledger.on_charges[t])}" for t in sorted(ledger.on_charges)]
-    def anchor(rec: ChargeRecord) -> tuple[int, int]:
-        return (rec.interval[0] if rec.step is None else rec.step, rec.packet)
-    for rec in sorted(ledger.ropt_charges, key=anchor):
-        target = f"step {rec.step}" if rec.interval is None else f"interval {rec.interval[0]} {rec.interval[1]}"
-        lines.append(f"ropt {rec.kind} {ids[rec.packet]} {format_rat(rec.amount)} {target}")
+    ropt = ledger.ropt
+    sends, inst = ropt.on.sends, ropt.on.instance
+    ids, flags = packet_ids(inst.steps, inst.seqs), inst.is_alpha
+    values = (format_rat(ONE), format_rat(inst.alpha))  # indexed by the alpha flag
+    lines = [f"on {t} {values[flags[sends[t]]]}" for t in sorted(sends)]
+    charges = [
+        (t, i, f"{SENT_BY_BOTH} {ids[i]} {values[flags[i]]} step {t}")
+        for t, i in sends.items() if ropt.in_o[i]
+    ]
+    for rec in ledger.drop_charges:
+        i = rec.packet
+        if rec.interval is None:
+            start, target = rec.step, f"step {rec.step}"
+        else:
+            start, target = rec.interval[0], f"interval {rec.interval[0]} {rec.interval[1]}"
+        charges.append((start, i, f"{rec.kind} {ids[i]} {values[flags[i]]} {target}"))
+    charges.sort(key=lambda c: c[:2])
+    lines += [f"ropt {text}" for _, _, text in charges]
     for chain in sorted(ledger.chains, key=lambda c: c.steps):
         status = "open" if chain.closing_charge is None else "closed"
         closing = "-" if chain.closing_charge is None else ids[chain.closing_charge]

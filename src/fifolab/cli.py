@@ -234,7 +234,7 @@ def experiment_row(seed: int, result: InstanceAnalysis) -> list[str]:
         str(inst.capacity),
         format_rat(inst.alpha),
         format_rat(result.beta),
-        result.on.policy.describe(),
+        result.ropt.on.policy.describe(),
         format_rat(ratio.policy_value),
         format_rat(ratio.opt_value),
         format_rat(ratio.ratio) if ratio.ratio is not None else "inf",

@@ -225,25 +225,6 @@ def value_sum(alpha: Rat, ones: int, alphas: int) -> Rat:
     return Fraction(ones * b + alphas * a, b)
 
 
-def scaled_sum(values: Iterable[Rat]) -> tuple[int, int]:
-    """Exact sum of rationals as an unreduced (numerator, denominator) pair.
-
-    One pass reads each value's numerator and denominator once. The running
-    denominator widens to a least common multiple only for a value whose
-    denominator does not divide it, so packet values, all over alpha's
-    denominator or 1, widen it at most once. No Fraction is made.
-    """
-    num, den = 0, 1
-    for v in values:
-        n, d = v.as_integer_ratio()
-        if den % d:
-            scale = math.lcm(den, d)
-            num *= scale // den
-            den = scale
-        num += n * (den // d)
-    return num, den
-
-
 def arrival_indices(inst: Instance, indices: Iterable[int]) -> list[int]:
     """`indices` ascending, each once; ValueError for one outside ``range(len(inst.steps))``."""
     idxs = sorted(set(indices))

@@ -83,6 +83,18 @@ def send_times(inst, ropt):
     return {p: t for p, t in zip(inst.arrivals, ropt.send_time) if t is not None}
 
 
+def sent_by_both(ropt):
+    """The policy's sends of O-packets, as (step, arrival index): the reference's per-send charges."""
+    return [(t, i) for t, i in ropt.on.sends.items() if ropt.in_o[i]]
+
+
+def charged_value(ledger):
+    """The reference's charges summed as Fractions: its per-send charges, then the drop charges."""
+    inst = ledger.ropt.on.instance
+    charged = [i for _, i in sent_by_both(ledger.ropt)] + [r.packet for r in ledger.drop_charges]
+    return sum((inst.alpha if inst.is_alpha[i] else ONE for i in charged), Fraction(0))
+
+
 def demo_setup(alpha=Fraction(2)):
     inst = demo_instance(alpha)
     on = run(Policy.on(alpha), inst)
@@ -160,7 +172,7 @@ class TestVerifyRopt:
         for seed in range(300):
             drained.clear()
             result = analyze(random_instance(GenConfig(seed=seed)), BETA_REF)
-            assert drained == [result.on]
+            assert drained == [result.ropt.on]
         assert result.ledger is not None  # the last analysis reached the ledger
 
     def test_backlog_diagnostic_reports_counts(self):
@@ -210,16 +222,17 @@ class TestLedgerDemo:
         ledger = build_ledger(ropt)
 
         by_kind = {}
-        for rec in ledger.ropt_charges:
+        for rec in ledger.drop_charges:
             by_kind.setdefault(rec.kind, []).append(rec)
+        assert set(by_kind) == {EVICTED_ALPHA_INTERVAL, PREEMPTED_INTERVAL}
 
-        sent_steps = {inst.arrivals[rec.packet].id: rec.step for rec in by_kind[SENT_BY_BOTH]}
+        sent_steps = {inst.arrivals[i].id: t for t, i in sent_by_both(ropt)}
         assert sent_steps == {"2": 2, "2.1": 3, "2.2": 4, "5.1": 5, "5.2": 6}
 
         [evicted] = by_kind[EVICTED_ALPHA_INTERVAL]
         assert inst.arrivals[evicted.packet].id == "1.2"
         assert evicted.interval == (2, 6)
-        assert evicted.amount == 2
+        assert inst.is_alpha[evicted.packet]  # so it is worth alpha
 
         [preempted] = by_kind[PREEMPTED_INTERVAL]
         assert inst.arrivals[preempted.packet].id == "5"
@@ -231,8 +244,9 @@ class TestLedgerDemo:
         inst, on, chosen = demo_setup()
         ropt = run_ropt(on, feasible(inst, chosen))
         ledger = build_ledger(ropt)
-        assert sum(rec.amount for rec in ledger.ropt_charges) == total_value(inst, chosen) == 13
-        assert sum(ledger.on_charges.values(), Fraction(0)) == on.totals == 11
+        assert charged_value(ledger) == total_value(inst, chosen) == 13
+        assert on.totals == 11
+        assert verify_ledger(ledger).check("charge-conservation").status == CheckStatus.PASS
 
     def test_verify_passes(self):
         inst, on, chosen = demo_setup()
@@ -248,9 +262,9 @@ class TestLedgerDemo:
         inst, on, chosen = demo_setup()
         ropt = run_ropt(on, feasible(inst, chosen))
         ledger = build_ledger(ropt)
-        [evicted] = [r for r in ledger.ropt_charges if r.kind == EVICTED_ALPHA_INTERVAL]
+        [evicted] = [r for r in ledger.drop_charges if r.kind == EVICTED_ALPHA_INTERVAL]
         drops = tuple(evicted._replace(drop_step=d) for d in (4, 5, 6, 7))
-        tampered = replace(ledger, ropt_charges=ledger.ropt_charges + drops)
+        tampered = replace(ledger, drop_charges=ledger.drop_charges + drops)
         check = verify_ledger(tampered).check("interval-exclusive")
         assert check.status == CheckStatus.FAIL
         assert check.detail == "alpha evictions at [5, 6] inside preemption interval [5, 6]"
@@ -265,7 +279,7 @@ class TestLedgerChainCharges:
         chosen = by_ids(inst, "1", "1.1", "2")
         ropt = run_ropt(on, feasible(inst, chosen))
         ledger = build_ledger(ropt)
-        [rec] = [r for r in ledger.ropt_charges if r.kind == EVICTED_ONE_CHAIN]
+        [rec] = [r for r in ledger.drop_charges if r.kind == EVICTED_ONE_CHAIN]
         assert inst.arrivals[rec.packet].id == "1.1"
         assert rec.step == 3
         assert rec.drop_step == 2
@@ -288,7 +302,7 @@ class TestLedgerChainCharges:
         assert feasible(inst, chosen) is not None
         ropt = run_ropt(on, feasible(inst, chosen))
         ledger = build_ledger(ropt)
-        [rec] = [r for r in ledger.ropt_charges if r.kind == REJECTED_ONE_CHAIN]
+        [rec] = [r for r in ledger.drop_charges if r.kind == REJECTED_ONE_CHAIN]
         assert inst.arrivals[rec.packet].id == "2.1"
         assert rec.step == 1
         [chain] = ledger.chains
@@ -312,7 +326,7 @@ class TestLedgerChainCharges:
         chosen = by_ids(inst, "1.2", "1.3", "3")
         ropt = run_ropt(on, feasible(inst, chosen))
         ledger = build_ledger(ropt)
-        [rec] = [r for r in ledger.ropt_charges if r.kind == PREEMPTED_OPEN_CHAIN]
+        [rec] = [r for r in ledger.drop_charges if r.kind == PREEMPTED_OPEN_CHAIN]
         assert inst.arrivals[rec.packet].id == "1.2"
         assert rec.step == 2
         assert rec.drop_step == 3
@@ -323,9 +337,9 @@ class TestLedgerChainCharges:
             verify_ropt(ropt).checks + verify_ledger(ledger).checks
         )
         assert report.ok
-        assert sum(r.amount for r in ledger.ropt_charges) == total_value(inst, chosen)
+        assert charged_value(ledger) == total_value(inst, chosen)
         # a second charge at the same head breaks single closure
-        tampered = replace(ledger, ropt_charges=ledger.ropt_charges + (rec._replace(drop_step=4),))
+        tampered = replace(ledger, drop_charges=ledger.drop_charges + (rec._replace(drop_step=4),))
         check = verify_ledger(tampered).check("single-closure")
         assert check == ("single-closure", "fail", "duplicated head charges at [2]")
         # a head charge whose chain the ledger does not list breaks it too
@@ -337,8 +351,8 @@ class TestLedgerChainCharges:
         on = run(Policy.on(BETA_REF), inst)
         ropt = run_ropt(on, feasible(inst, range(2)))
         ledger = build_ledger(ropt)
-        assert all(rec.kind == SENT_BY_BOTH for rec in ledger.ropt_charges)
-        assert ledger.chains == ()
+        assert ledger.drop_charges == () and ledger.chains == ()
+        assert len(sent_by_both(ropt)) == 2
 
 
 class TestArrivalIndex:
@@ -347,7 +361,7 @@ class TestArrivalIndex:
             inst = random_instance(GenConfig(seed=seed))
             result = analyze(inst, BETA_REF)
             on = run(Policy.on(BETA_REF), inst)
-            assert on.instance is inst and on == result.on
+            assert on.instance is inst and on == result.ropt.on
             ropt = run_ropt(on, result.ropt.kept)
             checks = verify_ropt(ropt).checks
             ledger = build_ledger(ropt)
@@ -657,9 +671,10 @@ def test_ledger_on_seed_3452_optimum():
     assert verify_ledger(ledger).ok
 
 
-# ROADMAP item 2's two minimal reproducers, shrunk from corpus seed 400 at
-# max_burst 3 (the chain closed by a preemption) and seed 261 at max_burst 4
-# (the chain closed by a rejection)
+# ROADMAP item 2's reproducers: two shrunk from corpus seed 400 at max_burst 3
+# (the chain closed by a preemption) and seed 261 at max_burst 4 (the chain
+# closed by a rejection), and the two smallest of a bounded-exhaustive census
+# of 4-step instances (each step 0-3 packets), one per message
 SHRUNK_LEDGER_FAILURES = [
     pytest.param(
         3,
@@ -679,20 +694,40 @@ SHRUNK_LEDGER_FAILURES = [
         "chain head charged twice (step 2, packet 3)",
         id="rejection-first",
     ),
+    pytest.param(
+        3,
+        Fraction(3, 2),
+        [(1, 0, "one"), (1, 1, "one"), (1, 2, "alpha"), (2, 0, "alpha"), (3, 0, "one"),
+         (3, 1, "alpha"), (3, 2, "one")],
+        "1.2 2 3 3.1 3.2",
+        "chain head charged twice (step 1, packet 3)",
+        id="census-head-twice",
+    ),
+    pytest.param(
+        3,
+        Fraction(2),
+        [(1, 0, "one"), (1, 1, "one"), (1, 2, "one"), (2, 0, "alpha"), (3, 0, "alpha"),
+         (4, 0, "alpha"), (4, 1, "alpha"), (4, 2, "one")],
+        "1.2 2 3 4 4.1 4.2",
+        "no open chain for rejected packet (step 4, packet 4.2)",
+        id="census-no-open-chain",
+    ),
 ]
 
 
 @pytest.mark.xfail(
     strict=True,
     raises=LedgerError,
-    reason="ROADMAP item 2 falsification candidates: build_ledger charges a chain head "
-    "twice on these optima; flip this test once the item is settled",
+    reason="ROADMAP item 2 falsification candidates: on these optima build_ledger charges "
+    "a chain head twice or finds no open chain for a rejected packet; flip this test "
+    "once the item is settled",
 )
 @pytest.mark.parametrize("capacity, alpha, specs, o_ids, message", SHRUNK_LEDGER_FAILURES)
 def test_ledger_on_shrunk_optimum(capacity, alpha, specs, o_ids, message):
     inst = build_instance(capacity, alpha, specs)
     chosen = sorted(by_ids(inst, *o_ids.split()))
     assert total_value(inst, chosen) == brute_force_opt(inst).value
+    assert analyze(inst, BETA_REF).report.ok  # the canonical optimum passes
     on = run(Policy.on(BETA_REF), inst)
     assert {i for i in on.sends.values() if inst.is_alpha[i]} <= set(chosen)
     ropt = run_ropt(on, feasible(inst, chosen))
@@ -703,6 +738,29 @@ def test_ledger_on_shrunk_optimum(capacity, alpha, specs, o_ids, message):
         assert str(exc) == message
         raise
     assert verify_ledger(ledger).ok
+
+
+def test_conservation_fails_without_or_with_twice_any_drop_charge():
+    # the ledger stores only the drop charges, so conservation must catch any
+    # one of them missing or charged twice
+    tampered = 0
+    for seed in range(300):
+        inst = random_instance(GenConfig(seed=seed))
+        ledger = analyze(inst, BETA_REF).ledger
+        value = ledger.ropt.kept.value
+        charges = ledger.drop_charges
+        tampered += bool(charges)
+        for k, rec in enumerate(charges):
+            worth = inst.alpha if inst.is_alpha[rec.packet] else ONE
+            for changed, total in [
+                (charges[:k] + charges[k + 1 :], value - worth),
+                (charges + (rec,), value + worth),
+            ]:
+                check = verify_ledger(replace(ledger, drop_charges=changed)).check("charge-conservation")
+                assert check == (
+                    "charge-conservation", "fail", f"reference charges {total} vs optimum value {value}"
+                )
+    assert tampered == 200
 
 
 def _optima_containing(inst, required, canonical):
@@ -742,7 +800,8 @@ def test_charging_argument_holds_on_every_optimum():
             ledger = build_ledger(ropt)  # raises LedgerError on a broken rule
             checks = verify_ropt(ropt).checks + verify_ledger(ledger).checks
             assert AnalysisReport(checks).ok, (seed, chosen)
-            kinds.update(rec.kind for rec in ledger.ropt_charges)
+            kinds[SENT_BY_BOTH] += len(sent_by_both(ropt))
+            kinds.update(rec.kind for rec in ledger.drop_charges)
             diagnostics.update(ledger.diagnostics)
             lengths.update(len(chain.steps) for chain in ledger.chains)
     assert optima == 1625
@@ -827,7 +886,10 @@ def test_failure_paths_digest():
                 parts += [
                     format_ledger(ledger),
                     " ".join(inst.arrivals[c.owner].id for c in ledger.chains),
-                    " ".join(f"{r.kind}:{inst.arrivals[r.packet].id}" for r in ledger.ropt_charges),
+                    " ".join(
+                        [f"{SENT_BY_BOTH}:{inst.arrivals[i].id}" for _, i in sent_by_both(ropt)]
+                        + [f"{r.kind}:{inst.arrivals[r.packet].id}" for r in ledger.drop_charges]
+                    ),
                     str(sorted(ledger.diagnostics.items())),
                     format_report(checked),
                 ]
@@ -988,7 +1050,7 @@ def test_ledger_names_packets_by_arrival_index():
         inst = random_instance(GenConfig(seed=seed))
         ledger = analyze(inst, BETA_REF).ledger
         assert ledger.ropt.on.instance is inst
-        assert all(type(rec.packet) is int for rec in ledger.ropt_charges)
+        assert all(type(rec.packet) is int for rec in ledger.drop_charges)
         for chain in ledger.chains:
             assert type(chain.owner) is int
             assert chain.closing_charge is None or type(chain.closing_charge) is int
@@ -999,7 +1061,6 @@ def test_analyze_links_each_record_to_the_one_before():
     # rerun on analyze's own records are exactly the ones in its report
     for seed in range(200):
         result = analyze(random_instance(GenConfig(seed=seed)), BETA_REF)
-        assert result.ropt.on is result.on
         assert result.ledger.ropt is result.ropt
         assert result.ledger.ropt.on.instance is result.instance
         ropt_checks = verify_ropt(result.ropt).checks
@@ -1106,9 +1167,9 @@ def test_alpha_send_intervals_names_the_first_impure_step(interval, detail):
     )
     on = run(Policy.on(BETA_REF), inst)
     assert list(on.sends.items()) == [(1, 0), (3, 1), (4, 2), (5, 3)]
-    record = ChargeRecord(0, EVICTED_ALPHA_INTERVAL, Fraction(2), interval=interval)
+    record = ChargeRecord(0, EVICTED_ALPHA_INTERVAL, interval=interval)
     ropt = RoptTrace(on, feasible(inst, ()), [False] * 4, [None] * 4, {}, {})
-    ledger = ChargeLedger(ropt, {}, (record,), (), {})
+    ledger = ChargeLedger(ropt, (record,), (), {})
     check = verify_ledger(ledger).check("alpha-send-intervals")
     assert check == ("alpha-send-intervals", "fail" if detail else "pass", detail)
 

@@ -2,7 +2,7 @@ from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import given, strategies as st
 
 from fifolab import (
     ArrivalKey,
@@ -25,7 +25,7 @@ from fifolab import (
     total_value,
     validate_instance,
 )
-from fifolab.model import Packet, PacketClass, arrival_indices, packet_id, packet_ids, scaled_sum
+from fifolab.model import Packet, PacketClass, arrival_indices, packet_id, packet_ids
 from test_properties import instances
 
 
@@ -175,23 +175,6 @@ def test_index_outside_the_arrivals_rejected(name, index, message):
     with pytest.raises(ValueError) as exc:
         INDEX_TAKERS[name](inst, on, [0, index])
     assert str(exc.value) == message
-
-
-class TestExactSum:
-    @given(st.lists(st.fractions(min_value=-100, max_value=100, max_denominator=60), max_size=30))
-    @example([])
-    @example([Fraction(1, 2), Fraction(1, 3), Fraction(-5, 6), Fraction(7, 4)])
-    @example([Fraction(821, 250), Fraction(1), Fraction(821, 250), Fraction(-1)])
-    def test_matches_fraction_sum(self, values):
-        expected = sum(values, Fraction(0))
-        assert Fraction(*scaled_sum(iter(values))) == expected  # one pass: an iterator will do
-        num, den = scaled_sum(values)
-        assert den > 0 and Fraction(num, den) == expected
-
-    def test_shared_denominator_stays_unreduced(self):
-        # alpha's denominator is kept as the scale, not reduced per step
-        assert scaled_sum([Fraction(5, 2), Fraction(1), Fraction(3, 2)]) == (10, 2)
-        assert scaled_sum([]) == (0, 1)
 
 
 class TestTextFormat:

@@ -36,7 +36,7 @@ from fifolab import (
     verify_ledger,
     verify_ropt,
 )
-from fifolab.analysis import SENT_BY_BOTH, CheckResult, ChargeRecord, _make_ratio
+from fifolab.analysis import CheckResult, _make_ratio
 from fifolab.model import (
     ZERO,
     Instance,
@@ -286,25 +286,18 @@ def test_integer_value_sums_match_fraction_sums(inst, alpha, beta):
     assert total_value(inst, range(1, n, 2)) == fraction_sum(inst.arrivals[1::2])
 
     result = analyze(inst, beta)
-    chosen = [inst.arrivals[i] for i in result.ropt.kept.indices]
+    ropt, drops = result.ropt, result.ledger.drop_charges
+    value = fraction_sum(inst.arrivals[i] for i in ropt.kept.indices)
     assert result.report.check("charge-conservation").status == "pass"
-    assert sum((r.amount for r in result.ledger.ropt_charges), ZERO) == fraction_sum(chosen)
-    assert sum(result.ledger.on_charges.values(), ZERO) == result.on.totals
-    # off-grid amounts on both sides make the check fail and print both sums
-    stray = ChargeRecord(0, SENT_BY_BOTH, Fraction(1, 11), step=1)
-    tampered = replace(
-        result.ledger,
-        ropt_charges=result.ledger.ropt_charges + (stray,),
-        on_charges={**result.ledger.on_charges, 0: Fraction(2, 13)},
-    )
-    check = verify_ledger(tampered).check("charge-conservation")
-    ropt_total = sum((r.amount for r in tampered.ropt_charges), ZERO)
-    on_total = sum(tampered.on_charges.values(), ZERO)
-    assert check.status == "fail"
-    assert check.detail == (
-        f"reference charges {ropt_total} vs optimum value {fraction_sum(chosen)}; "
-        f"policy charges {on_total} vs delivered {fraction_sum(sent_packets(result.on))}"
-    )
+    # the reference is charged each O-packet the policy sent and each drop charge
+    sent = [inst.arrivals[i] for i in ropt.on.sends.values() if ropt.in_o[i]]
+    assert fraction_sum(sent + [inst.arrivals[r.packet] for r in drops]) == value
+    # a missing or a doubled drop charge makes the check fail and print the sum
+    for k, rec in enumerate(drops):
+        for changed in (drops[:k] + drops[k + 1 :], drops + (rec,)):
+            check = verify_ledger(replace(result.ledger, drop_charges=changed)).check("charge-conservation")
+            total = fraction_sum(sent + [inst.arrivals[r.packet] for r in changed])
+            assert check == ("charge-conservation", "fail", f"reference charges {total} vs optimum value {value}")
 
 
 VALUES = st.fractions(min_value=0, max_value=60, max_denominator=12)
@@ -600,7 +593,7 @@ def test_run_ropt_matches_literal_oracle(inst, beta, data):
 def test_run_ropt_matches_literal_oracle_on_corpus():
     for seed in range(2000):
         result = analyze(random_instance(GenConfig(seed=seed)), DEFAULT_BETA)
-        _assert_ropt_matches_oracle(result.instance, result.ropt.kept.indices, result.on, result.ropt)
+        _assert_ropt_matches_oracle(result.instance, result.ropt.kept.indices, result.ropt.on, result.ropt)
 
 
 def test_run_ropt_matches_literal_oracle_on_corpus_random_o_sets():
@@ -695,7 +688,7 @@ def test_verify_ropt_matches_literal_oracle(inst, beta, data):
 def test_verify_ropt_matches_literal_oracle_on_corpus():
     for seed in range(2000):
         result = analyze(random_instance(GenConfig(seed=seed)), DEFAULT_BETA)
-        _assert_verify_ropt_matches_oracle(result.instance, result.ropt.kept.indices, result.on, result.ropt)
+        _assert_verify_ropt_matches_oracle(result.instance, result.ropt.kept.indices, result.ropt.on, result.ropt)
 
 
 def test_verify_ropt_matches_literal_oracle_on_failure_paths():
