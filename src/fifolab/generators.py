@@ -1,4 +1,4 @@
-"""Instance construction: fixtures, seeded random instances, ratio search."""
+"""Instance construction: fixtures, seeded instances drawn straight into columns, ratio search."""
 
 from __future__ import annotations
 
@@ -73,29 +73,48 @@ class GenConfig:
             raise ValueError("empty horizon, burst or packet range")
         if not self.alpha_choices:
             raise ValueError("no alpha choices")
-        if min(self.alpha_choices) <= 1:
-            raise ValueError("alpha choices must exceed 1")
-        if not 0 <= self.alpha_weight <= 1:
+        for choice in self.alpha_choices:  # on ints: no Python-level Fraction comparison
+            num, den = choice.as_integer_ratio()
+            if num <= den:
+                raise ValueError("alpha choices must exceed 1")
+        num, den = self.alpha_weight.as_integer_ratio()
+        if not 0 <= num <= den:
             raise ValueError("alpha weight must be a probability")
 
 
 def random_instance(cfg: GenConfig) -> Instance:
-    rng = random.Random(cfg.seed)
-    capacity = rng.randint(cfg.capacity_min, cfg.capacity_max)
-    alpha = rng.choice(cfg.alpha_choices)
-    num, den = cfg.alpha_weight.numerator, cfg.alpha_weight.denominator
-    cap = cfg.max_packets
-    specs: list[tuple[int, int, str]] = []
+    """The seeded instance of `cfg`; a seed always gives the same instance.
+
+    One ``random.Random(cfg.seed)`` draws the capacity, alpha, then per step a burst
+    size and per packet its class, and nothing once ``max_packets`` packets exist or
+    when ``max_burst`` is 0. A value below ``n`` is drawn by ``Random._randbelow``'s
+    rule, as in ``randint`` and ``choice``: ``getrandbits(n.bit_length())`` until ``< n``.
+    """
+    getrandbits = random.Random(cfg.seed).getrandbits
+
+    def below(n: int) -> int:
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    capacity = cfg.capacity_min + below(cfg.capacity_max - cfg.capacity_min + 1)
+    alpha = cfg.alpha_choices[below(len(cfg.alpha_choices))]
+    num, den = cfg.alpha_weight.as_integer_ratio()
+    cap = cfg.horizon * cfg.max_burst  # no run of bursts passes it; at 0 nothing is drawn
+    cap = cap if cfg.max_packets is None else min(cap, cfg.max_packets)
+    steps, seqs, flags = [], [], []  # the columns, in key order
     for step in range(1, cfg.horizon + 1):
-        if cfg.max_burst == 0 or len(specs) == cap:
+        room = cap - len(steps)
+        if not room:
             break  # no later draw can add a packet
-        burst = rng.randint(0, cfg.max_burst)
-        for seq in range(burst):
-            if len(specs) == cap:
-                break
-            klass = "alpha" if rng.randrange(den) < num else "one"
-            specs.append((step, seq, klass))
-    return build_instance(capacity, alpha, specs)
+        burst = below(cfg.max_burst + 1)
+        for seq in range(burst if burst < room else room):
+            steps.append(step)
+            seqs.append(seq)
+            flags.append(below(den) < num)
+    return Instance(capacity, Fraction(alpha), tuple(steps), tuple(seqs), tuple(flags))
 
 
 def _mutate(inst: Instance, cfg: GenConfig, rng: random.Random, cap: int) -> Instance:

@@ -188,7 +188,7 @@ def validate_instance(inst: Instance) -> list[str]:
         violations.append("capacity must be at least 1")
     if not isinstance(inst.alpha, Fraction):
         violations.append(f"alpha must be a Fraction, not {type(inst.alpha).__name__}")
-    elif inst.alpha <= 1:
+    elif inst.alpha.numerator <= inst.alpha.denominator:  # on ints: the denominator is positive
         violations.append("alpha must exceed 1")
     steps, seqs, flags = inst.steps, inst.seqs, inst.is_alpha
     if not len(steps) == len(seqs) == len(flags):
@@ -335,7 +335,7 @@ def parse_instance(text: str) -> Instance:
                 alpha = parse_rat(fields[1])
             except ValueError as exc:
                 raise InstanceParseError(line_no, str(exc)) from None
-            if alpha <= 1:
+            if alpha.numerator <= alpha.denominator:
                 raise InstanceParseError(line_no, "alpha must exceed 1")
         else:
             raise InstanceParseError(line_no, f"unknown directive {directive!r}")

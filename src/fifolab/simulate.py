@@ -108,7 +108,7 @@ class Policy:
 
     @classmethod
     def greedy(cls) -> "Policy":
-        return cls("greedy", None)
+        return _GREEDY_POLICY
 
     def describe(self) -> str:
         if self.kind == "on":
@@ -117,6 +117,7 @@ class Policy:
 
 
 _ON_POLICIES: dict[tuple[int, int], Policy] = {}  # Policy.on's memo
+_GREEDY_POLICY = Policy("greedy")  # the one record Policy.greedy returns
 
 
 class Departures(NamedTuple):

@@ -1,20 +1,28 @@
+import io
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fifolab
 from fifolab import (
+    GenConfig,
+    InstanceParseError,
+    InvalidInstanceError,
     competitive_bound,
     demo_instance,
     format_instance,
     format_rat,
     greedy_blocking,
     parse_instance,
+    random_instance,
 )
 from fifolab.cli import decimal_str, main
 
@@ -474,3 +482,106 @@ def test_malformed_integer_is_one_line_parse_error(bad_line, message, tmp_path, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"parse error: {message}\n"
+
+
+# Robustness: no input makes a command print a traceback, and a bad one
+# exits 2 with one line. Run in process; hypothesis takes no function-scoped
+# fixture such as capsys, so the streams are redirected by hand.
+
+
+def _main_streams(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_clean_exit(argv):
+    code, _, err = _main_streams(argv)
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err
+    if code == 2:
+        assert len(err.splitlines()) == 1, (argv, err)
+
+
+_ODD_VALUES = ["", "-1", "+3", "1_0", "\u0663", "1/0", "x"]
+
+
+def _flag_value(small):
+    """A well-formed int in [0, small], or now and then an odd text."""
+    ints = [str(i) for i in range(small + 1)]
+    return st.sampled_from(ints * 3 + _ODD_VALUES)
+
+
+_GEN_FLAGS = {
+    "--seed": st.one_of(st.integers(-(2**70), 2**70).map(str), st.sampled_from(_ODD_VALUES)),
+    "--b-min": _flag_value(6),
+    "--b-max": _flag_value(6),
+    "--horizon": _flag_value(40),
+    "--max-burst": _flag_value(6),
+    "--max-packets": _flag_value(40),
+    "--alphas": st.sampled_from(["3/2", "2,5", "10", "1000001/1000000", "1", "1/2,2", "x"]),
+    "--alpha-weight": st.sampled_from(["0", "1", "1/3", "2/7", "-1/2", "3/2", "1/0"]),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.fixed_dictionaries({}, optional=_GEN_FLAGS))
+def test_gen_random_flags_never_crash(flags):
+    argv = ["gen", "random"]
+    for flag, value in flags.items():
+        argv += [flag, value]
+    _assert_clean_exit(argv)
+
+
+_TEXT_CHARS = "0123456789 /-#\n\tabelx_+.\u0663\u00b2"
+
+
+def _mutated(text, edits):
+    """`text` after character edits (insert, delete, replace) and line edits
+    (delete, duplicate, swap with the next), each at a position taken modulo the length."""
+    for kind, pos, char in edits:
+        if kind in ("insert", "delete", "replace"):
+            i = pos % (len(text) + 1)
+            tail = text[i + 1 :] if kind != "insert" else text[i:]
+            text = text[:i] + (char if kind != "delete" else "") + tail
+            continue
+        lines = text.split("\n")
+        i = pos % len(lines)
+        if kind == "drop-line":
+            del lines[i]
+        elif kind == "dup-line":
+            lines.insert(i, lines[i])
+        elif i + 1 < len(lines):
+            lines[i], lines[i + 1] = lines[i + 1], lines[i]
+        text = "\n".join(lines)
+    return text
+
+
+_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "delete", "replace", "drop-line", "dup-line", "swap-lines"]),
+        st.integers(0, 10**6),
+        st.sampled_from(_TEXT_CHARS),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 9999), _EDITS)
+def test_mutated_corpus_texts_never_crash(seed, edits):
+    text = _mutated(format_instance(random_instance(GenConfig(seed=seed))), edits)
+    try:
+        steps = parse_instance(text).steps
+    except (InstanceParseError, InvalidInstanceError):
+        steps = ()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutated.txt"
+        path.write_text(text, encoding="utf-8")
+        _assert_clean_exit(["opt", str(path)])
+        _assert_clean_exit(["verify", str(path)])
+        # simulate writes one line per idle step, so its output follows the last step
+        if all(step <= 10**4 for step in steps):
+            _assert_clean_exit(["simulate", str(path)])

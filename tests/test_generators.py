@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -8,7 +11,9 @@ from fifolab import (
     Policy,
     adversarial_search,
     brute_force_opt,
+    build_instance,
     demo_instance,
+    format_instance,
     greedy_blocking,
     random_instance,
     run,
@@ -88,6 +93,124 @@ class TestRandomInstances:
         for alpha in (Fraction(1), Fraction(1, 2)):
             with pytest.raises(ValueError):
                 GenConfig(alpha_choices=(Fraction(2), alpha))
+
+
+def _literal_random_instance(cfg):
+    """The stdlib-call generator `random_instance` replaced: its draw oracle."""
+    rng = random.Random(cfg.seed)
+    capacity = rng.randint(cfg.capacity_min, cfg.capacity_max)
+    alpha = rng.choice(cfg.alpha_choices)
+    num, den = cfg.alpha_weight.numerator, cfg.alpha_weight.denominator
+    cap = cfg.max_packets
+    specs = []
+    for step in range(1, cfg.horizon + 1):
+        if cfg.max_burst == 0 or len(specs) == cap:
+            break  # no later draw can add a packet
+        burst = rng.randint(0, cfg.max_burst)
+        for seq in range(burst):
+            if len(specs) == cap:
+                break
+            klass = "alpha" if rng.randrange(den) < num else "one"
+            specs.append((step, seq, klass))
+    return build_instance(capacity, alpha, specs)
+
+
+def _assert_matches_literal(cfg):
+    inst, want = random_instance(cfg), _literal_random_instance(cfg)
+    assert (inst.capacity, inst.alpha, type(inst.alpha)) == (want.capacity, want.alpha, Fraction)
+    assert (inst.steps, inst.seqs, inst.is_alpha) == (want.steps, want.seqs, want.is_alpha)
+
+
+class TestDrawsMatchLiteralOracle:
+    def test_default_config_seeds(self):
+        cfg = GenConfig()
+        for seed in range(2000):
+            _assert_matches_literal(replace(cfg, seed=seed))
+
+    @pytest.mark.parametrize("max_burst", [0, 1, 3, 7, 8])
+    def test_burst_weight_and_cap_grid(self, max_burst):
+        weights = [0, 1, Fraction(1, 3), Fraction(2, 7), Fraction(1, 2)]
+        for weight, cap, seed in itertools.product(weights, [None, 0, 1, 14], range(6)):
+            cfg = GenConfig(
+                horizon=9, max_burst=max_burst, alpha_weight=weight, max_packets=cap, seed=seed
+            )
+            _assert_matches_literal(cfg)
+
+    @pytest.mark.parametrize("low, high", [(1, 1), (7, 7), (1, 2), (3, 8), (1, 1000), (5, 2**70)])
+    def test_capacity_ranges(self, low, high):
+        for seed in range(40):
+            _assert_matches_literal(GenConfig(capacity_min=low, capacity_max=high, seed=seed))
+
+    @pytest.mark.parametrize("seed", [-1, -2**40, -(2**63) + 7, 2**63 - 1, 2**64 + 5, 10**30])
+    def test_negative_and_large_seeds(self, seed):
+        _assert_matches_literal(GenConfig(seed=seed))
+        _assert_matches_literal(GenConfig(max_packets=None, horizon=30, max_burst=5, seed=seed))
+
+    @pytest.mark.parametrize("capacity", [16, 256])
+    def test_bench_dense_config(self, capacity):
+        cfg = GenConfig(
+            capacity_min=capacity,
+            capacity_max=capacity,
+            horizon=1400,
+            max_burst=3,
+            max_packets=None,
+            alpha_choices=(Fraction(2),),
+        )
+        for seed in range(4):
+            _assert_matches_literal(replace(cfg, seed=seed))
+
+    def test_bench_sparse_config(self):
+        cfg = GenConfig(capacity_min=3, capacity_max=3, horizon=3, max_burst=6, max_packets=12)
+        rng = random.Random(0)
+        for _ in range(200):
+            _assert_matches_literal(replace(cfg, seed=rng.getrandbits(32)))
+
+
+# sha256 of format_instance of the n = 10^5, B = 10^3 instance, pinned before
+# the generator stopped calling randint, choice and randrange; also the digest
+# of `fifolab gen random --seed 1 --b-min 1000 --b-max 1000 --horizon 68965
+# --max-burst 3 --alphas 2 --max-packets 100000`
+LARGE_INSTANCE_DIGEST = "96394a684620d10ffdac7edbfd82e3162e45af034c2c37f7b656abe4c549a0c7"
+
+
+def test_large_instance_is_unchanged():
+    cfg = GenConfig(
+        seed=1,
+        capacity_min=1000,
+        capacity_max=1000,
+        horizon=68965,
+        max_burst=3,
+        alpha_choices=(Fraction(2),),
+        max_packets=100_000,
+    )
+    text = format_instance(random_instance(cfg))
+    assert hashlib.sha256(text.encode()).hexdigest() == LARGE_INSTANCE_DIGEST
+
+
+def _literal_config_checks(alpha_choices, alpha_weight):
+    """The alpha and weight checks GenConfig made on Fractions: the oracle of its integer ones."""
+    if min(alpha_choices) <= 1:
+        return "alpha choices must exceed 1"
+    if not 0 <= alpha_weight <= 1:
+        return "alpha weight must be a probability"
+    return None
+
+
+def test_config_alpha_and_weight_checks_match_literal():
+    values = [Fraction(1), Fraction(1, 2), 2, Fraction(3, 2), Fraction(1000001, 1000000)]
+    choice_tuples = [c for r in (1, 2) for c in itertools.permutations(values, r)]
+    weights = [Fraction(-1, 2), 0, 1, Fraction(3, 2), Fraction(1, 2), -1, 2]
+    outcomes = set()
+    for choices, weight in itertools.product(choice_tuples, weights):
+        want = _literal_config_checks(choices, weight)
+        outcomes.add(want)
+        if want is None:
+            GenConfig(alpha_choices=choices, alpha_weight=weight)
+            continue
+        with pytest.raises(ValueError) as exc:
+            GenConfig(alpha_choices=choices, alpha_weight=weight)
+        assert str(exc.value) == want
+    assert len(outcomes) == 3  # the grid meets both checks and passes them both
 
 
 class TestSearch:

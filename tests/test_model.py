@@ -87,6 +87,20 @@ class TestValidate:
     def test_alpha_must_exceed_one(self):
         assert any("alpha" in v for v in violations_of(Instance, 1, Fraction(1), (), (), ()))
 
+    @pytest.mark.parametrize(
+        "alpha, ok",
+        [(Fraction(1), False), (Fraction(1, 2), False), (Fraction(1000001, 1000000), True)],
+    )
+    def test_alpha_above_one_through_constructor_and_parser(self, alpha, ok):
+        text = f"buffer 1\nalpha {alpha.numerator}/{alpha.denominator}\npacket 1 0 alpha\n"
+        if ok:
+            assert parse_instance(text) == Instance(1, alpha, (1,), (0,), (True,))
+            return
+        assert violations_of(Instance, 1, alpha, (1,), (0,), (True,)) == ("alpha must exceed 1",)
+        with pytest.raises(InstanceParseError) as err:
+            parse_instance(text)
+        assert str(err.value) == "line 2: alpha must exceed 1"
+
     def test_alpha_must_be_a_fraction(self):
         assert violations_of(Instance, 3, 2, (), (), ()) == ("alpha must be a Fraction, not int",)
 

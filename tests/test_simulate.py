@@ -191,6 +191,10 @@ class TestPolicy:
         beta = Policy.on(2).beta
         assert type(beta) is Fraction and beta == 2
 
+    def test_greedy_is_one_shared_record(self):
+        assert Policy.greedy() is Policy.greedy()
+        assert Policy.greedy() == Policy("greedy")
+
 
 @pytest.mark.parametrize(
     "args, message",
