@@ -45,7 +45,8 @@ policy had not yet sent or dropped it, so the backlog maxima and chain
 disjointness are sweeps over those intervals. The ledger walks only the
 drain's drops and reads the alpha queue recorded at rejections and
 preemptions; it and its check share the trace's map of where each run of
-alpha sends ends. Records (checks, charges, chains) are named tuples; the
+alpha sends ends. Every record here is a named tuple, as are the bound and
+the packet (only a record that checks or caches is a dataclass); the
 ones built on every call skip NamedTuple's Python-level constructor, and a
 passing check without a detail is one shared record per check name. The
 reference checks make one pass over O, and the ledger checks one pass over
@@ -63,7 +64,6 @@ import heapq
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter, deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -103,8 +103,7 @@ class LedgerError(RuntimeError):
 # Relaxed reference schedule
 
 
-@dataclass(frozen=True)
-class RoptTrace:
+class RoptTrace(NamedTuple):
     """The relaxed reference schedule: the step at which it sends each O-packet.
 
     ``on`` is the policy's trace it mirrors, and ``kept`` is O, whose
@@ -211,8 +210,7 @@ class ChargeRecord(NamedTuple):
     drop_step: int | None = None
 
 
-@dataclass(frozen=True)
-class ChargeLedger:
+class ChargeLedger(NamedTuple):
     """The decided charges of one run: its drop charges and chains.
 
     The per-send charges are not stored: the policy is charged at each step
@@ -370,8 +368,7 @@ class CheckResult(NamedTuple):
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     checks: tuple[CheckResult, ...]
 
     def check(self, name: str) -> CheckResult:
@@ -641,8 +638,7 @@ def verify_ledger(ledger: ChargeLedger) -> AnalysisReport:
 # Ratio reports and whole-instance analysis
 
 
-@dataclass(frozen=True)
-class RatioReport:
+class RatioReport(NamedTuple):
     policy: Policy
     policy_value: Rat
     opt_value: Rat
@@ -676,8 +672,7 @@ def policy_ratio(policy: Policy, inst: Instance, reference_beta: Rat) -> RatioRe
     return _make_ratio(policy, trace.totals, opt_value, inst.alpha, reference_beta)
 
 
-@dataclass(frozen=True)
-class InstanceAnalysis:
+class InstanceAnalysis(NamedTuple):
     instance: Instance
     beta: Rat
     ropt: RoptTrace  # its ``on`` is the policy's run, its ``kept`` the canonical optimum
@@ -743,7 +738,9 @@ def analyze(inst: Instance, beta: Rat) -> InstanceAnalysis:
 
 
 def format_report(report: AnalysisReport) -> str:
-    """Fixed-width table of check verdicts for terminal output."""
+    """Fixed-width table of check verdicts for terminal output; empty for no checks."""
+    if not report.checks:
+        return ""
     width = max(len(c.name) for c in report.checks)
     lines = []
     for c in report.checks:

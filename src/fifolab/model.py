@@ -97,8 +97,7 @@ class ArrivalKey(NamedTuple):
     seq: int = 0
 
 
-@dataclass(frozen=True, slots=True)
-class Packet:
+class Packet(NamedTuple):
     key: ArrivalKey
     klass: PacketClass
 
@@ -165,10 +164,11 @@ def build_instance(
     """
     rows = sorted(specs, key=lambda spec: spec[:2])
     steps, seqs, classes = zip(*rows) if rows else ((), (), ())
-    # a class text is a dict lookup; a member, or a value that is neither
-    # (which raises there), takes the Enum call
+    # a class text is a dict lookup, a member an identity test (a member's hash is
+    # Python-level); any other value takes the Enum call, which raises if invalid
     flag_of = _FLAG_OF_TEXT
-    flags = [flag_of[c] if type(c) is str and c in flag_of else PacketClass(c) is _ALPHA for c in classes]
+    flags = [flag_of[c] if type(c) is str and c in flag_of else c is _ALPHA if type(c) is PacketClass
+             else PacketClass(c) is _ALPHA for c in classes]
     return Instance(capacity, Fraction(alpha), steps, seqs, tuple(flags))
 
 

@@ -16,9 +16,9 @@ numerators and denominators, so a lookup hashes no Fraction, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .model import Rat
 
@@ -27,8 +27,7 @@ from .model import Rat
 DEFAULT_BETA = Fraction(3284, 1000)
 
 
-@dataclass(frozen=True)
-class BoundBreakdown:
+class BoundBreakdown(NamedTuple):
     first_term: Rat
     second_term: Rat
     bound: Rat

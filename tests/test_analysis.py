@@ -3,7 +3,6 @@ import hashlib
 import itertools
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -264,7 +263,7 @@ class TestLedgerDemo:
         ledger = build_ledger(ropt)
         [evicted] = [r for r in ledger.drop_charges if r.kind == EVICTED_ALPHA_INTERVAL]
         drops = tuple(evicted._replace(drop_step=d) for d in (4, 5, 6, 7))
-        tampered = replace(ledger, drop_charges=ledger.drop_charges + drops)
+        tampered = ledger._replace(drop_charges=ledger.drop_charges + drops)
         check = verify_ledger(tampered).check("interval-exclusive")
         assert check.status == CheckStatus.FAIL
         assert check.detail == "alpha evictions at [5, 6] inside preemption interval [5, 6]"
@@ -339,11 +338,11 @@ class TestLedgerChainCharges:
         assert report.ok
         assert charged_value(ledger) == total_value(inst, chosen)
         # a second charge at the same head breaks single closure
-        tampered = replace(ledger, drop_charges=ledger.drop_charges + (rec._replace(drop_step=4),))
+        tampered = ledger._replace(drop_charges=ledger.drop_charges + (rec._replace(drop_step=4),))
         check = verify_ledger(tampered).check("single-closure")
         assert check == ("single-closure", "fail", "duplicated head charges at [2]")
         # a head charge whose chain the ledger does not list breaks it too
-        check = verify_ledger(replace(ledger, chains=())).check("single-closure")
+        check = verify_ledger(ledger._replace(chains=())).check("single-closure")
         assert check == ("single-closure", "fail", "0 closed chains vs 1 chain-head charges")
 
     def test_policy_matching_optimum_needs_no_chains(self):
@@ -620,6 +619,10 @@ chain 7 closed 8.1 2 3 4 5 6 7
 """
 
 
+def test_report_without_checks_formats_as_empty_text():
+    assert format_report(AnalysisReport(())) == ""
+
+
 @pytest.mark.parametrize(
     "seed, o_ids, bound, ledger_text",
     [
@@ -756,7 +759,7 @@ def test_conservation_fails_without_or_with_twice_any_drop_charge():
                 (charges[:k] + charges[k + 1 :], value - worth),
                 (charges + (rec,), value + worth),
             ]:
-                check = verify_ledger(replace(ledger, drop_charges=changed)).check("charge-conservation")
+                check = verify_ledger(ledger._replace(drop_charges=changed)).check("charge-conservation")
                 assert check == (
                     "charge-conservation", "fail", f"reference charges {total} vs optimum value {value}"
                 )

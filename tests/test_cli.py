@@ -585,3 +585,67 @@ def test_mutated_corpus_texts_never_crash(seed, edits):
         # simulate writes one line per idle step, so its output follows the last step
         if all(step <= 10**4 for step in steps):
             _assert_clean_exit(["simulate", str(path)])
+
+
+# Argument vectors for every subcommand that reads or computes, with values
+# from a fixed alphabet; the alphabet also bounds the cost of each run.
+
+_ODD_ARGS = [*_ODD_VALUES, "0", "nan", "1e400"]
+_RATS = ["1", "2", "3/2", "1/3", "5", "3284/1000", "1000001/1000000"]
+
+
+def _arg(*good):
+    """A well-formed value from `good`, or now and then an odd text."""
+    return st.sampled_from([*good] * 6 + _ODD_ARGS)
+
+
+_RAT_ARG = _arg(*_RATS)
+_RAT_LIST = st.lists(_RAT_ARG, min_size=1, max_size=4).map(",".join)
+_POLICY_ARG = st.sampled_from(["on", "greedy", "x"])
+# placeholders, resolved in a fresh temporary directory per run
+_PATH_ARG = st.sampled_from(["<corpus>", "<directory>", "<missing>", "<not-utf8>"])
+_OUT_ARG = st.sampled_from(["<file>", "<directory>"])
+_SMALL_TOLS = ["1/2", "1/10", "1/3", "1/1000000"]
+
+# per command: whether it takes an instance path, its required and its optional flags
+_COMMANDS = {
+    "simulate": (True, {}, {"--policy": _POLICY_ARG, "--beta": _RAT_ARG, "--out": _OUT_ARG}),
+    "verify": (True, {}, {"--beta": _RAT_ARG, "--emit-ledger": _OUT_ARG}),
+    "opt": (True, {}, {}),
+    "fuzz": (False, {"--count": _arg("1", "2", "3")}, {"--beta": _RAT_ARG, "--out": _OUT_ARG, **_GEN_FLAGS}),
+    "search": (
+        False,
+        {"--budget": _arg(*map(str, range(1, 21)))},
+        {"--policy": _POLICY_ARG, "--beta": _RAT_ARG, "--out": _OUT_ARG, **_GEN_FLAGS},
+    ),
+    "bound": (False, {"--alpha": _RAT_ARG, "--beta": _RAT_ARG}, {}),
+    "sweep": (False, {"--alphas": _RAT_LIST, "--betas": _RAT_LIST}, {"--out": _OUT_ARG}),
+    "optimal-beta": (False, {}, {"--tol": _arg(*_SMALL_TOLS)}),
+}
+
+
+@st.composite
+def _argument_vectors(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    takes_path, required, optional = _COMMANDS[command]
+    flags = draw(st.fixed_dictionaries(required, optional=optional))
+    path = [draw(_PATH_ARG)] if takes_path else []
+    return [command, *path, *[part for flag, value in flags.items() for part in (flag, value)]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_argument_vectors())
+def test_argument_vectors_never_crash(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        corpus = root / "corpus.txt"
+        corpus.write_text(format_instance(random_instance(GenConfig(seed=7))), encoding="utf-8")
+        (root / "not-utf8.txt").write_bytes(b"buffer 1\nalpha 2\npacket 1 0 \xff\n")
+        paths = {
+            "<corpus>": str(corpus),
+            "<directory>": tmp,
+            "<missing>": str(root / "missing.txt"),
+            "<not-utf8>": str(root / "not-utf8.txt"),
+            "<file>": str(root / "out.txt"),
+        }
+        _assert_clean_exit([paths.get(part, part) for part in argv])

@@ -1,9 +1,12 @@
-from dataclasses import fields, replace
+import re
+from dataclasses import is_dataclass, replace
+from enum import Enum
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+import fifolab
 from fifolab import (
     ArrivalKey,
     GenConfig,
@@ -119,6 +122,26 @@ class TestValidate:
             "capacity must be at least 1",
         )
         assert violations_of(demo_instance, Fraction(1)) == ("alpha must exceed 1",)
+
+
+class TestBuildClasses:
+    SPECS = [(2, 0, "alpha"), (1, 0, "one"), (1, 1, "alpha"), (3, 0, "one")]
+
+    def test_members_texts_and_a_mix_give_equal_instances(self):
+        texts = build_instance(2, Fraction(2), self.SPECS)
+        members = build_instance(2, Fraction(2), [(t, s, PacketClass(c)) for t, s, c in self.SPECS])
+        mixed = build_instance(
+            2, Fraction(2), [(t, s, PacketClass(c) if t % 2 else c) for t, s, c in self.SPECS]
+        )
+        assert texts == members == mixed
+        assert texts.is_alpha == (False, True, True, False)
+        assert all(type(flag) is bool for flag in members.is_alpha + mixed.is_alpha)
+
+    @pytest.mark.parametrize("klass", ["beta", 3, None, [1]], ids=repr)
+    def test_an_invalid_class_raises_the_enum_text(self, klass):
+        specs = [(1, 0, PacketClass.ONE), (2, 0, klass), (3, 0, "alpha")]
+        with pytest.raises(ValueError, match=rf"^{re.escape(repr(klass))} is not a valid PacketClass$"):
+            build_instance(2, Fraction(2), specs)
 
 
 class TestValues:
@@ -303,7 +326,7 @@ class TestIdentity:
             for field in ("key", "klass"):
                 with pytest.raises(AttributeError):
                     setattr(packet, field, 0)
-            # the frozen __setattr__ of a slots dataclass raises TypeError for a non-field
+            # a property has no setter, and a named tuple has no __dict__ to set it in
             for derived in ("id", "is_alpha"):
                 with pytest.raises((AttributeError, TypeError)):
                     setattr(packet, derived, 0)
@@ -315,9 +338,31 @@ class TestIdentity:
         assert repr(make_packet(3, 1, "alpha")) == repr(parsed) == (
             "Packet(key=ArrivalKey(step=3, seq=1), klass=<PacketClass.ALPHA: 'alpha'>)"
         )
-        # the dataclass constructor builds the same packet as the parser's
+        # the named tuple's constructor builds the same packet as the parser's
         direct = Packet(ArrivalKey(3, 1), PacketClass.ALPHA)
         assert (direct, hash(direct), repr(direct)) == (parsed, hash(parsed), repr(parsed))
+
+    def test_only_records_that_check_or_cache_are_dataclasses(self):
+        # Instance, Policy and GenConfig check their fields as they are built,
+        # and RunTrace (like Instance) caches what it derives in its __dict__;
+        # every other record is a named tuple
+        classes = {
+            name: cls for name, cls in vars(fifolab).items()
+            if isinstance(cls, type) and cls.__module__.startswith("fifolab.")
+        }
+        kinds = {name for name, cls in classes.items() if is_dataclass(cls)}
+        assert kinds == {"Instance", "Policy", "GenConfig", "RunTrace"}
+        records = {
+            name for name, cls in classes.items()
+            if name not in kinds and name != "CheckStatus" and not issubclass(cls, (Exception, Enum))
+        }
+        assert records == {
+            "AnalysisReport", "ArrivalKey", "BoundBreakdown", "Chain", "ChargeLedger", "ChargeRecord",
+            "CheckResult", "EventLog", "InstanceAnalysis", "OptResult", "Packet", "RatioReport",
+            "RoptTrace", "StepEvent",
+        }
+        for name in records:
+            assert issubclass(classes[name], tuple) and isinstance(classes[name]._fields, tuple), name
 
     def test_make_packet_rejects_an_unknown_class(self):
         with pytest.raises(ValueError, match="^'beta' is not a valid PacketClass$"):
@@ -332,7 +377,7 @@ class TestIdentity:
 
     @given(*[st.tuples(st.integers(1, 12), st.integers(0, 12))] * 2)
     def test_id_is_rendered_from_the_key(self, a, b):
-        assert [f.name for f in fields(Packet)] == ["key", "klass"]
+        assert Packet._fields == ("key", "klass")
         pa, pb = make_packet(*a, "one"), make_packet(*b, "alpha")
         for (step, seq), packet in ((a, pa), (b, pb)):
             assert packet.id == (str(step) if seq == 0 else f"{step}.{seq}")

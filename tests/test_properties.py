@@ -295,7 +295,7 @@ def test_integer_value_sums_match_fraction_sums(inst, alpha, beta):
     # a missing or a doubled drop charge makes the check fail and print the sum
     for k, rec in enumerate(drops):
         for changed in (drops[:k] + drops[k + 1 :], drops + (rec,)):
-            check = verify_ledger(replace(result.ledger, drop_charges=changed)).check("charge-conservation")
+            check = verify_ledger(result.ledger._replace(drop_charges=changed)).check("charge-conservation")
             total = fraction_sum(sent + [inst.arrivals[r.packet] for r in changed])
             assert check == ("charge-conservation", "fail", f"reference charges {total} vs optimum value {value}")
 
@@ -704,13 +704,13 @@ def test_verify_ropt_matches_literal_oracle_on_failure_paths():
             on = run(Policy.on(beta), inst)
             chosen = _random_feasible_subset(inst, rng)
             ropt = run_ropt(on, feasible(inst, chosen))
-            merged = replace(ropt, head=dict.fromkeys(ropt.head, 0))
+            merged = ropt._replace(head=dict.fromkeys(ropt.head, 0))
             fewer = set(list(chosen)[1:])
             everything = range(len(inst.arrivals))
             for o_set, trace in ((chosen, ropt), (chosen, merged), (everything, ropt), (fewer, ropt)):
                 # the reference built for `chosen`, checked as if O were `o_set`
                 kept = trace.kept._replace(indices=tuple(sorted(o_set)))
-                trace = replace(trace, kept=kept, in_o=[i in o_set for i in everything])
+                trace = trace._replace(kept=kept, in_o=[i in o_set for i in everything])
                 report = _assert_verify_ropt_matches_oracle(inst, o_set, on, trace)
                 failed.update(c.name for c in report.checks if c.status != CheckStatus.PASS)
     names = {"ropt-capacity", "ropt-sends-all", "send-precedence", "chains-disjoint", "backlog-bound"}
