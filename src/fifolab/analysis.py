@@ -72,7 +72,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from .model import Instance, Rat, ONE, format_rat, packet_id, packet_ids
 from .offline import OptResult, brute_force_opt, dp_opt, opt_containing
 from .simulate import EVICTED, PREEMPTED, REJECTED, Policy, RunTrace, run
-from .theory import BoundBreakdown, competitive_bound
+from .theory import competitive_bound
 
 SENT_BY_BOTH = "sent-by-both"
 EVICTED_ALPHA_INTERVAL = "evicted-alpha-interval"
@@ -639,43 +639,40 @@ def verify_ledger(ledger: ChargeLedger) -> AnalysisReport:
 
 
 class RatioReport(NamedTuple):
-    policy: Policy
+    """OPT/ON as one exact ``ratio``; ``within_bound`` tests it against the competitive ``bound``."""
+
     policy_value: Rat
     opt_value: Rat
-    ratio: Rat | None  # None means unbounded (zero policy value against a positive optimum)
-    bound: BoundBreakdown
+    ratio: Rat
+    bound: Rat
     within_bound: bool
 
 
-def _make_ratio(policy: Policy, policy_value: Rat, opt_value: Rat, alpha: Rat, beta: Rat) -> RatioReport:
-    # opt/policy <= bound, cross-multiplied over the three positive denominators
-    bound = competitive_bound(alpha, beta)
-    bound_num, bound_den = bound.bound.as_integer_ratio()
+def _make_ratio(policy_value: Rat, opt_value: Rat, alpha: Rat, beta: Rat) -> RatioReport:
+    # A run's value is 0 only on an empty instance, whose optimum is 0 and
+    # ratio 1: the first arrival enters an empty buffer of capacity >= 1, a
+    # preemption drops only 1-value packets ahead of the last alpha, and a
+    # non-empty buffer always sends. A zero value against a positive optimum
+    # cannot occur, and would raise ZeroDivisionError.
+    bound = competitive_bound(alpha, beta).bound
+    bound_num, bound_den = bound.as_integer_ratio()
     opt_num, opt_den = opt_value.as_integer_ratio()
     policy_num, policy_den = policy_value.as_integer_ratio()
-    if not opt_num:
-        ratio: Rat | None = Fraction(1)
-        within = bound_den <= bound_num
-    elif not policy_num:
-        ratio = None
-        within = False
-    else:
-        ratio = Fraction(opt_num * policy_den, opt_den * policy_num)
-        within = opt_num * policy_den * bound_den <= bound_num * opt_den * policy_num
-    return RatioReport(policy, policy_value, opt_value, ratio, bound, within)
+    num, den = (opt_num * policy_den, opt_den * policy_num) if opt_num else (1, 1)
+    within = num * bound_den <= bound_num * den
+    return RatioReport(policy_value, opt_value, Fraction(num, den), bound, within)
 
 
 def policy_ratio(policy: Policy, inst: Instance, reference_beta: Rat) -> RatioReport:
     """Ratio of the offline optimum to an arbitrary policy's value."""
     trace = run(policy, inst)
     opt_value = brute_force_opt(inst).value
-    return _make_ratio(policy, trace.totals, opt_value, inst.alpha, reference_beta)
+    return _make_ratio(trace.totals, opt_value, inst.alpha, reference_beta)
 
 
 class InstanceAnalysis(NamedTuple):
     instance: Instance
-    beta: Rat
-    ropt: RoptTrace  # its ``on`` is the policy's run, its ``kept`` the canonical optimum
+    ropt: RoptTrace  # ``on``: the policy's run, its beta on ``on.policy``; ``kept``: the canonical optimum
     ledger: ChargeLedger | None
     report: AnalysisReport
     ratio: RatioReport
@@ -730,11 +727,11 @@ def analyze(inst: Instance, beta: Rat) -> InstanceAnalysis:
         checks.append(_passed("charging-complete"))
         checks += verify_ledger(ledger).checks
 
-    ratio = _make_ratio(on.policy, on.totals, exhaustive.value, inst.alpha, beta)
-    detail = f"ratio {ratio.ratio} vs bound {ratio.bound.bound}"
+    ratio = _make_ratio(on.totals, exhaustive.value, inst.alpha, beta)
+    detail = f"ratio {ratio.ratio} vs bound {ratio.bound}"
     checks.append(_result("ratio-bound", ratio.within_bound, detail))
     report = AnalysisReport(tuple(checks))
-    return InstanceAnalysis(inst, beta, ropt, ledger, report, ratio)
+    return InstanceAnalysis(inst, ropt, ledger, report, ratio)
 
 
 def format_report(report: AnalysisReport) -> str:

@@ -174,9 +174,6 @@ def adversarial_search(
     restarts = [greedy_blocking(a) for a in cfg.alpha_choices]
     restarts += [demo_instance(a) for a in cfg.alpha_choices]
 
-    def score(report: RatioReport) -> Rat:
-        return report.ratio if report.ratio is not None else Fraction(10**9)
-
     best: tuple[Instance, RatioReport] | None = None
     current: Instance | None = None
     current_score = Fraction(0)
@@ -194,11 +191,10 @@ def adversarial_search(
             continue  # a restart instance can exceed the cap; retry free of charge
         report = policy_ratio(policy, candidate, reference_beta)
         evaluations += 1
-        s = score(report)
-        if best is None or s > score(best[1]):
+        if best is None or report.ratio > best[1].ratio:
             best = (candidate, report)
-        if current is None or s > current_score:
-            current, current_score, stagnation = candidate, s, 0
+        if current is None or report.ratio > current_score:
+            current, current_score, stagnation = candidate, report.ratio, 0
         else:
             stagnation += 1
             if stagnation >= 40:

@@ -32,6 +32,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, Mapping, NamedTuple
 
 from .model import Instance, Rat, format_rat, packet_id, packet_ids, value_sum
@@ -97,14 +98,8 @@ class Policy:
 
     @classmethod
     def on(cls, beta: Rat) -> "Policy":
-        """The threshold policy at `beta`, kept if a Fraction; memoised on its ratio, never on a failure."""
-        beta = beta if type(beta) is Fraction else Fraction(beta)
-        policy = _ON_POLICIES.get(key := beta.as_integer_ratio())
-        if policy is None or policy.beta is not beta:
-            if len(_ON_POLICIES) >= 1024:
-                _ON_POLICIES.clear()
-            policy = _ON_POLICIES[key] = cls("on", beta)
-        return policy
+        """The threshold policy at `beta`, memoised on its integer ratio, never on a failure."""
+        return _on_policy(*(beta if type(beta) is Fraction else Fraction(beta)).as_integer_ratio())
 
     @classmethod
     def greedy(cls) -> "Policy":
@@ -116,7 +111,11 @@ class Policy:
         return "greedy"
 
 
-_ON_POLICIES: dict[tuple[int, int], Policy] = {}  # Policy.on's memo
+@lru_cache(maxsize=1024)
+def _on_policy(num: int, den: int) -> Policy:
+    return Policy("on", Fraction(num, den))
+
+
 _GREEDY_POLICY = Policy("greedy")  # the one record Policy.greedy returns
 
 

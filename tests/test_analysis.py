@@ -13,10 +13,12 @@ from fifolab import (
     EventKind,
     GenConfig,
     Instance,
+    InstanceAnalysis,
     InvalidInstanceError,
     LedgerError,
     OptResult,
     Policy,
+    RatioReport,
     RoptTrace,
     RunTrace,
     StepEvent,
@@ -412,8 +414,16 @@ class TestAnalyze:
         result = analyze(make_instance(), beta)
         assert result.report.ok
         assert result.ratio.ratio == ratio
-        assert result.ratio.bound.bound == bound
+        assert result.ratio.bound == bound
         assert result.ratio.within_bound
+
+    def test_ratio_report_is_five_exact_values(self):
+        assert RatioReport._fields == ("policy_value", "opt_value", "ratio", "bound", "within_bound")
+        # the policy and its beta are read off the run
+        assert InstanceAnalysis._fields == ("instance", "ropt", "ledger", "report", "ratio")
+        result = analyze(demo_instance(Fraction(2)), BETA_REF)
+        assert result.ropt.on.policy == Policy.on(BETA_REF)
+        assert type(result.ratio.ratio) is Fraction and type(result.ratio.bound) is Fraction
 
     def test_blocking_family_passes(self):
         for alpha in (Fraction(3, 2), Fraction(2), Fraction(10)):

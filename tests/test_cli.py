@@ -1,5 +1,6 @@
 import io
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fifolab
+import fifolab.analysis as analysis_module
 from fifolab import (
     GenConfig,
     InstanceParseError,
@@ -25,6 +27,7 @@ from fifolab import (
     random_instance,
 )
 from fifolab.cli import decimal_str, main
+from fifolab.theory import BoundBreakdown
 
 
 def write_demo(tmp_path, alpha=Fraction(2)):
@@ -60,6 +63,25 @@ class TestDecimal:
         # half-to-even on the boundary
         assert decimal_str(Fraction(5, 10**7)) == "0.000000"
         assert decimal_str(Fraction(15, 10**7)) == "0.000002"
+
+    def test_matches_a_literal_half_to_even_rounding(self):
+        rng = random.Random(0)
+        grid = [Fraction(k, 2 * 10**6) for k in range(5000)]
+        drawn = [Fraction(rng.randrange(10**9), rng.randrange(1, 10**7)) for _ in range(20000)]
+        for value in grid + drawn:
+            assert decimal_str(value) == _literal_decimal_str(value), value
+
+
+def _literal_decimal_str(value):
+    """Six-place rendering by hand: divide, then round half to even on the remainder."""
+    places = 6
+    scaled = value * 10**places
+    whole, remainder = divmod(scaled.numerator, scaled.denominator)
+    doubled = 2 * remainder
+    if doubled > scaled.denominator or (doubled == scaled.denominator and whole % 2):
+        whole += 1
+    digits = str(whole).rjust(places + 1, "0")
+    return f"{digits[:-places]}.{digits[-places:]}"
 
 
 class TestSimulate:
@@ -230,6 +252,32 @@ class TestFuzz:
             monkeypatch.delenv("FBL_SEED")
             assert main(["fuzz", "--count", "5", "--seed", seed]) == 0
             assert capsys.readouterr().out == with_env
+
+
+@pytest.fixture
+def bound_of_one(monkeypatch):
+    """Every ratio above 1 now exceeds the bound the analysis reads."""
+    one = Fraction(1)
+    monkeypatch.setattr(analysis_module, "competitive_bound", lambda alpha, beta: BoundBreakdown(one, one, one))
+
+
+class TestBoundViolations:
+    def test_fuzz_counts_each_failing_seed_once(self, bound_of_one, capsys):
+        assert main(["fuzz", "--count", "30"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        seeds = [line.split(":")[0] for line in err if line.startswith("FAIL seed")]
+        assert len(seeds) == len(set(seeds)) == 11
+        assert err[-1] == "11 failing instance(s)"
+
+    def test_search_alerts_on_a_threshold_policy_above_the_bound(self, bound_of_one, capsys):
+        assert main(["search", "--budget", "20"]) == 1
+        assert capsys.readouterr().err == "ALERT: ratio 6/5 exceeds the theoretical bound\n"
+
+    def test_search_reports_a_greedy_policy_above_the_bound_without_alert(self, bound_of_one, capsys):
+        assert main(["search", "--budget", "20", "--policy", "greedy"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.splitlines()[-1].endswith(" within false")
 
 
 class TestSearchAndGen:

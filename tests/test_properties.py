@@ -28,6 +28,7 @@ from fifolab import (
     format_trace,
     opt_containing,
     parse_instance,
+    policy_ratio,
     format_instance,
     random_instance,
     run,
@@ -312,7 +313,7 @@ VALUES = st.fractions(min_value=0, max_value=60, max_denominator=12)
 )
 # (policy value, opt value, alpha, beta, tie)
 @example(Fraction(0), Fraction(0), Fraction(2), Fraction(2), False)  # both 0: ratio 1
-@example(Fraction(0), Fraction(5, 2), Fraction(5, 2), Fraction(2), False)  # ratio None
+@example(Fraction(0), Fraction(5, 2), Fraction(5, 2), Fraction(2), False)  # no run: raises
 @example(Fraction(3), Fraction(0), Fraction(2), Fraction(2), False)  # opt 0: ratio 1
 @example(Fraction(2), Fraction(3), Fraction(2), Fraction(2), False)  # ratio 3/2 == bound 3/2
 @example(Fraction(7, 3), Fraction(0), Fraction(7, 3), DEFAULT_BETA, True)  # tie at a fractional alpha
@@ -320,21 +321,51 @@ def test_integer_ratio_test_matches_fraction_reference(policy_value, opt_value, 
     bound = competitive_bound(alpha, beta).bound
     if tie:
         opt_value = bound * policy_value  # ratio == bound exactly, or both values 0
-    if opt_value == 0:
-        ratio = Fraction(1)
-    elif policy_value == 0:
-        ratio = None
-    else:
-        ratio = opt_value / policy_value
-    report = _make_ratio(Policy.on(beta), policy_value, opt_value, alpha, beta)
-    assert report.ratio == ratio
-    assert type(report.ratio) is (Fraction if ratio is not None else type(None))
-    assert report.within_bound == (ratio is not None and ratio <= bound)
+    if opt_value and not policy_value:
+        # no run is worth 0 against a positive optimum (see test_run_sends_at_its_first_release_step)
+        with pytest.raises(ZeroDivisionError):
+            _make_ratio(policy_value, opt_value, alpha, beta)
+        return
+    ratio = opt_value / policy_value if opt_value else Fraction(1)
+    report = _make_ratio(policy_value, opt_value, alpha, beta)
+    assert type(report.ratio) is Fraction and report.ratio == ratio
+    assert report.within_bound == (ratio <= bound)
     if tie and policy_value:
         assert report.ratio == bound and report.within_bound
-    assert (report.policy_value, report.opt_value, report.bound) == (
-        policy_value, opt_value, competitive_bound(alpha, beta)
-    )
+    assert (report.policy_value, report.opt_value, report.bound) == (policy_value, opt_value, bound)
+
+
+def _assert_runs_send_at_the_first_release_step(inst, betas=(DEFAULT_BETA,)):
+    for policy in policies(betas):
+        trace = run(policy, inst)
+        assert inst.steps[0] in trace.sends and trace.totals >= 1, policy
+        report = policy_ratio(policy, inst, DEFAULT_BETA)
+        assert type(report.ratio) is Fraction and report.policy_value == trace.totals
+
+
+@given(instances(), st.sampled_from(BETAS))
+def test_run_sends_at_its_first_release_step(inst, beta):
+    # the premise of _make_ratio: a run of a non-empty instance is never worth
+    # 0, since its first arrival enters an empty buffer, a preemption keeps
+    # every alpha packet, and a non-empty buffer always sends
+    if inst.steps:
+        _assert_runs_send_at_the_first_release_step(inst, [beta])
+
+
+def test_run_sends_at_its_first_release_step_at_scale():
+    for capacity in (16, 256):
+        _assert_runs_send_at_the_first_release_step(_overloaded(capacity, 2000, seed=capacity))
+    _assert_runs_send_at_the_first_release_step(_ten_thousand_arrivals(1000, max_burst=5))
+
+
+def test_empty_instance_has_ratio_one_within_the_bound():
+    inst = build_instance(2, Fraction(2), [])
+    reports = [analyze(inst, DEFAULT_BETA).ratio]
+    reports += [policy_ratio(policy, inst, DEFAULT_BETA) for policy in policies([DEFAULT_BETA])]
+    for report in reports:
+        assert type(report.ratio) is Fraction
+        assert (report.policy_value, report.opt_value, report.ratio) == (0, 0, 1)
+        assert report.within_bound
 
 
 @given(instances(), st.sampled_from(BETAS), st.booleans())

@@ -180,7 +180,8 @@ class TestDeliverGreedy:
 class TestPolicy:
     def test_on_keeps_a_fraction(self):
         beta = Fraction(3284, 1000)
-        assert Policy.on(beta).beta is beta
+        assert type(Policy.on(beta).beta) is Fraction and Policy.on(beta).beta == beta
+        assert Policy.on(Fraction(6, 4)) is Policy.on(Fraction(3, 2))
 
     @pytest.mark.parametrize("beta", [Fraction(0), Fraction(-1, 2), 0, -3])
     def test_on_rejects_a_non_positive_beta(self, beta):
