@@ -37,7 +37,6 @@ from .model import (
     InstanceParseError,
     InvalidInstanceError,
     Packet,
-    PacketClass,
     Rat,
     build_instance,
     format_instance,

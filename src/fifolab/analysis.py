@@ -176,17 +176,15 @@ def run_ropt(on: RunTrace, kept: OptResult) -> RoptTrace:
 
 
 class Chain(NamedTuple):
-    """Backward-linked steps coupling reference sends to policy sends.
+    """A chain of backward-linked steps, named by its owner.
 
-    ``steps`` ascend; at every step after the head, the policy sends the
-    packet the reference sent one link earlier; at the head the policy's
-    send is outside O. ``owner`` is the arrival index of the packet whose
-    reference-send step ends the chain; ``closing_charge`` is the arrival
+    ``owner`` is the arrival index of the packet whose reference-send step
+    ends the chain; its steps are ``ropt.chain(owner)`` and its head
+    ``ropt.head[ropt.send_time[owner]]``. ``closing_charge`` is the arrival
     index of the packet charged at its head, or None while it is open.
     """
 
     owner: int
-    steps: tuple[int, ...]
     closing_charge: int | None = None
 
 
@@ -348,7 +346,7 @@ def build_ledger(ropt: RoptTrace) -> ChargeLedger:
         missing = ", ".join(sorted(_id(inst, i) for _, i, _ in deferred))
         raise LedgerError(f"evicted O-packets never sent by the reference: {missing}")
 
-    chains = tuple(Chain(owner, ropt.chain(owner), charged) for owner, charged in closing.items())
+    chains = tuple(map(Chain, closing, closing.values()))
     return ChargeLedger(ropt, tuple(charges), chains, diagnostics)
 
 
@@ -526,7 +524,7 @@ def verify_ropt(ropt: RoptTrace) -> AnalysisReport:
                     break
     checks.append(_result("chains-disjoint", not overlap, overlap))
 
-    if on.policy.kind == "on":
+    if on.policy.beta is not None:
         a, b = inst.alpha.as_integer_ratio()
         scaled, den, bound = _backlog_bound(capacity, a, b, *on.policy.beta.as_integer_ratio())
         detail = f"max alpha backlog {max_alpha}, max any {max_any}, bound {bound}"
@@ -547,8 +545,9 @@ def verify_ledger(ledger: ChargeLedger) -> AnalysisReport:
     packet there, idle heads reported as warnings); and single closure per
     head. One pass over the drop charges sorts out what each check reads.
     """
-    on, inst = ledger.ropt.on, ledger.ropt.on.instance
-    in_o, flags = ledger.ropt.in_o, inst.is_alpha
+    ropt = ledger.ropt
+    on, inst = ropt.on, ropt.on.instance
+    in_o, flags = ropt.in_o, inst.is_alpha
     checks: list[CheckResult] = []
     # the reference's charges by class: the O-packets the policy sent, then the drops
     sent = [flags[i] for i in on.sends.values() if in_o[i]]
@@ -573,7 +572,7 @@ def verify_ledger(ledger: ChargeLedger) -> AnalysisReport:
     # value O's builder summed
     a, b = inst.alpha.as_integer_ratio()
     scaled = alphas * a + (charged - alphas) * b
-    value = ledger.ropt.kept.value
+    value = ropt.kept.value
     o_num, o_den = value.as_integer_ratio()
     conserved = scaled * o_den == o_num * b
     detail = "" if conserved else f"reference charges {Fraction(scaled, b)} vs optimum value {value}"
@@ -607,7 +606,7 @@ def verify_ledger(ledger: ChargeLedger) -> AnalysisReport:
         if chain.closing_charge is None:
             continue
         closed += 1
-        head = chain.steps[0]
+        head = ropt.head[ropt.send_time[chain.owner]]
         q = on.sends.get(head)
         if q is None:
             null_heads += 1
@@ -774,8 +773,9 @@ def format_ledger(ledger: ChargeLedger) -> str:
         charges.append((start, i, f"{rec.kind} {ids[i]} {values[flags[i]]} {target}"))
     charges.sort(key=lambda c: c[:2])
     lines += [f"ropt {text}" for _, _, text in charges]
-    for chain in sorted(ledger.chains, key=lambda c: c.steps):
-        status = "open" if chain.closing_charge is None else "closed"
-        closing = "-" if chain.closing_charge is None else ids[chain.closing_charge]
-        lines.append(f"chain {ids[chain.owner]} {status} {closing} " + " ".join(map(str, chain.steps)))
+    # distinct owners end at distinct steps, so no two walks are equal
+    for steps, (owner, charged) in sorted((ropt.chain(c.owner), c) for c in ledger.chains):
+        status = "open" if charged is None else "closed"
+        closing = "-" if charged is None else ids[charged]
+        lines.append(f"chain {ids[owner]} {status} {closing} " + " ".join(map(str, steps)))
     return "\n".join(lines) + "\n"

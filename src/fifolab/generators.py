@@ -114,7 +114,8 @@ def random_instance(cfg: GenConfig) -> Instance:
             steps.append(step)
             seqs.append(seq)
             flags.append(below(den) < num)
-    return Instance(capacity, Fraction(alpha), tuple(steps), tuple(seqs), tuple(flags))
+    alpha = alpha if type(alpha) is Fraction else Fraction(alpha)
+    return Instance(capacity, alpha, tuple(steps), tuple(seqs), tuple(flags))
 
 
 def _mutate(inst: Instance, cfg: GenConfig, rng: random.Random, cap: int) -> Instance:

@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 Rat = Fraction
@@ -76,13 +74,33 @@ def format_rat(value: Rat) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-class PacketClass(Enum):
-    ONE = "one"
-    ALPHA = "alpha"
+# a packet's class is its text, "one" or "alpha", and in the columns its alpha flag
+_FLAG_OF_TEXT = {"one": False, "alpha": True}
+_TEXT_OF_FLAG = ("one", "alpha")
 
 
-# bound once: a member lookup on the Enum class costs about ten times a global lookup
-_ALPHA = PacketClass.ALPHA
+def _class_error(klass: object) -> ValueError:
+    return ValueError(f"{klass!r} is not a packet class: 'one' or 'alpha'")
+
+
+class _cached:
+    """A cached property without the lock the stdlib's version takes before Python 3.12.
+
+    The first read computes the value and stores it in the instance's
+    ``__dict__``, where every later read finds it without calling this
+    descriptor. A computation that raises stores nothing.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 class ArrivalKey(NamedTuple):
@@ -99,7 +117,7 @@ class ArrivalKey(NamedTuple):
 
 class Packet(NamedTuple):
     key: ArrivalKey
-    klass: PacketClass
+    klass: str  # "one" | "alpha"
 
     @property
     def id(self) -> str:
@@ -107,7 +125,7 @@ class Packet(NamedTuple):
 
     @property
     def is_alpha(self) -> bool:
-        return self.klass is _ALPHA
+        return self.klass == "alpha"
 
 
 def packet_id(step: int, seq: int) -> str:
@@ -120,8 +138,11 @@ def packet_ids(steps: Iterable[int], seqs: Iterable[int]) -> list[str]:
     return [str(step) if seq == 0 else f"{step}.{seq}" for step, seq in zip(steps, seqs)]
 
 
-def make_packet(step: int, seq: int, klass: PacketClass | str) -> Packet:
-    return Packet(ArrivalKey(step, seq), PacketClass(klass))
+def make_packet(step: int, seq: int, klass: str) -> Packet:
+    """The packet at key (step, seq) of class `klass`; ValueError unless it is "one" or "alpha"."""
+    if type(klass) is not str or klass not in _FLAG_OF_TEXT:
+        raise _class_error(klass)
+    return Packet(ArrivalKey(step, seq), klass)
 
 
 @dataclass(frozen=True)
@@ -146,30 +167,29 @@ class Instance:
         if violations:
             raise InvalidInstanceError(violations)
 
-    @cached_property
+    @_cached
     def arrivals(self) -> tuple[Packet, ...]:
         """The packets as :class:`Packet` objects in key order, built on first read."""
-        classes = (PacketClass.ONE, _ALPHA)
+        texts = _TEXT_OF_FLAG
         rows = zip(self.steps, self.seqs, self.is_alpha)
-        return tuple([Packet(ArrivalKey(step, seq), classes[flag]) for step, seq, flag in rows])
+        return tuple([Packet(ArrivalKey(step, seq), texts[flag]) for step, seq, flag in rows])
 
 
-def build_instance(
-    capacity: int, alpha: Rat, specs: Iterable[tuple[int, int, PacketClass | str]]
-) -> Instance:
+def build_instance(capacity: int, alpha: Rat, specs: Iterable[tuple[int, int, str]]) -> Instance:
     """Construct an instance's columns from (step, seq, klass) triples, sorted by key.
 
-    Raises :class:`InvalidInstanceError`, as the constructor does, when two
+    Each klass is "one" or "alpha", or a ValueError names the first other
+    value. An alpha that is not a Fraction is converted. Raises
+    :class:`InvalidInstanceError`, as the constructor does, when two
     triples share a key or a value is out of range.
     """
     rows = sorted(specs, key=lambda spec: spec[:2])
     steps, seqs, classes = zip(*rows) if rows else ((), (), ())
-    # a class text is a dict lookup, a member an identity test (a member's hash is
-    # Python-level); any other value takes the Enum call, which raises if invalid
     flag_of = _FLAG_OF_TEXT
-    flags = [flag_of[c] if type(c) is str and c in flag_of else c is _ALPHA if type(c) is PacketClass
-             else PacketClass(c) is _ALPHA for c in classes]
-    return Instance(capacity, Fraction(alpha), steps, seqs, tuple(flags))
+    flags = tuple([flag_of.get(c) if type(c) is str else None for c in classes])
+    if None in flags:
+        raise _class_error(classes[flags.index(None)])
+    return Instance(capacity, alpha if type(alpha) is Fraction else Fraction(alpha), steps, seqs, flags)
 
 
 def validate_instance(inst: Instance) -> list[str]:
@@ -243,11 +263,6 @@ def total_value(inst: Instance, indices: Iterable[int]) -> Rat:
 
 # ---------------------------------------------------------------------------
 # Instance text format: the grammar is in parse_instance's docstring.
-
-# class text -> alpha flag; a dict lookup costs a fraction of the Enum call PacketClass(text)
-_FLAG_OF_TEXT = {c.value: c is _ALPHA for c in PacketClass}
-_TEXT_OF_FLAG = (PacketClass.ONE.value, _ALPHA.value)
-
 
 def format_instance(inst: Instance) -> str:
     lines = [f"buffer {inst.capacity}", f"alpha {format_rat(inst.alpha)}"]

@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Mapping, NamedTuple
 
-from .model import Instance, Rat, format_rat, packet_id, packet_ids, value_sum
+from .model import Instance, Rat, _cached, format_rat, packet_id, packet_ids, value_sum
 
 
 class EventKind(Enum):
@@ -80,21 +80,24 @@ class EventLog(NamedTuple):
 
 @dataclass(frozen=True)
 class Policy:
-    kind: str  # "on" | "greedy"
-    beta: Rat | None = None
+    """The threshold policy at ``beta``, or the greedy policy where ``beta`` is None."""
+
+    beta: Rat | None
 
     def __post_init__(self) -> None:
         # a Fraction is signed by its numerator: comparing one goes through
         # Python-level Fraction methods
-        if self.kind == "greedy":
-            if self.beta is not None:
-                raise ValueError("greedy takes no beta")
-        elif self.kind != "on":
-            raise ValueError(f"unknown policy kind {self.kind!r}")
-        elif type(self.beta) is not Fraction:
+        if self.beta is None:
+            return
+        if type(self.beta) is not Fraction:
             raise ValueError(f"beta must be a Fraction, not {type(self.beta).__name__}")
-        elif self.beta.numerator <= 0:
+        if self.beta.numerator <= 0:
             raise ValueError("beta must be positive")
+
+    @property
+    def kind(self) -> str:
+        """``"on"`` for the threshold policy, ``"greedy"`` for the greedy one."""
+        return "greedy" if self.beta is None else "on"
 
     @classmethod
     def on(cls, beta: Rat) -> "Policy":
@@ -106,17 +109,15 @@ class Policy:
         return _GREEDY_POLICY
 
     def describe(self) -> str:
-        if self.kind == "on":
-            return f"on(beta={format_rat(self.beta)})"
-        return "greedy"
+        return "greedy" if self.beta is None else f"on(beta={format_rat(self.beta)})"
 
 
 @lru_cache(maxsize=1024)
 def _on_policy(num: int, den: int) -> Policy:
-    return Policy("on", Fraction(num, den))
+    return Policy(Fraction(num, den))
 
 
-_GREEDY_POLICY = Policy("greedy")  # the one record Policy.greedy returns
+_GREEDY_POLICY = Policy(None)  # the one record Policy.greedy returns
 
 
 class Departures(NamedTuple):
@@ -137,26 +138,6 @@ class Departures(NamedTuple):
     left: list[float | None]
     drops: list[tuple[int, EventKind, int, bool, int, int]]
     alphas: list[int]
-
-
-class _cached:
-    """:func:`functools.cached_property`, less the lock it takes before Python 3.12.
-
-    The first read computes the value and stores it in the instance's
-    ``__dict__``, where every later read finds it without calling this
-    descriptor. A computation that raises stores nothing.
-    """
-
-    def __init__(self, func):
-        self.func = func
-        self.name = func.__name__
-        self.__doc__ = func.__doc__
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.func(obj)
-        return value
 
 
 @dataclass(frozen=True)
@@ -235,7 +216,7 @@ def run(policy: Policy, inst: Instance) -> RunTrace:
     O(1), and finding the preempted set O(log B).
     """
     release, flags = inst.steps, inst.is_alpha
-    preempts = policy.kind == "on"
+    preempts = policy.beta is not None
     if preempts:
         # alpha * |A| >= beta * |D|, cross-multiplied over both denominators
         alpha_num, alpha_den = inst.alpha.as_integer_ratio()

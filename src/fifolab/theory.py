@@ -11,7 +11,7 @@ that cubic's positive root (about 3.2844, giving a ratio near 1.3045).
 
 The bounds are memoised on the four integers of alpha's and beta's
 numerators and denominators, so a lookup hashes no Fraction, and
-:func:`optimal_beta` bisects on dyadic rationals held as integers.
+:func:`optimal_beta` bisects on dyadic rationals with :func:`discriminant_sign`.
 """
 
 from __future__ import annotations
@@ -89,7 +89,9 @@ def discriminant_sign(beta: Rat) -> int:
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
-    value = beta * beta * beta - 2 * beta * beta - 3 * beta - 4
+    # at beta = b/d the cubic times d^3 > 0, which has the same sign, in integers
+    b, d = beta.as_integer_ratio()
+    value = ((b - 2 * d) * b - 3 * d * d) * b - 4 * d * d * d
     return (value > 0) - (value < 0)
 
 
@@ -99,10 +101,8 @@ def optimal_beta(tol: Rat) -> Rat:
     Exact bisection on [3, 4]; the returned value beta* has
     (1 + beta*) / beta* within tol-resolution of the minimal ratio. After
     k halvings the bracket is [3 + m/2^k, 3 + (m+1)/2^k], so the loop
-    keeps the integers m and k: the midpoint b/d, with d = 2^(k+1), is
-    tested by the sign of b^3 - 2 b^2 d - 3 b d^2 - 4 d^3 (d's powers are
-    shifts), and the loop stops once 1/2^k <= tol. No step reduces a
-    fraction.
+    keeps the integers m and k, tests each midpoint with
+    :func:`discriminant_sign`, and stops once 1/2^k <= tol.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -111,5 +111,5 @@ def optimal_beta(tol: Rat) -> Rat:
     while tol_num << k < tol_den:
         k += 1  # the midpoint is b / 2^k
         b = (3 << k) + 2 * m + 1
-        m = 2 * m + (((b - (2 << k)) * b - (3 << 2 * k)) * b <= 1 << 3 * k + 2)
+        m = 2 * m + (discriminant_sign(Fraction(b, 1 << k)) <= 0)
     return Fraction((3 << k) + m, 1 << k)

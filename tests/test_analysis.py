@@ -285,7 +285,7 @@ class TestLedgerChainCharges:
         assert rec.step == 3
         assert rec.drop_step == 2
         [chain] = ledger.chains
-        assert chain.closing_charge == rec.packet and chain.steps == (3,)
+        assert chain.closing_charge == rec.packet and ropt.chain(chain.owner) == (3,)
         assert verify_ledger(ledger).ok
         assert ledger.diagnostics["deferred-evictions"] == 1
 
@@ -332,7 +332,7 @@ class TestLedgerChainCharges:
         assert rec.step == 2
         assert rec.drop_step == 3
         [chain] = ledger.chains
-        assert inst.arrivals[chain.owner].id == "1.3" and chain.steps == (2,)
+        assert inst.arrivals[chain.owner].id == "1.3" and ropt.chain(chain.owner) == (2,)
         assert chain.closing_charge == rec.packet
         report = AnalysisReport(
             verify_ropt(ropt).checks + verify_ledger(ledger).checks
@@ -816,7 +816,7 @@ def test_charging_argument_holds_on_every_optimum():
             kinds[SENT_BY_BOTH] += len(sent_by_both(ropt))
             kinds.update(rec.kind for rec in ledger.drop_charges)
             diagnostics.update(ledger.diagnostics)
-            lengths.update(len(chain.steps) for chain in ledger.chains)
+            lengths.update(len(ropt.chain(chain.owner)) for chain in ledger.chains)
     assert optima == 1625
     assert set(kinds) == {
         SENT_BY_BOTH,
@@ -1012,7 +1012,7 @@ def test_analyze_rejects_an_invalid_beta_on_every_call(beta):
         with pytest.raises(ValueError, match="beta must be positive"):
             analyze(inst, beta)
     valid = Fraction(3, 2)
-    assert Policy.on(valid) is Policy.on(valid) == Policy("on", valid)
+    assert Policy.on(valid) is Policy.on(valid) == Policy(valid)
 
 
 def _live_packets():

@@ -28,7 +28,7 @@ class TestFixtures:
         inst = demo_instance(Fraction(2))
         assert inst.capacity == 3
         assert validate_instance(inst) == []
-        specs = [(p.key.step, p.key.seq, p.klass.value) for p in inst.arrivals]
+        specs = [(p.key.step, p.key.seq, p.klass) for p in inst.arrivals]
         assert specs == [
             (1, 0, "one"),
             (1, 1, "one"),

@@ -28,7 +28,7 @@ from fifolab import (
     total_value,
     validate_instance,
 )
-from fifolab.model import Packet, PacketClass, arrival_indices, packet_id, packet_ids
+from fifolab.model import Packet, arrival_indices, packet_id, packet_ids
 from test_properties import instances
 
 
@@ -128,20 +128,29 @@ class TestBuildClasses:
     SPECS = [(2, 0, "alpha"), (1, 0, "one"), (1, 1, "alpha"), (3, 0, "one")]
 
     def test_members_texts_and_a_mix_give_equal_instances(self):
+        # a class is its text: the literal texts, the class texts of the
+        # instance's own packets, read back, and a mix of the two
         texts = build_instance(2, Fraction(2), self.SPECS)
-        members = build_instance(2, Fraction(2), [(t, s, PacketClass(c)) for t, s, c in self.SPECS])
+        members = build_instance(2, Fraction(2), [(*p.key, p.klass) for p in texts.arrivals])
+        read = {p.key: p.klass for p in texts.arrivals}
         mixed = build_instance(
-            2, Fraction(2), [(t, s, PacketClass(c) if t % 2 else c) for t, s, c in self.SPECS]
+            2, Fraction(2), [(t, s, read[t, s] if t % 2 else c) for t, s, c in self.SPECS]
         )
         assert texts == members == mixed
         assert texts.is_alpha == (False, True, True, False)
+        assert [p.klass for p in members.arrivals] == ["one", "alpha", "alpha", "one"]
         assert all(type(flag) is bool for flag in members.is_alpha + mixed.is_alpha)
 
-    @pytest.mark.parametrize("klass", ["beta", 3, None, [1]], ids=repr)
+    @pytest.mark.parametrize("klass", ["beta", 3, None, [1], "ONE", True], ids=repr)
     def test_an_invalid_class_raises_the_enum_text(self, klass):
-        specs = [(1, 0, PacketClass.ONE), (2, 0, klass), (3, 0, "alpha")]
-        with pytest.raises(ValueError, match=rf"^{re.escape(repr(klass))} is not a valid PacketClass$"):
+        # one ValueError, shaped like the text of an Enum's failed lookup, from
+        # both builders that take a class text
+        specs = [(1, 0, "one"), (2, 0, klass), (3, 0, "alpha")]
+        message = rf"^{re.escape(repr(klass))} is not a packet class: 'one' or 'alpha'$"
+        with pytest.raises(ValueError, match=message):
             build_instance(2, Fraction(2), specs)
+        with pytest.raises(ValueError, match=message):
+            make_packet(2, 0, klass)
 
 
 class TestValues:
@@ -336,10 +345,10 @@ class TestIdentity:
         [parsed] = parse_instance("buffer 1\nalpha 2/1\npacket 3 1 alpha\n").arrivals
         assert repr(ArrivalKey(3, 1)) == repr(parsed.key) == "ArrivalKey(step=3, seq=1)"
         assert repr(make_packet(3, 1, "alpha")) == repr(parsed) == (
-            "Packet(key=ArrivalKey(step=3, seq=1), klass=<PacketClass.ALPHA: 'alpha'>)"
+            "Packet(key=ArrivalKey(step=3, seq=1), klass='alpha')"
         )
         # the named tuple's constructor builds the same packet as the parser's
-        direct = Packet(ArrivalKey(3, 1), PacketClass.ALPHA)
+        direct = Packet(ArrivalKey(3, 1), "alpha")
         assert (direct, hash(direct), repr(direct)) == (parsed, hash(parsed), repr(parsed))
 
     def test_only_records_that_check_or_cache_are_dataclasses(self):
@@ -365,12 +374,12 @@ class TestIdentity:
             assert issubclass(classes[name], tuple) and isinstance(classes[name]._fields, tuple), name
 
     def test_make_packet_rejects_an_unknown_class(self):
-        with pytest.raises(ValueError, match="^'beta' is not a valid PacketClass$"):
+        with pytest.raises(ValueError, match="^'beta' is not a packet class: 'one' or 'alpha'$"):
             make_packet(1, 0, "beta")
 
     def test_equality_still_compares_every_field(self):
         one, alpha = make_packet(1, 0, "one"), make_packet(1, 0, "alpha")
-        same = Packet(ArrivalKey(1, 0), PacketClass.ONE)
+        same = Packet(ArrivalKey(1, 0), "one")
         assert one == same and hash(one) == hash(same)
         assert one != alpha
         assert len({one, alpha, same}) == 2

@@ -19,6 +19,7 @@ from fifolab import (
     EventLog,
     GenConfig,
     Policy,
+    RoptTrace,
     StepEvent,
     analyze,
     brute_force_opt,
@@ -44,7 +45,6 @@ from fifolab.model import (
     InstanceParseError,
     InvalidInstanceError,
     Packet,
-    PacketClass,
     Rat,
     build_instance,
     format_rat,
@@ -748,6 +748,25 @@ def test_verify_ropt_matches_literal_oracle_on_failure_paths():
     assert failed == names, failed
 
 
+def test_chains_disjoint_names_two_live_chains_with_one_head():
+    # No trace of run_ropt reaches this verdict: a hand-built reference
+    # sends O = {1.2, 1.3} at steps 1 and 2 while greedy sends 1 and 1.1
+    # there, and links step 2 back to step 1, so both chains have head 1.
+    # At t=2 the policy still buffers both O-packets, each after its
+    # reference send: two live chains share a step.
+    inst = build_instance(4, Fraction(2), [(1, seq, "one") for seq in range(4)])
+    on = run(Policy.greedy(), inst)
+    chosen = {2, 3}
+    ropt = RoptTrace(
+        on, feasible(inst, chosen), [False, False, True, True], [None, None, 1, 2],
+        link={1: None, 2: 1}, head={1: 1, 2: 1},
+    )
+    overlap = CheckResult("chains-disjoint", "fail", "step 1 shared by chains of 1.2 and 1.3 at t=2")
+    assert verify_ropt(ropt).check("chains-disjoint") == overlap
+    assert _literal_verify_ropt(inst, chosen, on, ropt).check("chains-disjoint") == overlap
+    assert _assert_verify_ropt_matches_oracle(inst, chosen, on, ropt).failures == (overlap,)
+
+
 def test_verify_ropt_matches_literal_oracle_at_scale():
     for capacity in (16, 256):
         inst = _overloaded(capacity, 1000, seed=capacity)
@@ -1166,7 +1185,7 @@ def _literal_validate(capacity, alpha, packets):
             violations.append(f"packet {p.id}: step and seq must be ints, not {kinds}")
         elif p.key.step < 1 or p.key.seq < 0:
             violations.append(f"packet {p.id}: key ({p.key.step},{p.key.seq}) out of range")
-        if not isinstance(p.klass, PacketClass):
+        if p.klass not in ("one", "alpha"):
             violations.append(f"packet {p.id}: is_alpha must be a bool, not {type(p.klass).__name__}")
         if key_types != {int}:
             continue  # a key that is not two ints takes no part in the order
@@ -1223,7 +1242,7 @@ def test_arrivals_view_reads_the_columns(inst):
 
 def _literal_parse_instance(text: str) -> Instance:
     """The instance parser as first written: ``parse_int`` per integer, the
-    ``PacketClass`` Enum call per class and ``make_packet`` per packet."""
+    ``make_packet`` per packet, which checks the class text."""
     capacity: int | None = None
     alpha: Rat | None = None
     packets: list[Packet] = []
@@ -1258,13 +1277,11 @@ def _literal_parse_instance(text: str) -> Instance:
             if len(args) != 3:
                 raise InstanceParseError(line_no, "packet takes: step seq one|alpha")
             try:
-                step, seq = parse_int(args[0]), parse_int(args[1])
-                klass = PacketClass(args[2])
+                p = make_packet(parse_int(args[0]), parse_int(args[1]), args[2])
             except ValueError:
                 raise InstanceParseError(line_no, f"bad packet line: {line!r}") from None
-            if step < 1:
+            if p.key.step < 1:
                 raise InstanceParseError(line_no, "packet key out of range")
-            p = make_packet(step, seq, klass)
             if packets and p.key <= packets[-1].key:
                 raise InstanceParseError(line_no, "packets must be ascending by (step, seq)")
             packets.append(p)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -194,21 +195,27 @@ class TestPolicy:
 
     def test_greedy_is_one_shared_record(self):
         assert Policy.greedy() is Policy.greedy()
-        assert Policy.greedy() == Policy("greedy")
+        assert Policy.greedy() == Policy(None)
+        assert (Policy.greedy().kind, Policy.greedy().describe()) == ("greedy", "greedy")
+
+    def test_a_policy_is_its_beta(self):
+        assert [f.name for f in fields(Policy)] == ["beta"]
+        assert (Policy.on(2).kind, Policy.greedy().kind) == ("on", "greedy")
+        with pytest.raises(AttributeError):
+            Policy.on(2).kind = "greedy"
 
 
 @pytest.mark.parametrize(
     "args, message",
     [
-        (("bogus",), "unknown policy kind 'bogus'"),
-        (("on",), "beta must be a Fraction, not NoneType"),
-        (("on", 2), "beta must be a Fraction, not int"),
-        (("on", Fraction(-1)), "beta must be positive"),
-        (("greedy", Fraction(2)), "greedy takes no beta"),
+        ((2,), "beta must be a Fraction, not int"),
+        ((Fraction(-1),), "beta must be positive"),
     ],
-    ids=["unknown-kind", "on-without-beta", "on-int-beta", "on-negative-beta", "greedy-with-beta"],
+    ids=["on-int-beta", "on-negative-beta"],
 )
 def test_policy_is_valid_by_construction(args, message):
+    # a policy is its beta, None for greedy: a kind beside it, and so a
+    # kind that disagrees with it, cannot be given
     with pytest.raises(ValueError) as exc:
         Policy(*args)
     assert str(exc.value) == message
