@@ -36,14 +36,14 @@ and keeps both and the O-mask on its :class:`RoptTrace`; :func:`verify_ropt`
 and :func:`build_ledger` take that, :func:`verify_ledger` the
 :class:`ChargeLedger`. The reference schedule jumps over the steps at which
 its buffer is empty. The reference checks and the ledger read the policy's
-buffer off one drain of :func:`~fifolab.simulate.replay_events`, kept on
-the trace as :attr:`~fifolab.simulate.RunTrace.departures`, so
+buffer off one replay of its event log,
+:attr:`~fifolab.simulate.RunTrace.departures`, kept on the trace, so
 :func:`analyze` replays the policy once. The checks take from it the step
 each packet left: an O-packet is in the policy's buffer at a send step t,
 with its chain live, exactly when the reference sent it by t and the
 policy had not yet sent or dropped it, so the backlog maxima and chain
 disjointness are sweeps over those intervals. The ledger walks only the
-drain's drops and reads the alpha queue recorded at rejections and
+replay's drops and reads the alpha queue recorded at rejections and
 preemptions; it and its check share the trace's map of where each run of
 alpha sends ends. Every record here is a named tuple, as are the bound and
 the packet (only a record that checks or caches is a dataclass); the

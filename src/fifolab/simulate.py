@@ -27,7 +27,7 @@ event-free steps before the last event, which the run jumps over and
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -121,7 +121,7 @@ _GREEDY_POLICY = Policy(None)  # the one record Policy.greedy returns
 
 
 class Departures(NamedTuple):
-    """What the analysis reads off one replay of a trace's buffer (:func:`replay_events`).
+    """What the analysis reads off one replay of a trace's buffer (:attr:`RunTrace.departures`).
 
     ``left[i]`` is the step at which arrival ``i`` left the buffer,
     ``math.inf`` while it is still there at the end, None if it never
@@ -161,38 +161,62 @@ class RunTrace:
 
     @_cached
     def departures(self) -> Departures:
-        """One drain of :func:`replay_events`, kept on first read.
+        """The buffer replayed from the event log in one loop, kept on first read.
 
-        A trace that the replay rejects raises its ValueError on every read.
+        The buffer is :func:`run`'s two class queues. A send must take the
+        earlier front (FIFO order is arrival order) and a drop must find its
+        packet buffered (at its queue's front, in a trace of :func:`run`),
+        or the replay raises a ValueError, on every read.
         """
-        flags = self.instance.is_alpha
+        inst = self.instance
+        flags = inst.is_alpha
         inf = math.inf
         left: list[float | None] = [None] * len(flags)
         drops: list[tuple[int, EventKind, int, bool, int, int]] = []
         alphas: list[int] = []
+        ones_queue: deque[int] = deque()
+        alpha_queue: deque[int] = deque()
         # while every alpha packet left from the front, the alpha queue is
         # the last len(alpha_queue) entries of alphas
         in_order = True
-        for (t, kind, i), ones, alpha_queue in replay_events(self):
+        for t, kind, i in zip(*self.log):
             if kind is ADMITTED:
                 left[i] = inf
                 if flags[i]:
+                    alpha_queue.append(i)
                     alphas.append(i)
-            elif kind is SENT:
-                # the replay checked that a send takes the front of its queue
-                left[i] = t
+                else:
+                    ones_queue.append(i)
+                continue
+            if flags[i]:
+                queue, other = alpha_queue, ones_queue
             else:
+                queue, other = ones_queue, alpha_queue
+            if kind is SENT:
+                if not queue or queue[0] != i or (other and other[0] < i):
+                    raise ValueError(f"non-FIFO send of {packet_id(inst.steps[i], inst.seqs[i])} at step {t}")
+                queue.popleft()
+                left[i] = t
+                continue
+            if kind is not REJECTED:
+                if queue and queue[0] == i:
+                    queue.popleft()
+                else:
+                    try:
+                        queue.remove(i)
+                    except ValueError:
+                        packet = packet_id(inst.steps[i], inst.seqs[i])
+                        raise ValueError(f"unbuffered packet {packet} {kind.value} at step {t}") from None
+                    in_order = in_order and queue is ones_queue
+                left[i] = t
+            if in_order:
                 hi = len(alphas)
                 lo = hi - len(alpha_queue)
-                if kind is not REJECTED:
-                    left[i] = t
-                    if in_order and flags[i]:
-                        in_order = alphas[lo - 1] == i  # the entry just before the queue
-                if not in_order:
-                    lo = len(alphas)
-                    alphas += alpha_queue
-                    hi = len(alphas)
-                drops.append((t, kind, i, bool(ones), lo, hi))
+            else:
+                lo = len(alphas)
+                alphas += alpha_queue
+                hi = len(alphas)
+            drops.append((t, kind, i, bool(ones_queue), lo, hi))
         return Departures(left, drops, alphas)
 
     @_cached
@@ -292,45 +316,18 @@ def run(policy: Policy, inst: Instance) -> RunTrace:
     return RunTrace(policy, inst, EventLog(steps, kinds, indices), sends, totals)
 
 
-def replay_events(trace: RunTrace) -> Iterator[tuple[tuple[int, EventKind, int], deque[int], deque[int]]]:
-    """Yield each event with the buffer just after it, rebuilt from the event log.
-
-    Each event is a plain ``(step, kind, arrival)`` tuple, drawn from the
-    log's columns. The buffer is :func:`run`'s: ``ones`` and ``alphas``,
-    one queue of arrival indices per class, the replay's live deques, which
-    change when the next event is drawn. FIFO order is arrival order, so a
-    send must take the earlier of the two fronts, or the trace violates
-    FIFO order and raises. A drop removes its packet from its queue (the
-    front, in a trace of :func:`run`) and raises if it is not buffered.
-    """
-    inst = trace.instance
-    flags = inst.is_alpha
-    ones: deque[int] = deque()
-    alphas: deque[int] = deque()
-    for event in zip(*trace.log):
-        t, kind, i = event
-        if flags[i]:
-            queue, other = alphas, ones
-        else:
-            queue, other = ones, alphas
-        if kind is ADMITTED:
-            queue.append(i)
-        elif kind is SENT:
-            if not queue or queue[0] != i or (other and other[0] < i):
-                raise ValueError(f"non-FIFO send of {packet_id(inst.steps[i], inst.seqs[i])} at step {t}")
-            queue.popleft()
-        elif kind is not REJECTED:
-            try:
-                queue.remove(i)
-            except ValueError:
-                packet = packet_id(inst.steps[i], inst.seqs[i])
-                raise ValueError(f"unbuffered packet {packet} {kind.value} at step {t}") from None
-        yield event, ones, alphas
-
-
 def replay_buffer_states(trace: RunTrace) -> list[tuple[StepEvent, tuple[int, ...]]]:
-    """:func:`replay_events` with a snapshot after every event: both queues merged in key order."""
-    return [(StepEvent(*e), tuple(sorted(ones + alphas))) for e, ones, alphas in replay_events(trace)]
+    """Each event with the buffer just after it, merged in key order; raises as :attr:`RunTrace.departures` does."""
+    trace.departures  # checks that each send and drop takes a buffered packet
+    buffer: list[int] = []
+    states = []
+    for t, kind, i in zip(*trace.log):
+        if kind is ADMITTED:
+            insort(buffer, i)
+        elif kind is not REJECTED:
+            del buffer[bisect_left(buffer, i)]
+        states.append((StepEvent(t, kind, i), tuple(buffer)))
+    return states
 
 
 _IDLE_BLOCK = 4096  # idle lines per yielded chunk

@@ -1,3 +1,4 @@
+import functools
 import gc
 import hashlib
 import itertools
@@ -43,7 +44,6 @@ from fifolab import (
 import fifolab.analysis as analysis_module
 import fifolab.model as model_module
 import fifolab.offline as offline_module
-import fifolab.simulate as simulate_module
 from fifolab.analysis import (
     EVICTED_ALPHA_INTERVAL,
     EVICTED_ONE_CHAIN,
@@ -57,8 +57,7 @@ from fifolab.analysis import (
     format_report,
 )
 from fifolab.cli import experiment_row
-from fifolab.model import ONE, Packet, packet_id
-from fifolab.simulate import replay_events
+from fifolab.model import ONE, Packet, _cached, packet_id
 
 BETA_REF = Fraction(3284, 1000)
 
@@ -149,12 +148,14 @@ class TestVerifyRopt:
 
     def test_checks_and_ledger_share_one_replay(self, monkeypatch):
         drained = []
+        drain = RunTrace.departures.func
 
-        def counting_replay(trace):
+        @functools.wraps(drain)
+        def counting_drain(trace):
             drained.append(trace)
-            yield from replay_events(trace)
+            return drain(trace)
 
-        monkeypatch.setattr(simulate_module, "replay_events", counting_replay)
+        monkeypatch.setattr(RunTrace, "departures", _cached(counting_drain))
         inst, on, chosen = demo_setup()
         ropt = run_ropt(on, feasible(inst, chosen))
         report = verify_ropt(ropt)
@@ -953,8 +954,14 @@ def _large_config(capacity, horizon, alpha, seed, max_packets=None):
             _large_config(1000, 6897, Fraction(5), 1, max_packets=10_000),
             "2fa14008f5153229f99687ea73494fdd230f742cd8b7b0d5dcc10e9479f61bd2",
         ),
+        # n = 10^5, B = 10^3: test_generators' large instance, whose replay
+        # records 32,743 drops
+        (
+            _large_config(1000, 68965, Fraction(2), 1, max_packets=100_000),
+            "d9f8c18c1aa8f111b858ded415e4e772b5912e1e34b5dbe5f32705766915910c",
+        ),
     ],
-    ids=["dense-B16", "dense-B256", "n1e4-B1000"],
+    ids=["dense-B16", "dense-B256", "n1e4-B1000", "n1e5-B1000"],
 )
 def test_analyze_digest_at_scale(cfg, digest):
     inst = random_instance(cfg)

@@ -56,8 +56,9 @@ from fifolab.model import (
 )
 from fifolab.offline import _earliest_sends
 import fifolab.simulate as simulate_module
-from fifolab.simulate import replay_buffer_states, replay_events, trace_lines
+from fifolab.simulate import replay_buffer_states, trace_lines
 from test_analysis import _random_feasible_subset, _stretched, value_of
+from test_simulate import _departures_from_the_replay, _departures_read, _replay_states
 
 ALPHAS = [Fraction(3, 2), Fraction(2), Fraction(5), Fraction(10), Fraction(10, 3)]
 BETAS = [Fraction(1), Fraction(2), Fraction(3284, 1000), Fraction(6)]
@@ -464,28 +465,35 @@ def test_replay_matches_literal_list_replay_when_dense():
 
 def test_replay_drops_only_at_a_queue_front(monkeypatch):
     # deque.remove is O(1) only at the front, and every drop of a run trace
-    # leaves from the front of its class queue
+    # leaves from the front of its class queue, so departures never calls it
     removed = []
 
-    class FrontOnlyDeque(deque):
+    class CountingDeque(deque):
         def remove(self, value):
-            assert self[0] == value, (value, list(self))
             removed.append(value)
             super().remove(value)
 
-    monkeypatch.setattr(simulate_module, "deque", FrontOnlyDeque)
+    monkeypatch.setattr(simulate_module, "deque", CountingDeque)
     cases = [random_instance(GenConfig(capacity_max=6, max_burst=4, seed=s)) for s in range(50)]
     cases.append(_ten_thousand_arrivals(1000, max_burst=5))
     drops = Counter()
     for inst in cases:
         for policy in (Policy.greedy(), Policy.on(DEFAULT_BETA)):
-            for (_, kind, i), _, _ in replay_events(run(policy, inst)):
+            for _, kind, i, *_ in run(policy, inst).departures.drops:
                 if kind in DROP_KINDS:
                     drops[kind, inst.arrivals[i].is_alpha] += 1
     # the traces drop packets of both classes, and preempt
     assert drops[EventKind.EVICTED, False] and drops[EventKind.EVICTED, True]
     assert drops[EventKind.PREEMPTED, False]
-    assert len(removed) == drops.total()
+    assert removed == []
+
+
+@given(instances())
+def test_departures_and_snapshots_match_the_literal_replay(inst):
+    for policy in policies(BETAS):
+        trace = run(policy, inst)
+        assert _departures_read(trace) == _departures_from_the_replay(trace)
+        assert replay_buffer_states(trace) == _replay_states(trace)
 
 
 @given(instances(), st.sampled_from(BETAS))

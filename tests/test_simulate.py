@@ -1,6 +1,8 @@
 import math
+from collections import deque
 from dataclasses import fields
 from fractions import Fraction
+from operator import attrgetter
 
 import pytest
 
@@ -19,7 +21,8 @@ from fifolab import (
     random_instance,
     run,
 )
-from fifolab.simulate import replay_buffer_states, replay_events
+from fifolab.model import packet_id
+from fifolab.simulate import replay_buffer_states
 
 GREEDY = Policy.greedy()
 
@@ -40,6 +43,13 @@ def sent_ids(trace):
 
 def admitted(step, *ids):
     return [f"{step} admitted {i}" for i in ids]
+
+
+def _raised(read, trace):
+    """The text of the ValueError that ``read(trace)`` raises."""
+    with pytest.raises(ValueError) as exc:
+        read(trace)
+    return str(exc.value)
 
 
 class TestAdmit:
@@ -319,9 +329,8 @@ class TestRun:
             {1: 0, 2: 1},
             Fraction(2),
         )
-        with pytest.raises(ValueError) as exc:
-            replay_buffer_states(trace)
-        assert str(exc.value) == message
+        for read in (replay_buffer_states, _departures_from_the_replay, attrgetter("departures")):
+            assert _raised(read, trace) == message
 
 
 EXPECTED_DEMO_TRACE = """\
@@ -351,6 +360,46 @@ total 11/1
 def test_trace_export_golden():
     trace = run(Policy.on(Fraction(2)), demo_instance(Fraction(2)))
     assert format_trace(trace) == EXPECTED_DEMO_TRACE
+
+
+def replay_events(trace):
+    """Literal replay oracle: yield each event with the buffer just after it.
+
+    Each event is a plain ``(step, kind, arrival)`` tuple, drawn from the
+    log's columns. The buffer is ``run``'s: ``ones`` and ``alphas``, one
+    queue of arrival indices per class, the replay's live deques, which
+    change when the next event is drawn. A send must take the earlier of
+    the two fronts, and a drop removes its packet from its queue; otherwise
+    it raises the text ``RunTrace.departures`` raises.
+    """
+    inst = trace.instance
+    flags = inst.is_alpha
+    ones = deque()
+    alphas = deque()
+    for event in zip(*trace.log):
+        t, kind, i = event
+        if flags[i]:
+            queue, other = alphas, ones
+        else:
+            queue, other = ones, alphas
+        if kind is EventKind.ADMITTED:
+            queue.append(i)
+        elif kind is EventKind.SENT:
+            if not queue or queue[0] != i or (other and other[0] < i):
+                raise ValueError(f"non-FIFO send of {packet_id(inst.steps[i], inst.seqs[i])} at step {t}")
+            queue.popleft()
+        elif kind is not EventKind.REJECTED:
+            try:
+                queue.remove(i)
+            except ValueError:
+                packet = packet_id(inst.steps[i], inst.seqs[i])
+                raise ValueError(f"unbuffered packet {packet} {kind.value} at step {t}") from None
+        yield event, ones, alphas
+
+
+def _replay_states(trace):
+    """The oracle's snapshots: both queues merged in key order after every event."""
+    return [(StepEvent(*e), tuple(sorted(ones + alphas))) for e, ones, alphas in replay_events(trace)]
 
 
 def _departures_from_the_replay(trace):
@@ -419,3 +468,35 @@ def test_departures_copy_the_alpha_queue_once_it_leaves_out_of_order(event_log):
     )
     assert _departures_read(trace) == _departures_from_the_replay(trace)
     assert [alphas for *_, alphas in _departures_read(trace)[1]] == [[0], [0, 3], [0, 3]]
+
+
+@pytest.mark.parametrize(
+    "specs, events, message",
+    [
+        # the second packet sent while the first is still at the head
+        (
+            [(1, 0, "one"), (1, 1, "alpha")],
+            [(1, EventKind.ADMITTED, 0), (1, EventKind.ADMITTED, 1), (1, EventKind.SENT, 1)],
+            "non-FIFO send of 1.1 at step 1",
+        ),
+        # a packet sent twice
+        (
+            [(1, 0, "alpha")],
+            [(1, EventKind.ADMITTED, 0), (1, EventKind.SENT, 0), (2, EventKind.SENT, 0)],
+            "non-FIFO send of 1 at step 2",
+        ),
+        # an alpha packet evicted that was never admitted, behind a buffered one
+        (
+            [(1, 0, "alpha"), (1, 1, "alpha")],
+            [(1, EventKind.ADMITTED, 0), (1, EventKind.EVICTED, 1)],
+            "unbuffered packet 1.1 evicted at step 1",
+        ),
+    ],
+    ids=["send-behind-head", "sent-twice", "never-admitted"],
+)
+def test_a_bad_log_raises_one_text_from_every_replay(specs, events, message, event_log):
+    inst = build_instance(2, Fraction(2), specs)
+    trace = RunTrace(GREEDY, inst, event_log(events), {}, Fraction(0))
+    for read in (_departures_from_the_replay, replay_buffer_states, attrgetter("departures")):
+        assert _raised(read, trace) == message
+    assert "departures" not in vars(trace)  # read twice above, raised both times, never kept
