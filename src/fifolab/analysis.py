@@ -15,47 +15,12 @@ account: the policy is charged at each of its send steps; O-packets the
 policy also sends are charged to the reference at those same steps; and
 each O-packet the policy dropped is charged either at the head of a
 chain (which is then closed, one charge per head) or as a lump on an
-interval of consecutive alpha sends. Only the drop charges are decided,
-so the ledger stores only them and the chains; the per-send charges are
-the policy's sends, read off ``ropt.on.sends`` and the O-mask, and every
-charge is worth its packet's value. Every structural claim the
+interval of consecutive alpha sends. Every structural claim the
 accounting relies on is rechecked on the concrete traces: reference
 capacity and completeness, send precedence, chain disjointness, head
 shape, interval purity, exclusivity, and exact conservation of value.
 A claim that fails to apply raises :class:`LedgerError` instead of being
 patched over, surfacing the run as a counterexample.
-
-No pass walks every step number or copies the buffer, and packets are
-arrival indices throughout; steps and classes are read off the instance's
-columns, and ids are rendered only to write text. Each stage takes the one
-record the stage before it built and reads what that stage computed off
-it: :func:`run_ropt` takes the policy's trace and O as the
-:class:`~fifolab.offline.OptResult` the optimizer or
-:func:`~fifolab.offline.feasible` built, with its earliest-send schedule,
-and keeps both and the O-mask on its :class:`RoptTrace`; :func:`verify_ropt`
-and :func:`build_ledger` take that, :func:`verify_ledger` the
-:class:`ChargeLedger`. The reference schedule jumps over the steps at which
-its buffer is empty. The reference checks and the ledger read the policy's
-buffer off one replay of its event log,
-:attr:`~fifolab.simulate.RunTrace.departures`, kept on the trace, so
-:func:`analyze` replays the policy once. The checks take from it the step
-each packet left: an O-packet is in the policy's buffer at a send step t,
-with its chain live, exactly when the reference sent it by t and the
-policy had not yet sent or dropped it, so the backlog maxima and chain
-disjointness are sweeps over those intervals. The ledger walks only the
-replay's drops and reads the alpha queue recorded at rejections and
-preemptions; it and its check share the trace's map of where each run of
-alpha sends ends. Every record here is a named tuple, as are the bound and
-the packet (only a record that checks or caches is a dataclass); the
-ones built on every call skip NamedTuple's Python-level constructor, and a
-passing check without a detail is one shared record per check name. The
-reference checks make one pass over O, and the ledger checks one pass over
-the drop charges. The conservation check counts O's policy-sent packets and
-the drop charges by class and compares the sum with O's value as scaled
-integers; the ratio report tests ``ratio <= bound`` by cross-multiplying
-integer numerators and denominators. The bounds, like
-:meth:`~fifolab.simulate.Policy.on`, come from memos keyed on integers, so
-no step of :func:`analyze` hashes a Fraction.
 """
 
 from __future__ import annotations
@@ -69,7 +34,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .model import Instance, Rat, ONE, format_rat, packet_id, packet_ids
+from .model import Instance, Rat, ONE, arrival_id, format_rat, packet_ids
 from .offline import OptResult, brute_force_opt, dp_opt, opt_containing
 from .simulate import EVICTED, PREEMPTED, REJECTED, Policy, RunTrace, run
 from .theory import competitive_bound
@@ -137,15 +102,11 @@ class RoptTrace(NamedTuple):
 def run_ropt(on: RunTrace, kept: OptResult) -> RoptTrace:
     """Replay the reference schedule for O = `kept` against the run `on`.
 
-    Accepts every O-packet at its arrival step; then, if the policy's
-    send of the step is an O-packet still buffered here, mirrors it,
-    otherwise sends the earliest buffered packet. Runs until the buffer
-    drains, which may outlast the policy's own trace. The reference sends
-    whenever its buffer is non-empty, so it is busy at exactly the steps
-    of O's earliest-send schedule, ``kept.sends``; the loop visits only
-    those steps and chooses which packet goes at each. `kept` is taken as
-    the optimizer or :func:`~fifolab.offline.feasible` built it, which
-    checked its indices and its deliverability.
+    `kept` is taken as the optimizer or :func:`~fifolab.offline.feasible`
+    built it, which checked its indices and its deliverability. The
+    reference sends whenever its buffer is non-empty, so it is busy at
+    exactly O's earliest-send steps, ``kept.sends``, which may outlast the
+    policy's own trace.
     """
     n = len(on.instance.steps)
     in_o = [False] * n
@@ -223,11 +184,6 @@ class ChargeLedger(NamedTuple):
     diagnostics: Mapping[str, int]
 
 
-def _id(inst: Instance, i: int) -> str:
-    """The id of arrival `i`, rendered for a failure text."""
-    return packet_id(inst.steps[i], inst.seqs[i])
-
-
 def build_ledger(ropt: RoptTrace) -> ChargeLedger:
     """Materialize the charging scheme over concrete traces.
 
@@ -237,9 +193,7 @@ def build_ledger(ropt: RoptTrace) -> ChargeLedger:
     arrival-phase drops before preemptions before the reference's own send
     of the step, because chain openness is stateful. A 1-value O-packet
     evicted before the reference has sent it gets its charge when that send
-    happens; its chain is built from that very step. The drops and, at
-    rejections and preemptions, the policy's alpha queue come from
-    ``ropt.on.departures``.
+    happens; its chain is built from that very step.
     """
     on, inst = ropt.on, ropt.on.instance
     flags = inst.is_alpha
@@ -260,7 +214,7 @@ def build_ledger(ropt: RoptTrace) -> ChargeLedger:
     closed_heads: set[int] = set()
 
     def fail(message: str, step: int, i: int) -> LedgerError:
-        return LedgerError(f"{message} (step {step}, packet {_id(inst, i)})", step, i)
+        return LedgerError(f"{message} (step {step}, packet {arrival_id(inst, i)})", step, i)
 
     def head_of(owner: int) -> int:
         closing.setdefault(owner, None)
@@ -343,7 +297,7 @@ def build_ledger(ropt: RoptTrace) -> ChargeLedger:
     reference_sends_before(math.inf)
 
     if deferred:
-        missing = ", ".join(sorted(_id(inst, i) for _, i, _ in deferred))
+        missing = ", ".join(sorted(arrival_id(inst, i) for _, i, _ in deferred))
         raise LedgerError(f"evicted O-packets never sent by the reference: {missing}")
 
     chains = tuple(map(Chain, closing, closing.values()))
@@ -406,10 +360,9 @@ def _result(name: str, ok: bool, detail: str = "") -> CheckResult:
 
 @lru_cache(maxsize=1024)
 def _backlog_bound(capacity: int, a: int, b: int, c: int, d: int) -> tuple[int, int, str]:
-    """B*beta/(alpha+beta) at alpha = a/b, beta = c/d: B*c*b, a*d + c*b, and its text as a Fraction's."""
+    """B*beta/(alpha+beta) at alpha = a/b, beta = c/d: B*c*b, a*d + c*b, and its text."""
     scaled, den = capacity * c * b, a * d + c * b
-    g = math.gcd(scaled, den)
-    return scaled, den, f"{scaled // g}" if den == g else f"{scaled // g}/{den // g}"
+    return scaled, den, str(Fraction(scaled, den))
 
 
 def verify_ropt(ropt: RoptTrace) -> AnalysisReport:
@@ -420,29 +373,23 @@ def verify_ropt(ropt: RoptTrace) -> AnalysisReport:
     later than the policy on a shared packet), live-chain disjointness,
     and the buffered-backlog diagnostic with both the alpha-only and
     any-value counts against the bound B*beta/(alpha+beta).
-
-    The replay of the policy's buffer (``on.departures``) gives the step
-    at which each packet left it; the live chains at every send step are
-    then interval sweeps over those departures. O's indices and its
-    ascending send steps are read off ``ropt.kept``.
     """
     on, inst = ropt.on, ropt.on.instance
     in_o = ropt.in_o
     o_idx, ropt_steps = ropt.kept.indices, ropt.kept.sends
     send_time = ropt.send_time
     steps, flags, capacity = inst.steps, inst.is_alpha, inst.capacity
-    # leave[i]: the step packet i left the policy's buffer (see Departures)
     leave, on_steps = on.departures.left, list(on.sends)
     checks: list[CheckResult] = []
 
-    # One pass over O. The reference accepts O-packets in key order and, by
-    # then, has sent one packet at each of its send steps before the
-    # acceptance step, so `before` only grows. An O-packet z is in the
-    # policy's buffer just after its send at step t, with the reference
-    # already through it, exactly when send_time(z) <= t < leave(z):
-    # positions [lo, hi) of on_steps, empty when z left by send_time(z), as
-    # a packet both send at one step does. Each such packet owns a live
-    # chain, and their count is the backlog.
+    # The reference accepts O-packets in key order and, by then, has sent
+    # one packet at each of its send steps before the acceptance step, so
+    # `before` only grows. An O-packet z is in the policy's buffer just
+    # after its send at step t, with the reference already through it,
+    # exactly when send_time(z) <= t < leave(z): positions [lo, hi) of
+    # on_steps, empty when z left by send_time(z), as a packet both send at
+    # one step does. Each such packet owns a live chain, and their count is
+    # the backlog.
     capacity_breach = ""
     before = unsent = 0
     spans: list[tuple[int, int, int]] = []  # (lo, hi, arrival index)
@@ -450,7 +397,7 @@ def verify_ropt(ropt: RoptTrace) -> AnalysisReport:
         step = steps[i]
         before = bisect_left(ropt_steps, step, before)
         if k - before > capacity and not capacity_breach:
-            capacity_breach = f"occupancy {k - before} at step {step} accepting {_id(inst, i)}"
+            capacity_breach = f"occupancy {k - before} at step {step} accepting {arrival_id(inst, i)}"
         sent = send_time[i]
         if sent is None:
             unsent += 1
@@ -466,8 +413,8 @@ def verify_ropt(ropt: RoptTrace) -> AnalysisReport:
 
     # sends outside O: every send minus those of the O-packets
     if unsent or len(send_time) - send_time.count(None) != len(o_idx) - unsent:
-        missing = sorted([_id(inst, i) for i in o_idx if send_time[i] is None])
-        extra = sorted([_id(inst, i) for i, t in enumerate(send_time) if t is not None and not in_o[i]])
+        missing = sorted([arrival_id(inst, i) for i in o_idx if send_time[i] is None])
+        extra = sorted([arrival_id(inst, i) for i, t in enumerate(send_time) if t is not None and not in_o[i]])
         checks.append(_result("ropt-sends-all", False, f"missing={missing} extra={extra}"))
     else:
         checks.append(_passed("ropt-sends-all"))
@@ -475,7 +422,7 @@ def verify_ropt(ropt: RoptTrace) -> AnalysisReport:
     late = []
     for t, i in on.sends.items():
         if in_o[i] and (send_time[i] is None or send_time[i] > t):
-            late.append((t, _id(inst, i)))
+            late.append((t, arrival_id(inst, i)))
     checks.append(
         _result("send-precedence", not late, f"reference later than policy at {late}" if late else "")
     )
@@ -494,22 +441,17 @@ def verify_ropt(ropt: RoptTrace) -> AnalysisReport:
         max_alpha = max(accumulate(alpha_diff))
 
     # Chains that share any step share their head, the first step of each,
-    # so live chains overlap where two spans with one head overlap. In a
-    # group sorted by start, the first start below the running end of the
-    # earlier spans is the group's earliest overlap.
-    by_head: dict[int, list[tuple[int, int]]] = {}
-    for lo, hi, i in spans:
-        by_head.setdefault(ropt.head[send_time[i]], []).append((lo, hi))
+    # so live chains overlap where two spans with one head overlap. Swept by
+    # start, the first span that starts below the furthest end of the
+    # earlier spans with its head starts the earliest overlap.
+    reach: dict[int, int] = {}
     first: int | None = None
-    for group in by_head.values():
-        group.sort()
-        reach = group[0][1]
-        for lo, hi in group[1:]:
-            if lo < reach:
-                if first is None or lo < first:
-                    first = lo
-                break
-            reach = max(reach, hi)
+    for lo, hi, i in sorted(spans):
+        head = ropt.head[send_time[i]]
+        if lo < reach.get(head, 0):
+            first = lo
+            break
+        reach[head] = max(reach.get(head, 0), hi)
     overlap = ""
     if first is not None:
         # name the pair as a walk of the buffer at that step would, in key order
@@ -520,7 +462,8 @@ def verify_ropt(ropt: RoptTrace) -> AnalysisReport:
                 head = ropt.head[send_time[i]]
                 owner = owners.setdefault(head, i)
                 if owner != i:
-                    overlap = f"step {head} shared by chains of {_id(inst, owner)} and {_id(inst, i)} at t={t}"
+                    pair = f"{arrival_id(inst, owner)} and {arrival_id(inst, i)}"
+                    overlap = f"step {head} shared by chains of {pair} at t={t}"
                     break
     checks.append(_result("chains-disjoint", not overlap, overlap))
 
@@ -543,7 +486,7 @@ def verify_ledger(ledger: ChargeLedger) -> AnalysisReport:
     sends); exclusivity (no alpha-eviction charge drops inside a preemption
     interval); closed-chain head shape (the policy sends a 1-value non-O
     packet there, idle heads reported as warnings); and single closure per
-    head. One pass over the drop charges sorts out what each check reads.
+    head.
     """
     ropt = ledger.ropt
     on, inst = ropt.on, ropt.on.instance
@@ -595,7 +538,7 @@ def verify_ledger(ledger: ChargeLedger) -> AnalysisReport:
     for rec in intervals:
         lo, hi = rec.interval
         if (end := on.alpha_run_ends.get(lo, lo - 1)) < hi:
-            packet = _id(inst, rec.packet)
+            packet = arrival_id(inst, rec.packet)
             impure = f"interval [{lo}, {hi}] of {packet}: step {end + 1} is not an alpha send"
             break
     checks.append(_result("alpha-send-intervals", not impure, impure))
@@ -611,8 +554,8 @@ def verify_ledger(ledger: ChargeLedger) -> AnalysisReport:
         if q is None:
             null_heads += 1
         elif (in_o[q] or inst.is_alpha[q]) and not bad_head:
-            what = "O-packet" if in_o[q] else "alpha packet"
-            bad_head = f"head {head} of {_id(inst, chain.owner)}'s chain sends {what} {_id(inst, q)}"
+            what = f"{'O-packet' if in_o[q] else 'alpha packet'} {arrival_id(inst, q)}"
+            bad_head = f"head {head} of {arrival_id(inst, chain.owner)}'s chain sends {what}"
     if bad_head:
         checks.append(CheckResult("chain-heads", _FAIL, bad_head))
     elif null_heads:
@@ -750,8 +693,7 @@ def format_report(report: AnalysisReport) -> str:
 def format_ledger(ledger: ChargeLedger) -> str:
     """Line-oriented ledger export, stable for golden-file comparison.
 
-    Ids are rendered from the instance's columns. The per-send lines come
-    from the policy's sends: one ``on`` line per send, and a ``sent-by-both``
+    The per-send lines come from the policy's sends: one ``on`` line per send, and a ``sent-by-both``
     charge for each sent O-packet. Charges sort by (step or interval start,
     arrival index): key order, in a valid instance.
     """

@@ -33,9 +33,9 @@ from .model import (
     InstanceParseError,
     InvalidInstanceError,
     Rat,
+    arrival_id,
     format_instance,
     format_rat,
-    packet_id,
     parse_instance,
     parse_int,
     parse_rat,
@@ -141,7 +141,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_opt(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
     result = brute_force_opt(inst)
-    ids = " ".join(packet_id(inst.steps[i], inst.seqs[i]) for i in result.indices)
+    ids = " ".join(arrival_id(inst, i) for i in result.indices)
     sys.stdout.write(f"value {format_rat(result.value)}\nsubset {ids}\n")
     return EXIT_OK
 
@@ -183,7 +183,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             rows.append((beta, alpha, breakdown))
             if beta not in worst or breakdown.bound > worst[beta]:
                 worst[beta] = breakdown.bound
-    minimizer = min(worst, key=lambda b: (worst[b], args.betas.index(b)))
+    minimizer = min(worst, key=worst.__getitem__)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
@@ -222,7 +222,7 @@ def fuzz_config(args: argparse.Namespace) -> GenConfig:
 
 
 def experiment_row(seed: int, result: InstanceAnalysis) -> list[str]:
-    inst, ratio, policy = result.instance, result.ratio, result.ropt.on.policy
+    inst, ratio, policy = result.ropt.on.instance, result.ratio, result.ropt.on.policy
     return [
         str(seed),
         str(inst.capacity),

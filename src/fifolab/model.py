@@ -138,6 +138,11 @@ def packet_ids(steps: Iterable[int], seqs: Iterable[int]) -> list[str]:
     return [str(step) if seq == 0 else f"{step}.{seq}" for step, seq in zip(steps, seqs)]
 
 
+def arrival_id(inst: Instance, i: int) -> str:
+    """The id of arrival `i` of `inst`."""
+    return packet_id(inst.steps[i], inst.seqs[i])
+
+
 def make_packet(step: int, seq: int, klass: str) -> Packet:
     """The packet at key (step, seq) of class `klass`; ValueError unless it is "one" or "alpha"."""
     if type(klass) is not str or klass not in _FLAG_OF_TEXT:
@@ -195,7 +200,6 @@ def build_instance(capacity: int, alpha: Rat, specs: Iterable[tuple[int, int, st
 def validate_instance(inst: Instance) -> list[str]:
     """Check all instance invariants; an empty list means the instance is ok.
 
-    One pass over the columns checks each key, flag and the key order.
     The capacity, steps and seqs must be ints (a bool is not one here);
     a packet whose key is not is left out of the order check.
     :class:`Instance` calls this as it is built and raises on any
@@ -237,10 +241,7 @@ def validate_instance(inst: Instance) -> list[str]:
 
 
 def value_sum(alpha: Rat, ones: int, alphas: int) -> Rat:
-    """Exact value of `ones` 1-value and `alphas` alpha packets.
-
-    Counts in integers scaled by alpha's denominator and builds one Fraction.
-    """
+    """Exact value of `ones` 1-value and `alphas` alpha packets."""
     a, b = alpha.as_integer_ratio()
     return Fraction(ones * b + alphas * a, b)
 

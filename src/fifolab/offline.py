@@ -16,17 +16,7 @@ one; adding a packet at step s lifts F at every step from s on, so the
 greedy tests each offered packet with a suffix maximum and a running
 minimum of F, and runs each of its two phases in linear time. The
 earliest-send pass then gives the optimum's schedule, and :func:`dp_opt`
-certifies its value with a tight bound, one integer pass per class that
-makes two comparisons and no call per packet. Every
-packet subset taken or returned is arrival indices: a required subset
-comes in as indices, and a deliverable set (:class:`OptResult`) goes out
-as its value, ascending indices and earliest send steps, so no packet is
-hashed. :func:`feasible` is the one way to schedule an arbitrary set, and
-its result is what :func:`~fifolab.analysis.run_ropt` takes. An
-:class:`~fifolab.model.Instance` is valid by construction, so nothing
-here checks one. The step simulation, the exhaustive enumeration, the
-insertion greedy and the queue-length dynamic program survive only as
-test oracles.
+certifies its value with a tight bound.
 """
 
 from __future__ import annotations
@@ -65,8 +55,7 @@ def _earliest_sends(steps: Iterable[int], capacity: int) -> list[int] | None:
 
     Each packet goes at its release or one step after the previous send,
     whichever is later. A packet that would wait `capacity` steps or more
-    arrived to a full buffer, so the pass returns None there; agreement
-    with a literal step simulation is property-tested.
+    arrived to a full buffer, so the pass returns None there.
     """
     sends = []
     send = 0
@@ -146,11 +135,7 @@ def _keep_fitting(
 
 
 def brute_force_opt(inst: Instance) -> OptResult:
-    """Maximum over all feasible subsets, by the greedy, in linear time.
-
-    It keeps the name of the exhaustive search it replaced (same subset)
-    because the CLI, the analysis and the benchmark tracer call it.
-    """
+    """Maximum over all feasible subsets, by the greedy, in linear time."""
     return _best_subset(inst, ())  # the empty requirement is always feasible
 
 
@@ -165,8 +150,7 @@ def dp_opt(inst: Instance) -> Rat:
     A schedule sends the packets released in steps [l, r] within [l, r + B - 1],
     so :func:`_cover` bounds |S & X| for a packet set X and every feasible S, and
     value(S) <= (alpha - 1) * cover(alpha packets) + cover(all packets). The bound
-    is attained (Konig's theorem), so a feasible set reaching it is optimal. Each
-    pass compares integers and calls no builtin per packet.
+    is attained (Konig's theorem), so a feasible set reaching it is optimal.
     """
     a, b = inst.alpha.as_integer_ratio()
     alpha_steps = compress(inst.steps, inst.is_alpha)
@@ -178,8 +162,7 @@ def _cover(steps: Iterable[int], capacity: int) -> int:
 
     A packet left out costs 1 and a window [l, r] costs r - l + capacity. `base` is the
     least (cover before l) - l + capacity so far, so a window ending at `step` costs
-    base + step; its start, a window from step 0, never wins (steps start at 1). Each
-    packet takes two integer comparisons and no call.
+    base + step; its start, a window from step 0, never wins (steps start at 1).
     """
     cover = 0
     base = capacity

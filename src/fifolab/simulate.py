@@ -13,15 +13,9 @@ preempts); the greedy policy always sends its head.
 
 Traces record every admission, eviction, rejection, preemption and send,
 and the packet sent at each step, so downstream analysis can replay the
-buffer event by event without re-running policy logic. The events are
-stored in columns, an :class:`EventLog` of three parallel lists (step,
-kind, arrival), so the run builds no object per event; a trace names
-each packet by its arrival index, its row in the instance's columns, and
-carries the instance. The run's two queues hold the same indices, which
-ascend in key order, so the head and the preempted set are found by
-comparing integers. Idle steps are not stored: they are exactly the
-event-free steps before the last event, which the run jumps over and
-:func:`trace_lines` writes back.
+buffer event by event without re-running policy logic. Idle steps are not
+stored: they are exactly the event-free steps before the last event,
+which the run jumps over and :func:`trace_lines` writes back.
 """
 
 from __future__ import annotations
@@ -35,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Mapping, NamedTuple
 
-from .model import Instance, Rat, _cached, format_rat, packet_id, packet_ids, value_sum
+from .model import Instance, Rat, _cached, arrival_id, format_rat, packet_ids, value_sum
 
 
 class EventKind(Enum):
@@ -161,7 +155,7 @@ class RunTrace:
 
     @_cached
     def departures(self) -> Departures:
-        """The buffer replayed from the event log in one loop, kept on first read.
+        """The buffer replayed from the event log, kept on first read.
 
         The buffer is :func:`run`'s two class queues. A send must take the
         earlier front (FIFO order is arrival order) and a drop must find its
@@ -194,7 +188,7 @@ class RunTrace:
                 queue, other = ones_queue, alpha_queue
             if kind is SENT:
                 if not queue or queue[0] != i or (other and other[0] < i):
-                    raise ValueError(f"non-FIFO send of {packet_id(inst.steps[i], inst.seqs[i])} at step {t}")
+                    raise ValueError(f"non-FIFO send of {arrival_id(inst, i)} at step {t}")
                 queue.popleft()
                 left[i] = t
                 continue
@@ -205,7 +199,7 @@ class RunTrace:
                     try:
                         queue.remove(i)
                     except ValueError:
-                        packet = packet_id(inst.steps[i], inst.seqs[i])
+                        packet = arrival_id(inst, i)
                         raise ValueError(f"unbuffered packet {packet} {kind.value} at step {t}") from None
                     in_order = in_order and queue is ones_queue
                 left[i] = t

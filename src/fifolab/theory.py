@@ -3,15 +3,12 @@
 The guarantee is the maximum of two regimes: (1 + beta) / beta from
 steps dominated by preemption payback, and
 (alpha^2 + 2 alpha beta) / (alpha^2 + alpha beta + beta) from intervals
-that absorb evicted alpha packets. The first term dominates for every
-alpha exactly when the quadratic alpha^2 - beta (beta - 1) alpha +
-beta^2 + beta stays positive, i.e. while the cubic
-beta^3 - 2 beta^2 - 3 beta - 4 is negative; the best threshold sits at
-that cubic's positive root (about 3.2844, giving a ratio near 1.3045).
-
-The bounds are memoised on the four integers of alpha's and beta's
-numerators and denominators, so a lookup hashes no Fraction, and
-:func:`optimal_beta` bisects on dyadic rationals with :func:`discriminant_sign`.
+that absorb evicted alpha packets. The first term dominates (is at least
+the second) exactly when the quadratic alpha^2 - beta (beta - 1) alpha +
+beta^2 + beta is non-negative. That holds for every alpha while the cubic
+beta^3 - 2 beta^2 - 3 beta - 4 (the quadratic's discriminant over beta)
+is non-positive; the best threshold sits at that cubic's positive root
+(about 3.2844, giving a ratio near 1.3045).
 """
 
 from __future__ import annotations
@@ -70,22 +67,20 @@ competitive_bound.__wrapped__ = _evaluate
 
 
 def stability_condition(alpha: Rat, beta: Rat) -> bool:
-    """Does the first term dominate at this alpha?
+    """Does the first term dominate, ``first_term >= second_term``, at this alpha?
 
-    Exact sign test of alpha^2 - beta (beta - 1) alpha + beta^2 + beta.
+    Equivalently, is alpha^2 - beta (beta - 1) alpha + beta^2 + beta non-negative?
     """
-    if alpha <= 1:
-        raise ValueError("alpha must exceed 1")
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    return alpha * alpha - beta * (beta - 1) * alpha + beta * beta + beta > 0
+    breakdown = competitive_bound(alpha, beta)
+    return breakdown.first_term >= breakdown.second_term
 
 
 def discriminant_sign(beta: Rat) -> int:
     """Sign of beta^3 - 2 beta^2 - 3 beta - 4.
 
-    Negative means the quadratic above has no real root, so the first
-    term dominates the bound for every alpha > 1.
+    Non-positive means the quadratic of :func:`stability_condition` is
+    non-negative at every alpha, so the first term dominates the bound for
+    every alpha > 1.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")

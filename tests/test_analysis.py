@@ -840,6 +840,39 @@ def test_charging_argument_holds_on_every_optimum():
     ]
 
 
+def canonical_ledger_kinds(result):
+    """Count the ledger's drop charges by kind, asserting what the canonical optimum is seen to reach.
+
+    Observed, not proved (ROADMAP item 10): only three charge kinds occur,
+    every chain is closed and one step long, every one-chain eviction is
+    deferred, and the rejection and preemption fallthrough branches see nothing.
+    """
+    ledger = result.ledger
+    assert ledger is not None, format_report(result.report)
+    kinds = Counter(rec.kind for rec in ledger.drop_charges)
+    assert set(kinds) <= {EVICTED_ONE_CHAIN, PREEMPTED_INTERVAL, EVICTED_ALPHA_INTERVAL}, kinds
+    for chain in ledger.chains:
+        assert chain.closing_charge is not None and len(result.ropt.chain(chain.owner)) == 1
+    assert ledger.diagnostics["deferred-evictions"] == kinds[EVICTED_ONE_CHAIN]
+    assert ledger.diagnostics["reject-context-non-o-packets"] == 0
+    assert ledger.diagnostics["preempt-fallthrough-with-closed-chains"] == 0
+    return kinds
+
+
+def test_canonical_optimum_reaches_three_charge_kinds_and_one_step_chains():
+    kinds = Counter()
+    idle_heads = 0
+    for max_burst in (2, 3, 5):
+        for seed in range(2000):
+            result = analyze(random_instance(GenConfig(max_burst=max_burst, seed=seed)), BETA_REF)
+            kinds += canonical_ledger_kinds(result)
+            idle_heads += result.ledger.diagnostics["null-head-chains"]
+    assert (kinds[EVICTED_ONE_CHAIN], kinds[PREEMPTED_INTERVAL], kinds[EVICTED_ALPHA_INTERVAL]) == (
+        3539, 2975, 223
+    )
+    assert idle_heads == 501
+
+
 def _stretched(inst, rng):
     """The same arrivals, each gap between arrival steps stretched 1x to 50x."""
     new_step = {}

@@ -57,7 +57,7 @@ from fifolab.model import (
 from fifolab.offline import _earliest_sends
 import fifolab.simulate as simulate_module
 from fifolab.simulate import replay_buffer_states, trace_lines
-from test_analysis import _random_feasible_subset, _stretched, value_of
+from test_analysis import _random_feasible_subset, _stretched, canonical_ledger_kinds, value_of
 from test_simulate import _departures_from_the_replay, _departures_read, _replay_states
 
 ALPHAS = [Fraction(3, 2), Fraction(2), Fraction(5), Fraction(10), Fraction(10, 3)]
@@ -773,6 +773,31 @@ def test_chains_disjoint_names_two_live_chains_with_one_head():
     assert verify_ropt(ropt).check("chains-disjoint") == overlap
     assert _literal_verify_ropt(inst, chosen, on, ropt).check("chains-disjoint") == overlap
     assert _assert_verify_ropt_matches_oracle(inst, chosen, on, ropt).failures == (overlap,)
+
+
+def test_chains_disjoint_names_the_earliest_overlap_across_two_heads():
+    # Greedy sends 1.k at step k + 1 from eight 1-value packets at step 1. A
+    # hand-built reference sends O = {1.4, ..., 1.7} at steps 1, 4, 2, 3,
+    # with heads 1 (1.4, 1.5) and 2 (1.6, 1.7). The chains of 1.4 and 1.5
+    # are both live from t=4, but those of 1.6 and 1.7 already from t=3:
+    # the head whose owners come later in key order, and later as a step,
+    # overlaps at the earlier policy send step.
+    inst = build_instance(8, Fraction(2), [(1, seq, "one") for seq in range(8)])
+    on = run(Policy.greedy(), inst)
+    chosen = {4, 5, 6, 7}
+    ropt = RoptTrace(
+        on, feasible(inst, chosen), [i in chosen for i in range(8)], [None] * 4 + [1, 4, 2, 3],
+        link={1: None, 2: None, 3: 2, 4: 1}, head={1: 1, 2: 2, 3: 2, 4: 1},
+    )
+    overlap = CheckResult("chains-disjoint", "fail", "step 2 shared by chains of 1.6 and 1.7 at t=3")
+    assert verify_ropt(ropt).check("chains-disjoint") == overlap
+    assert _literal_verify_ropt(inst, chosen, on, ropt).check("chains-disjoint") == overlap
+    assert _assert_verify_ropt_matches_oracle(inst, chosen, on, ropt).failures == (overlap,)
+
+
+@given(instances(), st.sampled_from(BETAS))
+def test_canonical_ledger_reaches_what_the_corpus_does(inst, beta):
+    canonical_ledger_kinds(analyze(inst, beta))
 
 
 def test_verify_ropt_matches_literal_oracle_at_scale():

@@ -84,8 +84,9 @@ class TestStability:
         assert not stability_condition(Fraction(6), Fraction(4))
 
     def test_matches_first_term_dominance(self):
+        # at beta = 4 the quadratic is 0 at alpha = 2 and alpha = 10: both terms are 5/4
         for beta in (Fraction(3), Fraction(3284, 1000), Fraction(7, 2), Fraction(4)):
-            for alpha in (Fraction(3, 2), Fraction(3), Fraction(4), Fraction(6), Fraction(20)):
+            for alpha in (Fraction(3, 2), *map(Fraction, (2, 3, 4, 6, 10, 20))):
                 breakdown = competitive_bound(alpha, beta)
                 dominated = breakdown.first_term >= breakdown.second_term
                 assert stability_condition(alpha, beta) == dominated
