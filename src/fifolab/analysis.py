@@ -53,9 +53,9 @@ class LedgerError(RuntimeError):
     """A charging rule's stated precondition failed on a concrete run.
 
     This is a falsification signal: the offending instance is a
-    counterexample to the accounting argument (or exposes a simulator
-    bug) and must be surfaced, never patched over. ``step`` and ``packet``
-    (an arrival index) locate it when one packet is at fault.
+    counterexample to the accounting argument and must be surfaced, never
+    patched over. ``step`` and ``packet`` (an arrival index) locate it when
+    one packet is at fault.
     """
 
     def __init__(self, message: str, step: int | None = None, packet: int | None = None):
@@ -158,8 +158,8 @@ class ChargeRecord(NamedTuple):
 
     The policy dropped the packet at ``drop_step``. The charge is worth the
     packet's value, alpha only for an evicted alpha packet, which is charged
-    on an interval of alpha sends: :func:`build_ledger` raises on a rejected
-    or preempted one.
+    on an interval of alpha sends: :attr:`RunTrace.departures` raises on a
+    rejected or preempted one.
     """
 
     packet: int
@@ -251,12 +251,11 @@ def build_ledger(ropt: RoptTrace) -> ChargeLedger:
     # only drops push deferred evictions, and a drop pops every one sent
     # before its step, so popping at drops alone keeps the order of charges
     departures = on.departures
-    for t, kind, i, ones_buffered, lo, hi in departures.drops:
+    for t, kind, i, lo, hi in departures.drops:
         if deferred:
             reference_sends_before(t)
-        is_alpha = flags[i]
         if kind is EVICTED and in_o[i]:
-            if is_alpha:
+            if flags[i]:
                 # the interval always includes the drop step itself, so
                 # the purity check can catch a non-alpha send there
                 end = on.alpha_run_ends.get(t + 1, t)
@@ -268,21 +267,14 @@ def build_ledger(ropt: RoptTrace) -> ChargeLedger:
                 heapq.heappush(deferred, (math.inf if sent is None else sent, i, t))
                 diagnostics["deferred-evictions"] += 1
         elif kind is REJECTED and in_o[i]:
-            if is_alpha:
-                raise fail("alpha packet self-rejected", t, i)
-            if ones_buffered or hi - lo != inst.capacity:
-                raise fail("rejection without a full all-alpha buffer", t, i)
+            # the departures replay admits only a rejection by a full all-alpha buffer
             alphas = departures.alphas[lo:hi]
             diagnostics["reject-context-non-o-packets"] += sum(1 for q in alphas if not in_o[q])
             candidates = open_chain_candidates(alphas, t)
             if not candidates:
                 raise fail("no open chain for rejected packet", t, i)
             close_chain(candidates[0], i, REJECTED_ONE_CHAIN, drop_step=t)
-        elif kind is PREEMPTED:
-            if is_alpha:
-                raise fail("alpha packet preempted", t, i)
-            if not in_o[i]:
-                continue
+        elif kind is PREEMPTED and in_o[i]:
             # only 1-value packets leave in a preemption, so the alpha
             # queue still holds the step's alpha context in order
             alphas = departures.alphas[lo:hi]

@@ -121,16 +121,14 @@ class Departures(NamedTuple):
     ``math.inf`` while it is still there at the end, None if it never
     entered; the send steps are the trace's ``sends``. ``drops`` lists
     the evictions, rejections and preemptions in event order as
-    ``(step, kind, arrival, ones_buffered, lo, hi)``: just after
-    the drop, whether a 1-value packet was buffered, and the alpha queue
-    as ``alphas[lo:hi]``. While every alpha packet leaves from the front
-    of the alpha queue, as in a trace of :func:`run`, ``alphas`` lists the
-    admitted alpha packets in order, so a window costs O(1) to record;
-    after the first that does not, each drop appends a copy of the queue.
+    ``(step, kind, arrival, lo, hi)``, with the alpha queue just after the
+    drop as ``alphas[lo:hi]``. ``alphas`` lists the admitted alpha packets
+    in order: each leaves from the front of the alpha queue, so a window
+    costs O(1) to record.
     """
 
     left: list[float | None]
-    drops: list[tuple[int, EventKind, int, bool, int, int]]
+    drops: list[tuple[int, EventKind, int, int, int]]
     alphas: list[int]
 
 
@@ -157,22 +155,21 @@ class RunTrace:
     def departures(self) -> Departures:
         """The buffer replayed from the event log, kept on first read.
 
-        The buffer is :func:`run`'s two class queues. A send must take the
-        earlier front (FIFO order is arrival order) and a drop must find its
-        packet buffered (at its queue's front, in a trace of :func:`run`),
-        or the replay raises a ValueError, on every read.
+        The buffer is :func:`run`'s two class queues, and the log must obey
+        the model's queue rules, or the replay raises a ValueError, on every
+        read: a send takes the earlier front (FIFO order is arrival order),
+        an eviction or a preemption takes its queue's front, only a 1-value
+        packet is rejected or preempted, and a rejection meets a buffer of
+        ``capacity`` alpha packets.
         """
         inst = self.instance
-        flags = inst.is_alpha
+        flags, capacity = inst.is_alpha, inst.capacity
         inf = math.inf
         left: list[float | None] = [None] * len(flags)
-        drops: list[tuple[int, EventKind, int, bool, int, int]] = []
+        drops: list[tuple[int, EventKind, int, int, int]] = []
         alphas: list[int] = []
         ones_queue: deque[int] = deque()
-        alpha_queue: deque[int] = deque()
-        # while every alpha packet left from the front, the alpha queue is
-        # the last len(alpha_queue) entries of alphas
-        in_order = True
+        alpha_queue: deque[int] = deque()  # the last len(alpha_queue) entries of alphas
         for t, kind, i in zip(*self.log):
             if kind is ADMITTED:
                 left[i] = inf
@@ -192,25 +189,22 @@ class RunTrace:
                 queue.popleft()
                 left[i] = t
                 continue
-            if kind is not REJECTED:
-                if queue and queue[0] == i:
-                    queue.popleft()
-                else:
-                    try:
-                        queue.remove(i)
-                    except ValueError:
-                        packet = arrival_id(inst, i)
-                        raise ValueError(f"unbuffered packet {packet} {kind.value} at step {t}") from None
-                    in_order = in_order and queue is ones_queue
+            if kind is not EVICTED and flags[i]:
+                raise ValueError(f"alpha packet {arrival_id(inst, i)} {kind.value} at step {t}")
+            if kind is REJECTED:
+                if ones_queue or len(alpha_queue) != capacity:
+                    packet = arrival_id(inst, i)
+                    raise ValueError(f"rejection of {packet} without a full all-alpha buffer at step {t}")
+            elif queue and queue[0] == i:
+                queue.popleft()
                 left[i] = t
-            if in_order:
-                hi = len(alphas)
-                lo = hi - len(alpha_queue)
             else:
-                lo = len(alphas)
-                alphas += alpha_queue
-                hi = len(alphas)
-            drops.append((t, kind, i, bool(ones_queue), lo, hi))
+                packet = arrival_id(inst, i)
+                if i in queue:
+                    raise ValueError(f"packet {packet} {kind.value} behind its queue's front at step {t}")
+                raise ValueError(f"unbuffered packet {packet} {kind.value} at step {t}")
+            hi = len(alphas)
+            drops.append((t, kind, i, hi - len(alpha_queue), hi))
         return Departures(left, drops, alphas)
 
     @_cached
@@ -312,7 +306,7 @@ def run(policy: Policy, inst: Instance) -> RunTrace:
 
 def replay_buffer_states(trace: RunTrace) -> list[tuple[StepEvent, tuple[int, ...]]]:
     """Each event with the buffer just after it, merged in key order; raises as :attr:`RunTrace.departures` does."""
-    trace.departures  # checks that each send and drop takes a buffered packet
+    trace.departures  # checks the log against the model's queue rules
     buffer: list[int] = []
     states = []
     for t, kind, i in zip(*trace.log):

@@ -3,7 +3,7 @@
 import random
 import time
 from bisect import insort
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -397,24 +397,33 @@ def test_trace_invariants(inst, beta, use_greedy):
 def _literal_replay(trace):
     """Literal replay oracle: the buffer as one list in admission order.
 
-    Yields each event with a tuple snapshot of the buffer after it. A drop
-    removes its packet wherever it is in the list, and a send must take
-    the list's front; otherwise it raises the replay's own error text.
+    Yields each event with a tuple snapshot of the buffer after it. A send
+    must take the list's front, an eviction or a preemption the first
+    buffered packet of its class, only a 1-value packet may be rejected or
+    preempted, and a rejection must meet a list of ``capacity`` alpha
+    packets; otherwise it raises the replay's own error text.
     """
+    inst = trace.instance
     buf = []
     for t, kind, i in zip(*trace.log):
+        p = inst.arrivals[i]
         if kind is EventKind.ADMITTED:
             buf.append(i)
-        elif kind is EventKind.EVICTED or kind is EventKind.PREEMPTED:
-            try:
-                buf.remove(i)
-            except ValueError:
-                packet = trace.instance.arrivals[i].id
-                raise ValueError(f"unbuffered packet {packet} {kind.value} at step {t}") from None
         elif kind is EventKind.SENT:
             if not buf or buf[0] != i:
-                raise ValueError(f"non-FIFO send of {trace.instance.arrivals[i].id} at step {t}")
+                raise ValueError(f"non-FIFO send of {p.id} at step {t}")
             buf.pop(0)
+        elif p.is_alpha and kind is not EventKind.EVICTED:
+            raise ValueError(f"alpha packet {p.id} {kind.value} at step {t}")
+        elif kind is EventKind.REJECTED:
+            if len(buf) != inst.capacity or not all(inst.arrivals[j].is_alpha for j in buf):
+                raise ValueError(f"rejection of {p.id} without a full all-alpha buffer at step {t}")
+        elif i not in buf:
+            raise ValueError(f"unbuffered packet {p.id} {kind.value} at step {t}")
+        elif i != next(j for j in buf if inst.arrivals[j].is_alpha == p.is_alpha):
+            raise ValueError(f"packet {p.id} {kind.value} behind its queue's front at step {t}")
+        else:
+            buf.remove(i)
         yield StepEvent(t, kind, i), tuple(buf)
 
 
@@ -433,26 +442,47 @@ DROP_KINDS = frozenset({EventKind.EVICTED, EventKind.PREEMPTED})
 def test_replay_matches_literal_list_replay(inst, beta, data):
     for policy in (Policy.greedy(), Policy.on(beta)):
         trace = run(policy, inst)
-        assert replay_buffer_states(trace) == list(_literal_replay(trace))
+        states = replay_buffer_states(trace)
+        assert states == list(_literal_replay(trace))
 
         # a corrupted log, with its admissions still in arrival order: one
-        # other event deleted, or one drop repeated later on
+        # other event deleted, one drop repeated later on, or one drop
+        # re-pointed at a packet of its class behind its queue's front
         kinds = trace.log.kinds
         others = [k for k, kind in enumerate(kinds) if kind is not EventKind.ADMITTED]
         if not others:
             continue
         k = data.draw(st.sampled_from(others))
         columns = [list(column) for column in trace.log]
-        if kinds[k] in DROP_KINDS and data.draw(st.booleans()):
+        edits = ["delete"]
+        if kinds[k] in DROP_KINDS:
+            edits.append("repeat")
+            flags = inst.is_alpha
+            behind = [j for j in states[k - 1][1] if flags[j] == flags[columns[2][k]]][1:]
+            if behind:
+                edits.append("re-point")
+        edit = data.draw(st.sampled_from(edits))
+        if edit == "repeat":
             at = data.draw(st.integers(k + 1, len(kinds)))
             for column in columns:
                 column.insert(at, column[k])
+        elif edit == "re-point":
+            j = columns[2][k] = data.draw(st.sampled_from(behind))
+            front = f"packet {inst.arrivals[j].id} {kinds[k].value} behind its queue's front"
         else:
             for column in columns:
                 del column[k]
         corrupted = replace(trace, log=EventLog(*columns))
         outcome = _replay_outcome(replay_buffer_states, corrupted)
         assert outcome == _replay_outcome(_literal_replay, corrupted)
+        try:
+            corrupted.departures
+        except ValueError as exc:
+            assert str(exc) == outcome
+        else:
+            assert not isinstance(outcome, str)
+        if edit == "re-point":
+            assert outcome == f"{front} at step {columns[0][k]}"
 
 
 def test_replay_matches_literal_list_replay_when_dense():
@@ -461,31 +491,6 @@ def test_replay_matches_literal_list_replay_when_dense():
         for policy in (Policy.greedy(), Policy.on(DEFAULT_BETA)):
             trace = run(policy, inst)
             assert replay_buffer_states(trace) == list(_literal_replay(trace))
-
-
-def test_replay_drops_only_at_a_queue_front(monkeypatch):
-    # deque.remove is O(1) only at the front, and every drop of a run trace
-    # leaves from the front of its class queue, so departures never calls it
-    removed = []
-
-    class CountingDeque(deque):
-        def remove(self, value):
-            removed.append(value)
-            super().remove(value)
-
-    monkeypatch.setattr(simulate_module, "deque", CountingDeque)
-    cases = [random_instance(GenConfig(capacity_max=6, max_burst=4, seed=s)) for s in range(50)]
-    cases.append(_ten_thousand_arrivals(1000, max_burst=5))
-    drops = Counter()
-    for inst in cases:
-        for policy in (Policy.greedy(), Policy.on(DEFAULT_BETA)):
-            for _, kind, i, *_ in run(policy, inst).departures.drops:
-                if kind in DROP_KINDS:
-                    drops[kind, inst.arrivals[i].is_alpha] += 1
-    # the traces drop packets of both classes, and preempt
-    assert drops[EventKind.EVICTED, False] and drops[EventKind.EVICTED, True]
-    assert drops[EventKind.PREEMPTED, False]
-    assert removed == []
 
 
 @given(instances())

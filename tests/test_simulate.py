@@ -15,11 +15,15 @@ from fifolab import (
     RunTrace,
     StepEvent,
     build_instance,
+    build_ledger,
     demo_instance,
+    feasible,
     format_trace,
     greedy_blocking,
     random_instance,
     run,
+    run_ropt,
+    verify_ropt,
 )
 from fifolab.model import packet_id
 from fifolab.simulate import replay_buffer_states
@@ -369,8 +373,10 @@ def replay_events(trace):
     log's columns. The buffer is ``run``'s: ``ones`` and ``alphas``, one
     queue of arrival indices per class, the replay's live deques, which
     change when the next event is drawn. A send must take the earlier of
-    the two fronts, and a drop removes its packet from its queue; otherwise
-    it raises the text ``RunTrace.departures`` raises.
+    the two fronts, an eviction or a preemption its queue's front, only a
+    1-value packet may be rejected or preempted, and a rejection must meet
+    ``capacity`` alpha packets; otherwise it raises the text
+    ``RunTrace.departures`` raises.
     """
     inst = trace.instance
     flags = inst.is_alpha
@@ -378,6 +384,7 @@ def replay_events(trace):
     alphas = deque()
     for event in zip(*trace.log):
         t, kind, i = event
+        packet = packet_id(inst.steps[i], inst.seqs[i])
         if flags[i]:
             queue, other = alphas, ones
         else:
@@ -386,14 +393,19 @@ def replay_events(trace):
             queue.append(i)
         elif kind is EventKind.SENT:
             if not queue or queue[0] != i or (other and other[0] < i):
-                raise ValueError(f"non-FIFO send of {packet_id(inst.steps[i], inst.seqs[i])} at step {t}")
+                raise ValueError(f"non-FIFO send of {packet} at step {t}")
             queue.popleft()
-        elif kind is not EventKind.REJECTED:
-            try:
-                queue.remove(i)
-            except ValueError:
-                packet = packet_id(inst.steps[i], inst.seqs[i])
-                raise ValueError(f"unbuffered packet {packet} {kind.value} at step {t}") from None
+        elif flags[i] and kind is not EventKind.EVICTED:
+            raise ValueError(f"alpha packet {packet} {kind.value} at step {t}")
+        elif kind is EventKind.REJECTED:
+            if ones or len(alphas) != inst.capacity:
+                raise ValueError(f"rejection of {packet} without a full all-alpha buffer at step {t}")
+        elif i not in queue:
+            raise ValueError(f"unbuffered packet {packet} {kind.value} at step {t}")
+        elif queue[0] != i:
+            raise ValueError(f"packet {packet} {kind.value} behind its queue's front at step {t}")
+        else:
+            queue.popleft()
         yield event, ones, alphas
 
 
@@ -412,13 +424,13 @@ def _departures_from_the_replay(trace):
         elif kind is not EventKind.REJECTED:
             left[i] = t
         if kind not in (EventKind.SENT, EventKind.ADMITTED):
-            drops.append((t, kind, i, bool(ones), list(alphas)))
+            drops.append((t, kind, i, list(alphas)))
     return left, drops
 
 
 def _departures_read(trace):
     d = trace.departures
-    return d.left, [(t, k, i, ones, d.alphas[lo:hi]) for t, k, i, ones, lo, hi in d.drops]
+    return d.left, [(t, k, i, d.alphas[lo:hi]) for t, k, i, lo, hi in d.drops]
 
 
 @pytest.mark.parametrize("policy", [Policy.on(Fraction(3284, 1000)), GREEDY], ids=["on", "greedy"])
@@ -442,34 +454,6 @@ def test_departures_match_the_replay(policy):
     assert kinds == expected
 
 
-def test_departures_copy_the_alpha_queue_once_it_leaves_out_of_order(event_log):
-    # a hand-built trace that evicts the second buffered alpha packet, then
-    # rejects and preempts: the alpha queue is no longer a run of admissions
-    inst = build_instance(
-        3, Fraction(2), [(1, 0, "alpha"), (1, 1, "alpha"), (1, 2, "one"), (1, 3, "alpha"), (1, 4, "one")]
-    )
-    trace = RunTrace(
-        on(2),
-        inst,
-        event_log(
-            [
-                (1, EventKind.ADMITTED, 0),
-                (1, EventKind.ADMITTED, 1),
-                (1, EventKind.ADMITTED, 2),
-                (1, EventKind.EVICTED, 1),
-                (1, EventKind.ADMITTED, 3),
-                (1, EventKind.REJECTED, 4),
-                (1, EventKind.PREEMPTED, 2),
-                (1, EventKind.SENT, 0),
-            ]
-        ),
-        {1: 0},
-        Fraction(2),
-    )
-    assert _departures_read(trace) == _departures_from_the_replay(trace)
-    assert [alphas for *_, alphas in _departures_read(trace)[1]] == [[0], [0, 3], [0, 3]]
-
-
 @pytest.mark.parametrize(
     "specs, events, message",
     [
@@ -491,12 +475,71 @@ def test_departures_copy_the_alpha_queue_once_it_leaves_out_of_order(event_log):
             [(1, EventKind.ADMITTED, 0), (1, EventKind.EVICTED, 1)],
             "unbuffered packet 1.1 evicted at step 1",
         ),
+        # the second buffered alpha packet evicted, then a rejection and a preemption
+        (
+            [(1, 0, "alpha"), (1, 1, "alpha"), (1, 2, "one"), (1, 3, "alpha"), (1, 4, "one")],
+            [
+                (1, EventKind.ADMITTED, 0),
+                (1, EventKind.ADMITTED, 1),
+                (1, EventKind.ADMITTED, 2),
+                (1, EventKind.EVICTED, 1),
+                (1, EventKind.ADMITTED, 3),
+                (1, EventKind.REJECTED, 4),
+                (1, EventKind.PREEMPTED, 2),
+                (1, EventKind.SENT, 0),
+            ],
+            "packet 1.1 evicted behind its queue's front at step 1",
+        ),
+        # the second of two buffered 1-value packets preempted alone
+        (
+            [(1, 0, "one"), (1, 1, "one")],
+            [(1, EventKind.ADMITTED, 0), (1, EventKind.ADMITTED, 1), (1, EventKind.PREEMPTED, 1)],
+            "packet 1.1 preempted behind its queue's front at step 1",
+        ),
+        (
+            [(1, 0, "alpha")],
+            [(1, EventKind.REJECTED, 0)],
+            "alpha packet 1 rejected at step 1",
+        ),
+        # a full buffer that holds a 1-value packet
+        (
+            [(1, 0, "alpha"), (1, 1, "one"), (1, 2, "one")],
+            [(1, EventKind.ADMITTED, 0), (1, EventKind.ADMITTED, 1), (1, EventKind.REJECTED, 2)],
+            "rejection of 1.2 without a full all-alpha buffer at step 1",
+        ),
+        # an all-alpha buffer below capacity
+        (
+            [(1, 0, "alpha"), (1, 1, "one")],
+            [(1, EventKind.ADMITTED, 0), (1, EventKind.REJECTED, 1)],
+            "rejection of 1.1 without a full all-alpha buffer at step 1",
+        ),
+        (
+            [(1, 0, "alpha")],
+            [(1, EventKind.ADMITTED, 0), (1, EventKind.PREEMPTED, 0)],
+            "alpha packet 1 preempted at step 1",
+        ),
     ],
-    ids=["send-behind-head", "sent-twice", "never-admitted"],
+    ids=[
+        "send-behind-head",
+        "sent-twice",
+        "never-admitted",
+        "evicted-behind-front",
+        "preempted-behind-front",
+        "alpha-rejected",
+        "rejected-beside-a-one",
+        "rejected-below-capacity",
+        "alpha-preempted",
+    ],
 )
 def test_a_bad_log_raises_one_text_from_every_replay(specs, events, message, event_log):
     inst = build_instance(2, Fraction(2), specs)
     trace = RunTrace(GREEDY, inst, event_log(events), {}, Fraction(0))
-    for read in (_departures_from_the_replay, replay_buffer_states, attrgetter("departures")):
+    # the analysis reads the replay before anything else, with no O-packet in its way
+    ropt = run_ropt(trace, feasible(inst, ()))
+    reads = (
+        _departures_from_the_replay, replay_buffer_states, attrgetter("departures"),
+        lambda _: verify_ropt(ropt), lambda _: build_ledger(ropt),
+    )
+    for read in reads:
         assert _raised(read, trace) == message
-    assert "departures" not in vars(trace)  # read twice above, raised both times, never kept
+    assert "departures" not in vars(trace)  # read four times above, raised each time, never kept
